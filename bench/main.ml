@@ -968,17 +968,24 @@ let serve_bench ?(smoke = false) () =
 (* --- synth bench: CEGIS frontier search throughput -------------------- *)
 
 (* One row per (object style, depth) point of the synthesis space.  The
-   frontier and completeness verdict are the correctness payload — a
-   baseline diff that sees either move has caught a real regression in
-   the search, the pruning or the enumeration, not noise.  Wall clock is
-   advisory as everywhere else.  Scenarios stay within a second each so
-   the smoke subset can run the full list. *)
+   frontier, the completeness verdict and the candidate/pruned/refuted/
+   lemma counts are deterministic for the pinned seed — a baseline diff
+   that sees any of them move has caught a real change in the search,
+   the pruning or the enumeration, not noise.  Wall clock is advisory as
+   everywhere else.  Scenarios stay within a second or so each so the
+   smoke subset can run the full list; rw-r1-d2 is the exhaustive
+   1.4M-pair sweep. *)
 let synth_bench_scenarios =
   [
     ("rw-r1-d1", Consensus.Dtree.Rw, 1, 1, false, 4);
     ("rw-r1-d1-coins", Consensus.Dtree.Rw, 1, 1, true, 3);
     ("swap-r1-d1", Consensus.Dtree.Swapping, 1, 1, false, 5);
+    ("rw-r1-d2", Consensus.Dtree.Rw, 1, 2, false, 3);
   ]
+
+(* the deterministic fields a synth baseline row is diffed on *)
+let synth_exact_fields =
+  [ "candidates"; "pruned"; "refuted"; "lemmas"; "frontier"; "verdict" ]
 
 let synth_bench ?(smoke = false) () =
   let table =
@@ -1030,7 +1037,14 @@ let synth_bench ?(smoke = false) () =
           Robust.Budget.completeness_to_string r.Synth.Cegis.completeness
         in
         let frontier = r.Synth.Cegis.frontier in
-        baseline_rows := (name, frontier, verdict, secs) :: !baseline_rows;
+        let lemmas = List.length r.Synth.Cegis.lemmas in
+        let exact =
+          List.combine synth_exact_fields
+            (List.map string_of_int
+               [ candidates; pruned; refuted; lemmas; frontier ]
+            @ [ verdict ])
+        in
+        baseline_rows := (name, exact, secs) :: !baseline_rows;
         Stats.Table.add_row table
           [
             name;
@@ -1038,16 +1052,15 @@ let synth_bench ?(smoke = false) () =
             string_of_int candidates;
             string_of_int pruned;
             string_of_int refuted;
-            string_of_int (List.length r.Synth.Cegis.lemmas);
+            string_of_int lemmas;
             string_of_int frontier;
             Printf.sprintf "%.3f" secs;
             verdict;
           ];
         Printf.sprintf
           {|    { "scenario": %S, "trees": %d, "candidates": %d, "pruned": %d, "refuted": %d, "lemmas": %d, "frontier": %d, "seconds": %.6f, "verdict": %S }|}
-          name r.Synth.Cegis.trees candidates pruned refuted
-          (List.length r.Synth.Cegis.lemmas)
-          frontier secs verdict)
+          name r.Synth.Cegis.trees candidates pruned refuted lemmas frontier
+          secs verdict)
       synth_bench_scenarios
   in
   Stats.Table.print table;
@@ -1235,37 +1248,38 @@ let diff_serve_baseline (file, lines) rows =
   if !failed then exit 1
 
 let diff_synth_baseline (file, lines) rows =
-  let base = ref [] in
-  List.iter
-    (fun line ->
-      match (json_field line "scenario", json_field line "frontier") with
-      | Some s, Some f ->
-          base :=
-            ( s,
-              ( int_of_string_opt f,
-                json_field line "verdict",
-                baseline_seconds line ) )
-            :: !base
-      | _ -> ())
-    lines;
+  let base =
+    List.filter_map
+      (fun line ->
+        Option.map (fun s -> (s, line)) (json_field line "scenario"))
+      lines
+  in
   Printf.printf "\n=== Baseline diff vs %s (verdicts hard-fail) ===\n\n" file;
   let failed = ref false in
   List.iter
-    (fun (scenario, frontier, verdict, secs) ->
-      match List.assoc_opt scenario !base with
+    (fun (scenario, exact, secs) ->
+      match List.assoc_opt scenario base with
       | None ->
           Printf.printf "baseline %-28s not in baseline (new row)\n" scenario
-      | Some (bfrontier, bverdict, bsecs) ->
-          if bfrontier <> Some frontier || bverdict <> Some verdict then begin
-            Printf.eprintf
-              "baseline %s: FRONTIER/VERDICT CHANGED: %d/%s vs baseline %s/%s\n"
-              scenario frontier verdict
-              (match bfrontier with Some f -> string_of_int f | None -> "?")
-              (Option.value ~default:"?" bverdict);
+      | Some line ->
+          let changed =
+            List.filter
+              (fun (key, v) -> json_field line key <> Some v)
+              exact
+          in
+          if changed <> [] then begin
+            List.iter
+              (fun (key, v) ->
+                Printf.eprintf "baseline %s: %s CHANGED: %s vs baseline %s\n"
+                  scenario (String.uppercase_ascii key) v
+                  (Option.value ~default:"?" (json_field line key)))
+              changed;
             failed := true
           end
           else
-            Option.iter (fun bsecs -> diff_advisory scenario bsecs secs) bsecs)
+            Option.iter
+              (fun bsecs -> diff_advisory scenario bsecs secs)
+              (baseline_seconds line))
     rows;
   if !failed then exit 1
 

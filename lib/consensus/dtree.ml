@@ -200,6 +200,85 @@ let rec to_proc tree : int Proc.t =
           | Value.Int _ -> to_proc one
           | _ -> to_proc empty)
 
+(* ---- closure-free replay ----
+
+   The CEGIS pool's inner loop: [Run.exec_script] over [protocol pair]
+   without building [Proc] closures, a [Config] or a trace.  A process is
+   its current subtree; a register holds the only thing a branch can
+   observe of its value — [reg_empty] until written, then [0] for a
+   written 0 and [1] for any other bit ([Read]/[Swap] branch on
+   [Value.Int 0 | Value.Int _ | _]).  Every rule below mirrors one of
+   [exec_script]'s: stop once nobody is enabled or [max_steps] steps
+   were taken, skip entries whose pid is out of range or disabled, and
+   fall back to coin 0 unless [Some c] with [0 <= c < 2] is given. *)
+
+let reg_empty = 2
+let reg_of_bit bit = if bit = 0 then 0 else 1
+
+let branch v ~empty ~zero ~one =
+  if v = reg_empty then empty else if v = 0 then zero else one
+
+(* toplevel, taking the state as arguments: local closures over it would
+   be allocated on every replay *)
+let enabled cur halted pid =
+  (not halted.(pid)) && match cur.(pid) with Decide _ -> false | _ -> true
+
+let rec all_decided cur halted pid =
+  pid >= Array.length cur
+  || ((not (enabled cur halted pid)) && all_decided cur halted (pid + 1))
+
+let step_tree cur regs pid coin =
+  match cur.(pid) with
+  | Decide _ -> invalid_arg "Dtree.replay: stepping a decided process"
+  | Flip (tails, heads) ->
+      let c = match coin with Some c when c >= 0 && c < 2 -> c | _ -> 0 in
+      cur.(pid) <- (if c = 1 then heads else tails)
+  | Write { reg; bit; k } ->
+      regs.(reg) <- reg_of_bit bit;
+      cur.(pid) <- k
+  | Read { reg; empty; zero; one } ->
+      cur.(pid) <- branch regs.(reg) ~empty ~zero ~one
+  | Swap { reg; bit; empty; zero; one } ->
+      let old = regs.(reg) in
+      regs.(reg) <- reg_of_bit bit;
+      cur.(pid) <- branch old ~empty ~zero ~one
+
+let rec run_script ~max_steps cur halted regs steps script =
+  if (not (all_decided cur halted 0)) && steps < max_steps then
+    let n = Array.length cur in
+    match script with
+    | [] -> ()
+    | `Crash pid :: rest ->
+        if pid >= 0 && pid < n && enabled cur halted pid then
+          halted.(pid) <- true;
+        run_script ~max_steps cur halted regs steps rest
+    | `Step (pid, coin) :: rest ->
+        if pid >= 0 && pid < n && enabled cur halted pid then begin
+          step_tree cur regs pid coin;
+          run_script ~max_steps cur halted regs (steps + 1) rest
+        end
+        else run_script ~max_steps cur halted regs steps rest
+
+let rec place cur t1 pid = function
+  | [] -> ()
+  | v :: rest ->
+      if v <> 0 then cur.(pid) <- t1;
+      place cur t1 (pid + 1) rest
+
+let rec decisions cur pid acc =
+  if pid < 0 then acc
+  else
+    match cur.(pid) with
+    | Decide v -> decisions cur (pid - 1) (v :: acc)
+    | _ -> decisions cur (pid - 1) acc
+
+let replay ?(max_steps = 100_000) ~registers (t0, t1) ~inputs script =
+  let cur = Array.make (List.length inputs) t0 in
+  place cur t1 0 inputs;
+  let halted = Array.make (Array.length cur) false in
+  run_script ~max_steps cur halted (Array.make registers reg_empty) 0 script;
+  decisions cur (Array.length cur - 1) []
+
 let optypes ~style ~registers =
   List.init registers (fun _ ->
       match style with

@@ -48,6 +48,26 @@ val of_string : string -> (t, string) result
 
 val to_proc : t -> int Proc.t
 
+(** [replay ~registers (t0, t1) ~inputs script] is the decisions, in
+    pid order, that {!Sim.Run.exec_script} leaves in the final
+    configuration when it replays [script] against [protocol pair] from
+    its initial configuration for [inputs] — computed directly on the
+    trees, with no [Proc] closures, configuration or trace.  Entries and
+    [max_steps] (default [100_000]) have [exec_script]'s meaning:
+    disabled or out-of-range pids are skipped, a coin is [Some c] with
+    [0 <= c < 2] or else [0], and the replay stops once every process
+    has decided or crashed.  The trees must be ones {!protocol} accepts
+    for [registers] objects (a register index [>= registers] raises
+    [Invalid_argument]).  Agreement with [exec_script] is pinned by a
+    differential test rather than derived. *)
+val replay :
+  ?max_steps:int ->
+  registers:int ->
+  t * t ->
+  inputs:int list ->
+  [< `Step of int * int option | `Crash of int ] list ->
+  int list
+
 (** The object row for a protocol of this style: [registers] plain
     registers ([Rw]) or swap registers ([Swapping]). *)
 val optypes : style:style -> registers:int -> Optype.t list

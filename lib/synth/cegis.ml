@@ -28,12 +28,15 @@
 
    Determinism contract (the repo-wide one): identical parameters give
    bit-identical results — rows, witness, lemma pool — at any [?pool]
-   size.  Per-candidate RNG streams are pre-split with [Rng.split_n]
-   before dispatch, batches are admitted through [Budget.Meter] on the
-   caller, [Par.map] preserves order, the fold that merges outcomes
-   (and grows the lemma pool) runs sequentially in candidate order, and
-   workers only ever see a pool snapshot frozen between batches —
-   exactly the [Fuzz.Campaign] discipline. *)
+   size.  Batches are admitted through [Budget.Meter] on the caller,
+   which splits each admitted candidate's RNG stream off the round's
+   generator in candidate order (the streams [Rng.split_n] would give),
+   [Par.map_array] preserves order, the fold that merges outcomes (and
+   grows the lemma pool and its hit counts) runs sequentially in
+   candidate order, and workers only ever see a pool snapshot frozen —
+   and re-sorted by hits — between batches, so the snapshot is a
+   function of the batch index alone: exactly the [Fuzz.Campaign]
+   discipline. *)
 
 open Sim
 module D = Consensus.Dtree
@@ -81,19 +84,20 @@ let mixed_vectors n =
       let zeros = i + 1 in
       List.init n (fun j -> if j < zeros then 0 else 1))
 
-(* Admitted-prefix batching, Campaign-style: admit up to [batch] items
-   through the meter, dispatch exactly the admitted prefix over the
-   pool, fold results sequentially in index order on the caller.  [f]
-   must be effect-free towards shared state; all merging lives in
-   [fold].  [stop] short-circuits remaining items (their cost is never
-   charged); [after_batch] runs on the caller between batches — the
-   lemma-pool snapshot refresh hook.  Returns the accumulator plus how
-   many items were folded, so callers can tell a budget trip (processed
-   < total, meter tripped) from completion. *)
-let batched ?pool ?(after_batch = fun () -> ()) ~meter ~batch items f fold
-    ~stop init =
-  let items = Array.of_list items in
-  let total = Array.length items in
+(* Admitted-prefix batching, Campaign-style: admit up to [batch] of the
+   [total] items through the meter, dispatch exactly the admitted prefix
+   over the pool, fold results sequentially in index order on the
+   caller.  [item i] builds item [i] on the caller, once per admitted
+   index in ascending order: nothing is materialized for items the
+   budget never admits, and RNG streams split inside [item] come out in
+   admission order.  [f] must be effect-free towards shared state; all
+   merging lives in [fold].  [stop] short-circuits remaining items
+   (their cost is never charged); [after_batch] runs on the caller
+   between batches — the lemma-pool snapshot refresh hook.  Returns the
+   accumulator plus how many items were folded, so callers can tell a
+   budget trip (processed < total, meter tripped) from completion. *)
+let batched ?pool ?(after_batch = fun () -> ()) ~meter ~batch ~total item f
+    fold ~stop init =
   let acc = ref init in
   let processed = ref 0 in
   let start = ref 0 in
@@ -103,12 +107,13 @@ let batched ?pool ?(after_batch = fun () -> ()) ~meter ~batch items f fold
     let admitted = Robust.Budget.Meter.take_nodes meter want in
     if admitted < want then halted := true;
     if admitted > 0 then begin
-      let indices = List.init admitted (fun i -> !start + i) in
-      let results = Par.map ?pool (fun i -> f i items.(i)) indices in
-      List.iteri
-        (fun k r ->
+      (* Array.init applies [item] in index order *)
+      let items = Array.init admitted (fun k -> item (!start + k)) in
+      let results = Par.map_array ?pool f items in
+      Array.iter
+        (fun r ->
           if not !halted then begin
-            acc := fold !acc (!start + k) r;
+            acc := fold !acc r;
             incr processed;
             if stop !acc then halted := true
           end)
@@ -119,10 +124,34 @@ let batched ?pool ?(after_batch = fun () -> ()) ~meter ~batch items f fold
   done;
   (!acc, !processed)
 
+(* a pool lemma with its age index and the prunes credited to it;
+   [prunes] is written only by the caller's fold, never while workers
+   hold the snapshot *)
+type pooled = { id : int; lemma : Lemma.t; mutable prunes : int }
+
+(* [a] goes after [b]: fewer prunes, ties younger.  A total order, so
+   the sorted snapshot depends only on the counts. *)
+let after a b = a.prunes < b.prunes || (a.prunes = b.prunes && a.id > b.id)
+
+(* In-place insertion sort, most prunes first.  The snapshot is
+   re-sorted after every batch and one batch's credits move few entries,
+   so this runs in near-linear time where a merge sort would pay
+   n log n comparisons per batch. *)
+let sort_by_prunes a =
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && after a.(!j) x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
 (* one candidate's whole pipeline; runs on a worker domain against a
-   frozen lemma pool and its own pre-split rng — no shared state *)
+   frozen lemma pool and its own rng stream — no shared state *)
 type outcome =
-  | Pruned
+  | Pruned of pooled  (** the pool lemma that hit *)
   | Refuted of Lemma.t
   | Verified
   | Unknown of Robust.Budget.reason
@@ -133,30 +162,45 @@ type eval = {
       (* mints that cannot refute at this n (adversary executions using
          clones beyond n) but may prune larger rounds *)
   hits : int;
+  replays : int;  (* pool lemmas replayed against this candidate *)
 }
 
 let probe_max_steps = 1_000
 
-let eval_candidate ~style ~registers ~prune ~probes ~use_attack ~frozen_pool
-    ~n ~vectors ~rng (t0, t1) =
-  let p = D.protocol ~style ~registers (t0, t1) in
-  let hits = ref 0 in
-  let lemma_of ~inputs trace =
-    {
-      Lemma.source = p.Consensus.Protocol.name;
-      inputs;
-      schedule = Fuzz.Schedule.of_trace trace;
-    }
+(* Pool replay on the tree kernel, in snapshot order (most-hit first):
+   the first applicable lemma that hits, and how many replays that
+   took.  Whether some lemma hits does not depend on the order, so
+   neither does anything but which lemma is credited and the replay
+   count. *)
+let replay_pool ~registers ~n pool pair =
+  let len = Array.length pool in
+  let rec scan k replays =
+    if k = len then (None, replays)
+    else
+      let e = pool.(k) in
+      if not (Lemma.applies ~n e.lemma) then scan (k + 1) replays
+      else if Lemma.hits_pair ~registers e.lemma pair then
+        (Some e, replays + 1)
+      else scan (k + 1) (replays + 1)
   in
+  scan 0 0
+
+let eval_candidate ~style ~registers ~probes ~use_attack ~frozen_pool ~n
+    ~vectors ~rng (t0, t1) =
   (* 1. pool replay: cheapest possible rejection *)
-  let pruned_hit =
-    if not prune then None else Lemma.first_hit ~n frozen_pool p
-  in
-  match pruned_hit with
-  | Some _ ->
-      incr hits;
-      { outcome = Pruned; side_lemmas = []; hits = !hits }
-  | None -> (
+  match replay_pool ~registers ~n frozen_pool (t0, t1) with
+  | Some e, replays ->
+      { outcome = Pruned e; side_lemmas = []; hits = 1; replays }
+  | None, replays -> (
+      let p = D.protocol ~style ~registers (t0, t1) in
+      let hits = ref 0 in
+      let lemma_of ~inputs trace =
+        {
+          Lemma.source = p.Consensus.Protocol.name;
+          inputs;
+          schedule = Fuzz.Schedule.of_trace trace;
+        }
+      in
       (* 2. seeded random probes: cheap fresh counterexamples whose
          schedules transfer to the pool *)
       let probe_refutation =
@@ -191,7 +235,8 @@ let eval_candidate ~style ~registers ~prune ~probes ~use_attack ~frozen_pool
         per_vector vectors
       in
       match probe_refutation with
-      | Some l -> { outcome = Refuted l; side_lemmas = []; hits = !hits }
+      | Some l ->
+          { outcome = Refuted l; side_lemmas = []; hits = !hits; replays }
       | None -> (
           (* 3. the constructive adversary (rw only: [Attack.certify]'s
              fresh-start replay needs responses that do not leak history,
@@ -222,7 +267,7 @@ let eval_candidate ~style ~registers ~prune ~probes ~use_attack ~frozen_pool
           in
           match attack_lemma with
           | Some l when Lemma.applies ~n l ->
-              { outcome = Refuted l; side_lemmas = []; hits = !hits }
+              { outcome = Refuted l; side_lemmas = []; hits = !hits; replays }
           | side -> (
               let side_lemmas = Option.to_list side in
               (* 4. full verification, vector by vector *)
@@ -239,7 +284,7 @@ let eval_candidate ~style ~registers ~prune ~probes ~use_attack ~frozen_pool
                         Refuted (lemma_of ~inputs trace)
                     | `Unknown reason -> Unknown reason)
               in
-              { outcome = verify vectors; side_lemmas; hits = !hits })))
+              { outcome = verify vectors; side_lemmas; hits = !hits; replays })))
 
 let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
     ?(attack = true) ?(probes = 4) ?(max_lemmas = 256) ?(batch = 32) ~style
@@ -263,13 +308,27 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
   in
   let v0 = valid 0 and v1 = valid 1 in
   let round_rngs = Rng.split_n (Rng.create seed) (max_procs + 1) in
-  let lemmas = ref [] (* newest first; reversed into pool order on use *) in
+  let lemmas = ref [] (* newest first *) in
   let lemma_count = ref 0 in
   let lemma_hits = ref 0 in
-  let add_lemma l =
+  let replays = ref 0 in
+  let add_lemma lemma =
     if !lemma_count < max_lemmas then begin
-      lemmas := l :: !lemmas;
+      lemmas := { id = !lemma_count; lemma; prunes = 0 } :: !lemmas;
       incr lemma_count
+    end
+  in
+  (* the pool as workers replay it, [sort_by_prunes]; empty without
+     pruning *)
+  let frozen = ref [||] in
+  let refresh () =
+    if prune then begin
+      let fresh = !lemma_count - Array.length !frozen in
+      if fresh > 0 then
+        frozen :=
+          Array.append !frozen
+            (Array.of_list (List.filteri (fun i _ -> i < fresh) !lemmas));
+      sort_by_prunes !frozen
     end
   in
   (* stage 2: unanimity filter for side v at n, one metered node per
@@ -278,11 +337,12 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
      under-approximation could claim `Unsatisfiable it never earned. *)
   let unanimous ~n side v =
     let vector = List.init n (fun _ -> side) in
+    let v = Array.of_list v in
     let (kept, unknown), processed =
-      batched ?pool ~meter ~batch v
-        (fun _ t ->
+      batched ?pool ~meter ~batch ~total:(Array.length v) (Array.get v)
+        (fun t ->
           (t, Mc.Enumerate.dtree_check_verdict ~style ~registers (t, t) vector))
-        (fun (kept, unknown) _ (t, verdict) ->
+        (fun (kept, unknown) (t, verdict) ->
           match verdict with
           | `Correct -> (t :: kept, unknown)
           | `Violating _ -> (kept, unknown)
@@ -294,7 +354,7 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
       match unknown with
       | Some _ as u -> u
       | None ->
-          if processed = List.length v then None
+          if processed = Array.length v then None
           else
             Some
               (Option.value (Robust.Budget.Meter.tripped meter) ~default:`Nodes)
@@ -322,33 +382,35 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
             verdict = `Unknown reason;
           }
       | None, None ->
-          (* stage 3: pair sweep in t0-major enumeration order *)
-          let pairs =
-            List.concat_map (fun t0 -> List.map (fun t1 -> (t0, t1)) u1) u0
+          (* stage 3: pair sweep in t0-major enumeration order; pair i
+             and its rng stream are built only once the budget admits i *)
+          let u0 = Array.of_list u0 and u1 = Array.of_list u1 in
+          let total = Array.length u0 * Array.length u1 in
+          let pair i =
+            (u0.(i / Array.length u1), u1.(i mod Array.length u1))
           in
           let vectors = mixed_vectors this_n in
-          let rngs = Rng.split_n round_rngs.(this_n) (List.length pairs) in
-          let frozen = ref (List.rev !lemmas) in
-          let frozen_at = ref !lemma_count in
+          let round_rng = round_rngs.(this_n) in
+          refresh ();
           let (pruned, refuted, witness, unknown), processed =
-            batched ?pool ~meter ~batch pairs
+            batched ?pool ~meter ~batch ~total
+              (fun i -> (pair i, Rng.split round_rng))
               ~after_batch:(fun () ->
                 (* workers are quiescent between batches; everything the
-                   fold minted is now safe to publish *)
-                if !frozen_at < !lemma_count then begin
-                  frozen := List.rev !lemmas;
-                  frozen_at := !lemma_count
-                end)
-              (fun i pair ->
-                ( eval_candidate ~style ~registers ~prune ~probes
-                    ~use_attack:attack ~frozen_pool:!frozen ~n:this_n
-                    ~vectors ~rng:rngs.(i) pair,
+                   fold minted or credited is now safe to publish *)
+                refresh ())
+              (fun (pair, rng) ->
+                ( eval_candidate ~style ~registers ~probes ~use_attack:attack
+                    ~frozen_pool:!frozen ~n:this_n ~vectors ~rng pair,
                   pair ))
-              (fun (pruned, refuted, witness, unknown) _ (ev, pair) ->
+              (fun (pruned, refuted, witness, unknown) (ev, pair) ->
                 lemma_hits := !lemma_hits + ev.hits;
+                replays := !replays + ev.replays;
                 List.iter add_lemma ev.side_lemmas;
                 match ev.outcome with
-                | Pruned -> (pruned + 1, refuted, witness, unknown)
+                | Pruned e ->
+                    e.prunes <- e.prunes + 1;
+                    (pruned + 1, refuted, witness, unknown)
                 | Refuted l ->
                     add_lemma l;
                     (pruned, refuted + 1, witness, unknown)
@@ -363,7 +425,7 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
             | Some _, _ -> `Satisfiable
             | None, Some reason -> `Unknown reason
             | None, None ->
-                if processed = List.length pairs then `Unsatisfiable
+                if processed = total then `Unsatisfiable
                 else
                   `Unknown
                     (Option.value
@@ -372,8 +434,8 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
           in
           {
             n = this_n;
-            unanimous0 = List.length u0;
-            unanimous1 = List.length u1;
+            unanimous0 = Array.length u0;
+            unanimous1 = Array.length u1;
             candidates = processed;
             pruned;
             refuted;
@@ -418,7 +480,7 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
       valid1 = List.length v1;
       rows;
       frontier;
-      lemmas = List.rev !lemmas;
+      lemmas = List.rev_map (fun e -> e.lemma) !lemmas;
       lemma_hits = !lemma_hits;
       completeness;
     }
@@ -433,6 +495,7 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
   Obs.add obs "synth/verified"
     (List.length (List.filter (fun r -> r.witness <> None) rows));
   Obs.add obs "synth/lemma-hits" result.lemma_hits;
+  Obs.add obs "synth/replays" !replays;
   Obs.add obs "synth/lemmas" (List.length result.lemmas);
   Obs.add obs "budget/polls" (Robust.Budget.Meter.polls meter);
   result

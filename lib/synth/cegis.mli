@@ -12,7 +12,10 @@
     and finally exhaustive search on every mixed input vector.  Every
     counterexample found at any stage becomes a lemma; pruning is sound
     because a hit replays a concrete violating execution of the pruned
-    candidate itself (see {!Lemma.hits} and DESIGN.md §4k).
+    candidate itself (see {!Lemma.hits} and DESIGN.md §4k).  The pool is
+    replayed on the trees themselves ({!Lemma.hits_pair}), most-hit
+    lemma first, and a candidate's protocol is built only when no lemma
+    hits.
 
     Correctness of a protocol is monotone downward in [n] (idle-process
     embedding), so the round loop stops at the first exhaustively
@@ -21,9 +24,11 @@
 
     Determinism: identical parameters produce bit-identical results —
     rows, witness, lemma pool — at any [?pool] size, by the
-    {!Fuzz.Campaign} discipline (pre-split {!Sim.Rng} streams, batched
-    budget admission, order-preserving {!Par.map}, sequential merge over
-    per-batch-frozen lemma snapshots). *)
+    {!Fuzz.Campaign} discipline (batched budget admission, per-candidate
+    {!Sim.Rng} streams split in admission order, order-preserving
+    {!Par.map_array}, sequential merge over per-batch-frozen lemma
+    snapshots).  The [synth/replays] {!Obs} counter, kernel replays
+    paid, is jobs-invariant too. *)
 
 type verdict = [ `Satisfiable | `Unsatisfiable | `Unknown of Robust.Budget.reason ]
 

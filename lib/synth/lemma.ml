@@ -35,7 +35,15 @@ let hits lemma (p : Consensus.Protocol.t) =
     let r = Run.exec_script ~script:lemma.schedule config in
     not (Checker.ok (Checker.of_config ~inputs:lemma.inputs r.Run.config))
 
-(* first pool entry (oldest first) that refutes [p] at [n], if any *)
+(* [hits] on [Dtree.protocol pair], replayed on the trees themselves *)
+let hits_pair ~registers lemma pair =
+  let decisions =
+    Consensus.Dtree.replay ~registers pair ~inputs:lemma.inputs
+      lemma.schedule
+  in
+  not (Checker.ok (Checker.check ~inputs:lemma.inputs ~decisions))
+
+(* first pool entry (in pool order) that refutes [p] at [n], if any *)
 let first_hit ~n pool p =
   List.find_opt (fun l -> applies ~n l && hits l p) pool
 

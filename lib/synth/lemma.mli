@@ -35,9 +35,19 @@ val applies : n:int -> t -> bool
     [exec_script]. *)
 val hits : t -> Consensus.Protocol.t -> bool
 
-(** First pool entry (oldest first — the transferable generic killers
-    accumulate at the front) that {!applies} at [n] and {!hits} the
-    candidate. *)
+(** [hits] against [Consensus.Dtree.protocol ~registers pair], computed
+    by {!Consensus.Dtree.replay} on the trees themselves — no protocol,
+    closures or configuration are built.  Same answer as {!hits} on the
+    compiled pair (pinned by a differential test); the CEGIS pool's
+    replay path. *)
+val hits_pair :
+  registers:int -> t -> Consensus.Dtree.t * Consensus.Dtree.t -> bool
+
+(** First entry, in the pool's own order, that {!applies} at [n] and
+    {!hits} the candidate.  Age order is a poor replay order: pool
+    age does not track how often a lemma hits (at depth 2 the oldest 32
+    of 68 lemmas catch 5% of prunes), which is why the CEGIS loop
+    replays its pool most-hit first instead. *)
 val first_hit : n:int -> t list -> Consensus.Protocol.t -> t option
 
 (** {1 Text codec} — line-oriented and versioned in the {!Sim.Trace_io}

@@ -156,6 +156,114 @@ let test_lemma_codec_round_trip () =
   Alcotest.(check string) "re-encoding is byte-identical" text
     (Lemma.to_text back)
 
+(* The pool prunes through [Lemma.hits_pair], whose tree kernel
+   ([Dtree.replay]) re-implements [Run.exec_script] rather than calling
+   it, so its agreement with [Lemma.hits] on the compiled protocol is an
+   assumption this differential test pins, over every (pair, lemma) the
+   search replays and beyond. *)
+let pool_mismatches ~style ~registers pool pairs =
+  List.fold_left
+    (fun (replays, bad) pair ->
+      let p = D.protocol ~style ~registers pair in
+      List.fold_left
+        (fun (replays, bad) l ->
+          ( replays + 1,
+            if Lemma.hits_pair ~registers l pair = Lemma.hits l p then bad
+            else bad + 1 ))
+        (replays, bad) pool)
+    (0, 0) pairs
+
+let check_mismatches what (replays, bad) =
+  Alcotest.(check bool) (what ^ ": replays compared") true (replays > 0);
+  Alcotest.(check int) (Printf.sprintf "%s: mismatches in %d" what replays) 0
+    bad
+
+(* every depth-1 pair of each style against that style's own pool *)
+let test_kernel_depth1 () =
+  List.iter
+    (fun (what, style, coins, procs) ->
+      let r =
+        Cegis.search ~style ~registers:1 ~depth:1 ~coins ~max_procs:procs
+          ~seed:1 ()
+      in
+      let trees = Mc.Enumerate.enumerate_dtrees ~style ~registers:1 ~coins 1 in
+      let pairs =
+        List.concat_map (fun t0 -> List.map (fun t1 -> (t0, t1)) trees) trees
+      in
+      check_mismatches what
+        (pool_mismatches ~style ~registers:1 r.Cegis.lemmas pairs))
+    [
+      ("rw", D.Rw, false, 4);
+      ("rw+coins", D.Rw, true, 3);
+      ("swap", D.Swapping, false, 5);
+    ]
+
+(* 10^4 seeded depth-2 rw pairs against the depth-2 pool *)
+let test_kernel_depth2 () =
+  let r =
+    Cegis.search
+      ~budget:(Robust.Budget.make ~nodes:25_000 ())
+      ~style:D.Rw ~registers:1 ~depth:2 ~coins:false ~max_procs:3 ~seed:1 ()
+  in
+  Alcotest.(check int) "depth-2 pool" 68 (List.length r.Cegis.lemmas);
+  let trees =
+    Array.of_list
+      (Mc.Enumerate.enumerate_dtrees ~style:D.Rw ~registers:1 ~coins:false 2)
+  in
+  let rng = Random.State.make [| 2 |] in
+  let pick () = trees.(Random.State.int rng (Array.length trees)) in
+  let pairs = List.init 10_000 (fun _ -> (pick (), pick ())) in
+  check_mismatches "rw depth 2"
+    (pool_mismatches ~style:D.Rw ~registers:1 r.Cegis.lemmas pairs)
+
+(* Pools hold recorded traces, which never crash a process, name a bad
+   pid or miss a coin; seeded scripts do, so every skip and fallback rule
+   of [exec_script] — and [max_steps] — is compared on the decisions
+   themselves, for coin-flipping trees of both styles. *)
+let test_kernel_scripts () =
+  let rng = Random.State.make [| 3 |] in
+  let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let bad = ref 0 in
+  let runs = ref 0 in
+  List.iter
+    (fun (style, registers, depth) ->
+      let trees =
+        Array.of_list
+          (Mc.Enumerate.enumerate_dtrees ~style ~registers ~coins:true depth)
+      in
+      let pick () = trees.(Random.State.int rng (Array.length trees)) in
+      for _ = 1 to 3_000 do
+        let n = int 1 3 in
+        let inputs = List.init n (fun _ -> int 0 1) in
+        let script =
+          List.init (int 0 10) (fun _ ->
+              let pid = int (-1) n in
+              if int 0 5 = 0 then `Crash pid
+              else
+                `Step
+                  ( pid,
+                    match int 0 4 with
+                    | 0 -> None
+                    | k -> Some (k - 2) (* -1, 0, 1, 2 *) ))
+        in
+        let max_steps = if int 0 2 = 0 then int 0 3 else 100_000 in
+        let pair = (pick (), pick ()) in
+        let config =
+          Consensus.Protocol.initial_config
+            (D.protocol ~style ~registers pair)
+            ~inputs
+        in
+        let generic =
+          Sim.Config.decisions
+            (Sim.Run.exec_script ~max_steps ~script config).Sim.Run.config
+        in
+        incr runs;
+        if D.replay ~max_steps ~registers pair ~inputs script <> generic then
+          incr bad
+      done)
+    [ (D.Rw, 2, 1); (D.Swapping, 2, 1); (D.Rw, 1, 2) ];
+  Alcotest.(check int) (Printf.sprintf "mismatches in %d scripts" !runs) 0 !bad
+
 (* a node budget yields an unknown row and a truncated completeness —
    never a silently under-approximated unsatisfiable *)
 let test_budget_trips_loudly () =
@@ -194,4 +302,10 @@ let suite =
     Alcotest.test_case "lemma codec round-trip" `Quick
       test_lemma_codec_round_trip;
     Alcotest.test_case "budget trips loudly" `Quick test_budget_trips_loudly;
+    Alcotest.test_case "tree kernel = exec_script: depth-1 pools" `Quick
+      test_kernel_depth1;
+    Alcotest.test_case "tree kernel = exec_script: depth-2 pool" `Quick
+      test_kernel_depth2;
+    Alcotest.test_case "tree kernel = exec_script: seeded scripts" `Quick
+      test_kernel_scripts;
   ]

@@ -77,6 +77,49 @@ let test_budget_jobs_invariant () =
             (run (Some pool) = reference)))
     pool_jobs
 
+(* The depth-2 point the benchmark measures: 22,208 candidates under a
+   25,000-node budget.  The pool snapshot is re-sorted by hits between
+   batches, so which lemma is credited — and the [synth/replays] count
+   of kernel replays paid — must be as jobs-invariant as the rows. *)
+let test_depth2_jobs_invariant () =
+  let run pool =
+    let obs = Obs.create () in
+    let r =
+      Cegis.search ~obs ?pool
+        ~budget:(Robust.Budget.make ~nodes:25_000 ())
+        ~style:D.Rw ~registers:1 ~depth:2 ~coins:false ~max_procs:3 ~seed:1
+        ()
+    in
+    (project r, Obs.Metrics.counter (Obs.metrics obs) "synth/replays")
+  in
+  let reference, replays = run None in
+  let _, completeness, _, rows, lemma_text = reference in
+  Alcotest.(check string) "truncated" "truncated (nodes)" completeness;
+  (match rows with
+  | [ (2, _, _, candidates, pruned, refuted, _, None) ] ->
+      Alcotest.(check int) "candidates" 22_208 candidates;
+      Alcotest.(check int) "pruned + refuted" candidates (pruned + refuted)
+  | _ -> Alcotest.fail "expected one unwitnessed n=2 row");
+  Alcotest.(check int) "lemmas" 68
+    (List.length (Lemma.of_text lemma_text));
+  Alcotest.(check int) "kernel replays" 36_682 replays;
+  List.iter
+    (fun jobs ->
+      Par.with_pool ~jobs (fun pool ->
+          let got, got_replays = run (Some pool) in
+          Alcotest.(check string)
+            (Printf.sprintf "jobs %d pool bytes" jobs)
+            lemma_text
+            (let _, _, _, _, text = got in
+             text);
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d = sequential" jobs)
+            true (got = reference);
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d replays" jobs)
+            replays got_replays))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "rw search jobs-invariant" `Quick
@@ -85,4 +128,6 @@ let suite =
       test_swap_jobs_invariant;
     Alcotest.test_case "node budget jobs-invariant" `Quick
       test_budget_jobs_invariant;
+    Alcotest.test_case "depth-2 budgeted search jobs-invariant" `Quick
+      test_depth2_jobs_invariant;
   ]
