@@ -443,7 +443,7 @@ let parse_bytes s =
   | _ -> None
 
 let mc_cmd =
-  let run name inputs depth max_states dedup state max_nodes deadline
+  let run name inputs depth max_states dedup max_nodes deadline
       checkpoint checkpoint_every resume jobs shards table_mem_budget
       table_dir metrics progress =
     match find_protocol name with
@@ -463,34 +463,6 @@ let mc_cmd =
               prerr_endline
                 (Printf.sprintf
                    "unknown --dedup %S (expected off | exact | symmetric)" s);
-              exit Exit_code.bad_args
-        in
-        (* an explicit --state flat cannot be honoured alongside
-           checkpointing (the flat DFS does not checkpoint): refuse
-           loudly instead of silently downgrading.  The implicit default
-           still picks the closure engine — same verdicts, counters and
-           witnesses either way. *)
-        (if state = Some "flat" && (checkpoint <> None || resume <> None) then begin
-           prerr_endline
-             "--state flat conflicts with --checkpoint/--resume (the flat \
-              engine does not checkpoint); drop --state or pass --state \
-              closure";
-           exit Exit_code.bad_args
-         end);
-        let state_name =
-          Option.value state
-            ~default:
-              (if checkpoint <> None || resume <> None then "closure"
-               else "flat")
-        in
-        let state =
-          match state_name with
-          | "flat" -> `Flat
-          | "closure" -> `Closure
-          | s ->
-              prerr_endline
-                (Printf.sprintf
-                   "unknown --state %S (expected flat | closure)" s);
               exit Exit_code.bad_args
         in
         (* sharded-tier flag surface: --table-* only make sense with
@@ -597,8 +569,7 @@ let mc_cmd =
                 match jobs with None -> Some 1 | Some 0 -> None | Some n -> Some n
               in
               Mc.Shard.search ?obs ?jobs ?budget ~dedup ~max_depth:depth
-                ~max_states ~state ?table_dir ?table_mem_budget ~shards ~inputs
-                config
+                ~max_states ?table_dir ?table_mem_budget ~shards ~inputs config
           | None ->
               with_jobs ?obs
                 (if sequential_only then None else jobs)
@@ -607,10 +578,10 @@ let mc_cmd =
                   | None ->
                       Mc.Explore.search ?obs ?budget ~dedup ~max_depth:depth
                         ~max_states ~checkpoint_every ?on_checkpoint
-                        ?resume:resume_state ~state ~inputs config
+                        ?resume:resume_state ~inputs config
                   | Some pool ->
                       Mc.Explore.search_par ?obs ~pool ?budget ~dedup
-                        ~max_depth:depth ~max_states ~state ~inputs config)
+                        ~max_depth:depth ~max_states ~inputs config)
         in
         (* rendered by the same function the serve daemon uses, so a
            served verdict is byte-identical by construction *)
@@ -624,7 +595,6 @@ let mc_cmd =
                ("protocol", name);
                ("inputs", inputs_csv);
                ("dedup", dedup_name);
-               ("state", state_name);
              ]
             @
             match shards with
@@ -651,16 +621,6 @@ let mc_cmd =
                 "transposition-table dedup: off, exact, or symmetric \
                  (symmetric additionally collapses permutations of \
                  interchangeable processes)")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "state" ]
-              ~doc:
-                "configuration engine: flat (interned slab states, the \
-                 default) or closure (the persistent-configuration \
-                 engine; the default under --checkpoint/--resume, which \
-                 reject an explicit flat).  Both produce identical \
-                 verdicts, witnesses and counters.")
       $ Arg.(
           value
           & opt (some int) None

@@ -124,76 +124,55 @@ let key_of_config ~symmetric (config : 'a Config.t) =
     config.Config.objects;
   { Key.hash = !h; objs = config.Config.objects; fps }
 
-(* The DFS engine, parameterized by an execution prefix (the reversed
-   (pid, coin-outcome) choice path [rev_choices] from [replay_root] and the
-   [decisions] visible so far) so that the same code serves both the
-   whole-tree search ([search], empty prefix) and the per-subtree tasks of
-   the partitioned search ([search_par], prefix = the root step leading
-   into the subtree).  [max_depth_seen] and depth bounds are relative to
-   the given root configuration.
+(* Re-execute a (pid, coin-outcome) choice path from [root] with full
+   event collection.  Every engine records only choice paths while it
+   searches — the violation-free tree never allocates events or trace
+   segments — and materializes its witness through this one replay, so
+   witnesses are engine-independent by construction. *)
+let witness root kind choices =
+  let rec replay config rev_events = function
+    | [] -> { kind; trace = List.rev rev_events; config }
+    | (pid, outcome) :: rest ->
+        let config', events = Run.step config ~pid ~coin:(fun _ -> outcome) in
+        replay config' (List.rev_append events rev_events) rest
+  in
+  replay root [] choices
 
-   Witness traces are *lazy*: the DFS records only the choice path and
-   re-executes it from [replay_root] (with full event collection) when a
-   violation is actually found — the violation-free tree never allocates
-   events or trace segments.
+(* The closure DFS over persistent configurations: the referee the flat
+   engine is pinned against ([search ~state:`Closure]), and nothing else.
+   The reversed (pid, coin-outcome) choice path [rev_choices] is the lazy
+   witness, replayed from the root only when a violation is found.
 
    Resource governance: [~budget] meters node entries.  The meter is
-   consulted *before* a node is counted, so a tripped node is exactly the
-   first unvisited node of the sequential preorder — which makes the trip
-   point a checkpoint cursor for free.  Structural bounds ([max_depth],
-   [max_states]) record their reason in [first_reason] and keep exploring
-   other branches, as before; a budget trip ([`Nodes]/[`Deadline]/
-   [`Cancelled]) unwinds the whole DFS via [Budget_stop].  In the
-   result's [completeness] a trip dominates the structural reasons: a
-   structural cut prunes branches but still answers the bounded question,
-   while a trip abandons the rest of the tree — the caller must not read
-   "truncated (depth)" off a run whose budget ran out halfway.
-
-   Checkpoint/resume: [~on_checkpoint] is called with the counters and
-   the root-to-cursor choice path every [checkpoint_every] visited nodes
-   and once more at a budget trip.  [~resume] restores the counters and
-   fast-forwards to the cursor: nodes on the resume path are re-entered
-   without being re-counted (they were counted before the interruption),
-   siblings left of the path are skipped outright, and the table is not
-   consulted on the path (the table is not checkpointed; under [`Off] the
-   resumed run is bit-identical to an uninterrupted one, pinned by
-   [test_checkpoint]). *)
-let search_from ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume ~dedup
-    ~max_depth ~max_states ~inputs ~replay_root ~rev_choices ~decisions config
-    =
-  let resume = match resume with None -> Checkpoint.empty | Some s -> s in
-  let visited = ref resume.Checkpoint.visited in
-  let leaves = ref resume.Checkpoint.leaves in
-  let table_hits = ref resume.Checkpoint.table_hits in
-  (* not checkpointed: a resumed run's miss count covers the resumed
-     portion only *)
+   consulted *before* a node is counted, so a tripped run has visited
+   exactly the first k nodes of the sequential preorder.  Structural
+   bounds ([max_depth], [max_states]) record their reason in
+   [first_reason] and keep exploring other branches; a budget trip
+   ([`Nodes]/[`Deadline]/[`Cancelled]) unwinds the whole DFS via
+   [Budget_stop].  In the result's [completeness] a trip dominates the
+   structural reasons: a structural cut prunes branches but still answers
+   the bounded question, while a trip abandons the rest of the tree — the
+   caller must not read "truncated (depth)" off a run whose budget ran
+   out halfway. *)
+let search_from ~polls ~budget ~dedup ~max_depth ~max_states ~inputs config =
+  let visited = ref 0 in
+  let leaves = ref 0 in
+  let table_hits = ref 0 in
   let table_misses = ref 0 in
   (* counts truncation points so subtree completeness is a before/after
      comparison, not a sticky boolean *)
-  let trunc = ref resume.Checkpoint.trunc in
-  let max_depth_seen = ref resume.Checkpoint.max_depth_seen in
-  (* first structural (depth/states) truncation in preorder; budget trips
-     are kept separate because a resumed run voids them *)
-  let first_reason = ref resume.Checkpoint.reason in
+  let trunc = ref 0 in
+  let max_depth_seen = ref 0 in
+  (* first structural (depth/states) truncation in preorder *)
+  let first_reason = ref None in
   let found : 'a violation option ref = ref None in
   let exception Stop in
-  let exception Budget_stop of Robust.Budget.reason * (int * int) list in
+  let exception Budget_stop of Robust.Budget.reason in
   let meter =
     match budget with
     | Some b when not (Robust.Budget.is_unlimited b) ->
         Some (Robust.Budget.Meter.create b)
     | _ -> None
-  in
-  let mk_state rev_choices =
-    {
-      Checkpoint.visited = !visited;
-      leaves = !leaves;
-      table_hits = !table_hits;
-      max_depth_seen = !max_depth_seen;
-      trunc = !trunc;
-      reason = !first_reason;
-      path = List.rev rev_choices;
-    }
   in
   let truncate reason =
     if !first_reason = None then first_reason := Some reason;
@@ -203,113 +182,67 @@ let search_from ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume ~dedup
     match dedup with `Off -> None | `Exact | `Symmetric -> Some (Tbl.create 1024)
   in
   let symmetric = dedup = `Symmetric in
-  let rebuild_trace rev_choices =
-    let rec replay config rev_events = function
-      | [] -> List.rev rev_events
-      | (pid, outcome) :: rest ->
-          let config', events = Run.step config ~pid ~coin:(fun _ -> outcome) in
-          replay config' (List.rev_append events rev_events) rest
-    in
-    replay replay_root [] (List.rev rev_choices)
-  in
-  let stop kind config rev_choices =
-    found := Some { kind; trace = rebuild_trace rev_choices; config };
+  let stop kind rev_choices =
+    found := Some (witness config kind (List.rev rev_choices));
     raise Stop
   in
-  (* the prefix's decisions (processes may decide without taking a single
-     step in this subtree) participate in the verdicts; also seeds the
-     distinct-decided-values accumulator for the incremental path checks *)
+  (* processes may be decided before any step: the root's decisions
+     participate in the verdicts, and seed the distinct-decided-values
+     accumulator for the incremental path checks *)
   let check_prefix () =
-    let values = List.sort_uniq compare decisions in
-    if List.length values > 1 then stop `Inconsistent config rev_choices
+    let values = List.sort_uniq compare (Config.decisions config) in
+    if List.length values > 1 then stop `Inconsistent []
     else if not (List.for_all (fun v -> List.mem v inputs) values) then
-      stop `Invalid config rev_choices;
+      stop `Invalid [];
     values
   in
-  let rec go config rev_choices distinct depth resuming =
-    match resuming with
-    | _ :: _ ->
-        (* on the resume path: counted before the interruption *)
-        expand config rev_choices distinct depth resuming
-    | [] -> (
-        (match meter with
+  let rec go config rev_choices distinct depth =
+    (match meter with
+    | None -> ()
+    | Some m -> (
+        match Robust.Budget.Meter.tick_node m with
         | None -> ()
-        | Some m -> (
-            match Robust.Budget.Meter.tick_node m with
-            | None -> ()
-            | Some r -> raise (Budget_stop (r, rev_choices))));
-        (match on_checkpoint with
-        | Some f when !visited > 0 && !visited mod checkpoint_every = 0 ->
-            f (mk_state rev_choices)
-        | _ -> ());
-        incr visited;
-        if depth > !max_depth_seen then max_depth_seen := depth;
-        if !visited > max_states then truncate `States
-        else if not (Config.exists_enabled config) then incr leaves
-        else if depth >= max_depth then truncate `Depth
-        else
-          match table with
-          | None -> expand config rev_choices distinct depth []
-          | Some tbl -> (
-              let rd = max_depth - depth in
-              let key = key_of_config ~symmetric config in
-              match Tbl.find_opt tbl key with
-              | Some e when e.complete -> incr table_hits
-              | Some e when e.depth >= rd ->
-                  incr table_hits;
-                  (* clean to a horizon at least as deep as ours, but the
-                     tree extends beyond it: a re-exploration could not
-                     have been exhaustive either *)
-                  truncate `Depth
-              | shallow ->
-                  incr table_misses;
-                  let trunc0 = !trunc in
-                  expand config rev_choices distinct depth [];
-                  (* no violation below (Stop would have escaped) *)
-                  let complete = !trunc = trunc0 in
-                  (match shallow with
-                  | Some e ->
-                      e.depth <- max e.depth rd;
-                      if complete then e.complete <- true
-                  | None -> Tbl.replace tbl key { depth = rd; complete })))
-  and expand config rev_choices distinct depth resuming =
-    match resuming with
-    | [] ->
-        Config.iter_enabled config (fun pid ->
-            match config.Config.procs.(pid) with
-            | Proc.Decide _ -> assert false (* not enabled *)
-            | Proc.Apply _ -> child config rev_choices distinct depth pid 0 []
-            | Proc.Choose { n; _ } ->
-                for outcome = 0 to n - 1 do
-                  child config rev_choices distinct depth pid outcome []
-                done)
-    | cursor :: rest ->
-        (* fast-forward: children left of the cursor were fully explored
-           before the interruption; the cursor child is re-entered with the
-           rest of the path; children right of it are explored normally *)
-        let matched = ref false in
-        Config.iter_enabled config (fun pid ->
-            let visit outcome =
-              let c = compare (pid, outcome) cursor in
-              if c = 0 then begin
-                matched := true;
-                child config rev_choices distinct depth pid outcome rest
-              end
-              else if c > 0 then
-                child config rev_choices distinct depth pid outcome []
-            in
-            match config.Config.procs.(pid) with
-            | Proc.Decide _ -> assert false (* not enabled *)
-            | Proc.Apply _ -> visit 0
-            | Proc.Choose { n; _ } ->
-                for outcome = 0 to n - 1 do
-                  visit outcome
-                done);
-        if not !matched then
-          invalid_arg
-            "Explore.search: resume path does not match the scenario \
-             (wrong protocol, inputs or configuration?)"
-  and child config rev_choices distinct depth pid outcome resuming =
+        | Some r -> raise (Budget_stop r)));
+    incr visited;
+    if depth > !max_depth_seen then max_depth_seen := depth;
+    if !visited > max_states then truncate `States
+    else if not (Config.exists_enabled config) then incr leaves
+    else if depth >= max_depth then truncate `Depth
+    else
+      match table with
+      | None -> expand config rev_choices distinct depth
+      | Some tbl -> (
+          let rd = max_depth - depth in
+          let key = key_of_config ~symmetric config in
+          match Tbl.find_opt tbl key with
+          | Some e when e.complete -> incr table_hits
+          | Some e when e.depth >= rd ->
+              incr table_hits;
+              (* clean to a horizon at least as deep as ours, but the
+                 tree extends beyond it: a re-exploration could not have
+                 been exhaustive either *)
+              truncate `Depth
+          | shallow ->
+              incr table_misses;
+              let trunc0 = !trunc in
+              expand config rev_choices distinct depth;
+              (* no violation below (Stop would have escaped) *)
+              let complete = !trunc = trunc0 in
+              (match shallow with
+              | Some e ->
+                  e.depth <- max e.depth rd;
+                  if complete then e.complete <- true
+              | None -> Tbl.replace tbl key { depth = rd; complete }))
+  and expand config rev_choices distinct depth =
+    Config.iter_enabled config (fun pid ->
+        match config.Config.procs.(pid) with
+        | Proc.Decide _ -> assert false (* not enabled *)
+        | Proc.Apply _ -> child config rev_choices distinct depth pid 0
+        | Proc.Choose { n; _ } ->
+            for outcome = 0 to n - 1 do
+              child config rev_choices distinct depth pid outcome
+            done)
+  and child config rev_choices distinct depth pid outcome =
     let config' = Run.step_quiet config ~pid ~coin:(fun _ -> outcome) in
     let rev_choices' = (pid, outcome) :: rev_choices in
     let distinct' =
@@ -317,22 +250,16 @@ let search_from ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume ~dedup
       | None -> distinct
       | Some v ->
           if List.mem v distinct then distinct
-          else if distinct <> [] then stop `Inconsistent config' rev_choices'
-          else if not (List.mem v inputs) then stop `Invalid config' rev_choices'
+          else if distinct <> [] then stop `Inconsistent rev_choices'
+          else if not (List.mem v inputs) then stop `Invalid rev_choices'
           else v :: distinct
     in
-    go config' rev_choices' distinct' (depth + 1) resuming
+    go config' rev_choices' distinct' (depth + 1)
   in
   let tripped = ref None in
-  (try
-     let distinct = check_prefix () in
-     go config rev_choices distinct 0 resume.Checkpoint.path
-   with
+  (try go config [] (check_prefix ()) 0 with
   | Stop -> ()
-  | Budget_stop (r, cursor) ->
-      tripped := Some r;
-      (* the cursor node is uncounted, so this state resumes exactly there *)
-      Option.iter (fun f -> f (mk_state cursor)) on_checkpoint);
+  | Budget_stop r -> tripped := Some r);
   (match (polls, meter) with
   | Some acc, Some m -> acc := !acc + Robust.Budget.Meter.polls m
   | _ -> ());
@@ -466,13 +393,41 @@ module Atbl = struct
     o
 end
 
-(* The flat-slab DFS: identical traversal order, counter accounting, and
-   budget metering as [search_from], over a {!Sim.Flat} slab mutated in
-   place.  Stepping into a child saves the overwritten slot ids in locals
-   on the call stack, recurses, and writes them back — the undo-cell
-   discipline; slot writes are hash-self-inverse, so the transposition
-   hashes restore with them and nothing is allocated on the
-   violation-free path except the (pid, outcome) choice cell.
+(* The first [depth] choices of a depth-indexed choice path. *)
+let path_to path_pid path_out depth =
+  List.init depth (fun d -> (path_pid.(d), path_out.(d)))
+
+let resume_mismatch () =
+  invalid_arg
+    "Explore.search: resume path does not match the scenario (wrong \
+     protocol, inputs or configuration?)"
+
+(* Resume fast-forward at a node on the cursor path ([depth < !on_path]):
+   whether child (pid, outcome) is entered.  Children left of the cursor
+   child were fully explored before the interruption and are skipped;
+   entering the cursor child that ends the path ends the fast-forward;
+   reaching a child right of the cursor means the cursor child does not
+   exist here. *)
+let resumes_into (cursor : (int * int) array) on_path ~depth pid outcome =
+  let cpid, cout = cursor.(depth) in
+  if pid < cpid || (pid = cpid && outcome < cout) then false
+  else if pid = cpid && outcome = cout then begin
+    if depth + 1 = !on_path then on_path := 0;
+    true
+  end
+  else resume_mismatch ()
+
+(* The flat-slab DFS, the production engine: identical traversal order,
+   counter accounting and budget metering as the closure referee
+   [search_from], over a {!Sim.Flat} slab mutated in place.  Stepping
+   into a child saves the overwritten slot ids in locals on the call
+   stack, recurses, and writes them back — the undo-cell discipline; slot
+   writes are hash-self-inverse, so the transposition hashes restore with
+   them.  The root-to-node choice path lives in two depth-indexed int
+   arrays, so the violation-free path allocates nothing per node; on a
+   violation it is replayed from [replay_root] by [witness] (after the
+   caller's prefix [rev_choices], which [search_par] subtree tasks pass),
+   so the reported trace and configuration are the referee's.
 
    Table lookups go through one reused scratch key per search
    ([`Symmetric] insertion-sorts the scratch's sid slice in place); a
@@ -483,24 +438,44 @@ end
    node, while the held arena offset lets the post-expansion update
    write the final (depth, complete) meta without re-probing.
 
-   Witnesses stay engine-independent: on a violation the recorded choice
-   path is replayed from [replay_root] with the *closure* engine, so the
-   reported trace and configuration are bit-identical to [search_from]'s.
-
-   Checkpointing is not offered here (the closure engine remains the
-   checkpoint/resume path); a budget trip just reports its reason. *)
-let search_from_flat ~polls ~budget ~dedup ~max_depth ~max_states ~inputs
-    ~replay_root ~rev_choices ~decisions config =
-  let visited = ref 0 in
-  let leaves = ref 0 in
-  let table_hits = ref 0 in
+   Checkpoint/resume: the meter is consulted *before* a node is counted,
+   so a tripped node is exactly the first unvisited node of the
+   sequential preorder, and the path arrays at the trip are a checkpoint
+   cursor for free.  [~on_checkpoint] is called with the counters and
+   the root-to-cursor path every [checkpoint_every] visited nodes (before
+   the node is counted) and once more at a budget trip.  [~resume]
+   restores the counters and fast-forwards to the cursor: a node at
+   [depth < !on_path] lies on the resume path and is re-entered without
+   being counted, metered or looked up in the table (it was counted
+   before the interruption; the table is not checkpointed), and
+   [resumes_into] skips its children left of the path.  Under [`Off] the
+   resumed run is bit-identical to an uninterrupted one (pinned by
+   [test_checkpoint]).  Checkpoints are taken relative to [config]; only
+   [search] (empty prefix) requests them. *)
+let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
+    ~dedup ~max_depth ~max_states ~inputs ~replay_root ~rev_choices ~decisions
+    config =
+  let resume = match resume with None -> Checkpoint.empty | Some s -> s in
+  let visited = ref resume.Checkpoint.visited in
+  let leaves = ref resume.Checkpoint.leaves in
+  let table_hits = ref resume.Checkpoint.table_hits in
+  (* not checkpointed: a resumed run's miss count covers the resumed
+     portion only *)
   let table_misses = ref 0 in
-  let trunc = ref 0 in
-  let max_depth_seen = ref 0 in
-  let first_reason = ref None in
+  (* counts truncation points so subtree completeness is a before/after
+     comparison, not a sticky boolean *)
+  let trunc = ref resume.Checkpoint.trunc in
+  let max_depth_seen = ref resume.Checkpoint.max_depth_seen in
+  (* first structural (depth/states) truncation in preorder; budget trips
+     are kept separate because a resumed run voids them *)
+  let first_reason = ref resume.Checkpoint.reason in
+  let cursor = Array.of_list resume.Checkpoint.path in
+  (* every node of a valid cursor path was entered below [max_depth] *)
+  if Array.length cursor > max_depth then resume_mismatch ();
+  let on_path = ref (Array.length cursor) in
   let found : 'a violation option ref = ref None in
   let exception Stop in
-  let exception Budget_stop of Robust.Budget.reason in
+  let exception Budget_stop of Robust.Budget.reason * int in
   let meter =
     match budget with
     | Some b when not (Robust.Budget.is_unlimited b) ->
@@ -542,82 +517,58 @@ let search_from_flat ~polls ~budget ~dedup ~max_depth ~max_states ~inputs
         Array.unsafe_set skey (!j + 1) v
       done
   in
-  (* The root-to-cursor choice path lives in two depth-indexed int arrays
-     instead of cons cells: the violation-free DFS allocates nothing per
-     node.  [rev_choices] (the caller's prefix, used by [search_par]
-     subtree tasks) is prepended only when a witness is materialized. *)
   let path_pid = Array.make (max max_depth 1) 0 in
   let path_out = Array.make (max max_depth 1) 0 in
-  let choices_to ~depth =
-    let rec collect acc d =
-      if d < 0 then acc
-      else collect ((path_pid.(d), path_out.(d)) :: acc) (d - 1)
-    in
-    List.rev_append (collect [] (depth - 1)) rev_choices
-  in
-  let rebuild rev_choices =
-    let rec replay config rev_events = function
-      | [] -> (config, List.rev rev_events)
-      | (pid, outcome) :: rest ->
-          let config', events = Run.step config ~pid ~coin:(fun _ -> outcome) in
-          replay config' (List.rev_append events rev_events) rest
-    in
-    replay replay_root [] (List.rev rev_choices)
-  in
-  let stop kind rev_choices =
-    let config, trace = rebuild rev_choices in
-    found := Some { kind; trace; config };
-    raise Stop
-  in
-  let stop_at kind ~depth = stop kind (choices_to ~depth) in
-  let check_prefix () =
-    let values = List.sort_uniq compare decisions in
-    if List.length values > 1 then stop `Inconsistent rev_choices
-    else if not (List.for_all (fun v -> List.mem v inputs) values) then
-      stop `Invalid rev_choices;
-    values
-  in
   let rec go distinct depth =
-    (match meter with
-    | None -> ()
-    | Some m -> (
-        match Robust.Budget.Meter.tick_node m with
-        | None -> ()
-        | Some r -> raise (Budget_stop r)));
-    incr visited;
-    if depth > !max_depth_seen then max_depth_seen := depth;
-    if !visited > max_states then truncate `States
-    else if Flat.enabled_count flat = 0 then incr leaves
-    else if depth >= max_depth then truncate `Depth
-    else
-      match table with
-      | None -> expand distinct depth
-      | Some tbl ->
-          let rd = max_depth - depth in
-          fill_skey ();
-          let hash = if symmetric then Flat.hsym flat else Flat.hexact flat in
-          let o = Atbl.find tbl ~hash skey in
-          (* meta = (stored_depth + 1) lsl 1 lor complete; a fresh
-             in-progress entry (meta 0, stored depth -1, incomplete)
-             behaves exactly like the closure engine's absent entry *)
-          let m = if o >= 0 then Atbl.meta tbl o else 0 in
-          if m land 1 = 1 then incr table_hits
-          else if (m lsr 1) - 1 >= rd then begin
-            incr table_hits;
-            truncate `Depth
-          end
-          else begin
-            incr table_misses;
-            (* insert up front (the subtree's lookups clobber [skey]);
-               the held offset is updated after expansion *)
-            let o = if o >= 0 then o else Atbl.insert tbl ~hash skey in
-            let trunc0 = !trunc in
-            expand distinct depth;
-            let complete = !trunc = trunc0 in
-            let depth' = max ((m lsr 1) - 1) rd in
-            Atbl.set_meta tbl o
-              (((depth' + 1) lsl 1) lor Bool.to_int complete)
-          end
+    if depth < !on_path then
+      (* on the resume path: counted before the interruption *)
+      expand distinct depth
+    else begin
+      (match meter with
+      | None -> ()
+      | Some m -> (
+          match Robust.Budget.Meter.tick_node m with
+          | None -> ()
+          | Some r -> raise (Budget_stop (r, depth))));
+      (match on_checkpoint with
+      | Some f when !visited > 0 && !visited mod checkpoint_every = 0 ->
+          f (checkpoint_at depth)
+      | _ -> ());
+      incr visited;
+      if depth > !max_depth_seen then max_depth_seen := depth;
+      if !visited > max_states then truncate `States
+      else if Flat.enabled_count flat = 0 then incr leaves
+      else if depth >= max_depth then truncate `Depth
+      else
+        match table with
+        | None -> expand distinct depth
+        | Some tbl ->
+            let rd = max_depth - depth in
+            fill_skey ();
+            let hash = if symmetric then Flat.hsym flat else Flat.hexact flat in
+            let o = Atbl.find tbl ~hash skey in
+            (* meta = (stored_depth + 1) lsl 1 lor complete; a fresh
+               in-progress entry (meta 0, stored depth -1, incomplete)
+               behaves exactly like the closure engine's absent entry *)
+            let m = if o >= 0 then Atbl.meta tbl o else 0 in
+            if m land 1 = 1 then incr table_hits
+            else if (m lsr 1) - 1 >= rd then begin
+              incr table_hits;
+              truncate `Depth
+            end
+            else begin
+              incr table_misses;
+              (* insert up front (the subtree's lookups clobber [skey]);
+                 the held offset is updated after expansion *)
+              let o = if o >= 0 then o else Atbl.insert tbl ~hash skey in
+              let trunc0 = !trunc in
+              expand distinct depth;
+              let complete = !trunc = trunc0 in
+              let depth' = max ((m lsr 1) - 1) rd in
+              Atbl.set_meta tbl o
+                (((depth' + 1) lsl 1) lor Bool.to_int complete)
+            end
+    end
   and expand distinct depth =
     (* step in place, recurse, undo from stack locals; one packed
        [Intern.code] load answers kind, enabledness and arg at once *)
@@ -627,27 +578,36 @@ let search_from_flat ~polls ~budget ~dedup ~max_depth ~max_states ~inputs
         let code = Intern.code rt sid0 in
         let tag = code land 3 in
         if tag = Intern.tag_apply then begin
-          let obj = code lsr 2 in
-          let vid0 = Flat.obj_vid flat obj in
-          let packed = Intern.apply_packed rt ~sid:sid0 ~vid:vid0 in
-          let sid' = Intern.sid_of packed in
-          Flat.write_obj flat obj (Intern.vid_of packed);
-          Flat.write_sid flat pid sid';
-          enter distinct depth pid 0 sid';
-          Flat.write_sid flat pid sid0;
-          Flat.write_obj flat obj vid0
+          if depth >= !on_path || resumes_into cursor on_path ~depth pid 0
+          then begin
+            let obj = code lsr 2 in
+            let vid0 = Flat.obj_vid flat obj in
+            let packed = Intern.apply_packed rt ~sid:sid0 ~vid:vid0 in
+            let sid' = Intern.sid_of packed in
+            Flat.write_obj flat obj (Intern.vid_of packed);
+            Flat.write_sid flat pid sid';
+            enter distinct depth pid 0 sid';
+            Flat.write_sid flat pid sid0;
+            Flat.write_obj flat obj vid0
+          end
         end
         else if tag = Intern.tag_choose then begin
           let n = code lsr 2 in
           for outcome = 0 to n - 1 do
-            let sid' = Intern.choose rt ~sid:sid0 ~outcome in
-            Flat.write_sid flat pid sid';
-            enter distinct depth pid outcome sid';
-            Flat.write_sid flat pid sid0
+            if depth >= !on_path
+               || resumes_into cursor on_path ~depth pid outcome
+            then begin
+              let sid' = Intern.choose rt ~sid:sid0 ~outcome in
+              Flat.write_sid flat pid sid';
+              enter distinct depth pid outcome sid';
+              Flat.write_sid flat pid sid0
+            end
           done
         end
       end
-    done
+    done;
+    (* still on the resume path: the cursor child was never entered *)
+    if depth < !on_path then resume_mismatch ()
   and enter distinct depth pid outcome sid' =
     path_pid.(depth) <- pid;
     path_out.(depth) <- outcome;
@@ -660,21 +620,50 @@ let search_from_flat ~polls ~budget ~dedup ~max_depth ~max_states ~inputs
         | None -> assert false
         | Some v ->
             if List.mem v distinct then distinct
-            else if distinct <> [] then stop_at `Inconsistent ~depth:(depth + 1)
+            else if distinct <> [] then stop `Inconsistent ~depth:(depth + 1)
             else if not (List.mem v inputs) then
-              stop_at `Invalid ~depth:(depth + 1)
+              stop `Invalid ~depth:(depth + 1)
             else v :: distinct
     in
     go distinct' (depth + 1);
     if decided then Flat.note_undecided flat pid
+  (* [stop] and [checkpoint_at] live in the recursive group so they share
+     its closure block: a search allocates no closure of its own for
+     them *)
+  and stop kind ~depth =
+    found :=
+      Some
+        (witness replay_root kind
+           (List.rev_append rev_choices (path_to path_pid path_out depth)));
+    raise Stop
+  and checkpoint_at depth =
+    {
+      Checkpoint.visited = !visited;
+      leaves = !leaves;
+      table_hits = !table_hits;
+      max_depth_seen = !max_depth_seen;
+      trunc = !trunc;
+      reason = !first_reason;
+      path = path_to path_pid path_out depth;
+    }
+  in
+  (* the prefix's decisions (processes may decide without taking a single
+     step in this subtree) participate in the verdicts; also seeds the
+     distinct-decided-values accumulator for the incremental path checks *)
+  let check_prefix () =
+    let values = List.sort_uniq compare decisions in
+    if List.length values > 1 then stop `Inconsistent ~depth:0
+    else if not (List.for_all (fun v -> List.mem v inputs) values) then
+      stop `Invalid ~depth:0
+    else values
   in
   let tripped = ref None in
-  (try
-     let distinct = check_prefix () in
-     go distinct 0
-   with
+  (try go (check_prefix ()) 0 with
   | Stop -> ()
-  | Budget_stop r -> tripped := Some r);
+  | Budget_stop (r, depth) ->
+      tripped := Some r;
+      (* the cursor node is uncounted, so this state resumes exactly there *)
+      Option.iter (fun f -> f (checkpoint_at depth)) on_checkpoint);
   (match (polls, meter) with
   | Some acc, Some m -> acc := !acc + Robust.Budget.Meter.polls m
   | _ -> ());
@@ -715,21 +704,20 @@ let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
     ?resume ?(state = `Flat) ~inputs config =
   Obs.span obs "mc/search" @@ fun () ->
   let polls = ref 0 in
-  (* checkpoint/resume stays on the closure engine: the flat DFS does not
-     checkpoint (its cursor bookkeeping would buy nothing — resumed runs
-     are rare and not hot) *)
-  let use_flat =
-    state = `Flat && Option.is_none on_checkpoint && Option.is_none resume
-  in
   let r =
-    if use_flat then
-      search_from_flat ~polls:(Some polls) ~budget ~dedup ~max_depth
-        ~max_states ~inputs ~replay_root:config ~rev_choices:[]
-        ~decisions:(Config.decisions config) config
-    else
-      search_from ~polls:(Some polls) ~budget ~checkpoint_every ~on_checkpoint
-        ~resume ~dedup ~max_depth ~max_states ~inputs ~replay_root:config
-        ~rev_choices:[] ~decisions:(Config.decisions config) config
+    match state with
+    | `Flat ->
+        search_from_flat ~polls:(Some polls) ~budget ~checkpoint_every
+          ~on_checkpoint ~resume ~dedup ~max_depth ~max_states ~inputs
+          ~replay_root:config ~rev_choices:[]
+          ~decisions:(Config.decisions config) config
+    | `Closure ->
+        if Option.is_some on_checkpoint || Option.is_some resume then
+          invalid_arg
+            "Explore.search: the closure referee does not checkpoint or \
+             resume";
+        search_from ~polls:(Some polls) ~budget ~dedup ~max_depth ~max_states
+          ~inputs config
   in
   Obs.add obs "budget/polls" !polls;
   record_result obs r
@@ -785,7 +773,7 @@ let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
    shares the absolute deadline), and a set cancellation token
    additionally stops the pool from claiming further chunks. *)
 let search_par ?obs ?pool ?budget ?(dedup = `Off) ?(max_depth = 60)
-    ?(max_states = 2_000_000) ?(state = `Flat) ~inputs config =
+    ?(max_states = 2_000_000) ~inputs config =
   let budget_v =
     match budget with None -> Robust.Budget.unlimited | Some b -> b
   in
@@ -793,15 +781,18 @@ let search_par ?obs ?pool ?budget ?(dedup = `Off) ?(max_depth = 60)
   | Some k when k <= 1 ->
       (* not worth partitioning: the allowance barely covers the root;
          [search] does its own span/recording *)
-      search ?obs ?budget ~dedup ~max_depth ~max_states ~state ~inputs config
+      search ?obs ?budget ~dedup ~max_depth ~max_states ~inputs config
   | node_allowance ->
       Obs.span obs "mc/search" @@ fun () ->
-      let root =
-        search_from ~polls:None ~budget:None ~checkpoint_every:max_int
-          ~on_checkpoint:None ~resume:None ~dedup:`Off ~max_depth:0
-          ~max_states ~inputs ~replay_root:config ~rev_choices:[]
-          ~decisions:(Config.decisions config) config
+      (* one flat DFS from [start], reached from the root via the
+         reversed prefix [rev_choices] *)
+      let flat ~budget ~dedup ~max_depth ~rev_choices start =
+        search_from_flat ~polls:None ~budget ~checkpoint_every:max_int
+          ~on_checkpoint:None ~resume:None ~dedup ~max_depth ~max_states
+          ~inputs ~replay_root:config ~rev_choices
+          ~decisions:(Config.decisions start) start
       in
+      let root = flat ~budget:None ~dedup:`Off ~max_depth:0 ~rev_choices:[] config in
       if root.violation <> None || not (Config.exists_enabled config)
          || max_depth = 0
       then record_result obs root
@@ -820,19 +811,8 @@ let search_par ?obs ?pool ?budget ?(dedup = `Off) ?(max_depth = 60)
           (* each task flattens its own slab over a private intern table
              (domains share nothing), created inside the task thunk *)
           let config' = Run.step_quiet config ~pid ~coin:(fun _ -> outcome) in
-          if state = `Flat then
-            search_from_flat ~polls:None ~budget ~dedup
-              ~max_depth:(max_depth - 1) ~max_states ~inputs
-              ~replay_root:config
-              ~rev_choices:[ (pid, outcome) ]
-              ~decisions:(Config.decisions config') config'
-          else
-            search_from ~polls:None ~budget ~checkpoint_every:max_int
-              ~on_checkpoint:None ~resume:None ~dedup
-              ~max_depth:(max_depth - 1) ~max_states ~inputs
-              ~replay_root:config
-              ~rev_choices:[ (pid, outcome) ]
-              ~decisions:(Config.decisions config') config'
+          flat ~budget ~dedup ~max_depth:(max_depth - 1)
+            ~rev_choices:[ (pid, outcome) ] config'
         in
         let task_budget =
           if Robust.Budget.is_unlimited budget_v then None else Some budget_v

@@ -22,15 +22,13 @@ open Sim
 type dedup = [ `Off | `Exact | `Symmetric ]
 
 type state = [ `Closure | `Flat ]
-(** Which configuration engine drives the DFS.  [`Flat] (the default)
-    interns process states and object values to dense ids ([Sim.Intern])
-    and explores one int slab in place with undo cells ([Sim.Flat]) —
-    same traversal order, counters, verdicts, and witnesses as
-    [`Closure], typically several times faster.  [`Closure] is the
-    original persistent-configuration engine; it remains the engine for
-    checkpoint/resume, which the flat DFS does not support ([search]
-    falls back to [`Closure] whenever [?on_checkpoint] or [?resume] is
-    given). *)
+(** Which configuration engine drives [search].  [`Flat] (the default,
+    and the only engine of every other entry point) interns process
+    states and object values to dense ids ([Sim.Intern]) and explores one
+    int slab in place with undo cells ([Sim.Flat]).  [`Closure] is the
+    original persistent-configuration DFS, kept as the referee the flat
+    engine is pinned against: same traversal order, counters, verdicts
+    and witnesses, several times slower, and it does not checkpoint. *)
 
 type 'a violation = {
   kind : [ `Inconsistent | `Invalid ];
@@ -62,6 +60,13 @@ type 'a result = {
     [Choose]. *)
 val successors : 'a Config.t -> int -> ('a Config.t * 'a Event.t list) list
 
+(** [witness root kind choices] replays the root-to-node
+    [(pid, coin-outcome)] choice path from [root] with full event
+    collection — the one replay behind every engine's witness, so
+    witnesses are engine-independent. *)
+val witness :
+  'a Config.t -> [ `Inconsistent | `Invalid ] -> (int * int) list -> 'a violation
+
 (** Depth-first exploration from [config].
 
     [?budget] meters node entries (checked {e before} a node is counted):
@@ -73,15 +78,23 @@ val successors : 'a Config.t -> int -> ('a Config.t * 'a Event.t list) list
     one hit in preorder): structural cuts still answer the bounded
     question, a trip leaves it unanswered.
 
-    Checkpoint/resume (sequential search only): [?on_checkpoint] receives
-    the counters plus the root-to-cursor choice path every
-    [checkpoint_every] visited nodes and once more when the budget trips;
-    [?resume] restores that state and fast-forwards the DFS to the cursor
-    without re-counting the prefix.  Under [~dedup:`Off] an interrupted +
-    resumed run is bit-identical to an uninterrupted one (pinned by
-    [test_checkpoint]); with a table, counts may differ (the table is not
-    checkpointed) but the verdict stays sound.  [table_misses] restarts
-    from 0 on resume — the checkpoint format does not carry it.
+    Checkpoint/resume: [?on_checkpoint] receives the counters plus the
+    root-to-cursor choice path every [checkpoint_every] visited nodes
+    (before the node at the cursor is counted) and once more when the
+    budget trips, with the first uncounted node as the cursor; [?resume]
+    restores that state and fast-forwards the DFS to the cursor without
+    re-counting, metering or table-probing the nodes on its path.  Under
+    [~dedup:`Off] an interrupted + resumed run is bit-identical to an
+    uninterrupted one (pinned by [test_checkpoint]); with a table, counts
+    may differ (the table is not checkpointed) but the verdict stays
+    sound.  [table_misses] restarts from 0 on resume — the checkpoint
+    format does not carry it.  A resume path that does not fit the
+    scenario raises [Invalid_argument].
+
+    [?state] picks the engine (default [`Flat]); [~state:`Closure]
+    together with [?on_checkpoint] or [?resume] raises
+    [Invalid_argument] — the referee never checkpoints, and no engine is
+    swapped behind the caller's back.
 
     [?obs]: the run is wrapped in an ["mc/search"] span and, on return,
     records ["mc/visited"], ["mc/leaves"], ["mc/table-hits"],
@@ -144,7 +157,6 @@ val search_par :
   ?dedup:dedup ->
   ?max_depth:int ->
   ?max_states:int ->
-  ?state:state ->
   inputs:'a list ->
   'a Config.t ->
   'a result

@@ -86,7 +86,7 @@ type wstats = {
   mutable steals : int;
 }
 
-(* One engine-specific view of "the state a work item denotes": load it
+(* The flat engine's view of "the state a work item denotes": load it
    into scratch, then inspect/expand.  [iter_succ] enumerates successors
    in the sequential order (pid ascending, outcome ascending), handing
    each child's just-decided value and canonical hash to the callback;
@@ -188,46 +188,6 @@ let flat_eng ~symmetric config =
         done);
   }
 
-let closure_eng ~symmetric config =
-  let cur = ref config in
-  let skey_of (c : 'a Config.t) =
-    key_of ~symmetric ~fps:c.Config.fps ~objs:c.Config.objects
-  in
-  {
-    load =
-      (fun path ->
-        cur :=
-          Array.fold_left
-            (fun c (pid, outcome) ->
-              Run.step_quiet c ~pid ~coin:(fun _ -> outcome))
-            config path);
-    enabled =
-      (fun () ->
-        let n = ref 0 in
-        Config.iter_enabled !cur (fun _ -> incr n);
-        !n);
-    skey = (fun () -> skey_of !cur);
-    iter_succ =
-      (fun f ->
-        let c = !cur in
-        Config.iter_enabled c (fun pid ->
-            let visit outcome =
-              let c' = Run.step_quiet c ~pid ~coin:(fun _ -> outcome) in
-              let decided =
-                if Config.is_decided c' pid then Config.decision c' pid
-                else None
-              in
-              f ~pid ~outcome ~decided ~hash:(skey_of c').Dtbl.Skey.hash
-            in
-            match c.Config.procs.(pid) with
-            | Proc.Decide _ -> assert false (* not enabled *)
-            | Proc.Apply _ -> visit 0
-            | Proc.Choose { n; _ } ->
-                for outcome = 0 to n - 1 do
-                  visit outcome
-                done));
-  }
-
 let rec mkdir_p dir =
   if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -241,16 +201,6 @@ let rec mkdir_p dir =
    budget", not an allocator-exact accounting. *)
 let entry_bytes ~width = 128 + (16 * width)
 
-let rebuild_violation root kind path =
-  let rec replay config rev_events = function
-    | [] -> (config, List.rev rev_events)
-    | (pid, outcome) :: rest ->
-        let config', events = Run.step config ~pid ~coin:(fun _ -> outcome) in
-        replay config' (List.rev_append events rev_events) rest
-  in
-  let config, trace = replay root [] (Array.to_list path) in
-  { Explore.kind; trace; config }
-
 let lex_min_path a b =
   let la = Array.length a and lb = Array.length b in
   let rec cmp i =
@@ -262,7 +212,7 @@ let lex_min_path a b =
   if cmp 0 <= 0 then a else b
 
 let search ?obs ?jobs ?budget ?(dedup = `Off) ?(max_depth = 60)
-    ?(max_states = 2_000_000) ?(state = `Flat) ?table_dir ?table_mem_budget
+    ?(max_states = 2_000_000) ?table_dir ?table_mem_budget
     ~shards ~inputs config =
   if shards < 1 then invalid_arg "Shard.search: shards must be >= 1";
   Obs.span obs "mc/search" @@ fun () ->
@@ -277,8 +227,8 @@ let search ?obs ?jobs ?budget ?(dedup = `Off) ?(max_depth = 60)
       budget
   in
   let referee () =
-    Explore.search ?budget:referee_budget ~dedup ~max_depth ~max_states ~state
-      ~inputs config
+    Explore.search ?budget:referee_budget ~dedup ~max_depth ~max_states ~inputs
+      config
   in
   (* Root decision prefix: processes may be decided before any step.  A
      violating prefix short-circuits to the referee, which reports it
@@ -363,11 +313,7 @@ let search ?obs ?jobs ?budget ?(dedup = `Off) ?(max_depth = 60)
         }
       in
       let meter = Option.map Robust.Budget.Meter.create worker_budget in
-      let eng =
-        match state with
-        | `Flat -> flat_eng ~symmetric config
-        | `Closure -> closure_eng ~symmetric config
-      in
+      let eng = flat_eng ~symmetric config in
       let truncate r = if st.trunc_reason = None then st.trunc_reason <- Some r in
       let exception Stop_expand in
       let process it =
@@ -588,7 +534,8 @@ let search ?obs ?jobs ?budget ?(dedup = `Off) ?(max_depth = 60)
             in
             {
               merged with
-              Explore.violation = Some (rebuild_violation config kind path);
+              Explore.violation =
+                Some (Explore.witness config kind (Array.to_list path));
             }
     in
     Explore.record_result obs result

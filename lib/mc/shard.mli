@@ -7,7 +7,8 @@
     modulo [shards]; under dedup each shard owns a two-tier [Dtbl]
     transposition table whose hot tier is bounded by
     [table_mem_budget] bytes (across all shards) and spills to
-    [table_dir/shard-<k>.dtbl] append-logs.
+    [table_dir/shard-<k>.dtbl] append-logs.  Work items are expanded on
+    the flat engine ([Sim.Flat]); there is no engine argument.
 
     Contract against the sequential referee (pinned by [test_shard] and
     the bench hard-fail rows):
@@ -47,7 +48,6 @@ val search :
   ?dedup:Explore.dedup ->
   ?max_depth:int ->
   ?max_states:int ->
-  ?state:Explore.state ->
   ?table_dir:string ->
   ?table_mem_budget:int ->
   shards:int ->

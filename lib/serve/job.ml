@@ -379,15 +379,11 @@ let run_mc ?pool ?cancel ?on_poll ?checkpoint ~deadline (m : mc) =
         match (pool, checkpoint) with
         | Some pool, None ->
             Mc.Explore.search_par ~pool ?budget ~dedup:m.mc_dedup
-              ~max_depth:m.mc_depth ~max_states:m.mc_max_states ~state:`Flat
+              ~max_depth:m.mc_depth ~max_states:m.mc_max_states
               ~inputs:m.mc_inputs config
         | _ ->
-            (* checkpointing runs on the sequential closure engine (the
-               flat DFS does not checkpoint); verdicts and counters are
-               engine-identical *)
             Mc.Explore.search ?budget ~dedup:m.mc_dedup ~max_depth:m.mc_depth
               ~max_states:m.mc_max_states ?on_checkpoint ?resume
-              ~state:(if checkpoint = None then `Flat else `Closure)
               ~inputs:m.mc_inputs config
       in
       mc_report result

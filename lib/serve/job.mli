@@ -83,8 +83,8 @@ val outcome_of_json : Json.t -> (int * outcome, string) result
     outcome.  [cancel] is the server's per-job kill switch (client
     cancel, client disconnect, drain); [on_poll] rides the budget's poll
     cadence (progress streaming).  [checkpoint] (mc jobs only) names a
-    file: the search then runs on the sequential closure engine, writes
-    its cursor there periodically and at any budget trip, and — when the
+    file: the search then runs sequentially (on the same flat engine as
+    an uncheckpointed job), writes its cursor there periodically and at any budget trip, and — when the
     file already holds a matching-stamp checkpoint and the job's dedup
     is [`Off] — resumes from it, shrinking any node allowance by the
     nodes already visited so the resumed run reproduces the

@@ -53,7 +53,7 @@ MC_CODE=$?
 FUZZ_CODE=$?
 [ "$FUZZ_CODE" -eq 2 ] || fail "direct fuzz flawed exited $FUZZ_CODE, expected 2 (violation)"
 
-"$BIN" mc rw-3n --inputs 0,1 --depth 20 --max-states 10000000 \
+"$BIN" mc rw-3n --inputs 0,1 --depth 22 --max-states 25000000 \
   >"$WORK/long.direct" 2>"$WORK/long.direct.err"
 LONG_CODE=$?
 
@@ -79,13 +79,13 @@ diff "$WORK/fuzz.direct" "$WORK/fuzz.served" \
 
 # --- 3. a detached slow job, then SIGTERM mid-run ----------------------
 submit --detach \
-  --job '{"kind":"mc","protocol":"rw-3n","inputs":[0,1],"depth":20,"max_states":10000000}' \
+  --job '{"kind":"mc","protocol":"rw-3n","inputs":[0,1],"depth":22,"max_states":25000000}' \
   >"$WORK/detach.out" 2>"$WORK/detach.err" \
   || fail "detached submit failed: $(cat "$WORK/detach.err")"
 LONG_ID=$(sed -n 's/^id=\([0-9][0-9]*\)$/\1/p' "$WORK/detach.out")
 [ -n "$LONG_ID" ] || fail "detached submit did not print id=N: $(cat "$WORK/detach.out")"
 
-sleep 0.7 # well inside the ~2s run: the cut lands mid-search, past checkpoints
+sleep 0.7 # well inside the ~1.7s run: the cut lands mid-search, past checkpoints
 submit --status >"$WORK/status.before-kill" 2>&1 || true
 kill -TERM "$SERVER"
 wait "$SERVER"
@@ -98,6 +98,9 @@ grep -q '^drained$' "$WORK/server-1.log" \
   || fail "server did not dump --metrics on drain"
 grep -q '"drained":"true"' "$WORK/server-1.metrics.json" \
   || fail "drain metrics missing drained=true"
+# the cut landed mid-search: a cursor on disk and no verdict yet
+[ -s "$SPOOL/job-$LONG_ID.ckpt" ] && [ ! -e "$SPOOL/job-$LONG_ID.verdict" ] \
+  || fail "job $LONG_ID was not interrupted mid-search (no checkpoint, or already decided)"
 
 # --- 4. restart on the same spool: the cut job must finish with a
 #        verdict byte-identical to the uninterrupted direct run ---------

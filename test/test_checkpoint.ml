@@ -138,12 +138,25 @@ let project (r : _ Mc.Explore.result) =
     Robust.Budget.completeness_to_string r.Mc.Explore.completeness,
     r.Mc.Explore.violation = None )
 
-let search ?budget ?on_checkpoint ?checkpoint_every ?resume () =
+let search ?(dedup = `Off) ?budget ?on_checkpoint ?checkpoint_every ?resume
+    ?state () =
   let config =
     Protocol.initial_config Counter_consensus.protocol ~inputs:[ 0; 1 ]
   in
-  Mc.Explore.search ?budget ?on_checkpoint ?checkpoint_every ?resume
-    ~dedup:`Off ~max_depth:9 ~inputs:[ 0; 1 ] config
+  Mc.Explore.search ?budget ?on_checkpoint ?checkpoint_every ?resume ?state
+    ~dedup ~max_depth:9 ~inputs:[ 0; 1 ] config
+
+(* the final checkpoint of a run interrupted after [k] nodes *)
+let trip_checkpoint ?dedup k =
+  let last = ref None in
+  ignore
+    (search ?dedup
+       ~budget:(Robust.Budget.make ~nodes:k ())
+       ~on_checkpoint:(fun s -> last := Some s)
+       ());
+  match !last with
+  | Some s -> s
+  | None -> Alcotest.failf "nodes=%d: no final checkpoint emitted" k
 
 let test_resume_equals_uninterrupted () =
   let base = project (search ()) in
@@ -236,6 +249,58 @@ let test_resume_mismatch_refused () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "resume against a mismatched scenario was accepted"
 
+(* The trip checkpoints of the depth-9 scenario, byte for byte, as the
+   closure DFS wrote them in earlier builds: checkpoint files written by
+   either engine are interchangeable. *)
+let test_checkpoint_bytes_golden () =
+  List.iter
+    (fun (k, golden) ->
+      Alcotest.(check string)
+        (Printf.sprintf "nodes=%d checkpoint bytes" k)
+        golden
+        (Mc.Checkpoint.to_text ~scenario:"golden" (trip_checkpoint k)))
+    [
+      ( 17,
+        "randsync-checkpoint v2\nscenario golden\nvisited 17\nleaves 0\n\
+         table_hits 0\nmax_depth_seen 9\ntrunc 5\nreason depth\n\
+         path 9 0:0 0:0 0:0 0:0 0:0 0:0 1:0 0:0 1:0\nend\n" );
+      ( 1024,
+        "randsync-checkpoint v2\nscenario golden\nvisited 1024\nleaves 0\n\
+         table_hits 0\nmax_depth_seen 9\ntrunc 583\nreason depth\n\
+         path 6 1:0 0:0 1:0 0:0 0:0 0:0\nend\n" );
+    ]
+
+(* with a transposition table the resumed run starts from an empty table,
+   so its counts may differ, but never its verdict *)
+let test_resume_exact_dedup () =
+  let verdict (r : _ Mc.Explore.result) =
+    ( Robust.Budget.completeness_to_string r.Mc.Explore.completeness,
+      r.Mc.Explore.violation = None )
+  in
+  let base = verdict (search ~dedup:`Exact ()) in
+  List.iter
+    (fun k ->
+      let resume = trip_checkpoint ~dedup:`Exact k in
+      Alcotest.(check bool)
+        (Printf.sprintf "exact, nodes=%d: resume = uninterrupted verdict" k)
+        true
+        (verdict (search ~dedup:`Exact ~resume ()) = base))
+    (* the depth-9 exact-dedup tree holds 216 nodes; every allowance trips *)
+    [ 1; 17; 100; 200 ]
+
+(* the closure referee does not checkpoint, and asking it to is an error,
+   never a silent switch of engine *)
+let test_closure_refuses_checkpointing () =
+  let refused name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: accepted by the closure referee" name
+  in
+  refused "on_checkpoint" (fun () ->
+      search ~state:`Closure ~on_checkpoint:ignore ());
+  refused "resume" (fun () ->
+      search ~state:`Closure ~resume:Mc.Checkpoint.empty ())
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_round_trip;
@@ -254,4 +319,10 @@ let suite =
       test_resume_finds_the_violation;
     Alcotest.test_case "mismatched resume refused" `Quick
       test_resume_mismatch_refused;
+    Alcotest.test_case "checkpoint bytes golden" `Quick
+      test_checkpoint_bytes_golden;
+    Alcotest.test_case "resume under exact dedup" `Quick
+      test_resume_exact_dedup;
+    Alcotest.test_case "closure referee refuses checkpointing" `Quick
+      test_closure_refuses_checkpointing;
   ]

@@ -271,35 +271,23 @@ let test_metrics_and_progress () =
       Alcotest.(check bool) "heartbeat line printed" true
         (contains p.out "mc: nodes="))
 
-(* --state flat cannot checkpoint: an explicit ask for both is refused
-   loudly (exit 1), never silently downgraded; the implicit default
-   under --checkpoint/--resume picks the closure engine and works *)
-let test_state_flat_checkpoint_conflict () =
-  let ckpt = Filename.temp_file "randsync-cli-flat" ".txt" in
+(* checkpointing runs the same engine as a plain run: asking for
+   checkpoints, periodic ones included, changes nothing on stdout *)
+let test_checkpoint_keeps_output () =
+  let ckpt = Filename.temp_file "randsync-cli-ckpt" ".txt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ())
     (fun () ->
-      let scenario = [ "mc"; "counter-3"; "--inputs"; "0,1"; "--depth"; "12" ] in
-      let conflict =
-        run_cli (scenario @ [ "--state"; "flat"; "--checkpoint"; ckpt ])
-      in
-      check_code "flat + --checkpoint refused" 1 conflict;
-      Alcotest.(check bool) "refusal names the conflict" true
-        (contains conflict.out "--state flat conflicts");
-      check_code "flat + --resume refused" 1
-        (run_cli (scenario @ [ "--state"; "flat"; "--resume"; ckpt ]));
-      check_code "unknown --state refused" 1
-        (run_cli (scenario @ [ "--state"; "turbo" ]));
-      (* an explicit closure ask checkpoints fine *)
-      check_code "closure + --checkpoint works" 3
-        (run_cli
-           (scenario @ [ "--state"; "closure"; "--max-nodes"; "5000";
-                         "--checkpoint"; ckpt ]));
-      (* and --state flat alone matches the default engine's verdict *)
-      let flat = run_cli (scenario @ [ "--state"; "flat" ]) in
-      let default = run_cli scenario in
-      check_code "flat alone works" 0 flat;
-      Alcotest.(check string) "flat = default output" default.out flat.out)
+      let scenario = [ "mc"; "counter-3"; "--depth"; "12" ] in
+      let plain = run_cli scenario in
+      check_code "plain run" 0 plain;
+      List.iter
+        (fun extra ->
+          let r = run_cli (scenario @ [ "--checkpoint"; ckpt ] @ extra) in
+          check_code "checkpointing run" 0 r;
+          Alcotest.(check string) "checkpointing output = plain output"
+            plain.out r.out)
+        [ []; [ "--checkpoint-every"; "1000" ] ])
 
 (* a SIGTERM'd run still dumps its metrics before exiting: the budget's
    cancel token turns the signal into a truncated (cancelled) verdict,
@@ -366,16 +354,13 @@ let test_numeric_validation () =
     "--attempts must be >= 1";
   (* --table-mem-budget: degenerate sizes were already refused; pin it *)
   refused "mc --table-mem-budget 0"
-    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--state"; "flat";
-      "--table-mem-budget"; "0" ]
+    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--table-mem-budget"; "0" ]
     "--table-mem-budget";
   refused "mc --table-mem-budget 0k"
-    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--state"; "flat";
-      "--table-mem-budget"; "0k" ]
+    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--table-mem-budget"; "0k" ]
     "--table-mem-budget";
   refused "mc --table-mem-budget k"
-    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--state"; "flat";
-      "--table-mem-budget"; "k" ]
+    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--table-mem-budget"; "k" ]
     "--table-mem-budget"
 
 (* the synth subcommand's exit-code and output contract *)
@@ -431,8 +416,8 @@ let suite =
     Alcotest.test_case "numeric flag validation" `Quick
       test_numeric_validation;
     Alcotest.test_case "synth subcommand" `Quick test_synth_subcommand;
-    Alcotest.test_case "--state flat vs checkpointing" `Quick
-      test_state_flat_checkpoint_conflict;
+    Alcotest.test_case "--checkpoint keeps the output" `Quick
+      test_checkpoint_keeps_output;
     Alcotest.test_case "SIGTERM dumps metrics" `Quick
       test_sigterm_dumps_metrics;
     Alcotest.test_case "--metrics and --progress" `Quick

@@ -85,12 +85,14 @@ let endless_job () =
   mc_job ~inputs:[ 0; 1; 1; 0 ] ~depth:200 ~max_states:2_000_000_000
     "counter-3"
 
-(* ~2s sequential, checkpoints every few ms: the interrupt/resume prop *)
-let resumable_job () = mc_job ~depth:20 ~max_states:10_000_000 "rw-3n"
+(* ~1.7s sequential (25M nodes, "truncated (depth)", exit 0), checkpoints
+   every few ms: the interrupt/resume prop.  It must outlast the drain
+   and kill -9 tests' cut, so the interruption lands mid-search. *)
+let resumable_job () = mc_job ~depth:22 ~max_states:25_000_000 "rw-3n"
 
 let resumable_cli_args =
-  [ "mc"; "rw-3n"; "--inputs"; "0,1"; "--depth"; "20"; "--max-states";
-    "10000000" ]
+  [ "mc"; "rw-3n"; "--inputs"; "0,1"; "--depth"; "22"; "--max-states";
+    "25000000" ]
 
 let fuzz_job () =
   {

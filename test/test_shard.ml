@@ -1,9 +1,9 @@
 (* Differential suite for the sharded out-of-core engine ([Mc.Shard]),
    pinning its contract against the sequential referee (DESIGN.md §4j):
 
-   - violation verdict and witness: identical to [Explore.search] for
-     every registry protocol, dedup mode, engine, shard count and job
-     count (violating drains delegate to the referee, so this holds
+   - violation verdict and witness: identical to the closure referee
+     [Explore.search ~state:`Closure] for every registry protocol, dedup
+     mode, shard count and job count (violating drains delegate to the referee, so this holds
      field for field on flawed protocols);
    - under [`Off] on violation-free runs with non-binding caps: every
      result field identical (both engines count exactly the choice-tree
@@ -98,48 +98,42 @@ let test_registry_parity () =
       let inputs = List.init n (fun i -> i land 1) in
       let config () = Protocol.initial_config p ~inputs in
       List.iter
-        (fun state ->
+        (fun dedup ->
+          let seq =
+            Mc.Explore.search ~state:`Closure ~dedup ~max_depth:6
+              ~max_states:500_000 ~inputs:[ 0; 1 ] (config ())
+          in
           List.iter
-            (fun dedup ->
-              let seq =
-                Mc.Explore.search ~state ~dedup ~max_depth:6
-                  ~max_states:500_000 ~inputs:[ 0; 1 ] (config ())
-              in
+            (fun shards ->
               List.iter
-                (fun shards ->
-                  List.iter
-                    (fun jobs ->
-                      let sh =
-                        Mc.Shard.search ~jobs ~shards ~state ~dedup
-                          ~max_depth:6 ~max_states:500_000 ~inputs:[ 0; 1 ]
-                          (config ())
-                      in
-                      let label =
-                        Printf.sprintf "%s state=%s dedup=%s shards=%d jobs=%d"
-                          p.name
-                          (match state with `Flat -> "flat" | `Closure -> "closure")
-                          (match dedup with
-                          | `Off -> "off"
-                          | `Exact -> "exact"
-                          | `Symmetric -> "symmetric")
-                          shards jobs
-                      in
-                      (* the violation verdict + witness are pinned for
-                         every mode... *)
-                      Alcotest.(check bool)
-                        (label ^ ": violation parity")
-                        true
-                        (project_violation sh = project_violation seq);
-                      (* ...and under `Off (no skips) every field is *)
-                      if dedup = `Off then
-                        Alcotest.(check bool)
-                          (label ^ ": full parity under off")
-                          true
-                          (project_result sh = project_result seq))
-                    job_counts)
-                shard_counts)
-            [ `Off; `Exact; `Symmetric ])
-        [ `Flat; `Closure ])
+                (fun jobs ->
+                  let sh =
+                    Mc.Shard.search ~jobs ~shards ~dedup ~max_depth:6
+                      ~max_states:500_000 ~inputs:[ 0; 1 ] (config ())
+                  in
+                  let label =
+                    Printf.sprintf "%s dedup=%s shards=%d jobs=%d" p.name
+                      (match dedup with
+                      | `Off -> "off"
+                      | `Exact -> "exact"
+                      | `Symmetric -> "symmetric")
+                      shards jobs
+                  in
+                  (* the violation verdict + witness are pinned for every
+                     mode... *)
+                  Alcotest.(check bool)
+                    (label ^ ": violation parity")
+                    true
+                    (project_violation sh = project_violation seq);
+                  (* ...and under `Off (no skips) every field is *)
+                  if dedup = `Off then
+                    Alcotest.(check bool)
+                      (label ^ ": full parity under off")
+                      true
+                      (project_result sh = project_result seq))
+                job_counts)
+            shard_counts)
+        [ `Off; `Exact; `Symmetric ])
     Registry.all
 
 (* ---- flawed protocols: the referee makes violating runs identical ---- *)
@@ -325,7 +319,7 @@ let test_steal_storm () =
 
 let suite =
   [
-    Alcotest.test_case "registry verdict parity (shards x jobs x dedup x engine)"
+    Alcotest.test_case "registry verdict parity (shards x jobs x dedup)"
       `Quick test_registry_parity;
     Alcotest.test_case "flawed protocols: full field parity" `Quick
       test_flawed_full_parity;
