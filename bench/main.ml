@@ -445,6 +445,7 @@ let mc_bench ?(smoke = false) () =
           "flat s";
           "speedup";
           "flat minor MW";
+          "flat table MiB";
           "nodes vs off";
           "verdict";
         ]
@@ -456,8 +457,8 @@ let mc_bench ?(smoke = false) () =
         let runs =
           List.map
             (fun dedup ->
-              let search state =
-                Mc.Explore.search ~state ~dedup ~max_depth ~inputs
+              let search ?obs state =
+                Mc.Explore.search ?obs ~state ~dedup ~max_depth ~inputs
                   (Consensus.Protocol.initial_config p ~inputs)
               in
               let rc, secs_c, mw_c = measured (fun () -> search `Closure) in
@@ -469,15 +470,23 @@ let mc_bench ?(smoke = false) () =
                   name (dedup_name dedup);
                 exit 1
               end;
-              (dedup, rf, secs_c, secs_f, mw_c, mw_f))
+              (* the table size is a deterministic counter: read it off an
+                 untimed rerun, so the timed runs carry no obs handle *)
+              let obs = Obs.create () in
+              ignore (search ~obs `Flat : int Mc.Explore.result);
+              let bytes =
+                Obs.Metrics.counter (Obs.metrics obs) "mc/table-bytes"
+              in
+              (dedup, rf, secs_c, secs_f, mw_c, mw_f, bytes))
             modes
         in
         let first_result =
-          match runs with (_, r, _, _, _, _) :: _ -> r | [] -> assert false
+          match runs with (_, r, _, _, _, _, _) :: _ -> r | [] -> assert false
         in
         let has_off = List.mem `Off modes in
         List.iter
-          (fun (dedup, (r : int Mc.Explore.result), secs_c, secs_f, _, mw_f) ->
+          (fun (dedup, (r : int Mc.Explore.result), secs_c, secs_f, _, mw_f, bytes)
+             ->
             if violation_name r <> violation_name first_result then begin
               Printf.eprintf
                 "mc-bench: VERDICT MISMATCH on %s: %s=%s but %s=%s\n" name
@@ -500,6 +509,7 @@ let mc_bench ?(smoke = false) () =
                 Printf.sprintf "%.4f" secs_f;
                 Printf.sprintf "%.2fx" (secs_c /. Float.max secs_f 1e-9);
                 Printf.sprintf "%.1f" (float_of_int mw_f /. 1e6);
+                Printf.sprintf "%.2f" (float_of_int bytes /. 1048576.);
                 (if has_off then
                    Printf.sprintf "%.1fx"
                      (float_of_int first_result.Mc.Explore.visited
@@ -508,17 +518,19 @@ let mc_bench ?(smoke = false) () =
                 violation_name r;
               ])
           runs;
-        let mode_json (dedup, (r : int Mc.Explore.result), secs_c, secs_f, mw_c, mw_f) =
+        let mode_json
+            (dedup, (r : int Mc.Explore.result), secs_c, secs_f, mw_c, mw_f, bytes)
+            =
           Printf.sprintf
-            {|        { "dedup": %S, "visited": %d, "leaves": %d, "table_hits": %d, "truncated": %b, "seconds_closure": %.6f, "seconds_flat": %.6f, "speedup": %.2f, "minor_words_closure": %d, "minor_words_flat": %d, "verdict": %S }|}
+            {|        { "dedup": %S, "visited": %d, "leaves": %d, "table_hits": %d, "truncated": %b, "seconds_closure": %.6f, "seconds_flat": %.6f, "speedup": %.2f, "minor_words_closure": %d, "minor_words_flat": %d, "table_bytes_flat": %d, "verdict": %S }|}
             (dedup_name dedup) r.Mc.Explore.visited r.Mc.Explore.leaves
             r.Mc.Explore.table_hits r.Mc.Explore.truncated secs_c secs_f
             (secs_c /. Float.max secs_f 1e-9)
-            mw_c mw_f (violation_name r)
+            mw_c mw_f bytes (violation_name r)
         in
         let last_result =
           match List.rev runs with
-          | (_, r, _, _, _, _) :: _ -> r
+          | (_, r, _, _, _, _, _) :: _ -> r
           | [] -> assert false
         in
         Printf.sprintf

@@ -6,7 +6,7 @@
    serialization of a configuration — per-process fingerprints (sorted
    under symmetric dedup) plus decoded object values — so records written
    by one domain, or one run, mean the same thing to every other.  The
-   value is the same packed meta word the in-memory [Atbl] stores:
+   value is the same packed meta word the in-memory [Ptbl] stores:
    [((remaining_depth + 1) lsl 1) lor complete].  Metas only ever grow
    under [merge_meta], and a smaller-than-known meta is merely
    conservative for the search (less pruning, never a wrong verdict), so

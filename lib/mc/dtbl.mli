@@ -3,8 +3,8 @@
     versioned on-disk record log, so dedup state can exceed RAM.
 
     Semantics: the table maps canonical state keys ({!Skey}) to packed
-    meta words (same packing as the in-memory arena table —
-    [((remaining_depth + 1) lsl 1) lor complete]), and {!find} is exactly
+    meta words (same packing as the flat DFS's in-memory table
+    ({!Ptbl}) — [((remaining_depth + 1) lsl 1) lor complete]), and {!find} is exactly
     the {!merge_meta}-fold of every {!set} for that key, across spills,
     eviction, compaction, close and reopen.  Losing depth would only be
     conservative for the search (less pruning, same verdict), but the
@@ -22,8 +22,8 @@
 
 (** Canonical, engine-independent state key: per-process consumed-history
     fingerprints (caller-sorted under symmetric dedup) plus decoded
-    object values.  Unlike [Flat.hexact]/[hsym] this does not depend on
-    any intern table's numbering, so keys written by one domain or one
+    object values.  Unlike the flat slab's ids ({!Ptbl} keys) this does
+    not depend on any intern table's numbering, so keys written by one domain or one
     run mean the same thing to every other — see DESIGN.md §4j. *)
 module Skey : sig
   type t = private {

@@ -284,115 +284,6 @@ let search_from ~polls ~budget ~dedup ~max_depth ~max_states ~inputs config =
 
 type state = [ `Closure | `Flat ]
 
-(* Arena-backed transposition table for the flat DFS: keys are slab
-   slices (object value ids then state ids, the sid slice sorted under
-   [`Symmetric]) stored *contiguously* in one growable int arena —
-   entry layout [meta; slot_0 .. slot_{width-1}] — and addressed by an
-   open-addressing index of interleaved (hash, arena offset) pairs.
-
-   [meta] packs the closure table's entry record into one int:
-   [(stored_remaining_depth + 1) lsl 1 lor complete].  A lookup costs
-   two cache lines (index pair, then the entry's slots for the exact
-   compare — hash equality is never trusted); an insert blits the
-   scratch key into the arena tail.  Nothing in here is a GC object, so
-   million-entry sweeps neither allocate per node nor grow major-heap
-   mark work — the boxed [Hashtbl] + per-miss key snapshots this
-   replaces dominated deep dedup'd sweeps in both engines.
-
-   Entries are copies *by construction* (the insert blit), which is the
-   flat engine's answer to the key-immutability hazard of sharing live
-   arrays (see [key_of_config]'s snapshot discipline for the closure
-   table). *)
-module Atbl = struct
-  type t = {
-    width : int;  (** slots per key *)
-    mutable arena : int array;  (** entries: [meta; slots^width] *)
-    mutable n : int;  (** arena fill pointer *)
-    mutable idx : int array;
-        (** interleaved [hash; offset] pairs, offset -1 = empty *)
-    mutable mask : int;  (** index capacity - 1 *)
-    mutable shift : int;  (** 63 - log2 of index capacity *)
-    mutable size : int;
-  }
-
-  let fib = 0x1E3779B97F4A7C15
-
-  let create ~width =
-    let bits = 10 in
-    let cap = 1 lsl bits in
-    {
-      width;
-      arena = Array.make (cap * (width + 1)) 0;
-      n = 0;
-      idx = Array.make (2 * cap) (-1);
-      mask = cap - 1;
-      shift = 63 - bits;
-      size = 0;
-    }
-
-  (* toplevel recursions: local [let rec]s here would allocate closures
-     on every lookup *)
-  let rec eq_slots arena o (key : int array) i =
-    i < 0
-    || Array.unsafe_get arena (o + i) = Array.unsafe_get key i
-       && eq_slots arena o key (i - 1)
-
-  let rec probe t hash (key : int array) i =
-    let o = Array.unsafe_get t.idx ((2 * i) + 1) in
-    if o = -1 then -1
-    else if
-      Array.unsafe_get t.idx (2 * i) = hash
-      && eq_slots t.arena (o + 1) key (t.width - 1)
-    then o
-    else probe t hash key ((i + 1) land t.mask)
-
-  (* arena offset of the entry (its meta word), or -1 *)
-  let find t ~hash key = probe t hash key ((hash * fib) lsr t.shift)
-
-  let meta t o = Array.unsafe_get t.arena o
-  let set_meta t o m = Array.unsafe_set t.arena o m
-
-  let rec ins_slot t i =
-    if Array.unsafe_get t.idx ((2 * i) + 1) = -1 then i
-    else ins_slot t ((i + 1) land t.mask)
-
-  let grow_index t =
-    let old = t.idx in
-    let cap = t.mask + 1 in
-    t.idx <- Array.make (4 * cap) (-1);
-    t.mask <- (2 * cap) - 1;
-    t.shift <- t.shift - 1;
-    for i = 0 to cap - 1 do
-      let o = old.((2 * i) + 1) in
-      if o >= 0 then begin
-        let h = old.(2 * i) in
-        let j = ins_slot t ((h * fib) lsr t.shift) in
-        t.idx.(2 * j) <- h;
-        t.idx.((2 * j) + 1) <- o
-      end
-    done
-
-  (* Append a fresh entry (meta 0 = "in progress": stored depth -1,
-     incomplete) and index it; returns its arena offset. *)
-  let insert t ~hash key =
-    if 2 * (t.size + 1) > t.mask + 1 then grow_index t;
-    let w = t.width + 1 in
-    if t.n + w > Array.length t.arena then begin
-      let arena = Array.make (2 * Array.length t.arena) 0 in
-      Array.blit t.arena 0 arena 0 t.n;
-      t.arena <- arena
-    end;
-    let o = t.n in
-    t.arena.(o) <- 0;
-    Array.blit key 0 t.arena (o + 1) t.width;
-    t.n <- o + w;
-    let i = ins_slot t ((hash * fib) lsr t.shift) in
-    t.idx.(2 * i) <- hash;
-    t.idx.((2 * i) + 1) <- o;
-    t.size <- t.size + 1;
-    o
-end
-
 (* The first [depth] choices of a depth-indexed choice path. *)
 let path_to path_pid path_out depth =
   List.init depth (fun d -> (path_pid.(d), path_out.(d)))
@@ -421,22 +312,25 @@ let resumes_into (cursor : (int * int) array) on_path ~depth pid outcome =
    counter accounting and budget metering as the closure referee
    [search_from], over a {!Sim.Flat} slab mutated in place.  Stepping
    into a child saves the overwritten slot ids in locals on the call
-   stack, recurses, and writes them back — the undo-cell discipline; slot
-   writes are hash-self-inverse, so the transposition hashes restore with
-   them.  The root-to-node choice path lives in two depth-indexed int
-   arrays, so the violation-free path allocates nothing per node; on a
-   violation it is replayed from [replay_root] by [witness] (after the
-   caller's prefix [rev_choices], which [search_par] subtree tasks pass),
-   so the reported trace and configuration are the referee's.
+   stack, recurses, and writes them back — the undo-cell discipline, so
+   the slab (and with it the transposition key) is restored exactly.
+   The root-to-node choice path lives in two depth-indexed int arrays, so
+   the violation-free path allocates nothing per node; on a violation it
+   is replayed from [replay_root] by [witness] (after the caller's prefix
+   [rev_choices], which [search_par] subtree tasks pass), so the reported
+   trace and configuration are the referee's.
 
-   Table lookups go through one reused scratch key per search
-   ([`Symmetric] insertion-sorts the scratch's sid slice in place); a
-   miss blits the key into the {!Atbl} arena *before* expanding the
-   subtree (whose own lookups clobber the scratch), marked in-progress
-   (stored depth -1) — which every revisit treats exactly as the
-   closure engine treats an absent entry, so counters match node for
-   node, while the held arena offset lets the post-expansion update
-   write the final (depth, complete) meta without re-probing.
+   Table lookups go through one reused scratch key per search (the slab,
+   with the sid slice insertion-sorted in place under [`Symmetric]),
+   which {!Ptbl} packs and hashes.  A miss inserts the key *before*
+   expanding the subtree, marked in-progress (meta 0: stored depth -1,
+   incomplete) — which every revisit treats exactly as the closure
+   engine treats an absent entry, so counters match node for node — and
+   the held slot offset lets the post-expansion update write the final
+   (depth, complete) meta without re-probing.  If the table was relaid
+   out meanwhile (it grew, or the intern table outgrew a key field
+   width), the offset is stale: the restored slab is the pre-expansion
+   key, so one more lookup finds the entry again.
 
    Checkpoint/resume: the meter is consulted *before* a node is counted,
    so a tripped node is exactly the first unvisited node of the
@@ -454,7 +348,7 @@ let resumes_into (cursor : (int * int) array) on_path ~depth pid outcome =
    [search] (empty prefix) requests them. *)
 let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
     ~dedup ~max_depth ~max_states ~inputs ~replay_root ~rev_choices ~decisions
-    config =
+    ~obs config =
   let resume = match resume with None -> Checkpoint.empty | Some s -> s in
   let visited = ref resume.Checkpoint.visited in
   let leaves = ref resume.Checkpoint.leaves in
@@ -488,9 +382,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
   in
   let symmetric = dedup = `Symmetric in
   let flat =
-    Flat.of_config ~hashed:(dedup <> `Off)
-      ~roots:(if symmetric then Flat.By_fp else Flat.Per_slot)
-      config
+    Flat.of_config ~roots:(if symmetric then Flat.By_fp else Flat.Per_slot) config
   in
   let rt = Flat.rt flat in
   let n_objs = Flat.n_objs flat and n_procs = Flat.n_procs flat in
@@ -498,13 +390,17 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
   let table =
     match dedup with
     | `Off -> None
-    | `Exact | `Symmetric -> Some (Atbl.create ~width)
+    | `Exact | `Symmetric ->
+        Some
+          (Ptbl.create ~n_objs ~n_procs ~n_values:(Intern.n_values rt)
+             ~n_states:(Intern.n_states rt))
   in
   (* one reused scratch key per search: the slab slice, with the sid
      slice insertion-sorted in place under [`Symmetric] (n_procs is
      small; no comparator closure, no allocation) *)
   let skey = Array.make width 0 in
-  let fill_skey () =
+  (* the current node's entry, inserted in progress when absent *)
+  let table_slot tbl =
     Flat.slab_copy flat ~into:skey;
     if symmetric then
       for p = n_objs + 1 to width - 1 do
@@ -515,7 +411,9 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
           decr j
         done;
         Array.unsafe_set skey (!j + 1) v
-      done
+      done;
+    Ptbl.fit tbl ~n_values:(Intern.n_values rt) ~n_states:(Intern.n_states rt);
+    Ptbl.slot tbl skey
   in
   let path_pid = Array.make (max max_depth 1) 0 in
   let path_out = Array.make (max max_depth 1) 0 in
@@ -544,13 +442,11 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
         | None -> expand distinct depth
         | Some tbl ->
             let rd = max_depth - depth in
-            fill_skey ();
-            let hash = if symmetric then Flat.hsym flat else Flat.hexact flat in
-            let o = Atbl.find tbl ~hash skey in
+            let o = table_slot tbl in
             (* meta = (stored_depth + 1) lsl 1 lor complete; a fresh
                in-progress entry (meta 0, stored depth -1, incomplete)
                behaves exactly like the closure engine's absent entry *)
-            let m = if o >= 0 then Atbl.meta tbl o else 0 in
+            let m = Ptbl.meta tbl o in
             if m land 1 = 1 then incr table_hits
             else if (m lsr 1) - 1 >= rd then begin
               incr table_hits;
@@ -558,14 +454,15 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
             end
             else begin
               incr table_misses;
-              (* insert up front (the subtree's lookups clobber [skey]);
-                 the held offset is updated after expansion *)
-              let o = if o >= 0 then o else Atbl.insert tbl ~hash skey in
+              let gen = Ptbl.generation tbl in
               let trunc0 = !trunc in
               expand distinct depth;
               let complete = !trunc = trunc0 in
               let depth' = max ((m lsr 1) - 1) rd in
-              Atbl.set_meta tbl o
+              (* a relaid-out table moved the entry: the undo discipline
+                 restored the slab, so the key is found again *)
+              let o = if Ptbl.generation tbl = gen then o else table_slot tbl in
+              Ptbl.set_meta tbl o
                 (((depth' + 1) lsl 1) lor Bool.to_int complete)
             end
     end
@@ -667,6 +564,11 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
   (match (polls, meter) with
   | Some acc, Some m -> acc := !acc + Robust.Budget.Meter.polls m
   | _ -> ());
+  Option.iter
+    (fun tbl ->
+      Obs.add obs "mc/table-bytes" (Ptbl.bytes tbl);
+      Obs.add obs "mc/table-relayouts" (Ptbl.generation tbl))
+    table;
   let completeness =
     match (!tripped, !first_reason) with
     | Some r, _ -> `Truncated r
@@ -710,7 +612,7 @@ let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
         search_from_flat ~polls:(Some polls) ~budget ~checkpoint_every
           ~on_checkpoint ~resume ~dedup ~max_depth ~max_states ~inputs
           ~replay_root:config ~rev_choices:[]
-          ~decisions:(Config.decisions config) config
+          ~decisions:(Config.decisions config) ~obs config
     | `Closure ->
         if Option.is_some on_checkpoint || Option.is_some resume then
           invalid_arg
@@ -790,7 +692,7 @@ let search_par ?obs ?pool ?budget ?(dedup = `Off) ?(max_depth = 60)
         search_from_flat ~polls:None ~budget ~checkpoint_every:max_int
           ~on_checkpoint:None ~resume:None ~dedup ~max_depth ~max_states
           ~inputs ~replay_root:config ~rev_choices
-          ~decisions:(Config.decisions start) start
+          ~decisions:(Config.decisions start) ~obs:None start
       in
       let root = flat ~budget:None ~dedup:`Off ~max_depth:0 ~rev_choices:[] config in
       if root.violation <> None || not (Config.exists_enabled config)

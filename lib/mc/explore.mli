@@ -101,7 +101,11 @@ val witness :
     ["mc/table-misses"] and ["budget/polls"] counters, the
     ["mc/max-depth"] watermark, and an ["mc/truncated/<reason>"] counter
     on truncation.  Counters equal the corresponding result fields; all
-    recording happens on the calling domain after the DFS returns. *)
+    recording happens on the calling domain after the DFS returns.  A
+    flat search with a table ([`Exact]/[`Symmetric]) also records the
+    table's final size in bytes (["mc/table-bytes"]) and how often it
+    was relaid out (["mc/table-relayouts"]: capacity growths plus key
+    width changes, see {!Ptbl}). *)
 val search :
   ?obs:Obs.t ->
   ?budget:Robust.Budget.t ->
@@ -142,8 +146,9 @@ val search :
     skipped tasks are merged as zero-node [`Truncated `Cancelled]
     subtrees.
 
-    [?obs]: same counters as [search], recorded from the {e merged}
-    result so their values are jobs-invariant; additionally each
+    [?obs]: same counters as [search] except the table-size pair,
+    recorded from the {e merged} result so their values are
+    jobs-invariant; additionally each
     speculative subtree's wall-clock is observed into the
     ["mc/subtree-seconds"] histogram, in task order, on the calling
     domain (worker domains never touch the metrics — timings travel back

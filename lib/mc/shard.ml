@@ -17,11 +17,11 @@
      shards, so the table can exceed RAM.
 
    Routing and dedup use the canonical key ([Dtbl.Skey]: per-process
-   fingerprints + object values), NOT the engines' slab hashes —
-   [Flat.hexact]/[hsym] number states relative to a per-domain intern
-   table, so only the fingerprint form means the same thing on every
-   domain (and on disk).  Fingerprint collisions are accepted at the same
-   trust level as the in-memory [`Exact] dedup.
+   fingerprints + object values), NOT the flat slab's ids — those number
+   states relative to a per-domain intern table, so only the fingerprint
+   form means the same thing on every domain (and on disk).  Fingerprint
+   collisions are accepted at the same trust level as the in-memory
+   [`Exact] dedup.
 
    Soundness contract (why verdict-equality, not trace-equality): a
    dequeued state is skipped when its shard's table holds an entry at
@@ -111,9 +111,7 @@ let key_of ~symmetric ~fps ~objs =
 
 let flat_eng ~symmetric config =
   let root =
-    Flat.of_config ~hashed:false
-      ~roots:(if symmetric then Flat.By_fp else Flat.Per_slot)
-      config
+    Flat.of_config ~roots:(if symmetric then Flat.By_fp else Flat.Per_slot) config
   in
   let work = Flat.clone root in
   let rt = Flat.rt work in

@@ -10,28 +10,11 @@
    part of the transposition key — the closure engine's key omits them
    too, and they are constant within one search).
 
-   Two hashes are maintained incrementally, O(1) per slot write:
-
-   - [hexact]: XOR over slots of [mix (index+1) id] — the [`Exact]
-     transposition key hash; order- and slot-sensitive.
-   - [hsym]: the same for object slots, but state ids enter *unindexed*
-     ([mix 0 sid]) and XOR is commutative, so [hsym] is invariant under
-     process permutation — the [`Symmetric] key hash without any per-node
-     sort.
-
-   XOR composition makes every write self-inverse: un-writing a slot
-   (DFS backtracking) applies the same two mixes again.  Hash equality is
-   never trusted: table lookups compare the slab slices themselves
-   (sorted for [`Symmetric]).
-
-   The per-(slot, id) contributions are memoized Zobrist-style in [z]:
-   one row of [width + 1] precomputed mixes per id ([mix 0 id] first,
-   then [mix (i+1) id] per slot), lazily extended as the intern table
-   grows.  A slot write then costs four array loads from two rows
-   instead of four three-multiply SplitMix chains — the chains, not the
-   table probes, dominated dedup'd sweeps.  The cached values ARE
-   [Fingerprint.mix] outputs, so hashes are bit-identical to the
-   uncached definition.
+   The slab is the whole transposition key: the model checker's table
+   ([Mc.Ptbl]) copies it out ({!slab_copy}), packs it and hashes the
+   packed words itself, so a slot write is one store.  Slot writes are
+   trivially self-inverse: writing the old id back restores the slab,
+   which is what the DFS undo discipline relies on.
 
    Clone is a blit of one int array (plus the crash bytes); the model
    checker does not even clone — it steps in place and undoes
@@ -41,45 +24,10 @@ type 'a t = {
   rt : 'a Intern.t;
   n_objs : int;
   n_procs : int;
-  hashed : bool;
-      (** maintain [hexact]/[hsym] on writes; off for callers that never
-          consult a transposition table (fuzz executors, dedup-free DFS),
-          saving the mix calls on every slot write *)
   slab : int array;
   halted : Bytes.t;
-  mutable z : int array;
-      (** Zobrist rows: [z.(id * zw + 0) = mix 0 id] (the [hsym]
-          contribution of state id [id]) and [z.(id * zw + 1 + i) =
-          mix (i + 1) id] (slot [i]'s contribution to [hexact]) *)
-  mutable z_ids : int;  (** ids covered by [z] *)
-  mutable hexact : int;
-  mutable hsym : int;
   mutable enabled : int;  (** processes neither decided nor halted *)
 }
-
-let slot_hash i id = Fingerprint.mix (i + 1) id
-let sym_hash sid = Fingerprint.mix 0 sid
-
-(* row width: one sym contribution + one per slab slot *)
-let zw t = t.n_objs + t.n_procs + 1
-
-let grow_z t id =
-  let w = zw t in
-  let cap = max (2 * t.z_ids) (id + 1) in
-  let z = Array.make (cap * w) 0 in
-  Array.blit t.z 0 z 0 (t.z_ids * w);
-  for id = t.z_ids to cap - 1 do
-    for i = 0 to w - 1 do
-      z.((id * w) + i) <- Fingerprint.mix i id
-    done
-  done;
-  t.z <- z;
-  t.z_ids <- cap
-
-(* base index of [id]'s row, growing the cache on first sight *)
-let zrow t id =
-  if id >= t.z_ids then grow_z t id;
-  id * zw t
 
 type roots = Per_slot | By_fp
 
@@ -89,27 +37,13 @@ type roots = Per_slot | By_fp
     between processes whose current fingerprints are equal — the
     assertion [Config.make_seeded] encodes and [`Symmetric] dedup
     requires (equal fingerprint seeds ⇒ equal protocol terms). *)
-let of_config ?rt ?(hashed = true) ~roots (config : 'a Config.t) =
+let of_config ?rt ~roots (config : 'a Config.t) =
   let rt = match rt with Some rt -> rt | None -> Intern.of_config config in
   let n_objs = Config.n_objects config in
   let n_procs = Config.n_procs config in
   let slab = Array.make (n_objs + n_procs) 0 in
   let halted = Bytes.make n_procs '\000' in
-  let t =
-    {
-      rt;
-      n_objs;
-      n_procs;
-      hashed;
-      slab;
-      halted;
-      z = [||];
-      z_ids = 0;
-      hexact = 0;
-      hsym = 0;
-      enabled = 0;
-    }
-  in
+  let t = { rt; n_objs; n_procs; slab; halted; enabled = 0 } in
   for i = 0 to n_objs - 1 do
     slab.(i) <- Intern.value_id rt config.Config.objects.(i)
   done;
@@ -125,17 +59,6 @@ let of_config ?rt ?(hashed = true) ~roots (config : 'a Config.t) =
     if config.Config.halted.(p) then Bytes.set halted p '\001'
     else if not (Intern.is_decided rt sid) then t.enabled <- t.enabled + 1
   done;
-  if hashed then begin
-    let hexact = ref 0 and hsym = ref 0 in
-    for i = 0 to n_objs + n_procs - 1 do
-      hexact := !hexact lxor slot_hash i slab.(i);
-      hsym :=
-        !hsym
-        lxor (if i < n_objs then slot_hash i slab.(i) else sym_hash slab.(i))
-    done;
-    t.hexact <- !hexact;
-    t.hsym <- !hsym
-  end;
   t
 
 let rt t = t.rt
@@ -146,8 +69,6 @@ let n_procs t = t.n_procs
    by [n_procs] in every caller *)
 let obj_vid t i = Array.unsafe_get t.slab i
 let sid t p = Array.unsafe_get t.slab (t.n_objs + p)
-let hexact t = t.hexact
-let hsym t = t.hsym
 let is_halted t p = Bytes.unsafe_get t.halted p <> '\000'
 let is_decided t p = Intern.is_decided t.rt (sid t p)
 let is_enabled t p = (not (is_decided t p)) && not (is_halted t p)
@@ -159,9 +80,9 @@ let fingerprint t p = Intern.fp t.rt (sid t p)
 (* Engine-independent serialization of the current configuration: the
    per-process fingerprints and decoded object values are exactly the
    closure engine's transposition key and the currency of the
-   disk-backed table ([Mc.Dtbl]) — unlike slab ids or hexact/hsym they
-   do not depend on this run's intern-table numbering, so two domains
-   (or two runs) agree on them byte for byte. *)
+   disk-backed table ([Mc.Dtbl]) — unlike slab ids they do not depend
+   on this run's intern-table numbering, so two domains (or two runs)
+   agree on them byte for byte. *)
 let fingerprints t = Array.init t.n_procs (fun p -> fingerprint t p)
 let objects t = Array.init t.n_objs (fun i -> Intern.value t.rt (obj_vid t i))
 
@@ -182,47 +103,14 @@ let clone t =
   }
 
 (** Overwrite [dst] with [src]'s state: the per-run reset of the fuzz
-    loop, two blits and three scalar writes, no allocation. *)
+    loop, two blits and one scalar write, no allocation. *)
 let blit ~src ~dst =
   Array.blit src.slab 0 dst.slab 0 (Array.length src.slab);
   Bytes.blit src.halted 0 dst.halted 0 (Bytes.length src.halted);
-  dst.hexact <- src.hexact;
-  dst.hsym <- src.hsym;
   dst.enabled <- src.enabled
 
-(* -- slot writes (hashes maintained; self-inverse under repetition) --- *)
-
-let write_obj t i vid =
-  let old = Array.unsafe_get t.slab i in
-  if old <> vid then begin
-    if t.hashed then begin
-      let ro = zrow t old and rn = zrow t vid in
-      let z = t.z in
-      (* object slots enter both hashes slot-indexed: one shared delta *)
-      let d =
-        Array.unsafe_get z (ro + 1 + i) lxor Array.unsafe_get z (rn + 1 + i)
-      in
-      t.hexact <- t.hexact lxor d;
-      t.hsym <- t.hsym lxor d
-    end;
-    Array.unsafe_set t.slab i vid
-  end
-
-let write_sid t p sid' =
-  let i = t.n_objs + p in
-  let old = Array.unsafe_get t.slab i in
-  if old <> sid' then begin
-    if t.hashed then begin
-      let ro = zrow t old and rn = zrow t sid' in
-      let z = t.z in
-      t.hexact <-
-        t.hexact
-        lxor Array.unsafe_get z (ro + 1 + i)
-        lxor Array.unsafe_get z (rn + 1 + i);
-      t.hsym <- t.hsym lxor Array.unsafe_get z ro lxor Array.unsafe_get z rn
-    end;
-    Array.unsafe_set t.slab i sid'
-  end
+let write_obj t i vid = Array.unsafe_set t.slab i vid
+let write_sid t p sid = Array.unsafe_set t.slab (t.n_objs + p) sid
 
 (** Crash process [p] in place (no further steps); mirrors
     [Run.exec_with_crashes]'s in-place halt. *)

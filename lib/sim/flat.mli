@@ -1,11 +1,10 @@
 (** A flat configuration: one int slab of interned ids ({!Intern}) —
     object value ids followed by per-process state ids — plus crash
-    flags, with two incrementally maintained transposition hashes
-    (slot-exact and process-permutation-invariant).  Clone is a blit;
-    slot writes are O(1) including hash maintenance and self-inverse,
-    which is what makes the model checker's in-place DFS undo
-    discipline work.  See the implementation's module comment for the
-    slab layout. *)
+    flags.  The slab is the model checker's transposition key as it
+    stands ({!slab_copy}).  Clone is a blit; slot writes are single
+    stores and self-inverse, which is what makes the model checker's
+    in-place DFS undo discipline work.  See the implementation's module
+    comment for the slab layout. *)
 
 type 'a t
 
@@ -16,14 +15,10 @@ type roots =
           requires the [`Symmetric] precondition (equal fingerprint
           seeds ⇒ equal protocol terms) *)
 
-val of_config :
-  ?rt:'a Intern.t -> ?hashed:bool -> roots:roots -> 'a Config.t -> 'a t
+val of_config : ?rt:'a Intern.t -> roots:roots -> 'a Config.t -> 'a t
 (** Flatten a closure configuration, interning into [rt] (fresh table
     when omitted).  Pass an existing [rt] to share forced states across
-    many runs of the same protocol.  [~hashed:false] (default [true])
-    skips maintaining {!hexact}/{!hsym} on every write — for callers
-    that never consult a transposition table; the hash accessors are
-    then meaningless. *)
+    many runs of the same protocol. *)
 
 val rt : 'a t -> 'a Intern.t
 val n_objs : 'a t -> int
@@ -34,12 +29,6 @@ val obj_vid : 'a t -> int -> int
 
 val sid : 'a t -> int -> int
 (** Current state id of process [p]. *)
-
-val hexact : 'a t -> int
-(** Slot-indexed slab hash (the [`Exact] transposition hash). *)
-
-val hsym : 'a t -> int
-(** Process-permutation-invariant slab hash (the [`Symmetric] one). *)
 
 val is_halted : 'a t -> int -> bool
 val is_decided : 'a t -> int -> bool
@@ -70,7 +59,8 @@ val decisions : 'a t -> 'a list
 val slab_copy : 'a t -> into:int array -> unit
 (** Copy the whole slab (object vids then sids) into [into], which must
     have length [n_objs + n_procs]: the transposition-key fill of the
-    [`Exact] flat search is this one blit. *)
+    flat search is this one blit (plus a sort of the sid slice under
+    [`Symmetric]). *)
 
 val clone : 'a t -> 'a t
 (** Independent copy sharing the intern table: one array copy + one
@@ -81,13 +71,12 @@ val blit : src:'a t -> dst:'a t -> unit
     allocation-free per-run reset. *)
 
 val write_obj : 'a t -> int -> int -> unit
-(** [write_obj t i vid] sets object [i]'s value id, maintaining both
-    hashes.  Writes are self-inverse: writing the old id back restores
-    the hashes exactly. *)
+(** [write_obj t i vid] sets object [i]'s value id.  Writes are
+    self-inverse: writing the old id back restores the slab exactly. *)
 
 val write_sid : 'a t -> int -> int -> unit
-(** [write_sid t p sid] sets process [p]'s state id, maintaining both
-    hashes; does NOT touch the enabled count (see {!note_decided}). *)
+(** [write_sid t p sid] sets process [p]'s state id; does NOT touch the
+    enabled count (see {!note_decided}). *)
 
 val halt : 'a t -> int -> unit
 (** Crash process [p] in place (idempotent). *)

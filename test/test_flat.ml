@@ -63,7 +63,7 @@ let test_search_registry_differential () =
         dedups)
     Registry.all
 
-(* The key-immutability regression (the arena table snapshots keys on
+(* The key-immutability regression (the packed table copies keys on
    insert; closure keys share arrays only with persistent configs).
    Searching the same physical configuration flat-then-closure-again
    must leave the configuration untouched and reproduce the first
