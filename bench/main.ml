@@ -13,9 +13,9 @@
       check).  Run with `--bench` (also included in a default full run).
 
    3. The parallel-speedup scenario (`--par-bench`): wall-clock time of
-      the general attack sweep, the attack seed sweep, and the
-      partitioned model-checking frontier at 1, 2 and 4 domains, with a
-      column asserting that every jobs count produced identical results.
+      the general attack sweep and the attack seed sweep sequentially
+      and at 2 and 4 domains, with a column asserting that every jobs
+      count produced identical results.
       `--jobs N` runs the experiment harness itself on a pool of N
       domains (0 = one per core).
 *)
@@ -211,39 +211,6 @@ let par_bench () =
                      ( Sim.Trace.steps o.Lowerbound.Attack.trace,
                        Lowerbound.Attack.succeeded o )
                | Error e -> Error (Lowerbound.Attack.error_to_string e) )));
-  (* partitioned model-checking frontier: few but heavy subtree tasks *)
-  add_scenario table "mc-frontier-fa-n3" (fun pool ->
-      let config =
-        Consensus.Protocol.initial_config Consensus.Fa_consensus.protocol
-          ~inputs:[ 0; 1; 1 ]
-      in
-      let r =
-        Mc.Explore.search_par ?pool ~max_depth:15 ~max_states:8_000_000
-          ~inputs:[ 0; 1 ] config
-      in
-      ( r.Mc.Explore.visited,
-        r.Mc.Explore.leaves,
-        r.Mc.Explore.truncated,
-        r.Mc.Explore.max_depth_seen,
-        r.Mc.Explore.violation = None ));
-  (* the same frontier under a binding node budget: the speculative
-     validation fold must keep the governed result — counters and
-     completeness verdict alike — bit-identical across jobs counts *)
-  add_scenario table "mc-frontier-fa-n3-budget-200k" (fun pool ->
-      let config =
-        Consensus.Protocol.initial_config Consensus.Fa_consensus.protocol
-          ~inputs:[ 0; 1; 1 ]
-      in
-      let r =
-        Mc.Explore.search_par ?pool
-          ~budget:(Robust.Budget.make ~nodes:200_000 ())
-          ~max_depth:15 ~max_states:8_000_000 ~inputs:[ 0; 1 ] config
-      in
-      ( r.Mc.Explore.visited,
-        r.Mc.Explore.leaves,
-        Robust.Budget.completeness_to_string r.Mc.Explore.completeness,
-        r.Mc.Explore.max_depth_seen,
-        r.Mc.Explore.violation = None ));
   Stats.Table.print table
 
 (* --- transposition-table benchmark: nodes and wall-clock per dedup mode - *)
@@ -332,104 +299,6 @@ let mc_bench_rows () =
    BENCH_*.json — they only diff against it. *)
 let mc_smoke_scenarios = [ "coin-rw-r2-n2"; "cas-n2-mixed" ]
 let fuzz_smoke_scenarios = [ "flawed"; "cas-1" ]
-
-(* --- sharded out-of-core rows: the deep sweep again, but through
-   [Mc.Shard] at 1/2/8 shards with a table budget small enough that the
-   hot tier must spill to disk.  The row is a differential: the verdict
-   (and, since the reference is the same symmetric dedup, the
-   completeness) must equal the in-memory sequential run's — any
-   disagreement, or a budget that failed to force spills, is a hard
-   exit, same as the engine-mismatch checks above. *)
-let mc_shard_bench () =
-  let name = "rw-3n-n7-deep" in
-  let p = Consensus.Rw_consensus.protocol in
-  let inputs = [ 0; 0; 0; 0; 0; 0; 0 ] in
-  let max_depth = 12 in
-  let budget_bytes = 64 * 1024 in
-  let config () = Consensus.Protocol.initial_config p ~inputs in
-  let reference, ref_secs =
-    wall (fun () ->
-        Mc.Explore.search ~dedup:`Symmetric ~max_depth ~inputs (config ()))
-  in
-  let table =
-    Stats.Table.create
-      ~header:
-        [
-          "scenario";
-          "shards";
-          "jobs";
-          "mem budget";
-          "visited";
-          "spills";
-          "disk recs";
-          "steals";
-          "seconds";
-          "vs seq";
-          "verdict";
-        ]
-  in
-  let tmp_root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "randsync-bench-dtbl-%d" (Unix.getpid ()))
-  in
-  let rows =
-    List.map
-      (fun shards ->
-        let obs = Obs.create () in
-        let dir = Filename.concat tmp_root (string_of_int shards) in
-        let r, secs =
-          wall (fun () ->
-              Mc.Shard.search ~obs ~jobs:2 ~shards ~dedup:`Symmetric ~max_depth
-                ~table_dir:dir ~table_mem_budget:budget_bytes ~inputs
-                (config ()))
-        in
-        let m = Obs.metrics obs in
-        let spills = Obs.Metrics.counter m "mc/dtbl/spills" in
-        let disk_records = Obs.Metrics.counter m "mc/dtbl/disk-records" in
-        let steals = Obs.Metrics.counter m "mc/shard/steals" in
-        if
-          violation_name r <> violation_name reference
-          || r.Mc.Explore.truncated <> reference.Mc.Explore.truncated
-        then begin
-          Printf.eprintf
-            "mc-bench: SHARD VERDICT MISMATCH on %s at %d shards: %s/%b vs \
-             sequential %s/%b\n"
-            name shards (violation_name r) r.Mc.Explore.truncated
-            (violation_name reference) reference.Mc.Explore.truncated;
-          exit 1
-        end;
-        if spills = 0 then begin
-          Printf.eprintf
-            "mc-bench: %s at %d shards: %d-byte table budget failed to force \
-             spills\n"
-            name shards budget_bytes;
-          exit 1
-        end;
-        Stats.Table.add_row table
-          [
-            name;
-            string_of_int shards;
-            "2";
-            string_of_int budget_bytes;
-            string_of_int r.Mc.Explore.visited;
-            string_of_int spills;
-            string_of_int disk_records;
-            string_of_int steals;
-            Printf.sprintf "%.4f" secs;
-            Printf.sprintf "%.2fx" (ref_secs /. Float.max secs 1e-9);
-            violation_name r;
-          ];
-        Printf.sprintf
-          {|    { "scenario": %S, "shards": %d, "jobs": 2, "table_mem_budget": %d, "visited": %d, "spills": %d, "disk_records": %d, "steals": %d, "seconds": %.6f, "seconds_sequential": %.6f, "verdict": %S, "truncated": %b }|}
-          name shards budget_bytes r.Mc.Explore.visited spills disk_records
-          steals secs ref_secs (violation_name r) r.Mc.Explore.truncated)
-      [ 1; 2; 8 ]
-  in
-  print_endline "\nsharded out-of-core (forced spills, verdict-checked):";
-  Stats.Table.print table;
-  rows
-
 
 let mc_bench ?(smoke = false) () =
   let table =
@@ -554,9 +423,6 @@ let mc_bench ?(smoke = false) () =
              (not smoke) || List.mem name mc_smoke_scenarios))
   in
   Stats.Table.print table;
-  (* smoke skips the sharded sweep: it rides on the deep scenario, which
-     smoke already excludes, and CI has a dedicated CLI shard-smoke step *)
-  let shard_rows = if smoke then [] else mc_shard_bench () in
   let json =
     Printf.sprintf
       {|{
@@ -565,14 +431,10 @@ let mc_bench ?(smoke = false) () =
   "engines_agree": true,
   "scenarios": [
 %s
-  ],
-  "sharded": [
-%s
   ]
 }
 |}
       (String.concat ",\n" json_scenarios)
-      (String.concat ",\n" shard_rows)
   in
   if smoke then print_endline "\n--smoke: BENCH_mc.json left untouched"
   else begin
@@ -588,7 +450,7 @@ let mc_bench ?(smoke = false) () =
 (* The claim under test: instrumenting a search with a disabled (null-sink)
    [Obs.t] costs ≲2% wall-clock on searches long enough for a percentage
    to mean anything.  The design makes this cheap by construction —
-   engines record counters once from the merged result, not per node — so
+   engines record counters once from the result, not per node — so
    the entire overhead is a fixed per-invocation constant (one span's
    [gettimeofday] pair plus ~10 hashtable writes, ≈0.5µs); the Δ/search
    column shows that constant directly, which is the honest number for

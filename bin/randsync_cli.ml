@@ -413,39 +413,9 @@ let attack_cmd =
 
 (* -------------------------------------------------------------------- mc *)
 
-(* "4194304", "4m", "4MiB", "512k", "1g" — binary multiples, for
-   --table-mem-budget *)
-let parse_bytes s =
-  let lower = String.lowercase_ascii (String.trim s) in
-  let split suffix mult =
-    if String.length lower > String.length suffix
-       && Filename.check_suffix lower suffix
-    then
-      Option.map
-        (fun n -> n * mult)
-        (int_of_string_opt
-           (String.sub lower 0 (String.length lower - String.length suffix)))
-    else None
-  in
-  let candidates =
-    [
-      split "kib" 1024;
-      split "mib" (1024 * 1024);
-      split "gib" (1024 * 1024 * 1024);
-      split "k" 1024;
-      split "m" (1024 * 1024);
-      split "g" (1024 * 1024 * 1024);
-      int_of_string_opt lower;
-    ]
-  in
-  match List.find_opt Option.is_some candidates with
-  | Some (Some n) when n > 0 -> Some n
-  | _ -> None
-
 let mc_cmd =
   let run name inputs depth max_states dedup max_nodes deadline
-      checkpoint checkpoint_every resume jobs shards table_mem_budget
-      table_dir metrics progress =
+      checkpoint checkpoint_every resume jobs metrics progress =
     match find_protocol name with
     | Error e ->
         prerr_endline e;
@@ -465,47 +435,8 @@ let mc_cmd =
                    "unknown --dedup %S (expected off | exact | symmetric)" s);
               exit Exit_code.bad_args
         in
-        (* sharded-tier flag surface: --table-* only make sense with
-           --shards, and a mem budget without a spill directory would be
-           silently inert — refuse loudly instead *)
-        (if shards = None && (table_dir <> None || table_mem_budget <> None)
-         then begin
-           prerr_endline "--table-dir/--table-mem-budget require --shards";
-           exit Exit_code.bad_args
-         end);
-        (if table_mem_budget <> None && table_dir = None then begin
-           prerr_endline
-             "--table-mem-budget requires --table-dir (a bounded hot cache \
-              needs somewhere to spill)";
-           exit Exit_code.bad_args
-         end);
-        (if shards <> None && (checkpoint <> None || resume <> None) then begin
-           prerr_endline
-             "--shards conflicts with --checkpoint/--resume (the sharded \
-              drain does not checkpoint)";
-           exit Exit_code.bad_args
-         end);
-        (match shards with
-        | Some n when n < 1 ->
-            prerr_endline "--shards must be >= 1";
-            exit Exit_code.bad_args
-        | _ -> ());
-        let table_mem_budget =
-          match table_mem_budget with
-          | None -> None
-          | Some s -> (
-              match parse_bytes s with
-              | Some n -> Some n
-              | None ->
-                  prerr_endline
-                    (Printf.sprintf
-                       "bad --table-mem-budget %S (expected bytes with an \
-                        optional k/m/g suffix, e.g. 4m)"
-                       s);
-                  exit Exit_code.bad_args)
-        in
-        (* the sharded branch below consumes --jobs without going
-           through with_jobs, so validate it up front either way *)
+        (* accepted and validated like every other --jobs, but there is
+           only one mc search and it is sequential *)
         validate_jobs jobs;
         let obs = make_obs metrics in
         let on_poll = progress_hook progress "mc" in
@@ -554,34 +485,10 @@ let mc_cmd =
             checkpoint
         in
         let config = Consensus.Protocol.initial_config p ~inputs in
-        let sequential_only = checkpoint <> None || resume <> None in
-        if sequential_only && jobs <> None then
-          prerr_endline
-            "note: --checkpoint/--resume force a sequential search; --jobs \
-             ignored";
         let result =
-          match shards with
-          | Some shards ->
-              (* sharded out-of-core tier: work-stealing drain, canonical
-                 routing, optional disk-backed tables; --jobs keeps the
-                 CLI convention (absent = 1 worker, 0 = one per core) *)
-              let jobs =
-                match jobs with None -> Some 1 | Some 0 -> None | Some n -> Some n
-              in
-              Mc.Shard.search ?obs ?jobs ?budget ~dedup ~max_depth:depth
-                ~max_states ?table_dir ?table_mem_budget ~shards ~inputs config
-          | None ->
-              with_jobs ?obs
-                (if sequential_only then None else jobs)
-                (fun pool ->
-                  match pool with
-                  | None ->
-                      Mc.Explore.search ?obs ?budget ~dedup ~max_depth:depth
-                        ~max_states ~checkpoint_every ?on_checkpoint
-                        ?resume:resume_state ~inputs config
-                  | Some pool ->
-                      Mc.Explore.search_par ?obs ~pool ?budget ~dedup
-                        ~max_depth:depth ~max_states ~inputs config)
+          Mc.Explore.search ?obs ?budget ~dedup ~max_depth:depth ~max_states
+            ~checkpoint_every ?on_checkpoint ?resume:resume_state ~inputs
+            config
         in
         (* rendered by the same function the serve daemon uses, so a
            served verdict is byte-identical by construction *)
@@ -590,16 +497,12 @@ let mc_cmd =
         let code = report.Serve.Job.status in
         dump_metrics obs
           ~extra:
-            ([
-               ("cmd", "mc");
-               ("protocol", name);
-               ("inputs", inputs_csv);
-               ("dedup", dedup_name);
-             ]
-            @
-            match shards with
-            | None -> []
-            | Some n -> [ ("shards", string_of_int n) ]);
+            [
+              ("cmd", "mc");
+              ("protocol", name);
+              ("inputs", inputs_csv);
+              ("dedup", dedup_name);
+            ];
         if code <> 0 then exit code
   in
   Cmd.v
@@ -627,8 +530,7 @@ let mc_cmd =
           & info [ "max-nodes" ] ~docv:"K"
               ~doc:
                 "Deterministic node budget: visit exactly the first K DFS \
-                 nodes (bit-identical under any --jobs), then report a \
-                 truncated verdict and exit 3.")
+                 nodes, then report a truncated verdict and exit 3.")
       $ deadline_arg
       $ Arg.(
           value
@@ -636,8 +538,7 @@ let mc_cmd =
           & info [ "checkpoint" ] ~docv:"FILE"
               ~doc:
                 "Periodically save the DFS frontier to FILE (atomic \
-                 replace), and once more if a budget trips.  Forces a \
-                 sequential search.")
+                 replace), and once more if a budget trips.")
       $ Arg.(
           value
           & opt int 50_000
@@ -650,35 +551,15 @@ let mc_cmd =
               ~doc:
                 "Resume a search from a checkpoint FILE; the stored \
                  scenario must match the protocol/inputs/depth/dedup given \
-                 here.  Forces a sequential search.")
-      $ jobs_arg
+                 here.")
       $ Arg.(
           value
           & opt (some int) None
-          & info [ "shards" ] ~docv:"S"
+          & info [ "jobs"; "j" ] ~docv:"N"
               ~doc:
-                "Use the sharded out-of-core engine: route work items to S \
-                 deques by canonical state hash, with work stealing across \
-                 --jobs domains.  Pins the same violation verdict and \
-                 witness as the in-memory engines (node counts match under \
-                 --dedup off); see DESIGN.md \xc2\xa74j.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "table-mem-budget" ] ~docv:"BYTES"
-              ~doc:
-                "Bound the in-memory transposition tier to roughly BYTES \
-                 (k/m/g suffixes allowed) across all shards, spilling to \
-                 --table-dir append-logs when it overflows.  Requires \
-                 --shards and --table-dir.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "table-dir" ] ~docv:"DIR"
-              ~doc:
-                "Directory for the disk-backed transposition-table logs \
-                 (shard-<k>.dtbl, versioned v1 records, crash-recoverable). \
-                 Created if missing.  Requires --shards.")
+                "Accepted for symmetry with the other subcommands and \
+                 validated (N >= 0), but mc runs one sequential search: \
+                 its output is the same for every N.")
       $ metrics_arg $ progress_arg)
 
 (* ------------------------------------------------------------------ fuzz *)

@@ -269,17 +269,12 @@ let dtree_solo_decisions ~style ~registers tree =
    tree/process-count this repo enumerates without ever truncating. *)
 let dtree_max_depth = 50
 
-let dtree_check_verdict ?obs ?pool ?budget ?(dedup = `Symmetric) ~style
-    ~registers (t0, t1) inputs =
+let dtree_check_verdict ?obs ?budget ?(dedup = `Symmetric) ~style ~registers
+    (t0, t1) inputs =
   let config = dtree_config ~style ~registers (t0, t1) inputs in
   let result =
-    match pool with
-    | None ->
-        Explore.search ?obs ?budget ~dedup ~max_depth:dtree_max_depth ~inputs
-          config
-    | Some pool ->
-        Explore.search_par ?obs ~pool ?budget ~dedup
-          ~max_depth:dtree_max_depth ~inputs config
+    Explore.search ?obs ?budget ~dedup ~max_depth:dtree_max_depth ~inputs
+      config
   in
   match result.violation with
   | Some v -> `Violating v.trace

@@ -139,7 +139,6 @@ val dtree_solo_decisions :
     exploration was exhaustive. *)
 val dtree_check_verdict :
   ?obs:Obs.t ->
-  ?pool:Par.Pool.t ->
   ?budget:Robust.Budget.t ->
   ?dedup:Explore.dedup ->
   style:Consensus.Dtree.style ->

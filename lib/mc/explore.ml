@@ -260,9 +260,7 @@ let search_from ~polls ~budget ~dedup ~max_depth ~max_states ~inputs config =
   (try go config [] (check_prefix ()) 0 with
   | Stop -> ()
   | Budget_stop r -> tripped := Some r);
-  (match (polls, meter) with
-  | Some acc, Some m -> acc := !acc + Robust.Budget.Meter.polls m
-  | _ -> ());
+  (match meter with Some m -> polls := Robust.Budget.Meter.polls m | None -> ());
   let completeness =
     match (!tripped, !first_reason) with
     | Some r, _ -> `Truncated r
@@ -316,9 +314,8 @@ let resumes_into (cursor : (int * int) array) on_path ~depth pid outcome =
    the slab (and with it the transposition key) is restored exactly.
    The root-to-node choice path lives in two depth-indexed int arrays, so
    the violation-free path allocates nothing per node; on a violation it
-   is replayed from [replay_root] by [witness] (after the caller's prefix
-   [rev_choices], which [search_par] subtree tasks pass), so the reported
-   trace and configuration are the referee's.
+   is replayed from [config] by [witness], so the reported trace and
+   configuration are the referee's.
 
    Table lookups go through one reused scratch key per search (the slab,
    with the sid slice insertion-sorted in place under [`Symmetric]),
@@ -344,11 +341,9 @@ let resumes_into (cursor : (int * int) array) on_path ~depth pid outcome =
    before the interruption; the table is not checkpointed), and
    [resumes_into] skips its children left of the path.  Under [`Off] the
    resumed run is bit-identical to an uninterrupted one (pinned by
-   [test_checkpoint]).  Checkpoints are taken relative to [config]; only
-   [search] (empty prefix) requests them. *)
+   [test_checkpoint]). *)
 let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
-    ~dedup ~max_depth ~max_states ~inputs ~replay_root ~rev_choices ~decisions
-    ~obs config =
+    ~dedup ~max_depth ~max_states ~inputs ~obs config =
   let resume = match resume with None -> Checkpoint.empty | Some s -> s in
   let visited = ref resume.Checkpoint.visited in
   let leaves = ref resume.Checkpoint.leaves in
@@ -528,10 +523,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
      its closure block: a search allocates no closure of its own for
      them *)
   and stop kind ~depth =
-    found :=
-      Some
-        (witness replay_root kind
-           (List.rev_append rev_choices (path_to path_pid path_out depth)));
+    found := Some (witness config kind (path_to path_pid path_out depth));
     raise Stop
   and checkpoint_at depth =
     {
@@ -544,11 +536,11 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
       path = path_to path_pid path_out depth;
     }
   in
-  (* the prefix's decisions (processes may decide without taking a single
-     step in this subtree) participate in the verdicts; also seeds the
-     distinct-decided-values accumulator for the incremental path checks *)
+  (* processes may be decided before any step: the root's decisions
+     participate in the verdicts, and seed the distinct-decided-values
+     accumulator for the incremental path checks *)
   let check_prefix () =
-    let values = List.sort_uniq compare decisions in
+    let values = List.sort_uniq compare (Config.decisions config) in
     if List.length values > 1 then stop `Inconsistent ~depth:0
     else if not (List.for_all (fun v -> List.mem v inputs) values) then
       stop `Invalid ~depth:0
@@ -561,9 +553,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
       tripped := Some r;
       (* the cursor node is uncounted, so this state resumes exactly there *)
       Option.iter (fun f -> f (checkpoint_at depth)) on_checkpoint);
-  (match (polls, meter) with
-  | Some acc, Some m -> acc := !acc + Robust.Budget.Meter.polls m
-  | _ -> ());
+  (match meter with Some m -> polls := Robust.Budget.Meter.polls m | None -> ());
   Option.iter
     (fun tbl ->
       Obs.add obs "mc/table-bytes" (Ptbl.bytes tbl);
@@ -609,227 +599,18 @@ let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
   let r =
     match state with
     | `Flat ->
-        search_from_flat ~polls:(Some polls) ~budget ~checkpoint_every
-          ~on_checkpoint ~resume ~dedup ~max_depth ~max_states ~inputs
-          ~replay_root:config ~rev_choices:[]
-          ~decisions:(Config.decisions config) ~obs config
+        search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint
+          ~resume ~dedup ~max_depth ~max_states ~inputs ~obs config
     | `Closure ->
         if Option.is_some on_checkpoint || Option.is_some resume then
           invalid_arg
             "Explore.search: the closure referee does not checkpoint or \
              resume";
-        search_from ~polls:(Some polls) ~budget ~dedup ~max_depth ~max_states
+        search_from ~polls ~budget ~dedup ~max_depth ~max_states
           ~inputs config
   in
   Obs.add obs "budget/polls" !polls;
   record_result obs r
-
-(* Partitioned search: the root's successor configurations — one task per
-   (enabled pid, coin outcome), in the sequential traversal order — are
-   explored as independent bounded DFS runs across the pool's domains,
-   and their [result] records merged in task order.
-
-   Merge semantics, field by field (root contributes the "1 +" / "+ 1"):
-   - [visited]   = 1 + sum of subtree visits;
-   - [leaves]    = sum of subtree leaves (the root itself is the only
-                   leaf when nothing is enabled, handled before
-                   partitioning);
-   - [max_depth_seen] = 1 + max over subtrees (each task measures depth
-                   relative to its subtree root, which sits at depth 1);
-   - [truncated] = any subtree truncated, or the merged visit count
-                   exceeds [max_states];
-   - [table_hits] = sum of subtree hits (with [~dedup] each task owns a
-                   private transposition table — domains share nothing —
-                   so the counts differ from the sequential [search]'s
-                   single shared table, deterministically);
-   - [violation] = the first violating subtree in task order; within a
-                   subtree the DFS finds its first violation in the same
-                   order as the sequential search, so the reported
-                   witness is exactly [search]'s.
-
-   The merge is a pure fold over deterministic per-task results, so the
-   outcome is bit-identical for any [?pool] (including [None]).  On
-   violation-free trees whose state budget is not the binding constraint,
-   every field except [table_hits] equals the sequential [search]'s under
-   [`Off] (pinned by the determinism test suite); when a violation exists,
-   [search] stops at first blood while the partitioned runs still finish
-   their subtrees, so the merged statistics deterministically cover more
-   of the tree.
-
-   Budgets: a *node* budget must stay bit-deterministic under any job
-   count, which a naive per-task split cannot deliver (how many nodes the
-   sequential run spends in subtree [i] depends on subtrees [0..i-1]).
-   The partitioned run therefore *speculates*: every task runs with the
-   full allowance in parallel, and a sequential validation fold then
-   replays the accounting of the sequential search — thread the remaining
-   allowance through the tasks in order; a task whose speculative result
-   could not have come from the sequential prefix (it visited more than
-   the allowance that remains, or it tripped) is re-run on the caller
-   with exactly the remaining allowance.  DFS is deterministic, so a
-   budgeted run visits precisely the first [k] preorder nodes of its
-   subtree — the re-run reproduces the sequential frontier bit for bit,
-   and tasks past a hard trip are discarded just as the sequential search
-   never reached them.  Wasted speculative work costs wall-clock only,
-   never affects the result.  Deadline/cancellation budgets make no
-   determinism promise; they are simply threaded into every task (which
-   shares the absolute deadline), and a set cancellation token
-   additionally stops the pool from claiming further chunks. *)
-let search_par ?obs ?pool ?budget ?(dedup = `Off) ?(max_depth = 60)
-    ?(max_states = 2_000_000) ~inputs config =
-  let budget_v =
-    match budget with None -> Robust.Budget.unlimited | Some b -> b
-  in
-  match budget_v.Robust.Budget.nodes with
-  | Some k when k <= 1 ->
-      (* not worth partitioning: the allowance barely covers the root;
-         [search] does its own span/recording *)
-      search ?obs ?budget ~dedup ~max_depth ~max_states ~inputs config
-  | node_allowance ->
-      Obs.span obs "mc/search" @@ fun () ->
-      (* one flat DFS from [start], reached from the root via the
-         reversed prefix [rev_choices] *)
-      let flat ~budget ~dedup ~max_depth ~rev_choices start =
-        search_from_flat ~polls:None ~budget ~checkpoint_every:max_int
-          ~on_checkpoint:None ~resume:None ~dedup ~max_depth ~max_states
-          ~inputs ~replay_root:config ~rev_choices
-          ~decisions:(Config.decisions start) ~obs:None start
-      in
-      let root = flat ~budget:None ~dedup:`Off ~max_depth:0 ~rev_choices:[] config in
-      if root.violation <> None || not (Config.exists_enabled config)
-         || max_depth = 0
-      then record_result obs root
-      else begin
-        let tasks =
-          List.concat_map
-            (fun pid ->
-              match config.Config.procs.(pid) with
-              | Proc.Decide _ -> []
-              | Proc.Apply _ -> [ (pid, 0) ]
-              | Proc.Choose { n; _ } ->
-                  List.init n (fun outcome -> (pid, outcome)))
-            (Config.enabled_pids config)
-        in
-        let explore_subtree ~budget (pid, outcome) =
-          (* each task flattens its own slab over a private intern table
-             (domains share nothing), created inside the task thunk *)
-          let config' = Run.step_quiet config ~pid ~coin:(fun _ -> outcome) in
-          flat ~budget ~dedup ~max_depth:(max_depth - 1)
-            ~rev_choices:[ (pid, outcome) ] config'
-        in
-        let task_budget =
-          if Robust.Budget.is_unlimited budget_v then None else Some budget_v
-        in
-        let hard_trip r =
-          match r.completeness with
-          | `Truncated ((`Nodes | `Deadline | `Cancelled) as reason) ->
-              Some reason
-          | `Truncated (`Depth | `States | `Steps) | `Exhaustive -> None
-        in
-        (* cancelled-before-running placeholder for skipped pool slots *)
-        let skipped =
-          {
-            violation = None;
-            visited = 0;
-            leaves = 0;
-            truncated = true;
-            completeness = `Truncated `Cancelled;
-            max_depth_seen = 0;
-            table_hits = 0;
-            table_misses = 0;
-          }
-        in
-        (* Timings travel back with the task results and are observed by
-           the caller after the barrier, in task order: worker domains
-           never touch the (single-domain) metrics accumulator, and the
-           wall-clock reads are skipped entirely when nobody is looking. *)
-        let run_task t =
-          match obs with
-          | None -> (explore_subtree ~budget:task_budget t, 0.)
-          | Some _ ->
-              let t0 = Unix.gettimeofday () in
-              let r = explore_subtree ~budget:task_budget t in
-              (r, Unix.gettimeofday () -. t0)
-        in
-        let timed_speculative =
-          match budget_v.Robust.Budget.cancel with
-          | Some cancel ->
-              List.map
-                (function Some p -> p | None -> (skipped, 0.))
-                (Par.map_cancellable ?pool ~cancel run_task tasks)
-          | None -> Par.map ?pool run_task tasks
-        in
-        if obs <> None then
-          List.iter
-            (fun (_, dt) -> Obs.observe obs "mc/subtree-seconds" dt)
-            timed_speculative;
-        let speculative = List.map fst timed_speculative in
-        (* Sequential validation in task order.  Unmetered ([remaining =
-           None], i.e. no node allowance): keep every speculative result —
-           the legacy merge, where a violation run's statistics cover more
-           of the tree than the early-stopping sequential search.  Metered:
-           keep exactly the prefix of results the sequential search would
-           have produced, re-running on the caller any task whose
-           speculative result could not be the sequential one. *)
-        let rec validate acc remaining = function
-          | [] -> List.rev acc
-          | (task, r) :: rest -> (
-              match remaining with
-              | None -> validate (r :: acc) None rest
-              | Some rem ->
-                  let r =
-                    if hard_trip r <> None || r.visited > rem then
-                      explore_subtree
-                        ~budget:(Some (Robust.Budget.with_nodes budget_v rem))
-                        task
-                    else r
-                  in
-                  if r.violation <> None || hard_trip r <> None then
-                    List.rev (r :: acc)
-                  else validate (r :: acc) (Some (rem - r.visited)) rest)
-        in
-        let subtrees =
-          validate []
-            (Option.map (fun k -> k - 1 (* the root *)) node_allowance)
-            (List.combine tasks speculative)
-        in
-        let visited =
-          List.fold_left (fun acc r -> acc + r.visited) 1 subtrees
-        in
-        let completeness =
-          (* same precedence as the sequential search: a budget trip in
-             any accepted subtree (validation keeps at most one, as its
-             last element) dominates; otherwise the first structural
-             reason in task order precedes the whole-run state cap *)
-          match List.find_map hard_trip subtrees with
-          | Some r -> `Truncated r
-          | None ->
-              let structural =
-                List.fold_left
-                  (fun acc r -> Robust.Budget.merge acc r.completeness)
-                  `Exhaustive subtrees
-              in
-              if structural <> `Exhaustive then structural
-              else if visited > max_states then `Truncated `States
-              else `Exhaustive
-        in
-        record_result obs
-          {
-            violation = List.find_map (fun r -> r.violation) subtrees;
-            visited;
-            leaves = List.fold_left (fun acc r -> acc + r.leaves) 0 subtrees;
-            truncated = completeness <> `Exhaustive;
-            completeness;
-            max_depth_seen =
-              List.fold_left
-                (fun acc r ->
-                  if r.visited > 0 then max acc (1 + r.max_depth_seen) else acc)
-                0 subtrees;
-            table_hits =
-              List.fold_left (fun acc r -> acc + r.table_hits) 0 subtrees;
-            table_misses =
-              List.fold_left (fun acc r -> acc + r.table_misses) 0 subtrees;
-          }
-      end
 
 (* First terminating solo decision of [pid], searching coin outcomes.
    Cheap probe used to seed [decidable_values]: a solo run that decides

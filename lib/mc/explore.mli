@@ -120,52 +120,6 @@ val search :
   'a Config.t ->
   'a result
 
-(** Partitioned frontier search: the root's successor configurations are
-    explored as independent bounded DFS tasks across [?pool]'s domains
-    and the per-subtree [result] records merged in the sequential
-    traversal order.  The merge is deterministic — bit-identical for any
-    [?pool], including [None] — and on violation-free trees whose state
-    budget does not bind, every field equals the sequential [search]'s
-    under [`Off].  With [~dedup] each subtree task owns a private
-    transposition table (nothing is shared across domains), so the node
-    counts differ from the sequential search's shared-table run —
-    deterministically — while the violation verdict and witness stay
-    identical.  A reported violation is always the same witness [search]
-    finds; in that case [search] stops early while the partitioned
-    subtrees run to completion, so the merged statistics deterministically
-    cover more of the tree.
-
-    [?budget] node allowances remain {e bit-deterministic under any job
-    count} and equal to the sequential [search ~budget] field for field:
-    subtree tasks speculate with the full allowance and a sequential
-    validation fold re-runs (with the exact remaining allowance) any task
-    whose speculative result the sequential search could not have
-    produced — see DESIGN.md §4d.  Deadline/cancellation budgets are
-    best-effort: every task shares the absolute deadline, a set
-    cancellation token additionally stops the pool claiming chunks, and
-    skipped tasks are merged as zero-node [`Truncated `Cancelled]
-    subtrees.
-
-    [?obs]: same counters as [search] except the table-size pair,
-    recorded from the {e merged} result so their values are
-    jobs-invariant; additionally each
-    speculative subtree's wall-clock is observed into the
-    ["mc/subtree-seconds"] histogram, in task order, on the calling
-    domain (worker domains never touch the metrics — timings travel back
-    with the task results).  ["budget/polls"] is not recorded here: the
-    per-task meters' poll counts depend on speculation, which is
-    jobs-variant by construction. *)
-val search_par :
-  ?obs:Obs.t ->
-  ?pool:Par.Pool.t ->
-  ?budget:Robust.Budget.t ->
-  ?dedup:dedup ->
-  ?max_depth:int ->
-  ?max_states:int ->
-  inputs:'a list ->
-  'a Config.t ->
-  'a result
-
 (** Record a result's counters into [?obs] (["mc/visited"],
     ["mc/leaves"], ["mc/table-hits"], ["mc/table-misses"], the
     ["mc/max-depth"] watermark and the ["mc/truncated/<reason>"]

@@ -1,9 +1,9 @@
 (* Fingerprint-sharded, disk-backed frontier exploration (DESIGN.md §4j).
+   No CLI or serve path reaches it; it is kept for the repository
+   benchmark only.
 
-   [Explore.search_par] partitions only at the root: each subtree task is
-   a private sequential DFS, which preserves bit-determinism but cannot
-   share dedup work across domains and keeps every transposition table in
-   RAM.  This engine trades the determinism of that tier for scale:
+   The sequential [Explore.search] is one domain and one in-memory
+   transposition table.  This engine trades its determinism for scale:
 
    - the frontier is a set of work items (root-to-node choice paths, the
      same currency as the checkpoint codec), routed to [shards] deques by
@@ -55,8 +55,9 @@
    Budgets: deadlines/cancellation are polled per item on per-worker
    meters; a node budget is enforced against one global counter.  Both
    stop the drain at a schedule-dependent frontier — the sharded tier
-   makes no bit-determinism promise for truncated runs (that is
-   [Explore.search_par]'s contract, which stays intact).  A trip mid-run
+   makes no bit-determinism promise for truncated runs (the sequential
+   [Explore.search] does: a node budget visits exactly the first k
+   preorder nodes).  A trip mid-run
    flushes and closes every shard's disk table ([Dtbl] appends whole
    records and syncs on spill), so the logs a deadline leaves behind
    reopen cleanly. *)

@@ -1,5 +1,6 @@
 (** Fingerprint-sharded, disk-backed frontier exploration — the
-    out-of-core tier of the model checker (DESIGN.md §4j).
+    out-of-core tier of the model checker (DESIGN.md §4j), reachable from
+    no CLI or serve path and kept for the repository benchmark only.
 
     [search ~shards] explores the same bounded adversary tree as
     [Explore.search], but as a work-stealing drain over [shards] deques
@@ -29,8 +30,8 @@
 
     Budgets: deadline/cancel are polled per work item; a node budget is
     enforced against a global counter.  Truncated sharded runs make no
-    bit-determinism promise (that contract belongs to the in-memory
-    [Explore.search_par], which is untouched).  Any trip still flushes
+    bit-determinism promise (that contract belongs to the sequential
+    [Explore.search]).  Any trip still flushes
     and closes every shard's log, so the on-disk tables a deadline
     leaves behind reopen cleanly.
 

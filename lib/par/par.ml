@@ -1,6 +1,6 @@
 (* A small domain pool tuned for the workloads in this repo: batches of a
    few dozen to a few thousand coarse, pure tasks (one adversary
-   construction, one bounded DFS subtree, one experiment cell).
+   construction, one synth candidate, one experiment cell).
 
    Shape: [jobs - 1] persistent worker domains plus the submitting domain
    all drain the same batch.  A batch is an atomic cursor over task
@@ -32,7 +32,6 @@ module Pool = struct
     chunk : int;
     next : int Atomic.t;  (* the work queue: next unclaimed task index *)
     completed : int Atomic.t;
-    cancel : Robust.Cancel.t option;
   }
 
   (* Per-domain instrumentation slot.  Written only by its owning domain
@@ -81,32 +80,21 @@ module Pool = struct
     end
 
   (* Claim and run chunks until the batch cursor is exhausted.  Runs on
-     workers and on the submitting domain alike.  Cancellation is checked
-     once per claimed chunk: a set token makes the chunk a no-op, but the
-     cursor still advances and [completed] is still bumped, so the barrier
-     below fires exactly as in the uncancelled case — cancellation skips
-     work, it never skips bookkeeping. *)
+     workers and on the submitting domain alike. *)
   let drain t ~slot b =
-    let cancelled () =
-      match b.cancel with
-      | Some c -> Robust.Cancel.is_set c
-      | None -> false
-    in
     let instrumented = t.obs <> None in
     let rec loop () =
       let k = Atomic.fetch_and_add b.next b.chunk in
       if k < b.n then begin
         let hi = min b.n (k + b.chunk) in
-        let skip = cancelled () in
         if instrumented then begin
           let s = t.slots.(slot) in
           s.chunks <- s.chunks + 1;
-          if not skip then s.tasks <- s.tasks + (hi - k)
+          s.tasks <- s.tasks + (hi - k)
         end;
-        if not skip then
-          for i = k to hi - 1 do
-            b.body i
-          done;
+        for i = k to hi - 1 do
+          b.body i
+        done;
         ignore (Atomic.fetch_and_add b.completed (hi - k));
         loop ()
       end
@@ -155,38 +143,24 @@ module Pool = struct
     t
 
   (* [body] must not raise (enforced by [for_]'s wrapper). *)
-  let run_exn_free ?cancel t ~n body =
-    let cancelled () =
-      match cancel with Some c -> Robust.Cancel.is_set c | None -> false
-    in
+  let run_exn_free t ~n body =
     if n > 0 then begin
       if t.jobs = 1 || n = 1 || t.stopping then begin
         reset_slots t;
-        let ran = ref 0 in
         for i = 0 to n - 1 do
-          if not (cancelled ()) then begin
-            body i;
-            incr ran
-          end
+          body i
         done;
         if t.obs <> None then begin
           let s = t.slots.(0) in
           s.chunks <- 1;
-          s.tasks <- !ran
+          s.tasks <- n
         end;
         flush_slots t
       end
       else begin
         let chunk = max 1 (n / (t.jobs * 4)) in
         let b =
-          {
-            n;
-            body;
-            chunk;
-            next = Atomic.make 0;
-            completed = Atomic.make 0;
-            cancel;
-          }
+          { n; body; chunk; next = Atomic.make 0; completed = Atomic.make 0 }
         in
         reset_slots t;
         Mutex.lock t.mutex;
@@ -212,7 +186,7 @@ module Pool = struct
       end
     end
 
-  let for_ ?cancel t ~n body =
+  let for_ t ~n body =
     (* first failing task by index, so the surfaced exception matches a
        sequential left-to-right run no matter which domain hit it first *)
     let failure = Atomic.make None in
@@ -224,7 +198,7 @@ module Pool = struct
       if better && not (Atomic.compare_and_set failure seen (Some (i, exn, bt)))
       then record i exn bt
     in
-    run_exn_free ?cancel t ~n (fun i ->
+    run_exn_free t ~n (fun i ->
         try body i
         with exn -> record i exn (Printexc.get_raw_backtrace ()));
     match Atomic.get failure with
@@ -248,18 +222,15 @@ let with_pool ?jobs ?obs f =
   let pool = Pool.create ?jobs ?obs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-let for_tasks ?pool ?cancel ~n body =
+let for_tasks ?pool ~n body =
   match pool with
   | None ->
       (* sequential baseline: plain loop, exceptions propagate at the
          first failing index — exactly what [Pool.for_] reproduces *)
-      let cancelled () =
-        match cancel with Some c -> Robust.Cancel.is_set c | None -> false
-      in
       for i = 0 to n - 1 do
-        if not (cancelled ()) then body i
+        body i
       done
-  | Some p -> Pool.for_ ?cancel p ~n body
+  | Some p -> Pool.for_ p ~n body
 
 let mapi_array ?pool f xs =
   let n = Array.length xs in
@@ -277,16 +248,6 @@ let map ?pool f xs = mapi ?pool (fun _ x -> f x) xs
 let map_reduce ?pool ~map ~reduce ~init xs =
   let mapped = map_array ?pool map (Array.of_list xs) in
   Array.fold_left reduce init mapped
-
-(* Unlike [map], skipped tasks are representable here, so this is the one
-   combinator that may be handed a cancel token: a task whose chunk was
-   claimed after the token was set leaves [None] in its slot. *)
-let map_cancellable ?pool ~cancel f xs =
-  let arr = Array.of_list xs in
-  let out = Array.make (Array.length arr) None in
-  for_tasks ?pool ~cancel ~n:(Array.length arr) (fun i ->
-      out.(i) <- Some (f arr.(i)));
-  Array.to_list out
 
 let map_seeded ?pool ~seed f xs =
   let arr = Array.of_list xs in

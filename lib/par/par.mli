@@ -1,6 +1,6 @@
-(** Deterministic multicore execution for the search-shaped workloads in
-    this repo: adversarial attack sweeps, bounded model checking, and
-    experiment fan-out.
+(** Deterministic multicore execution for the batches of independent
+    searches in this repo: adversarial attack sweeps, fuzz runs, synth
+    candidates, and experiment fan-out.
 
     Two invariants govern everything here:
 
@@ -52,15 +52,8 @@ module Pool : sig
 
   (** [for_ t ~n body] runs [body i] for [0 <= i < n] across the pool and
       returns when all [n] tasks finished.  Exceptions are captured per
-      task and the lowest-indexed one is re-raised after the barrier.
-
-      [?cancel] is a cooperative kill switch, polled once per claimed
-      chunk: after the token is set, remaining chunks are skipped (their
-      tasks never run) but the barrier still completes normally and the
-      pool stays usable.  Which tasks ran is {e not} deterministic under
-      cancellation — only combinators whose result type can represent a
-      skipped task (see {!map_cancellable}) accept a token. *)
-  val for_ : ?cancel:Robust.Cancel.t -> t -> n:int -> (int -> unit) -> unit
+      task and the lowest-indexed one is re-raised after the barrier. *)
+  val for_ : t -> n:int -> (int -> unit) -> unit
 
   (** Stop and join the worker domains.  The pool degrades to sequential
       execution afterwards (it never deadlocks a late caller).  Safe to
@@ -92,20 +85,6 @@ val map_reduce :
   init:'acc ->
   'a list ->
   'acc
-
-(** [map_cancellable ?pool ~cancel f xs] is {!map} with a cooperative
-    kill switch: task [i]'s slot is [Some (f x_i)] if it ran, [None] if
-    its chunk was claimed after [cancel] was set.  With an unset token it
-    equals [List.map (fun x -> Some (f x)) xs]; once the token fires, the
-    [Some]/[None] split depends on scheduling and is {e not}
-    deterministic (cancellation is best-effort by design — see
-    DESIGN.md §4d). *)
-val map_cancellable :
-  ?pool:Pool.t ->
-  cancel:Robust.Cancel.t ->
-  ('a -> 'b) ->
-  'a list ->
-  'b option list
 
 (** [map_seeded ?pool ~seed f xs] gives task [i] its own generator, the
     [i]-th sequential split of [Rng.create seed], computed before

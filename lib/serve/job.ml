@@ -333,7 +333,7 @@ let make_budget ?nodes ?deadline ?cancel ?on_poll () =
   | None, None, None, None -> None
   | _ -> Some (Robust.Budget.make ?nodes ?deadline ?cancel ?on_poll ())
 
-let run_mc ?pool ?cancel ?on_poll ?checkpoint ~deadline (m : mc) =
+let run_mc ?cancel ?on_poll ?checkpoint ~deadline (m : mc) =
   match Consensus.Registry.find m.mc_protocol with
   | None ->
       {
@@ -375,20 +375,12 @@ let run_mc ?pool ?cancel ?on_poll ?checkpoint ~deadline (m : mc) =
           checkpoint
       in
       let config = Consensus.Protocol.initial_config p ~inputs:m.mc_inputs in
-      let result =
-        match (pool, checkpoint) with
-        | Some pool, None ->
-            Mc.Explore.search_par ~pool ?budget ~dedup:m.mc_dedup
-              ~max_depth:m.mc_depth ~max_states:m.mc_max_states
-              ~inputs:m.mc_inputs config
-        | _ ->
-            Mc.Explore.search ?budget ~dedup:m.mc_dedup ~max_depth:m.mc_depth
-              ~max_states:m.mc_max_states ?on_checkpoint ?resume
-              ~inputs:m.mc_inputs config
-      in
-      mc_report result
+      mc_report
+        (Mc.Explore.search ?budget ~dedup:m.mc_dedup ~max_depth:m.mc_depth
+           ~max_states:m.mc_max_states ?on_checkpoint ?resume
+           ~inputs:m.mc_inputs config)
 
-let run_fuzz ?pool ?cancel ?on_poll ~deadline (f : fuzz) =
+let run_fuzz ?cancel ?on_poll ~deadline (f : fuzz) =
   match
     Fuzz.Scenario.find ?inputs:f.fz_inputs ~engine:f.fz_engine f.fz_scenario
   with
@@ -398,7 +390,7 @@ let run_fuzz ?pool ?cancel ?on_poll ~deadline (f : fuzz) =
         make_budget ?nodes:f.fz_max_runs ?deadline ?cancel ?on_poll ()
       in
       let result =
-        Fuzz.Campaign.run ?pool ?budget ~shrink:f.fz_shrink
+        Fuzz.Campaign.run ?budget ~shrink:f.fz_shrink
           ~max_candidates:f.fz_max_candidates ~runs:f.fz_runs ~seed:f.fz_seed
           sc
       in
@@ -406,7 +398,7 @@ let run_fuzz ?pool ?cancel ?on_poll ~deadline (f : fuzz) =
 
 let checker_verdict v = Format.asprintf "%a" Sim.Checker.pp v
 
-let run_attack ?pool ?cancel ?on_poll ~deadline (a : attack) =
+let run_attack ?cancel ?on_poll ~deadline (a : attack) =
   match Consensus.Registry.find a.at_protocol with
   | None ->
       {
@@ -461,7 +453,7 @@ let run_attack ?pool ?cancel ?on_poll ~deadline (a : attack) =
           if a.at_seeds <= 0 then Lowerbound.Attack.run p
           else begin
             let sweep =
-              Lowerbound.Attack.seed_sweep ?pool
+              Lowerbound.Attack.seed_sweep
                 ~seeds:(List.init a.at_seeds (fun i -> i + 1))
                 p
             in
@@ -505,15 +497,15 @@ let run_attack ?pool ?cancel ?on_poll ~deadline (a : attack) =
             else { status = 0; lines = head }
       end
 
-let execute ?pool ?cancel ?on_poll ?checkpoint t =
+let execute ?cancel ?on_poll ?checkpoint t =
   (* the spec carries a relative budget; Budget deadlines are absolute
      gettimeofday instants *)
   let deadline = Option.map (fun d -> Unix.gettimeofday () +. d) t.deadline in
   try
     match t.spec with
-    | Mc m -> run_mc ?pool ?cancel ?on_poll ?checkpoint ~deadline m
-    | Fuzz f -> run_fuzz ?pool ?cancel ?on_poll ~deadline f
-    | Attack a -> run_attack ?pool ?cancel ?on_poll ~deadline a
+    | Mc m -> run_mc ?cancel ?on_poll ?checkpoint ~deadline m
+    | Fuzz f -> run_fuzz ?cancel ?on_poll ~deadline f
+    | Attack a -> run_attack ?cancel ?on_poll ~deadline a
   with exn ->
     (* a job must never take a worker down with it *)
     {

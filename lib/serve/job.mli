@@ -11,10 +11,10 @@
     report functions the CLI's [mc]/[fuzz] subcommands print through
     ({!mc_report}, {!fuzz_report}), so a job's verdict lines are
     byte-identical to a direct [randsync mc]/[randsync fuzz] run of the
-    same parameters — the chaos suite pins this.  Jobs run sequentially
-    (or on a caller-supplied pool); every engine/pool choice in the repo
-    is verdict-identical by the determinism contracts, so the identity
-    holds at any [--jobs].
+    same parameters — the chaos suite pins this.  An mc job runs the one
+    sequential search the CLI's [mc] runs, and fuzz/attack jobs are
+    jobs-invariant by their determinism contracts, so the identity holds
+    at any [--jobs].
 
     {b Statuses.}  [outcome.status] reuses the CLI exit-code contract
     verbatim (0 clean / 1 bad input / 2 violation / 3 truncated / 4
@@ -79,21 +79,20 @@ type outcome = { status : int; lines : string list }
 val outcome_to_json : id:int -> outcome -> Json.t
 val outcome_of_json : Json.t -> (int * outcome, string) result
 
-(** [execute ?pool ?cancel ?on_poll ?checkpoint job] runs the job to an
+(** [execute ?cancel ?on_poll ?checkpoint job] runs the job to an
     outcome.  [cancel] is the server's per-job kill switch (client
     cancel, client disconnect, drain); [on_poll] rides the budget's poll
     cadence (progress streaming).  [checkpoint] (mc jobs only) names a
-    file: the search then runs sequentially (on the same flat engine as
-    an uncheckpointed job), writes its cursor there periodically and at any budget trip, and — when the
-    file already holds a matching-stamp checkpoint and the job's dedup
-    is [`Off] — resumes from it, shrinking any node allowance by the
+    file: the search (the same one an uncheckpointed job runs) then
+    writes its cursor there periodically and at any budget trip, and —
+    when the file already holds a matching-stamp checkpoint and the job's
+    dedup is [`Off] — resumes from it, shrinking any node allowance by the
     nodes already visited so the resumed run reproduces the
     uninterrupted one's frontier exactly.  Never raises: unknown
     protocols/scenarios return [status = 1] outcomes, unexpected
     exceptions are caught and reported as [status = 1] with the
     exception text as the only line. *)
 val execute :
-  ?pool:Par.Pool.t ->
   ?cancel:Robust.Cancel.t ->
   ?on_poll:(nodes:int -> steps:int -> unit) ->
   ?checkpoint:string ->

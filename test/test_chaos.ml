@@ -1,6 +1,6 @@
 (* Chaos / fault-injection for the [Par] pool: raising tasks, slow
-   stragglers, cancellation before and during a batch, shutdown races and
-   create/shutdown churn — every case at 2 and at 8 domains.
+   stragglers, shutdown races and create/shutdown churn — every case at 2
+   and at 8 domains — plus a cancelled governed search.
 
    The two invariants under attack are exactly the pool's contract:
    no hangs (every barrier fires, every shutdown returns) and
@@ -100,63 +100,6 @@ let test_stragglers_preserve_order () =
   Alcotest.(check (list int)) "order preserved" (List.map (fun i -> i * i) xs)
     result
 
-(* ---- cancellation ---- *)
-
-let test_cancel_preset_skips_everything () =
-  for_each_jobs "pre-set cancel" @@ fun jobs ->
-  Par.with_pool ~jobs @@ fun pool ->
-  let cancel = Robust.Cancel.create () in
-  Robust.Cancel.set cancel;
-  let ran = Atomic.make 0 in
-  let result =
-    Par.map_cancellable ~pool ~cancel
-      (fun i ->
-        Atomic.incr ran;
-        i)
-      (List.init 500 Fun.id)
-  in
-  Alcotest.(check int) "no task ran" 0 (Atomic.get ran);
-  Alcotest.(check bool) "all slots None" true
-    (List.for_all (fun s -> s = None) result);
-  Alcotest.(check int) "length preserved" 500 (List.length result)
-
-let test_cancel_mid_batch () =
-  for_each_jobs "mid-batch cancel" @@ fun jobs ->
-  Par.with_pool ~jobs @@ fun pool ->
-  let n = 20_000 in
-  let cancel = Robust.Cancel.create () in
-  let result =
-    Par.map_cancellable ~pool ~cancel
-      (fun i ->
-        (* the first task fires the kill switch from inside the batch *)
-        if i = 0 then Robust.Cancel.set cancel;
-        i)
-      (List.init n Fun.id)
-  in
-  (* which tasks ran is scheduling-dependent; what is guaranteed: the
-     barrier fired (we are here), every slot is present, ran slots carry
-     their own value, and the task that set the token did run *)
-  Alcotest.(check int) "length preserved" n (List.length result);
-  List.iteri
-    (fun i -> function
-      | Some v -> Alcotest.(check int) "slot value" i v
-      | None -> ())
-    result;
-  Alcotest.(check bool) "task 0 ran" true (List.hd result = Some 0);
-  (* a cancelled batch must not poison the next one: fresh token, all run *)
-  let fresh = Robust.Cancel.create () in
-  let again = Par.map_cancellable ~pool ~cancel:fresh Fun.id [ 1; 2; 3 ] in
-  Alcotest.(check bool) "next batch unaffected" true
-    (again = [ Some 1; Some 2; Some 3 ])
-
-let test_cancel_unset_equals_map () =
-  for_each_jobs "unset cancel token" @@ fun jobs ->
-  Par.with_pool ~jobs @@ fun pool ->
-  let xs = List.init 200 Fun.id in
-  Alcotest.(check bool) "map_cancellable = map under unset token" true
-    (Par.map_cancellable ~pool ~cancel:(Robust.Cancel.create ()) succ xs
-    = List.map (fun x -> Some (succ x)) xs)
-
 (* ---- shutdown races ---- *)
 
 let test_concurrent_double_shutdown () =
@@ -212,9 +155,8 @@ let test_create_shutdown_churn () =
 
 (* ---- governed search under chaos ---- *)
 
-let test_search_par_cancelled_mid_run () =
-  for_each_jobs "search_par cancelled" @@ fun jobs ->
-  Par.with_pool ~jobs @@ fun pool ->
+let test_search_cancelled () =
+  with_watchdog "search cancelled" @@ fun () ->
   (* a pre-cancelled token: the search must return (no hang), carry a
      cancelled verdict, and never claim exhaustiveness *)
   let cancel = Robust.Cancel.create () in
@@ -224,7 +166,7 @@ let test_search_par_cancelled_mid_run () =
       ~inputs:[ 0; 1; 1 ]
   in
   let r =
-    Mc.Explore.search_par ~pool
+    Mc.Explore.search
       ~budget:(Robust.Budget.make ~cancel ())
       ~max_depth:20 ~inputs:[ 0; 1 ] config
   in
@@ -241,17 +183,11 @@ let suite =
     Alcotest.test_case "every task raises" `Quick test_every_task_raises;
     Alcotest.test_case "stragglers preserve order" `Quick
       test_stragglers_preserve_order;
-    Alcotest.test_case "pre-set cancel skips everything" `Quick
-      test_cancel_preset_skips_everything;
-    Alcotest.test_case "cancel mid-batch" `Quick test_cancel_mid_batch;
-    Alcotest.test_case "unset cancel = plain map" `Quick
-      test_cancel_unset_equals_map;
     Alcotest.test_case "concurrent double shutdown" `Quick
       test_concurrent_double_shutdown;
     Alcotest.test_case "shutdown during in-flight batch" `Quick
       test_shutdown_during_batch;
     Alcotest.test_case "create/shutdown churn" `Quick
       test_create_shutdown_churn;
-    Alcotest.test_case "search_par cancelled mid-run" `Quick
-      test_search_par_cancelled_mid_run;
+    Alcotest.test_case "search cancelled" `Quick test_search_cancelled;
   ]

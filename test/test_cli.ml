@@ -79,7 +79,7 @@ let test_budget_truncation () =
   Alcotest.(check bool) "truncated verdict printed" true
     (contains r.out "verdict: truncated (nodes)");
   Alcotest.(check int) "visited exactly the allowance" 200 (visited_of r);
-  (* the node budget stays bit-deterministic under --jobs *)
+  (* --jobs does not move the node-budget frontier *)
   let r2 =
     run_cli
       [ "mc"; "counter-3"; "--inputs"; "0,1"; "--depth"; "12"; "--max-nodes";
@@ -215,26 +215,27 @@ let test_fuzz_progress_exit_code () =
     (run_cli
        [ "fuzz"; "lin-collect-counter"; "--runs"; "300"; "--seed"; "42" ])
 
+(* A counter's value in a --metrics dump.  Zero-valued counters are
+   omitted, so a missing name reads as 0. *)
+let counter_of_metrics path name =
+  let ic = open_in path in
+  let prefix =
+    Printf.sprintf {|{"type":"counter","name":"%s","value":|} name
+  in
+  let plen = String.length prefix in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file -> acc
+    | line ->
+        if String.length line > plen && String.sub line 0 plen = prefix then
+          go (int_of_string (String.sub line plen (String.length line - plen - 1)))
+        else go acc
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go 0)
+
 let test_metrics_and_progress () =
   (* --metrics writes line-JSON whose counters equal the stdout numbers;
-     the dump happens before the process exits, violation or not.
-     Zero-valued counters are omitted, so a missing name reads as 0. *)
-  let counter_of_metrics path name =
-    let ic = open_in path in
-    let prefix =
-      Printf.sprintf {|{"type":"counter","name":"%s","value":|} name
-    in
-    let plen = String.length prefix in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file -> acc
-      | line ->
-          if String.length line > plen && String.sub line 0 plen = prefix then
-            go (int_of_string (String.sub line plen (String.length line - plen - 1)))
-          else go acc
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go 0)
-  in
+     the dump happens before the process exits, violation or not. *)
   let path = Filename.temp_file "randsync-cli" ".metrics" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -245,7 +246,7 @@ let test_metrics_and_progress () =
       Alcotest.(check int) "mc/visited counter = stdout visited"
         (visited_of r)
         (counter_of_metrics path "mc/visited");
-      (* same contract under --jobs: counters come from the merged result *)
+      (* same contract under --jobs: it is the same search *)
       let r2 = run_cli (scenario @ [ "--metrics"; path; "--jobs"; "2" ]) in
       check_code "mc --jobs 2 with --metrics" 0 r2;
       Alcotest.(check int) "jobs-invariant visited counter" (visited_of r)
@@ -270,6 +271,42 @@ let test_metrics_and_progress () =
       check_code "mc with --progress" 0 p;
       Alcotest.(check bool) "heartbeat line printed" true
         (contains p.out "mc: nodes="))
+
+(* mc runs one sequential search whatever --jobs says: stdout, exit code
+   and the engine counters of a --jobs run equal the plain run's.  Both
+   instances dedup, where a search with per-subtree tables would visit
+   more nodes than the one shared-table DFS. *)
+let test_mc_jobs_invariance () =
+  let path = Filename.temp_file "randsync-cli-jobs" ".metrics" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let observe args =
+        let r = run_cli (args @ [ "--metrics"; path ]) in
+        ( r,
+          List.map (counter_of_metrics path)
+            [ "mc/visited"; "mc/table-hits"; "mc/table-misses" ] )
+      in
+      List.iter
+        (fun scenario ->
+          let plain, plain_counters = observe scenario in
+          check_code "plain run" 0 plain;
+          List.iter
+            (fun jobs ->
+              let label = Printf.sprintf "%s --jobs %s" (List.nth scenario 1) jobs in
+              let r, counters = observe (scenario @ [ "--jobs"; jobs ]) in
+              Alcotest.(check int) (label ^ ": exit code") plain.code r.code;
+              Alcotest.(check string) (label ^ ": stdout") plain.out r.out;
+              Alcotest.(check (list int))
+                (label ^ ": visited/table-hits/table-misses")
+                plain_counters counters)
+            [ "1"; "2"; "8" ])
+        [
+          [ "mc"; "counter-3"; "--inputs"; "0,1,0"; "--depth"; "16";
+            "--dedup"; "exact" ];
+          [ "mc"; "rw-3n"; "--inputs"; "0,0,0"; "--depth"; "14"; "--dedup";
+            "symmetric" ];
+        ])
 
 (* checkpointing runs the same engine as a plain run: asking for
    checkpoints, periodic ones included, changes nothing on stdout *)
@@ -351,17 +388,7 @@ let test_numeric_validation () =
     "--runs must be >= 1";
   refused "submit --attempts=0"
     [ "submit"; "--socket"; "/nonexistent.sock"; "--attempts=0"; "--ping" ]
-    "--attempts must be >= 1";
-  (* --table-mem-budget: degenerate sizes were already refused; pin it *)
-  refused "mc --table-mem-budget 0"
-    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--table-mem-budget"; "0" ]
-    "--table-mem-budget";
-  refused "mc --table-mem-budget 0k"
-    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--table-mem-budget"; "0k" ]
-    "--table-mem-budget";
-  refused "mc --table-mem-budget k"
-    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--table-mem-budget"; "k" ]
-    "--table-mem-budget"
+    "--attempts must be >= 1"
 
 (* the synth subcommand's exit-code and output contract *)
 let test_synth_subcommand () =
@@ -422,6 +449,8 @@ let suite =
       test_sigterm_dumps_metrics;
     Alcotest.test_case "--metrics and --progress" `Quick
       test_metrics_and_progress;
+    Alcotest.test_case "mc stdout same at any --jobs" `Quick
+      test_mc_jobs_invariance;
     Alcotest.test_case "fuzz finds and shrinks flawed" `Quick
       test_fuzz_subcommand;
     Alcotest.test_case "fuzz exit codes" `Quick test_fuzz_exit_codes;

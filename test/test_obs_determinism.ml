@@ -1,8 +1,9 @@
-(* Instrumentation must not perturb determinism: search_par and fuzz
-   campaigns run with a metrics-enabled handle (in-memory sink) under
-   jobs 1 and 2 — the results stay bit-identical and the merged engine
-   counters (the ["mc/"] and ["fuzz/"] families) are jobs-invariant and
-   equal to the result fields they mirror.  The ["par/"] counters
+(* Instrumentation must not perturb determinism: a metrics-enabled
+   search (in-memory sink) returns the bare search's result and records
+   the ["mc/"] counters as the result fields verbatim, and fuzz campaigns
+   run under jobs 1 and 2 stay bit-identical with jobs-invariant merged
+   engine counters (the ["fuzz/"] family) equal to the tallies they
+   mirror.  The ["par/"] counters
    describe scheduling (chunks per domain, batches) and are jobs-variant
    by nature, so they are filtered out before comparison — the point of
    the per-domain-slot design is precisely that their variance never
@@ -17,7 +18,7 @@ let engine_counters obs =
 
 let counter obs name = Obs.Metrics.counter (Obs.metrics obs) name
 
-(* ---- search_par ---- *)
+(* ---- search ---- *)
 
 let project_result (r : _ Mc.Explore.result) =
   ( (match r.violation with
@@ -31,58 +32,37 @@ let project_result (r : _ Mc.Explore.result) =
     r.table_hits,
     r.table_misses )
 
-let run_search jobs =
+let test_search_metrics_are_result_fields () =
   let obs = Obs.create ~sink:(Obs.Sink.memory ()) () in
-  let config =
-    Protocol.initial_config Cas_consensus.protocol ~inputs:[ 0; 1; 1 ]
-  in
   let r =
-    Par.with_pool ~jobs ~obs (fun pool ->
-        Mc.Explore.search_par ~obs ~pool ~dedup:`Exact ~max_depth:12
-          ~inputs:[ 0; 1 ] config)
+    Mc.Explore.search ~obs ~dedup:`Exact ~max_depth:12 ~inputs:[ 0; 1 ]
+      (Protocol.initial_config Cas_consensus.protocol ~inputs:[ 0; 1; 1 ])
   in
-  (r, obs)
+  Alcotest.(check int) "mc/visited = visited" r.Mc.Explore.visited
+    (counter obs "mc/visited");
+  Alcotest.(check int) "mc/leaves = leaves" r.Mc.Explore.leaves
+    (counter obs "mc/leaves");
+  Alcotest.(check int) "mc/table-hits = table_hits" r.Mc.Explore.table_hits
+    (counter obs "mc/table-hits");
+  Alcotest.(check int) "mc/table-misses = table_misses"
+    r.Mc.Explore.table_misses
+    (counter obs "mc/table-misses");
+  Alcotest.(check int) "mc/max-depth = max_depth_seen"
+    r.Mc.Explore.max_depth_seen
+    (Obs.Metrics.watermark (Obs.metrics obs) "mc/max-depth")
 
-let test_search_par_metrics_jobs_invariant () =
-  let r1, obs1 = run_search 1 in
-  let r2, obs2 = run_search 2 in
-  Alcotest.(check bool) "results bit-identical" true
-    (project_result r1 = project_result r2);
-  Alcotest.(check (list (pair string int)))
-    "engine counters jobs-invariant" (engine_counters obs1)
-    (engine_counters obs2);
-  Alcotest.(check (list (pair string int)))
-    "watermarks jobs-invariant"
-    (Obs.Metrics.watermarks (Obs.metrics obs1))
-    (Obs.Metrics.watermarks (Obs.metrics obs2));
-  (* the counters are the result fields, verbatim *)
-  List.iter
-    (fun (obs, r) ->
-      Alcotest.(check int) "mc/visited = visited" r.Mc.Explore.visited
-        (counter obs "mc/visited");
-      Alcotest.(check int) "mc/leaves = leaves" r.Mc.Explore.leaves
-        (counter obs "mc/leaves");
-      Alcotest.(check int) "mc/table-hits = table_hits"
-        r.Mc.Explore.table_hits (counter obs "mc/table-hits");
-      Alcotest.(check int) "mc/table-misses = table_misses"
-        r.Mc.Explore.table_misses (counter obs "mc/table-misses");
-      Alcotest.(check int) "mc/max-depth = max_depth_seen"
-        r.Mc.Explore.max_depth_seen
-        (Obs.Metrics.watermark (Obs.metrics obs) "mc/max-depth"))
-    [ (obs1, r1); (obs2, r2) ]
-
-let test_search_par_obs_does_not_change_result () =
+let test_search_obs_does_not_change_result () =
   (* the observer effect pin: with and without a handle, same answer *)
   let config () =
     Protocol.initial_config Counter_consensus.protocol ~inputs:[ 0; 1 ]
   in
   let bare =
-    project_result (Mc.Explore.search_par ~max_depth:9 ~inputs:[ 0; 1 ] (config ()))
+    project_result (Mc.Explore.search ~max_depth:9 ~inputs:[ 0; 1 ] (config ()))
   in
   let obs = Obs.create ~sink:(Obs.Sink.memory ()) () in
   let watched =
     project_result
-      (Mc.Explore.search_par ~obs ~max_depth:9 ~inputs:[ 0; 1 ] (config ()))
+      (Mc.Explore.search ~obs ~max_depth:9 ~inputs:[ 0; 1 ] (config ()))
   in
   Alcotest.(check bool) "observed run = bare run" true (watched = bare)
 
@@ -133,10 +113,10 @@ let test_campaign_metrics_jobs_invariant () =
 
 let suite =
   [
-    Alcotest.test_case "search_par metrics jobs-invariant" `Quick
-      test_search_par_metrics_jobs_invariant;
-    Alcotest.test_case "search_par unperturbed by obs" `Quick
-      test_search_par_obs_does_not_change_result;
+    Alcotest.test_case "search metrics = result fields" `Quick
+      test_search_metrics_are_result_fields;
+    Alcotest.test_case "search unperturbed by obs" `Quick
+      test_search_obs_does_not_change_result;
     Alcotest.test_case "campaign metrics jobs-invariant" `Quick
       test_campaign_metrics_jobs_invariant;
   ]

@@ -1,8 +1,8 @@
 (* Determinism regression suite: every parallelized entry point must
-   produce bit-identical results for jobs 1, 2, and 8 — and where the
-   contract promises it, identical to the sequential code path.  Outcomes
-   are projected to plain data before comparison because configs carry
-   closures (structural [=] would raise). *)
+   produce bit-identical results for jobs 1, 2, and 8, identical to the
+   sequential code path.  Outcomes are projected to plain data before
+   comparison because configs carry closures (structural [=] would
+   raise). *)
 
 open Consensus
 open Lowerbound
@@ -21,149 +21,6 @@ let across_pools f =
             (f (Some pool) = reference)))
     pool_jobs;
   reference
-
-(* ---- Explore.search_par ---- *)
-
-let project_result (r : _ Mc.Explore.result) =
-  ( (match r.violation with
-    | None -> None
-    | Some v ->
-        Some
-          ( (match v.kind with `Inconsistent -> "inconsistent" | `Invalid -> "invalid"),
-            Sim.Trace.to_string string_of_int v.trace )),
-    r.visited,
-    r.leaves,
-    r.truncated,
-    Robust.Budget.completeness_to_string r.completeness,
-    r.max_depth_seen )
-
-let config_of p inputs = Protocol.initial_config p ~inputs
-
-let test_search_par_pool_independent () =
-  let config = config_of Cas_consensus.protocol [ 0; 1; 1 ] in
-  ignore
-    (across_pools (fun pool ->
-         project_result
-           (Mc.Explore.search_par ?pool ~max_depth:12 ~inputs:[ 0; 1 ] config)))
-
-let test_search_par_matches_sequential_fields () =
-  (* the satellite pin: on violation-free trees the merged result equals
-     the sequential [search] in every field, not just the verdict —
-     both when exhaustive and when depth-truncated *)
-  List.iter
-    (fun (name, p, inputs, max_depth) ->
-      let seq =
-        project_result
-          (Mc.Explore.search ~max_depth ~inputs:[ 0; 1 ]
-             (config_of p inputs))
-      in
-      let par =
-        project_result
-          (Mc.Explore.search_par ~max_depth ~inputs:[ 0; 1 ]
-             (config_of p inputs))
-      in
-      Alcotest.(check bool) (name ^ ": all fields equal") true (par = seq))
-    [
-      ("cas exhaustive", Cas_consensus.protocol, [ 0; 1 ], 40);
-      ("tas2 exhaustive", Tas2.protocol, [ 1; 0 ], 40);
-      ("cas truncated", Cas_consensus.protocol, [ 0; 1; 1 ], 6);
-      ("fa truncated", Fa_consensus.protocol, [ 0; 1 ], 8);
-    ]
-
-let test_search_par_depth_zero_and_violation_witness () =
-  (* max_depth = 0: only the root is examined, trivially equal *)
-  let config = config_of Cas_consensus.protocol [ 0; 1 ] in
-  Alcotest.(check bool)
-    "depth 0 equal" true
-    (project_result (Mc.Explore.search_par ~max_depth:0 ~inputs:[ 0; 1 ] config)
-    = project_result (Mc.Explore.search ~max_depth:0 ~inputs:[ 0; 1 ] config));
-  (* a violation: the partitioned search must report the same witness the
-     sequential DFS finds, for every pool size *)
-  let p = Flawed.first_writer ~r:1 in
-  let witness pool =
-    match
-      (Mc.Explore.search_par ?pool ~max_depth:40 ~inputs:[ 0; 1 ]
-         (config_of p [ 0; 1 ]))
-        .violation
-    with
-    | Some v -> Sim.Trace.to_string string_of_int v.trace
-    | None -> Alcotest.fail "model checker missed the planted bug"
-  in
-  let par_witness = across_pools witness in
-  let seq_witness =
-    match
-      (Mc.Explore.search ~max_depth:40 ~inputs:[ 0; 1 ] (config_of p [ 0; 1 ]))
-        .violation
-    with
-    | Some v -> Sim.Trace.to_string string_of_int v.trace
-    | None -> Alcotest.fail "sequential search missed the planted bug"
-  in
-  Alcotest.(check string) "same witness as sequential" seq_witness par_witness
-
-let test_search_par_node_budget_equals_sequential () =
-  (* the tentpole pin: a node budget is deterministic under any job count
-     AND equal to the sequential governed search in every field,
-     completeness verdict included — the speculative validation fold must
-     reproduce the sequential frontier exactly.  Allowances straddle the
-     interesting boundaries: the k<=1 fallback, mid-subtree trips, a trip
-     on the last node, and a budget beyond the tree (exhaustive). *)
-  let config () = config_of Counter_consensus.protocol [ 0; 1 ] in
-  List.iter
-    (fun nodes ->
-      let budget () = Robust.Budget.make ~nodes () in
-      let seq =
-        project_result
-          (Mc.Explore.search ~budget:(budget ()) ~max_depth:9 ~inputs:[ 0; 1 ]
-             (config ()))
-      in
-      let par =
-        across_pools (fun pool ->
-            project_result
-              (Mc.Explore.search_par ?pool ~budget:(budget ()) ~max_depth:9
-                 ~inputs:[ 0; 1 ] (config ())))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "nodes=%d: par = seq, all fields" nodes)
-        true (par = seq))
-    [ 1; 2; 3; 10; 1_000; 10_000; 100_000_000 ]
-
-(* ---- Explore.search_par with dedup ---- *)
-
-let test_search_par_dedup_pool_independent () =
-  (* each subtree task owns a private transposition table, so the merged
-     result is bit-identical for jobs 1, 2, 8 and pool = None *)
-  let config = config_of Cas_consensus.protocol [ 0; 1; 1 ] in
-  List.iter
-    (fun dedup ->
-      ignore
-        (across_pools (fun pool ->
-             project_result
-               (Mc.Explore.search_par ?pool ~dedup ~max_depth:12
-                  ~inputs:[ 0; 1 ] config))))
-    [ `Exact; `Symmetric ]
-
-let test_search_par_dedup_witness_parity () =
-  (* dedup never changes the reported witness, pooled or not *)
-  let p = Flawed.first_writer ~r:1 in
-  let config () = config_of p [ 0; 1 ] in
-  let witness (r : int Mc.Explore.result) =
-    match r.violation with
-    | Some v -> Sim.Trace.to_string string_of_int v.trace
-    | None -> Alcotest.fail "model checker missed the planted bug"
-  in
-  let reference =
-    witness (Mc.Explore.search ~max_depth:40 ~inputs:[ 0; 1 ] (config ()))
-  in
-  List.iter
-    (fun dedup ->
-      let w =
-        across_pools (fun pool ->
-            witness
-              (Mc.Explore.search_par ?pool ~dedup ~max_depth:40
-                 ~inputs:[ 0; 1 ] (config ())))
-      in
-      Alcotest.(check string) "same witness under dedup" reference w)
-    [ `Exact; `Symmetric ]
 
 (* ---- Attack sweeps ---- *)
 
@@ -257,18 +114,6 @@ let test_experiment_tables_deterministic () =
 
 let suite =
   [
-    Alcotest.test_case "search_par pool-independent" `Quick
-      test_search_par_pool_independent;
-    Alcotest.test_case "search_par = search, all fields" `Quick
-      test_search_par_matches_sequential_fields;
-    Alcotest.test_case "search_par depth-0 and witness parity" `Quick
-      test_search_par_depth_zero_and_violation_witness;
-    Alcotest.test_case "search_par node budget = sequential" `Quick
-      test_search_par_node_budget_equals_sequential;
-    Alcotest.test_case "search_par dedup pool-independent" `Quick
-      test_search_par_dedup_pool_independent;
-    Alcotest.test_case "search_par dedup witness parity" `Quick
-      test_search_par_dedup_witness_parity;
     Alcotest.test_case "attack seed sweep" `Quick
       test_attack_seed_sweep_deterministic;
     Alcotest.test_case "attack protocol sweep" `Quick
