@@ -62,7 +62,8 @@ let check ?(max_configs = 2_000_000) (spec : Optype.t) (history : History.t) =
           |> Array.of_list
         in
         let n_events = Array.length events in
-        let seen = Hashtbl.create 1024 in
+        (* starts small: most histories branch at a handful of points *)
+        let seen = Hashtbl.create 16 in
         let configs = ref 0 in
         let exception Budget in
         (* forced moves first; branch only when blocked at an

@@ -29,7 +29,9 @@ type t = {
 }
 
 let fib = 0x1E3779B97F4A7C15
-let initial_bits = 8
+(* 16 slots: most synthesis checks are searches of a few nodes, and a
+   table that starts big costs them more than the search itself *)
+let initial_bits = 4
 
 (* smallest [b >= 1] with [n <= 2^b]: ids [0 .. n-1] fit in [b] bits *)
 let rec bits_for n b = if n <= 1 lsl b then b else bits_for n (b + 1)

@@ -175,20 +175,24 @@ type 'a t = {
       (** out-parameter of [apply]: the post-step object value id *)
 }
 
+(* Every table starts small and grows by doubling: synthesis runs
+   thousands of searches of a few nodes each, and an array of more than
+   256 words is allocated straight on the major heap, so table sizes
+   fit for a big search would dominate a small one's cost. *)
 let create ~optypes =
   {
     optypes;
-    val_ids = Vtbl.create 256;
-    values = Array.make 64 Value.Unit;
+    val_ids = Vtbl.create 16;
+    values = Array.make 8 Value.Unit;
     n_values = 0;
-    st_code = Array.make 64 (tag_decided lor 0);
-    st_fp = Array.make 64 0;
-    st_proc = Array.make 64 None;
-    st_dec = Array.make 64 None;
+    st_code = Array.make 16 (tag_decided lor 0);
+    st_fp = Array.make 16 0;
+    st_proc = Array.make 16 None;
+    st_dec = Array.make 16 None;
     n_states = 0;
     roots = Hashtbl.create 16;
-    succ = Itbl.create 1024;
-    apply_memo = Itbl.create 1024;
+    succ = Itbl.create 16;
+    apply_memo = Itbl.create 16;
     last_vid = 0;
   }
 

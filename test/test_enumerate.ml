@@ -135,6 +135,31 @@ let test_dtree_embedding_agrees () =
   | `Correct -> Alcotest.fail "dtree checker missed the race"
   | `Unknown _ -> Alcotest.fail "dtree check truncated"
 
+(* Synthesis's stage-2 filter runs one tiny search per tree and side:
+   its per-check set-up must stay off the major heap.  Every array over
+   256 words is allocated there directly, so the bound of 64 words per
+   check is broken by any one table sized for a big search. *)
+let test_stage2_checks_stay_minor () =
+  let style = D.Rw and registers = 1 in
+  let trees = Enumerate.enumerate_dtrees ~style ~registers ~coins:false 2 in
+  let vectors = [ [ 0; 0 ]; [ 1; 1 ]; [ 0; 0; 0 ]; [ 1; 1; 1 ] ] in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  List.iter
+    (fun t ->
+      List.iter
+        (fun inputs ->
+          ignore
+            (Enumerate.dtree_check_verdict ~style ~registers (t, t) inputs))
+        vectors)
+    trees;
+  let major = (Gc.quick_stat ()).Gc.major_words -. before in
+  let checks = List.length trees * List.length vectors in
+  let per_check = major /. float_of_int checks in
+  if per_check >= 64. then
+    Alcotest.failf "%.0f major-heap words per stage-2 check (limit 64)"
+      per_check
+
 let suite =
   [
     Alcotest.test_case "tree counts" `Quick test_tree_counts;
@@ -152,4 +177,6 @@ let suite =
     Alcotest.test_case "MC checks initial decisions" `Quick test_mc_initial_decisions;
     Alcotest.test_case "MC checks initial validity" `Quick test_mc_initial_invalid;
     Alcotest.test_case "check_inputs catches races" `Quick test_check_inputs_catches;
+    Alcotest.test_case "stage-2 checks stay off the major heap" `Quick
+      test_stage2_checks_stay_minor;
   ]

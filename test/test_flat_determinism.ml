@@ -57,8 +57,45 @@ let test_relayout_under_stack () =
         [ `Exact; `Symmetric ])
     [ ("counter-3", [ 0; 1; 0 ], 12); ("rw-3n", [ 0; 1; 0 ], 14) ]
 
+(* Synthesis's stage-2 shape: thousands of searches of a few nodes
+   each, every one starting from the smallest intern and transposition
+   tables, so each small-table growth step runs many times over.  Every
+   depth-2 rw tree against itself, unanimous inputs, n = 2 and 3. *)
+let test_many_tiny_searches () =
+  let style = Dtree.Rw and registers = 1 in
+  let trees = Mc.Enumerate.enumerate_dtrees ~style ~registers ~coins:false 2 in
+  Alcotest.(check int) "depth-2 rw trees" 2774 (List.length trees);
+  let obs = Obs.create () in
+  List.iter
+    (fun t ->
+      List.iter
+        (fun (dedup, inputs) ->
+          let config () =
+            Mc.Enumerate.dtree_config ~style ~registers (t, t) inputs
+          in
+          let search ?obs state =
+            Mc.Explore.search ?obs ~state ~dedup ~max_depth:50 ~inputs
+              (config ())
+          in
+          if
+            project_tables (search ~obs `Flat)
+            <> project_tables (search `Closure)
+          then
+            Alcotest.failf "%s on [%s]%s: flat <> closure referee"
+              (Dtree.to_string t)
+              (String.concat ";" (List.map string_of_int inputs))
+              (if dedup = `Exact then " exact" else ""))
+        (List.concat_map
+           (fun inputs -> [ (`Symmetric, inputs); (`Exact, inputs) ])
+           [ [ 0; 0 ]; [ 1; 1 ]; [ 0; 0; 0 ]; [ 1; 1; 1 ] ]))
+    trees;
+  Alcotest.(check bool) "small tables grew" true
+    (Obs.Metrics.counter (Obs.metrics obs) "mc/table-relayouts" > 0)
+
 let suite =
   [
     Alcotest.test_case "relayout under in-progress entries = referee" `Quick
       test_relayout_under_stack;
+    Alcotest.test_case "2,774 tiny searches from small tables = referee"
+      `Quick test_many_tiny_searches;
   ]

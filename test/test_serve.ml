@@ -118,6 +118,23 @@ let roundtrip addr req =
   Serve.Client.send c req;
   Serve.Client.recv c
 
+(* A server process creates its socket file at [bind], before [listen],
+   so the file's existence is no readiness signal: wait for a [Pong]. *)
+let await_pong what addr =
+  await what (fun () ->
+      match Serve.Client.connect addr with
+      | Error _ -> false
+      | Ok c ->
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close c)
+            (fun () ->
+              try
+                Serve.Client.send c Serve.Wire.Ping;
+                match Serve.Client.recv c with
+                | Ok Serve.Wire.Pong -> true
+                | Ok _ | Error _ -> false
+              with Unix.Unix_error _ | Sys_error _ -> false))
+
 let submit_raw addr job =
   roundtrip addr (Serve.Wire.Submit { job; detach = true })
 
@@ -492,7 +509,7 @@ let test_sigterm_drains_to_exit_zero () =
       reap pid;
       rm_rf dir)
     (fun () ->
-      await "server socket" (fun () -> Sys.file_exists sock);
+      await_pong "server ready" (`Unix sock);
       let id = submit_detached (`Unix sock) (resumable_job ()) in
       Alcotest.(check int) "first job id" 1 id;
       await "checkpoint written" (fun () ->
@@ -527,7 +544,7 @@ let test_kill9_restart_resumes_byte_identical () =
       reap !pid;
       rm_rf dir)
     (fun () ->
-      await "server socket" (fun () -> Sys.file_exists sock);
+      await_pong "server ready" (`Unix sock);
       let id = submit_detached (`Unix sock) (resumable_job ()) in
       await "checkpoint written" (fun () ->
           Sys.file_exists (Filename.concat spool "job-1.ckpt"));
@@ -539,7 +556,7 @@ let test_kill9_restart_resumes_byte_identical () =
       let cli = run_cli resumable_cli_args in
       Alcotest.(check int) "direct run exits clean" 0 cli.code;
       pid := spawn_server ~sock ~spool ~log ();
-      await "restarted server socket" (fun () -> Sys.file_exists sock);
+      await_pong "restarted server ready" (`Unix sock);
       (match Serve.Client.wait_result (`Unix sock) ~id with
       | Error e -> Alcotest.failf "resumed job lost: %s\n%s" e (slurp log)
       | Ok (status, lines) ->
