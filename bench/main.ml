@@ -1,11 +1,10 @@
 (* The benchmark harness.
 
-   Two layers, both in this executable:
-
    1. The *experiment harness*: regenerates every table/figure of
-      EXPERIMENTS.md (E1..E8) by calling the drivers in [Experiments].
+      EXPERIMENTS.md (E1..E14) by calling the drivers in [Experiments].
       Run `dune exec bench/main.exe` (add `--quick` for a CI-speed pass,
-      or `--only e3` for a single experiment).
+      `--only e3` for a single experiment, `--jobs N` for a pool of N
+      domains, 0 = one per core).
 
    2. Bechamel micro/macro benchmarks — one Test per experiment-relevant
       code path (simulator step costs, one consensus run per protocol,
@@ -14,10 +13,15 @@
 
    3. The parallel-speedup scenario (`--par-bench`): wall-clock time of
       the general attack sweep and the attack seed sweep sequentially
-      and at 2 and 4 domains, with a column asserting that every jobs
-      count produced identical results.
-      `--jobs N` runs the experiment harness itself on a pool of N
-      domains (0 = one per core).
+      and at 2 and 4 domains; a jobs count whose result differs from
+      the sequential one exits 1.  `--obs-bench` prices disabled
+      instrumentation.
+
+   4. The four BENCH_*.json suites (`--mc-bench`, `--fuzz-bench`,
+      `--synth-bench`, `--serve-bench`), rows in the [Bench_row]
+      schema.  `--smoke` runs the CI subset without rewriting the file;
+      `--baseline FILE` diffs against a committed file (exit 1 on any
+      exact-field or row-set difference, 2 on an unreadable file).
 *)
 
 open Bechamel
@@ -136,17 +140,41 @@ let macro_tests =
       (nf (fun () -> Mutex.check_exclusion ~max_depth:14 Mutex.peterson ~n:2));
   ]
 
-(* --- parallel speedup: sequential vs. Par pools on the hot sweeps ----- *)
+(* --- the bench's clock --------------------------------------------------- *)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let result = f () in
   (result, Unix.gettimeofday () -. t0)
 
+(* [Bench_row.runs] interleaved rounds; in each, every function of [fs]
+   runs [iters] times back to back.  One min-of-N timing (seconds per
+   iteration) per function: interleaving lets CPU-frequency drift hit
+   every side equally, and the min cuts scheduler noise. *)
+let min_of_n ?(iters = 1) fs =
+  let samples = List.map (fun _ -> ref []) fs in
+  for _ = 1 to Bench_row.runs do
+    List.iter2
+      (fun f acc ->
+        let (), s =
+          wall (fun () ->
+              for _ = 1 to iters do
+                f ()
+              done)
+        in
+        acc := (s /. float_of_int iters) :: !acc)
+      fs samples
+  done;
+  List.map (fun acc -> Bench_row.timing_of_samples !acc) samples
+
+let timed f = List.hd (min_of_n [ (fun () -> ignore (f ())) ])
+
+(* --- parallel speedup: sequential vs. Par pools on the hot sweeps ----- *)
+
 (* One scenario = one workload as a function of the (optional) pool.  The
    workload must return plain data (no closures) so results from
-   different jobs counts can be compared structurally; the "identical"
-   column is the determinism claim, measured. *)
+   different jobs counts can be compared structurally; a jobs count
+   whose result differs from the sequential one fails the bench. *)
 let add_scenario table name work =
   let seq_result, seq_time = wall (fun () -> work None) in
   Stats.Table.add_row table
@@ -156,13 +184,19 @@ let add_scenario table name work =
       let result, time =
         wall (fun () -> Par.with_pool ~jobs (fun pool -> work (Some pool)))
       in
+      if result <> seq_result then begin
+        Printf.eprintf
+          "par-bench: RESULT MISMATCH on %s: jobs=%d differs from sequential\n"
+          name jobs;
+        exit 1
+      end;
       Stats.Table.add_row table
         [
           name;
           string_of_int jobs;
           Printf.sprintf "%.3f" time;
           Printf.sprintf "%.2fx" (seq_time /. time);
-          string_of_bool (result = seq_result);
+          "true";
         ])
     [ 2; 4 ]
 
@@ -255,14 +289,6 @@ let mc_bench_scenarios () =
     ("cas-n2-mixed", Consensus.Cas_consensus.protocol, [ 0; 1 ], 30);
   ]
 
-(* Wall-clock plus minor-heap allocation of one run; the allocation
-   number travels through the [lib/obs] counter so the bench exercises
-   the same plumbing the CLI's --metrics mode uses. *)
-let measured f =
-  let obs = Obs.create () in
-  let result, secs = wall (fun () -> Obs.alloc_span (Some obs) "bench" f) in
-  (result, secs, Obs.Metrics.counter (Obs.metrics obs) "bench/minor-words")
-
 let engine_project (r : int Mc.Explore.result) =
   ( violation_name r,
     r.Mc.Explore.visited,
@@ -273,8 +299,8 @@ let engine_project (r : int Mc.Explore.result) =
 (* The mc-bench rows: every obs-bench scenario under all three dedup
    modes, plus the deep symmetric sweep — the longest row, where the
    flat slab engine's advantage is structural ([`Off] at this depth
-   would take minutes, so it runs deduped only; its node-reduction
-   ratio is relative to [`Exact]). *)
+   would take minutes, so it runs deduped only; its node reduction is
+   relative to [`Exact]). *)
 let mc_bench_rows () =
   List.map
     (fun (name, p, inputs, max_depth) ->
@@ -293,157 +319,68 @@ let mc_bench_rows () =
         [ `Symmetric ] );
     ]
 
-(* The CI perf-smoke subset: the two fastest scenarios of each suite,
-   so the job can hard-fail on verdict/node drift in seconds without
-   paying for the deep sweeps.  Smoke runs never rewrite the committed
-   BENCH_*.json — they only diff against it. *)
-let mc_smoke_scenarios = [ "coin-rw-r2-n2"; "cas-n2-mixed" ]
-let fuzz_smoke_scenarios = [ "flawed"; "cas-1" ]
-
-let mc_bench ?(smoke = false) () =
-  let table =
-    Stats.Table.create
-      ~header:
-        [
-          "scenario";
-          "dedup";
-          "visited";
-          "leaves";
-          "table hits";
-          "closure s";
-          "flat s";
-          "speedup";
-          "flat minor MW";
-          "flat table MiB";
-          "nodes vs off";
-          "verdict";
-        ]
-  in
-  let baseline_rows = ref [] in
-  let json_scenarios =
-    List.map
-      (fun (name, p, inputs, max_depth, modes) ->
-        let runs =
-          List.map
-            (fun dedup ->
-              let search ?obs state =
-                Mc.Explore.search ?obs ~state ~dedup ~max_depth ~inputs
-                  (Consensus.Protocol.initial_config p ~inputs)
-              in
-              let rc, secs_c, mw_c = measured (fun () -> search `Closure) in
-              let rf, secs_f, mw_f = measured (fun () -> search `Flat) in
-              if engine_project rc <> engine_project rf then begin
-                Printf.eprintf
-                  "mc-bench: ENGINE MISMATCH on %s/%s: flat and closure \
-                   disagree\n"
-                  name (dedup_name dedup);
-                exit 1
-              end;
-              (* the table size is a deterministic counter: read it off an
-                 untimed rerun, so the timed runs carry no obs handle *)
-              let obs = Obs.create () in
-              ignore (search ~obs `Flat : int Mc.Explore.result);
-              let bytes =
-                Obs.Metrics.counter (Obs.metrics obs) "mc/table-bytes"
-              in
-              (dedup, rf, secs_c, secs_f, mw_c, mw_f, bytes))
-            modes
-        in
-        let first_result =
-          match runs with (_, r, _, _, _, _, _) :: _ -> r | [] -> assert false
-        in
-        let has_off = List.mem `Off modes in
-        List.iter
-          (fun (dedup, (r : int Mc.Explore.result), secs_c, secs_f, _, mw_f, bytes)
-             ->
-            if violation_name r <> violation_name first_result then begin
+(* Every mode's closure and flat results must agree (the referee runs
+   untimed); the flat run is then timed min-of-N.  Allocation and table
+   size come from one untimed flat run carrying an obs handle. *)
+let mc_rows ~keep =
+  List.concat_map
+    (fun (name, p, inputs, max_depth, modes) ->
+      let runs =
+        List.map
+          (fun dedup ->
+            let search ?obs state =
+              Mc.Explore.search ?obs ~state ~dedup ~max_depth ~inputs
+                (Consensus.Protocol.initial_config p ~inputs)
+            in
+            let rc = search `Closure in
+            let obs = Obs.create () in
+            let rf =
+              Obs.alloc_span (Some obs) "bench" (fun () -> search ~obs `Flat)
+            in
+            if engine_project rc <> engine_project rf then begin
               Printf.eprintf
-                "mc-bench: VERDICT MISMATCH on %s: %s=%s but %s=%s\n" name
-                (dedup_name dedup) (violation_name r)
-                (dedup_name (List.hd modes))
-                (violation_name first_result);
+                "mc-bench: ENGINE MISMATCH on %s/%s: flat and closure \
+                 disagree\n"
+                name (dedup_name dedup);
               exit 1
             end;
-            baseline_rows :=
-              (name, dedup_name dedup, violation_name r, r.Mc.Explore.visited, secs_f)
-              :: !baseline_rows;
-            Stats.Table.add_row table
+            (dedup, rf, Obs.metrics obs, timed (fun () -> search `Flat)))
+          modes
+      in
+      let first_mode, first, _, _ = List.hd runs in
+      List.map
+        (fun (dedup, (r : int Mc.Explore.result), m, timing) ->
+          if violation_name r <> violation_name first then begin
+            Printf.eprintf "mc-bench: VERDICT MISMATCH on %s: %s=%s but %s=%s\n"
+              name (dedup_name dedup) (violation_name r)
+              (dedup_name first_mode) (violation_name first);
+            exit 1
+          end;
+          {
+            Bench_row.name = name ^ "/" ^ dedup_name dedup;
+            exact =
               [
-                name;
-                dedup_name dedup;
-                string_of_int r.Mc.Explore.visited;
-                string_of_int r.Mc.Explore.leaves;
-                string_of_int r.Mc.Explore.table_hits;
-                Printf.sprintf "%.4f" secs_c;
-                Printf.sprintf "%.4f" secs_f;
-                Printf.sprintf "%.2fx" (secs_c /. Float.max secs_f 1e-9);
-                Printf.sprintf "%.1f" (float_of_int mw_f /. 1e6);
-                Printf.sprintf "%.2f" (float_of_int bytes /. 1048576.);
-                (if has_off then
-                   Printf.sprintf "%.1fx"
-                     (float_of_int first_result.Mc.Explore.visited
-                     /. float_of_int (max 1 r.Mc.Explore.visited))
-                 else "-");
-                violation_name r;
-              ])
-          runs;
-        let mode_json
-            (dedup, (r : int Mc.Explore.result), secs_c, secs_f, mw_c, mw_f, bytes)
-            =
-          Printf.sprintf
-            {|        { "dedup": %S, "visited": %d, "leaves": %d, "table_hits": %d, "truncated": %b, "seconds_closure": %.6f, "seconds_flat": %.6f, "speedup": %.2f, "minor_words_closure": %d, "minor_words_flat": %d, "table_bytes_flat": %d, "verdict": %S }|}
-            (dedup_name dedup) r.Mc.Explore.visited r.Mc.Explore.leaves
-            r.Mc.Explore.table_hits r.Mc.Explore.truncated secs_c secs_f
-            (secs_c /. Float.max secs_f 1e-9)
-            mw_c mw_f bytes (violation_name r)
-        in
-        let last_result =
-          match List.rev runs with
-          | (_, r, _, _, _, _, _) :: _ -> r
-          | [] -> assert false
-        in
-        Printf.sprintf
-          {|    {
-      "scenario": %S,
-      "inputs": [%s],
-      "max_depth": %d,
-      "node_reduction_last_vs_first_mode": %.1f,
-      "modes": [
-%s
-      ]
-    }|}
-          name
-          (String.concat ", " (List.map string_of_int inputs))
-          max_depth
-          (float_of_int first_result.Mc.Explore.visited
-          /. float_of_int (max 1 last_result.Mc.Explore.visited))
-          (String.concat ",\n" (List.map mode_json runs)))
-      (mc_bench_rows ()
-      |> List.filter (fun (name, _, _, _, _) ->
-             (not smoke) || List.mem name mc_smoke_scenarios))
-  in
-  Stats.Table.print table;
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "mc transposition table",
-  "verdicts_agree": true,
-  "engines_agree": true,
-  "scenarios": [
-%s
-  ]
-}
-|}
-      (String.concat ",\n" json_scenarios)
-  in
-  if smoke then print_endline "\n--smoke: BENCH_mc.json left untouched"
-  else begin
-    let oc = open_out "BENCH_mc.json" in
-    output_string oc json;
-    close_out oc;
-    print_endline "\nwrote BENCH_mc.json"
-  end;
-  List.rev !baseline_rows
+                ("inputs", Serve.Json.List (List.map (fun i -> Serve.Json.Int i) inputs));
+                ("depth", Int max_depth);
+                ("visited", Int r.Mc.Explore.visited);
+                ("leaves", Int r.Mc.Explore.leaves);
+                ("table_hits", Int r.Mc.Explore.table_hits);
+                ("truncated", Bool r.Mc.Explore.truncated);
+                ("table_bytes", Int (Obs.Metrics.counter m "mc/table-bytes"));
+                ("verdict", String (violation_name r));
+              ];
+            timing;
+            advisory =
+              [
+                ("minor_words", Int (Obs.Metrics.counter m "bench/minor-words"));
+                ( "node_reduction",
+                  Bench_row.num
+                    (float_of_int first.Mc.Explore.visited
+                    /. float_of_int (max 1 r.Mc.Explore.visited)) );
+              ];
+          })
+        runs)
+    (List.filter (fun (name, _, _, _, _) -> keep name) (mc_bench_rows ()))
 
 (* --- observability overhead: null-sink cost on the BENCH_mc scenarios -- *)
 
@@ -468,34 +405,6 @@ let obs_bench () =
           "counters ok";
         ]
   in
-  let reps = 7 in
-  (* each timed rep runs the search enough times to sit well above clock
-     granularity (~20ms per rep); baseline and instrumented reps are
-     interleaved so CPU-frequency drift hits both sides equally, and the
-     min over reps cuts scheduler noise *)
-  let timed_rep iters f =
-    let _, s =
-      wall (fun () ->
-          for _ = 1 to iters do
-            ignore (f ())
-          done)
-    in
-    s /. float_of_int iters
-  in
-  let interleaved base_f instr_f =
-    let _, probe = wall (fun () -> ignore (base_f ())) in
-    let iters =
-      max 50 (min 20_000 (int_of_float (0.02 /. Float.max probe 1e-7)))
-    in
-    let rec go i best_b best_i =
-      if i = 0 then (best_b, best_i)
-      else
-        let b = timed_rep iters base_f in
-        let o = timed_rep iters instr_f in
-        go (i - 1) (Float.min best_b b) (Float.min best_i o)
-    in
-    go reps infinity infinity
-  in
   List.iter
     (fun (name, p, inputs, max_depth) ->
       let config = Consensus.Protocol.initial_config p ~inputs in
@@ -505,8 +414,22 @@ let obs_bench () =
       (* one accumulator across iterations, as one CLI invocation sees:
          the claim covers recording cost, not per-search allocation *)
       let shared = Obs.create () in
+      (* each timed round runs the search enough times to sit well above
+         clock granularity (~20ms per round) *)
+      let _, probe = wall (fun () -> search ()) in
+      let iters =
+        max 50 (min 20_000 (int_of_float (0.02 /. Float.max probe 1e-7)))
+      in
       let base, instr =
-        interleaved (fun () -> search ()) (fun () -> search ~obs:shared ())
+        match
+          min_of_n ~iters
+            [
+              (fun () -> ignore (search ()));
+              (fun () -> ignore (search ~obs:shared ()));
+            ]
+        with
+        | [ b; i ] -> (b.Bench_row.min, i.Bench_row.min)
+        | _ -> assert false
       in
       let obs = Obs.create () in
       let r = search ~obs () in
@@ -545,10 +468,6 @@ let fuzz_bench_scenarios = [
     ("lin-tas-rand", 2000);
   ]
 
-(* Identical campaigns under both engines (same seed drives the same
-   runs — the differential suite's guarantee, re-asserted here on every
-   bench), timed separately; the flat engine's wall-clock is the
-   headline number and the baseline-diff subject. *)
 let campaign_project (r : Fuzz.Campaign.result) =
   ( r.Fuzz.Campaign.runs_done,
     r.Fuzz.Campaign.violations,
@@ -558,132 +477,66 @@ let campaign_project (r : Fuzz.Campaign.result) =
     | None -> None
     | Some cex -> Some (cex.Fuzz.Campaign.original, cex.Fuzz.Campaign.shrunk) )
 
-let fuzz_bench ?(smoke = false) () =
-  let table =
-    Stats.Table.create
-      ~header:
-        [
-          "scenario";
-          "runs";
-          "closure s";
-          "flat s";
-          "speedup";
-          "flat runs/s";
-          "flat minor MW";
-          "violations";
-          "orig steps";
-          "shrunk steps";
-          "candidates";
-          "verdict";
-        ]
-  in
-  let baseline_rows = ref [] in
-  let json_scenarios =
-    List.map
-      (fun (name, runs) ->
-        let scenario engine =
-          match Fuzz.Scenario.find ~engine name with
-          | Ok sc -> sc
-          | Error e ->
-              prerr_endline e;
-              exit 1
-        in
-        let campaign engine =
-          Fuzz.Campaign.run ~shrink:true ~runs ~seed:1 (scenario engine)
-        in
-        (* engine parity asserted once, on cold caches; the timed reps
-           below then interleave the engines (min of 3, warm scenario
-           state) so CPU-frequency drift cannot masquerade as a
-           speedup — the same discipline obs_bench uses *)
-        let rc = campaign `Closure in
-        let r = campaign `Flat in
-        if campaign_project rc <> campaign_project r then begin
-          Printf.eprintf
-            "fuzz-bench: ENGINE MISMATCH on %s: flat and closure campaigns \
-             disagree\n"
-            name;
-          exit 1
-        end;
-        let secs_c = ref infinity
-        and secs_f = ref infinity
-        and mw_c = ref 0
-        and mw_f = ref 0 in
-        for _ = 1 to 3 do
-          let _, s, mw = measured (fun () -> campaign `Closure) in
-          secs_c := Float.min !secs_c s;
-          mw_c := mw;
-          let _, s, mw = measured (fun () -> campaign `Flat) in
-          secs_f := Float.min !secs_f s;
-          mw_f := mw
-        done;
-        let secs_c = !secs_c
-        and secs_f = !secs_f
-        and mw_c = !mw_c
-        and mw_f = !mw_f in
-        let orig, shrunk, candidates =
-          match r.Fuzz.Campaign.first_violation with
-          | None -> (0, 0, 0)
-          | Some cex ->
-              ( Fuzz.Schedule.steps cex.Fuzz.Campaign.original,
-                Fuzz.Schedule.steps cex.Fuzz.Campaign.shrunk,
-                match cex.Fuzz.Campaign.shrink_stats with
-                | Some s -> s.Fuzz.Shrink.candidates
-                | None -> 0 )
-        in
-        let verdict =
-          Robust.Budget.completeness_to_string r.Fuzz.Campaign.completeness
-        in
-        baseline_rows :=
-          (name, r.Fuzz.Campaign.violations, verdict, secs_f) :: !baseline_rows;
-        Stats.Table.add_row table
+(* Identical campaigns under both engines (same seed drives the same
+   runs — the differential suite's guarantee, re-asserted here untimed
+   on every bench); the flat campaign is then timed min-of-N. *)
+let fuzz_rows ~keep =
+  List.map
+    (fun (name, runs) ->
+      let campaign engine =
+        match Fuzz.Scenario.find ~engine name with
+        | Ok sc -> Fuzz.Campaign.run ~shrink:true ~runs ~seed:1 sc
+        | Error e ->
+            prerr_endline e;
+            exit 1
+      in
+      let rc = campaign `Closure in
+      let obs = Obs.create () in
+      let r = Obs.alloc_span (Some obs) "bench" (fun () -> campaign `Flat) in
+      if campaign_project rc <> campaign_project r then begin
+        Printf.eprintf
+          "fuzz-bench: ENGINE MISMATCH on %s: flat and closure campaigns \
+           disagree\n"
+          name;
+        exit 1
+      end;
+      let timing = timed (fun () -> campaign `Flat) in
+      let orig, shrunk, candidates =
+        match r.Fuzz.Campaign.first_violation with
+        | None -> (0, 0, 0)
+        | Some cex ->
+            ( Fuzz.Schedule.steps cex.Fuzz.Campaign.original,
+              Fuzz.Schedule.steps cex.Fuzz.Campaign.shrunk,
+              match cex.Fuzz.Campaign.shrink_stats with
+              | Some s -> s.Fuzz.Shrink.candidates
+              | None -> 0 )
+      in
+      {
+        Bench_row.name;
+        exact =
           [
-            name;
-            string_of_int r.Fuzz.Campaign.runs_done;
-            Printf.sprintf "%.3f" secs_c;
-            Printf.sprintf "%.3f" secs_f;
-            Printf.sprintf "%.2fx" (secs_c /. Float.max secs_f 1e-9);
-            Printf.sprintf "%.0f"
-              (float_of_int r.Fuzz.Campaign.runs_done /. secs_f);
-            Printf.sprintf "%.1f" (float_of_int mw_f /. 1e6);
-            string_of_int r.Fuzz.Campaign.violations;
-            string_of_int orig;
-            string_of_int shrunk;
-            string_of_int candidates;
-            verdict;
+            ("seed", Serve.Json.Int 1);
+            ("runs", Int r.Fuzz.Campaign.runs_done);
+            ("violations", Int r.Fuzz.Campaign.violations);
+            ("steps", Int r.Fuzz.Campaign.total_steps);
+            ("original_steps", Int orig);
+            ("shrunk_steps", Int shrunk);
+            ("shrink_candidates", Int candidates);
+            ( "verdict",
+              String
+                (Robust.Budget.completeness_to_string
+                   r.Fuzz.Campaign.completeness) );
           ];
-        Printf.sprintf
-          {|    { "scenario": %S, "runs": %d, "seconds_closure": %.6f, "seconds_flat": %.6f, "speedup": %.2f, "runs_per_sec": %.1f, "minor_words_closure": %d, "minor_words_flat": %d, "violations": %d, "steps": %d, "original_steps": %d, "shrunk_steps": %d, "shrink_candidates": %d, "verdict": %S }|}
-          name r.Fuzz.Campaign.runs_done secs_c secs_f
-          (secs_c /. Float.max secs_f 1e-9)
-          (float_of_int r.Fuzz.Campaign.runs_done /. secs_f)
-          mw_c mw_f r.Fuzz.Campaign.violations r.Fuzz.Campaign.total_steps orig
-          shrunk candidates verdict)
-      (List.filter
-         (fun (name, _) -> (not smoke) || List.mem name fuzz_smoke_scenarios)
-         fuzz_bench_scenarios)
-  in
-  Stats.Table.print table;
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "fuzz campaign throughput",
-  "seed": 1,
-  "engines_agree": true,
-  "scenarios": [
-%s
-  ]
-}
-|}
-      (String.concat ",\n" json_scenarios)
-  in
-  if smoke then print_endline "\n--smoke: BENCH_fuzz.json left untouched"
-  else begin
-    let oc = open_out "BENCH_fuzz.json" in
-    output_string oc json;
-    close_out oc;
-    print_endline "\nwrote BENCH_fuzz.json"
-  end;
-  List.rev !baseline_rows
+        timing;
+        advisory =
+          [
+            ( "runs_per_sec",
+              Bench_row.num
+                (float_of_int r.Fuzz.Campaign.runs_done /. timing.min) );
+            ("minor_words", Int (Obs.Metrics.counter (Obs.metrics obs) "bench/minor-words"));
+          ];
+      })
+    (List.filter (fun (name, _) -> keep name) fuzz_bench_scenarios)
 
 (* --- serve bench: submit-to-verdict latency and throughput ------------ *)
 
@@ -692,9 +545,9 @@ let fuzz_bench ?(smoke = false) () =
    verdict).  Every verdict is checked against a direct Job.execute of
    the same spec — a served verdict that drifts from the local one is a
    hard failure, the same discipline as the fuzz bench's engine-parity
-   check.  Latency is per submit_and_wait call; jobs/s is the wall-clock
-   aggregate. *)
-let serve_bench ?(smoke = false) () =
+   check.  Latency is per submit_and_wait call (the last sweep's);
+   jobs/s is the min-of-N sweep's aggregate. *)
+let serve_rows ~keep =
   let dir =
     let path = Filename.temp_file "randsync-serve-bench" "" in
     Sys.remove path;
@@ -738,73 +591,67 @@ let serve_bench ?(smoke = false) () =
   (* smoke trims the client-count sweep, never the per-row job count —
      rows must stay parameter-identical to the committed baseline *)
   let total_jobs = 24 in
-  let client_counts = if smoke then [ 1; 2 ] else [ 1; 2; 8 ] in
-  let table =
-    Stats.Table.create
-      ~header:
-        [ "clients"; "jobs"; "seconds"; "jobs/s"; "mean ms"; "max ms";
-          "verdict" ]
-  in
-  let baseline_rows = ref [] in
-  let json_rows =
+  let rows =
     List.map
       (fun clients ->
         let per_client = max 1 (total_jobs / clients) in
         let jobs = per_client * clients in
-        let mismatches = Atomic.make 0 in
-        let results = Array.make clients [||] in
-        let client () =
-          let lats = Array.make per_client 0. in
-          for i = 0 to per_client - 1 do
-            let t0 = Unix.gettimeofday () in
-            (match Serve.Client.submit_and_wait (`Unix sock) job with
-            | Ok (status, lines)
-              when status = expected.Serve.Job.status
-                   && lines = expected.Serve.Job.lines ->
-                ()
-            | Ok _ | Error _ -> Atomic.incr mismatches);
-            lats.(i) <- Unix.gettimeofday () -. t0
-          done;
-          lats
+        let lats = ref [||] in
+        let sweep () =
+          let mismatches = Atomic.make 0 in
+          let results = Array.make clients [||] in
+          let client () =
+            let lats = Array.make per_client 0. in
+            for i = 0 to per_client - 1 do
+              let t0 = Unix.gettimeofday () in
+              (match Serve.Client.submit_and_wait (`Unix sock) job with
+              | Ok (status, lines)
+                when status = expected.Serve.Job.status
+                     && lines = expected.Serve.Job.lines ->
+                  ()
+              | Ok _ | Error _ -> Atomic.incr mismatches);
+              lats.(i) <- Unix.gettimeofday () -. t0
+            done;
+            lats
+          in
+          List.iter Thread.join
+            (List.init clients (fun i ->
+                 Thread.create (fun () -> results.(i) <- client ()) ()));
+          if Atomic.get mismatches > 0 then begin
+            Printf.eprintf
+              "serve-bench: VERDICT MISMATCH: %d of %d served verdicts \
+               diverged from the direct run\n"
+              (Atomic.get mismatches) jobs;
+            exit 1
+          end;
+          lats := Array.concat (Array.to_list results)
         in
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init clients (fun i ->
-              Thread.create (fun () -> results.(i) <- client ()) ())
-        in
-        List.iter Thread.join threads;
-        let secs = Unix.gettimeofday () -. t0 in
-        if Atomic.get mismatches > 0 then begin
-          Printf.eprintf
-            "serve-bench: VERDICT MISMATCH: %d of %d served verdicts \
-             diverged from the direct run\n"
-            (Atomic.get mismatches) jobs;
-          exit 1
-        end;
-        let lats = Array.concat (Array.to_list results) in
+        let timing = timed sweep in
+        let lats = !lats in
         let mean =
           Array.fold_left ( +. ) 0. lats /. float_of_int (Array.length lats)
         in
-        let maxl = Array.fold_left Float.max 0. lats in
-        baseline_rows :=
-          (Printf.sprintf "clients=%d" clients, jobs, "ok", secs)
-          :: !baseline_rows;
-        Stats.Table.add_row table
-          [
-            string_of_int clients;
-            string_of_int jobs;
-            Printf.sprintf "%.3f" secs;
-            Printf.sprintf "%.1f" (float_of_int jobs /. secs);
-            Printf.sprintf "%.2f" (mean *. 1e3);
-            Printf.sprintf "%.2f" (maxl *. 1e3);
-            "ok";
-          ];
-        Printf.sprintf
-          {|    { "clients": %d, "jobs": %d, "seconds": %.6f, "jobs_per_sec": %.1f, "mean_latency_ms": %.3f, "max_latency_ms": %.3f, "verdict": "ok" }|}
-          clients jobs secs
-          (float_of_int jobs /. secs)
-          (mean *. 1e3) (maxl *. 1e3))
-      client_counts
+        {
+          Bench_row.name = Printf.sprintf "clients=%d" clients;
+          exact =
+            [
+              ("workers", Serve.Json.Int Serve.Server.default_workers);
+              ("clients", Int clients);
+              ("jobs", Int jobs);
+              ("verdict", String "ok");
+            ];
+          timing;
+          advisory =
+            [
+              ("jobs_per_sec", Bench_row.num (float_of_int jobs /. timing.min));
+              ("mean_latency_ms", Bench_row.num (mean *. 1e3));
+              ( "max_latency_ms",
+                Bench_row.num (Array.fold_left Float.max 0. lats *. 1e3) );
+            ];
+        })
+      (List.filter
+         (fun c -> keep (Printf.sprintf "clients=%d" c))
+         [ 1; 2; 8 ])
   in
   (* drain the daemon and scrub the scratch dir *)
   (match Serve.Client.connect (`Unix sock) with
@@ -816,39 +663,17 @@ let serve_bench ?(smoke = false) () =
   Thread.join server;
   (try Unix.unlink sock with Unix.Unix_error _ -> ());
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  Stats.Table.print table;
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "serve submit-to-verdict",
-  "workers": %d,
-  "rows": [
-%s
-  ]
-}
-|}
-      Serve.Server.default_workers
-      (String.concat ",\n" json_rows)
-  in
-  if smoke then print_endline "\n--smoke: BENCH_serve.json left untouched"
-  else begin
-    let oc = open_out "BENCH_serve.json" in
-    output_string oc json;
-    close_out oc;
-    print_endline "\nwrote BENCH_serve.json"
-  end;
-  List.rev !baseline_rows
+  rows
 
 (* --- synth bench: CEGIS frontier search throughput -------------------- *)
 
 (* One row per (object style, depth) point of the synthesis space.  The
-   frontier, the completeness verdict and the candidate/pruned/refuted/
-   lemma counts are deterministic for the pinned seed — a baseline diff
-   that sees any of them move has caught a real change in the search,
-   the pruning or the enumeration, not noise.  Wall clock is advisory as
-   everywhere else.  Scenarios stay within a second or so each so the
-   smoke subset can run the full list; rw-r1-d2 is the exhaustive
-   1.4M-pair sweep. *)
+   frontier, the completeness verdict and the tree/candidate/pruned/
+   refuted/lemma counts are deterministic for the pinned seed — a
+   baseline diff that sees any of them move has caught a real change in
+   the search, the pruning or the enumeration, not noise.  Scenarios
+   stay within a second or so each so the smoke subset can run the full
+   list; rw-r1-d2 is the exhaustive 1.4M-pair sweep. *)
 let synth_bench_scenarios =
   [
     ("rw-r1-d1", Consensus.Dtree.Rw, 1, 1, false, 4);
@@ -857,305 +682,112 @@ let synth_bench_scenarios =
     ("rw-r1-d2", Consensus.Dtree.Rw, 1, 2, false, 3);
   ]
 
-(* the deterministic fields a synth baseline row is diffed on *)
-let synth_exact_fields =
-  [ "candidates"; "pruned"; "refuted"; "lemmas"; "frontier"; "verdict" ]
-
-let synth_bench ?(smoke = false) () =
-  let table =
-    Stats.Table.create
-      ~header:
-        [
-          "scenario";
-          "trees";
-          "candidates";
-          "pruned";
-          "refuted";
-          "lemmas";
-          "frontier";
-          "secs";
-          "verdict";
-        ]
-  in
-  let baseline_rows = ref [] in
-  let json_scenarios =
-    List.map
-      (fun (name, style, registers, depth, coins, procs) ->
-        let search () =
-          Synth.Cegis.search ~style ~registers ~depth ~coins ~max_procs:procs
-            ~seed:1 ()
-        in
-        let r = search () in
-        let secs = ref infinity in
-        for _ = 1 to 3 do
-          let _, s, _ = measured search in
-          secs := Float.min !secs s
-        done;
-        let secs = !secs in
-        let candidates =
-          List.fold_left
-            (fun a row -> a + row.Synth.Cegis.candidates)
-            0 r.Synth.Cegis.rows
-        in
-        let pruned =
-          List.fold_left
-            (fun a row -> a + row.Synth.Cegis.pruned)
-            0 r.Synth.Cegis.rows
-        in
-        let refuted =
-          List.fold_left
-            (fun a row -> a + row.Synth.Cegis.refuted)
-            0 r.Synth.Cegis.rows
-        in
-        let verdict =
-          Robust.Budget.completeness_to_string r.Synth.Cegis.completeness
-        in
-        let frontier = r.Synth.Cegis.frontier in
-        let lemmas = List.length r.Synth.Cegis.lemmas in
-        let exact =
-          List.combine synth_exact_fields
-            (List.map string_of_int
-               [ candidates; pruned; refuted; lemmas; frontier ]
-            @ [ verdict ])
-        in
-        baseline_rows := (name, exact, secs) :: !baseline_rows;
-        Stats.Table.add_row table
+let synth_rows ~keep =
+  List.map
+    (fun (name, style, registers, depth, coins, procs) ->
+      let search () =
+        Synth.Cegis.search ~style ~registers ~depth ~coins ~max_procs:procs
+          ~seed:1 ()
+      in
+      let r = search () in
+      let sum f = List.fold_left (fun a row -> a + f row) 0 r.Synth.Cegis.rows in
+      {
+        Bench_row.name;
+        exact =
           [
-            name;
-            string_of_int r.Synth.Cegis.trees;
-            string_of_int candidates;
-            string_of_int pruned;
-            string_of_int refuted;
-            string_of_int lemmas;
-            string_of_int frontier;
-            Printf.sprintf "%.3f" secs;
-            verdict;
+            ("seed", Serve.Json.Int 1);
+            ("trees", Int r.Synth.Cegis.trees);
+            ("candidates", Int (sum (fun row -> row.Synth.Cegis.candidates)));
+            ("pruned", Int (sum (fun row -> row.Synth.Cegis.pruned)));
+            ("refuted", Int (sum (fun row -> row.Synth.Cegis.refuted)));
+            ("lemmas", Int (List.length r.Synth.Cegis.lemmas));
+            ("frontier", Int r.Synth.Cegis.frontier);
+            ( "verdict",
+              String
+                (Robust.Budget.completeness_to_string r.Synth.Cegis.completeness)
+            );
           ];
-        Printf.sprintf
-          {|    { "scenario": %S, "trees": %d, "candidates": %d, "pruned": %d, "refuted": %d, "lemmas": %d, "frontier": %d, "seconds": %.6f, "verdict": %S }|}
-          name r.Synth.Cegis.trees candidates pruned refuted lemmas frontier
-          secs verdict)
-      synth_bench_scenarios
-  in
-  Stats.Table.print table;
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "synth CEGIS frontier search",
-  "seed": 1,
-  "scenarios": [
-%s
+        timing = timed search;
+        advisory = [];
+      })
+    (List.filter (fun (name, _, _, _, _, _) -> keep name) synth_bench_scenarios)
+
+(* --- the four BENCH_*.json suites ---------------------------------------- *)
+
+(* (flag, suite, title, rows, smoke subset).  A suite's rows are built
+   from the scenarios [keep] admits; CI's perf-smoke job runs the smoke
+   subset and diffs it against the committed file.  Smoke runs never
+   rewrite BENCH_*.json. *)
+let suites =
+  [
+    ( "--mc-bench",
+      "mc",
+      "Transposition table (nodes, flat wall clock per dedup mode)",
+      mc_rows,
+      fun s -> List.mem s [ "coin-rw-r2-n2"; "cas-n2-mixed" ] );
+    ( "--fuzz-bench",
+      "fuzz",
+      "Fuzz campaign throughput (shrink included)",
+      fuzz_rows,
+      fun s -> List.mem s [ "flawed"; "cas-1" ] );
+    ( "--synth-bench",
+      "synth",
+      "Synth: CEGIS frontier search (pruning + verdicts)",
+      synth_rows,
+      fun _ -> true );
+    ( "--serve-bench",
+      "serve",
+      "Serve daemon: submit-to-verdict latency and jobs/s by client count",
+      serve_rows,
+      fun s -> List.mem s [ "clients=1"; "clients=2" ] );
   ]
-}
-|}
-      (String.concat ",\n" json_scenarios)
+
+(* mc row names are scenario/dedup; the smoke subset names scenarios *)
+let scenario_of name =
+  match String.index_opt name '/' with
+  | Some i -> String.sub name 0 i
+  | None -> name
+
+(* Exit codes: 2 for an unreadable baseline or another suite's file
+   (checked before the bench runs or writes anything), 1 for any exact
+   field or row-set difference. *)
+let run_suite ~smoke ~baseline (_, suite, title, rows, smoke_subset) =
+  let keep = if smoke then smoke_subset else fun _ -> true in
+  let baseline =
+    Option.map
+      (fun file ->
+        match Bench_row.load ~suite (Sim.Trace_io.load_text ~path:file) with
+        | Ok rows -> (file, rows)
+        | Error e ->
+            Printf.eprintf "--baseline %s: %s\n" file e;
+            exit 2
+        | exception Sys_error e ->
+            Printf.eprintf "--baseline: %s\n" e;
+            exit 2)
+      baseline
   in
-  if smoke then print_endline "\n--smoke: BENCH_synth.json left untouched"
+  Printf.printf "\n=== %s ===\n\n" title;
+  let rows = rows ~keep in
+  print_endline (Bench_row.render rows);
+  let file = Printf.sprintf "BENCH_%s.json" suite in
+  if smoke then Printf.printf "\n--smoke: %s left untouched\n" file
   else begin
-    let oc = open_out "BENCH_synth.json" in
-    output_string oc json;
-    close_out oc;
-    print_endline "\nwrote BENCH_synth.json"
+    Sim.Trace_io.save_text ~path:file (Bench_row.to_string ~suite rows);
+    Printf.printf "\nwrote %s\n" file
   end;
-  List.rev !baseline_rows
-
-(* --- baseline diff: verdict fields hard-fail, wall clock advisory ----- *)
-
-(* Our own JSON emitters above write one object per scenario/mode line,
-   so a per-line field scan is a complete parser for these files — no
-   JSON library in the bench harness's dependency cone. *)
-let find_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = sub then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let json_field line key =
-  match find_sub line (Printf.sprintf "%S: " key) with
-  | None -> None
-  | Some j ->
-      let n = String.length line in
-      if j < n && line.[j] = '"' then
-        let k = String.index_from line (j + 1) '"' in
-        Some (String.sub line (j + 1) (k - j - 1))
-      else begin
-        let k = ref j in
-        while
-          !k < n && not (List.mem line.[!k] [ ','; ' '; '}'; '\n'; '\r' ])
-        do
-          incr k
-        done;
-        Some (String.sub line j (!k - j))
-      end
-
-let read_lines file =
-  let ic = open_in file in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
-(* Flat seconds from a baseline row, accepting the pre-engine-column
-   schema's plain "seconds" field too. *)
-let baseline_seconds line =
-  match json_field line "seconds_flat" with
-  | Some s -> float_of_string_opt s
-  | None -> Option.bind (json_field line "seconds") float_of_string_opt
-
-let diff_advisory name base fresh =
-  Printf.printf "baseline %-28s verdict ok, wall %+.1f%% (%.4fs -> %.4fs)\n"
-    name
-    ((fresh /. Float.max base 1e-9 -. 1.) *. 100.)
-    base fresh
-
-let diff_mc_baseline (file, lines) rows =
-  let base = ref [] in
-  let scenario = ref "" in
-  List.iter
-    (fun line ->
-      (match json_field line "scenario" with
-      | Some s -> scenario := s
-      | None -> ());
-      match json_field line "dedup" with
-      | Some dedup ->
-          base :=
-            ( (!scenario, dedup),
-              ( json_field line "verdict",
-                Option.bind (json_field line "visited") int_of_string_opt,
-                baseline_seconds line ) )
-            :: !base
-      | None -> ())
-    lines;
-  Printf.printf "\n=== Baseline diff vs %s (verdicts hard-fail) ===\n\n" file;
-  let failed = ref false in
-  List.iter
-    (fun (scenario, dedup, verdict, visited, secs) ->
-      let row = Printf.sprintf "%s/%s" scenario dedup in
-      match List.assoc_opt (scenario, dedup) !base with
-      | None -> Printf.printf "baseline %-28s not in baseline (new row)\n" row
-      | Some (bverdict, bvisited, bsecs) ->
-          if bverdict <> Some verdict || bvisited <> Some visited then begin
-            Printf.eprintf
-              "baseline %s: VERDICT/NODES CHANGED: %s/%d vs baseline %s/%s\n"
-              row verdict visited
-              (Option.value ~default:"?" bverdict)
-              (match bvisited with Some v -> string_of_int v | None -> "?");
-            failed := true
-          end
-          else
-            Option.iter (fun bsecs -> diff_advisory row bsecs secs) bsecs)
-    rows;
-  if !failed then exit 1
-
-let diff_fuzz_baseline (file, lines) rows =
-  let base = ref [] in
-  List.iter
-    (fun line ->
-      match (json_field line "scenario", json_field line "runs") with
-      | Some s, Some _ ->
-          base :=
-            ( s,
-              ( Option.bind (json_field line "violations") int_of_string_opt,
-                json_field line "verdict",
-                baseline_seconds line ) )
-            :: !base
-      | _ -> ())
-    lines;
-  Printf.printf "\n=== Baseline diff vs %s (verdicts hard-fail) ===\n\n" file;
-  let failed = ref false in
-  List.iter
-    (fun (scenario, violations, verdict, secs) ->
-      match List.assoc_opt scenario !base with
-      | None ->
-          Printf.printf "baseline %-28s not in baseline (new row)\n" scenario
-      | Some (bviolations, bverdict, bsecs) ->
-          if bviolations <> Some violations || bverdict <> Some verdict then begin
-            Printf.eprintf
-              "baseline %s: VERDICT CHANGED: %d/%s vs baseline %s/%s\n"
-              scenario violations verdict
-              (match bviolations with Some v -> string_of_int v | None -> "?")
-              (Option.value ~default:"?" bverdict);
-            failed := true
-          end
-          else
-            Option.iter (fun bsecs -> diff_advisory scenario bsecs secs) bsecs)
-    rows;
-  if !failed then exit 1
-
-let diff_serve_baseline (file, lines) rows =
-  let base = ref [] in
-  List.iter
-    (fun line ->
-      match (json_field line "clients", json_field line "verdict") with
-      | Some c, Some v ->
-          base :=
-            ( "clients=" ^ c,
-              ( v,
-                Option.bind (json_field line "jobs") int_of_string_opt,
-                baseline_seconds line ) )
-            :: !base
-      | _ -> ())
-    lines;
-  Printf.printf "\n=== Baseline diff vs %s (verdicts hard-fail) ===\n\n" file;
-  let failed = ref false in
-  List.iter
-    (fun (row, jobs, verdict, secs) ->
-      match List.assoc_opt row !base with
-      | None -> Printf.printf "baseline %-28s not in baseline (new row)\n" row
-      | Some (bverdict, bjobs, bsecs) ->
-          if bverdict <> verdict || bjobs <> Some jobs then begin
-            Printf.eprintf
-              "baseline %s: VERDICT/JOBS CHANGED: %s/%d vs baseline %s/%s\n"
-              row verdict jobs bverdict
-              (match bjobs with Some j -> string_of_int j | None -> "?");
-            failed := true
-          end
-          else Option.iter (fun bsecs -> diff_advisory row bsecs secs) bsecs)
-    rows;
-  if !failed then exit 1
-
-let diff_synth_baseline (file, lines) rows =
-  let base =
-    List.filter_map
-      (fun line ->
-        Option.map (fun s -> (s, line)) (json_field line "scenario"))
-      lines
-  in
-  Printf.printf "\n=== Baseline diff vs %s (verdicts hard-fail) ===\n\n" file;
-  let failed = ref false in
-  List.iter
-    (fun (scenario, exact, secs) ->
-      match List.assoc_opt scenario base with
-      | None ->
-          Printf.printf "baseline %-28s not in baseline (new row)\n" scenario
-      | Some line ->
-          let changed =
-            List.filter
-              (fun (key, v) -> json_field line key <> Some v)
-              exact
-          in
-          if changed <> [] then begin
-            List.iter
-              (fun (key, v) ->
-                Printf.eprintf "baseline %s: %s CHANGED: %s vs baseline %s\n"
-                  scenario (String.uppercase_ascii key) v
-                  (Option.value ~default:"?" (json_field line key)))
-              changed;
-            failed := true
-          end
-          else
-            Option.iter
-              (fun bsecs -> diff_advisory scenario bsecs secs)
-              (baseline_seconds line))
-    rows;
-  if !failed then exit 1
+  Option.iter
+    (fun (file, baseline) ->
+      let d =
+        Bench_row.diff ~keep:(fun n -> keep (scenario_of n)) ~baseline rows
+      in
+      Printf.printf
+        "\n=== Baseline diff vs %s (exact fields hard-fail, timing advisory) \
+         ===\n\n"
+        file;
+      List.iter print_endline d.Bench_row.report;
+      List.iter (Printf.eprintf "baseline %s\n") d.Bench_row.failures;
+      if d.Bench_row.failures <> [] then exit 1)
+    baseline
 
 let run_bechamel tests =
   let instances = Instance.[ monotonic_clock ] in
@@ -1190,98 +822,66 @@ let run_bechamel tests =
     (List.sort compare rows);
   Stats.Table.print t
 
+let usage =
+  "usage: main.exe [--quick] [--only ID] [--jobs N] [--bench]\n\
+  \       main.exe --par-bench | --obs-bench\n\
+  \       main.exe --mc-bench | --fuzz-bench | --synth-bench | --serve-bench\n\
+  \                [--smoke] [--baseline FILE]"
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "--quick" args in
-  let bench_only = List.mem "--bench" args in
-  let par_bench_only = List.mem "--par-bench" args in
-  let mc_bench_only = List.mem "--mc-bench" args in
-  let fuzz_bench_only = List.mem "--fuzz-bench" args in
-  let obs_bench_only = List.mem "--obs-bench" args in
-  let serve_bench_only = List.mem "--serve-bench" args in
-  let synth_bench_only = List.mem "--synth-bench" args in
-  let smoke = List.mem "--smoke" args in
-  let only =
-    let rec find = function
-      | "--only" :: id :: _ -> Some id
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+  let die fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "%s\n%s\n" msg usage;
+        exit 2)
+      fmt
   in
-  (* the baseline is loaded up front: the bench overwrites BENCH_*.json
-     in place, so reading the file after the run would diff the fresh
-     results against themselves *)
-  let baseline =
-    let rec find = function
-      | "--baseline" :: file :: _ -> Some file
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find args with
-    | None -> None
-    | Some file -> (
-        match read_lines file with
-        | lines -> Some (file, lines)
-        | exception Sys_error e ->
-            Printf.eprintf "--baseline: %s
-" e;
-            exit 2)
+  let switches =
+    [ "--quick"; "--bench"; "--par-bench"; "--obs-bench"; "--smoke" ]
+    @ List.map (fun (flag, _, _, _, _) -> flag) suites
   in
-  let jobs =
-    let rec find = function
-      | "--jobs" :: n :: _ -> int_of_string_opt n
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find args with
-    | Some 0 -> Some (Par.default_jobs ())
-    | Some n when n >= 1 -> Some n
-    | Some _ | None -> None
+  let set = ref [] and only = ref None and baseline = ref None in
+  let jobs = ref None in
+  let rec parse = function
+    | [] -> ()
+    | "--only" :: id :: rest ->
+        only := Some id;
+        parse rest
+    | "--baseline" :: file :: rest ->
+        baseline := Some file;
+        parse rest
+    | "--jobs" :: n :: rest ->
+        (match int_of_string_opt n with
+        | Some 0 -> jobs := Some (Par.default_jobs ())
+        | Some n when n > 0 -> jobs := Some n
+        | _ -> die "--jobs: expected a non-negative integer, got %S" n);
+        parse rest
+    | [ (("--only" | "--baseline" | "--jobs") as flag) ] ->
+        die "%s needs an argument" flag
+    | arg :: rest when List.mem arg switches ->
+        set := arg :: !set;
+        parse rest
+    | arg :: _ -> die "unknown argument %S" arg
   in
-  let with_jobs f =
-    match jobs with
-    | None -> f None
-    | Some jobs -> Par.with_pool ~jobs (fun pool -> f (Some pool))
-  in
-  if synth_bench_only then begin
-    print_endline
-      "\n=== Synth: CEGIS frontier search (pruning + verdicts) ===\n";
-    let rows = synth_bench ~smoke () in
-    Option.iter (fun b -> diff_synth_baseline b rows) baseline
-  end
-  else if serve_bench_only then begin
-    print_endline
-      "\n=== Serve daemon: submit-to-verdict latency and jobs/s by client \
-       count ===\n";
-    let rows = serve_bench ~smoke () in
-    Option.iter (fun b -> diff_serve_baseline b rows) baseline
-  end
-  else if obs_bench_only then begin
-    print_endline
-      "\n=== Observability overhead (null sink vs. none, min of 7 \
-       interleaved reps) ===\n";
-    obs_bench ()
-  end
-  else if fuzz_bench_only then begin
-    print_endline "\n=== Fuzz campaign throughput (shrink included) ===\n";
-    let rows = fuzz_bench ~smoke () in
-    Option.iter (fun b -> diff_fuzz_baseline b rows) baseline
-  end
-  else if mc_bench_only then begin
-    print_endline
-      "\n=== Transposition table (nodes + wall clock per dedup mode) ===\n";
-    let rows = mc_bench ~smoke () in
-    Option.iter (fun b -> diff_mc_baseline b rows) baseline
-  end
-  else if par_bench_only then begin
-    print_endline "\n=== Parallel speedup (wall clock, determinism checked) ===\n";
-    par_bench ()
-  end
-  else begin
-    if not bench_only then
-      with_jobs (fun pool ->
-          match only with
+  parse (List.tl (Array.to_list Sys.argv));
+  let has flag = List.mem flag !set in
+  let quick = has "--quick" in
+  match List.find_opt (fun (flag, _, _, _, _) -> has flag) suites with
+  | Some suite -> run_suite ~smoke:(has "--smoke") ~baseline:!baseline suite
+  | None when has "--obs-bench" ->
+      Printf.printf
+        "\n=== Observability overhead (null sink vs. none, min of %d \
+         interleaved rounds) ===\n\n"
+        Bench_row.runs;
+      obs_bench ()
+  | None when has "--par-bench" ->
+      print_endline "\n=== Parallel speedup (wall clock, determinism checked) ===\n";
+      par_bench ()
+  | None ->
+      let bench_only = has "--bench" in
+      if not bench_only then begin
+        let run pool =
+          match !only with
           | Some id -> (
               match Experiments.All.find id with
               | Some s ->
@@ -1290,11 +890,19 @@ let () =
                     s.Experiments.All.title;
                   Stats.Table.print (s.Experiments.All.run ~pool ~quick)
               | None ->
-                  Printf.eprintf "unknown experiment %S (known: e1..e8)\n" id;
+                  Printf.eprintf "unknown experiment %S (known: %s)\n" id
+                    (String.concat ", "
+                       (List.map
+                          (fun s -> s.Experiments.All.id)
+                          Experiments.All.specs));
                   exit 1)
-          | None -> Experiments.All.run_all ?pool ~quick ());
-    if bench_only || (only = None && not quick) then begin
-      print_endline "\n=== Bechamel micro/macro benchmarks (ns per run) ===\n";
-      run_bechamel (micro_tests @ macro_tests)
-    end
-  end
+          | None -> Experiments.All.run_all ?pool ~quick ()
+        in
+        match !jobs with
+        | None -> run None
+        | Some jobs -> Par.with_pool ~jobs (fun pool -> run (Some pool))
+      end;
+      if bench_only || (!only = None && not quick) then begin
+        print_endline "\n=== Bechamel micro/macro benchmarks (ns per run) ===\n";
+        run_bechamel (micro_tests @ macro_tests)
+      end
