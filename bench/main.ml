@@ -756,13 +756,13 @@ let run_suite ~smoke ~baseline (_, suite, title, rows, smoke_subset) =
   let baseline =
     Option.map
       (fun file ->
-        match Bench_row.load ~suite (Sim.Trace_io.load_text ~path:file) with
+        match Bench_row.load ~suite (Robust.Persist.read ~path:file) with
         | Ok rows -> (file, rows)
         | Error e ->
             Printf.eprintf "--baseline %s: %s\n" file e;
             exit 2
-        | exception Sys_error e ->
-            Printf.eprintf "--baseline: %s\n" e;
+        | exception Robust.Persist.Error e ->
+            Printf.eprintf "--baseline: %s\n" (Robust.Persist.error_message e);
             exit 2)
       baseline
   in
@@ -772,7 +772,7 @@ let run_suite ~smoke ~baseline (_, suite, title, rows, smoke_subset) =
   let file = Printf.sprintf "BENCH_%s.json" suite in
   if smoke then Printf.printf "\n--smoke: %s left untouched\n" file
   else begin
-    Sim.Trace_io.save_text ~path:file (Bench_row.to_string ~suite rows);
+    Robust.Persist.write ~path:file (Bench_row.to_string ~suite rows);
     Printf.printf "\nwrote %s\n" file
   end;
   Option.iter

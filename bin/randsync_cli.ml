@@ -144,8 +144,8 @@ let with_jobs ?obs jobs f =
 let metrics_arg =
   let doc =
     "Dump counters, watermarks, histograms and spans as line-JSON to FILE \
-     (written once on exit, atomic replace).  Counter values equal the \
-     numbers printed on stdout."
+     (written once on exit, durably; exit 1 if unwritable).  Counter values \
+     equal the numbers printed on stdout."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
@@ -269,7 +269,10 @@ let attack_cmd =
     Arg.(value & flag & info [ "certify" ] ~doc)
   in
   let save_arg =
-    let doc = "Save the counterexample execution to FILE (Trace_io format)." in
+    let doc =
+      "Save the counterexample trace to FILE (checksummed, durable; exit 1 \
+       if unwritable)."
+    in
     Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
   in
   let seeds_arg =
@@ -461,23 +464,16 @@ let mc_cmd =
         let resume_state =
           match resume with
           | None -> None
-          | Some path -> (
-              match Mc.Checkpoint.load ~path with
-              | exception Sys_error e ->
-                  prerr_endline e;
-                  exit Exit_code.bad_args
-              | exception Sim.Trace_io.Parse_error e ->
-                  prerr_endline ("checkpoint parse error: " ^ e);
-                  exit Exit_code.bad_args
-              | saved_scenario, state ->
-                  if saved_scenario <> scenario then begin
-                    Fmt.epr
-                      "checkpoint %s was taken for a different search:@.  \
-                       checkpoint: %s@.  requested:  %s@."
-                      path saved_scenario scenario;
-                    exit Exit_code.bad_args
-                  end;
-                  Some state)
+          | Some path ->
+              let saved_scenario, state = Mc.Checkpoint.load ~path in
+              if saved_scenario <> scenario then begin
+                Fmt.epr
+                  "checkpoint %s was taken for a different search:@.  \
+                   checkpoint: %s@.  requested:  %s@."
+                  path saved_scenario scenario;
+                exit Exit_code.bad_args
+              end;
+              Some state
         in
         let on_checkpoint =
           Option.map
@@ -537,8 +533,9 @@ let mc_cmd =
           & opt (some string) None
           & info [ "checkpoint" ] ~docv:"FILE"
               ~doc:
-                "Periodically save the DFS frontier to FILE (atomic \
-                 replace), and once more if a budget trips.")
+                "Periodically save the DFS frontier to FILE (checksummed, \
+                 durable; exit 1 if unwritable), and once more if a budget \
+                 trips.")
       $ Arg.(
           value
           & opt int 50_000
@@ -618,7 +615,7 @@ let fuzz_cmd =
         List.iter print_endline report.Serve.Job.lines;
         (match (result.Fuzz.Campaign.first_violation, out) with
         | Some cex, Some path ->
-            Sim.Trace_io.save_text ~path cex.Fuzz.Campaign.artifact;
+            Robust.Persist.write ~path cex.Fuzz.Campaign.artifact;
             Fmt.pr "counterexample saved to %s@." path
         | _ -> ());
         let code = report.Serve.Job.status in
@@ -673,9 +670,9 @@ let fuzz_cmd =
           & opt (some string) None
           & info [ "out" ] ~docv:"FILE"
               ~doc:
-                "Save the shrunk counterexample: a Trace_io trace for \
-                 consensus/mutex scenarios (inspect with `randsync trace`), \
-                 a fuzz-schedule file for linearizability ones.")
+                "Save the shrunk counterexample (checksummed, durable; exit 1 \
+                 if unwritable): a trace for consensus/mutex scenarios (see \
+                 `randsync trace`), a fuzz-schedule file for lin ones.")
       $ deadline_arg
       $ Arg.(
           value
@@ -690,23 +687,16 @@ let fuzz_cmd =
 
 let trace_cmd =
   let run path =
-    match Sim.Trace_io.load_int ~path with
-    | exception Sys_error e ->
-        prerr_endline e;
-        exit Exit_code.bad_args
-    | exception Sim.Trace_io.Parse_error e ->
-        prerr_endline ("parse error: " ^ e);
-        exit Exit_code.bad_args
-    | trace ->
-        print_endline (Sim.Trace.to_string string_of_int trace);
-        let decisions = List.map snd (Sim.Trace.decisions trace) in
-        Fmt.pr "--@.steps=%d pids=[%a] decisions=[%a]%s@."
-          (Sim.Trace.steps trace)
-          Fmt.(list ~sep:(any ";") int)
-          (Sim.Trace.pids trace)
-          Fmt.(list ~sep:(any ";") int)
-          decisions
-          (if Sim.Checker.inconsistent ~decisions then "  INCONSISTENT" else "")
+    let trace = Sim.Trace_io.load_int ~path in
+    print_endline (Sim.Trace.to_string string_of_int trace);
+    let decisions = List.map snd (Sim.Trace.decisions trace) in
+    Fmt.pr "--@.steps=%d pids=[%a] decisions=[%a]%s@."
+      (Sim.Trace.steps trace)
+      Fmt.(list ~sep:(any ";") int)
+      (Sim.Trace.pids trace)
+      Fmt.(list ~sep:(any ";") int)
+      decisions
+      (if Sim.Checker.inconsistent ~decisions then "  INCONSISTENT" else "")
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Inspect a saved witness trace (see attack --save)")
@@ -1138,9 +1128,9 @@ let synth_cmd =
           & opt (some string) None
           & info [ "lemmas" ] ~docv:"FILE"
               ~doc:
-                "Save the final lemma pool to FILE (versioned text codec, \
-                 atomic replace).  Byte-identical across --jobs settings; \
-                 CI diffs it.")
+                "Save the final lemma pool to FILE (checksummed, durable; \
+                 exit 1 if unwritable).  Byte-identical across --jobs; CI \
+                 diffs it.")
       $ metrics_arg $ progress_arg)
 
 let main =
@@ -1151,4 +1141,15 @@ let main =
       synth_cmd; trace_cmd; serve_cmd; submit_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* The one handler for file failures: a file that cannot be read, written
+   or parsed exits 1 naming the path, over any verdict already printed
+   (DESIGN.md §4d).  Anything else keeps cmdliner's internal-error exit. *)
+let () =
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception (Robust.Persist.Error _ | Sim.Trace_io.Parse_error _ as e) ->
+      prerr_endline ("randsync: " ^ Printexc.to_string e);
+      exit Exit_code.bad_args
+  | exception e ->
+      prerr_endline ("randsync: internal error:\n" ^ Printexc.to_string e);
+      exit Cmd.Exit.internal_error

@@ -194,7 +194,7 @@ let consensus ?(engine = `Flat) ?(inputs = [ 0; 1 ]) ?(max_steps = 4096)
        can reconstruct; they are built once per minimized counterexample *)
     artifact =
       (fun schedule ->
-        Trace_io.to_text_int (replay_result schedule).Run.trace ^ "\n");
+        Trace_io.to_text_int (replay_result schedule).Run.trace);
   }
 
 (* ---- mutual exclusion --------------------------------------------- *)
@@ -241,7 +241,7 @@ let mutex ?(n = 2) ?(max_steps = 512) (m : Mutex.t) =
     replay = (fun schedule -> judge (replay_result schedule));
     artifact =
       (fun schedule ->
-        Trace_io.to_text_int (replay_result schedule).Run.trace ^ "\n");
+        Trace_io.to_text_int (replay_result schedule).Run.trace);
   }
 
 (* ---- linearizability ----------------------------------------------- *)

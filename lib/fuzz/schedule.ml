@@ -8,21 +8,16 @@
    against a fresh initial configuration, which is what makes a shrunk
    schedule a genuine witness rather than a transcript.
 
-   The text codec is line-oriented in the style of [Sim.Trace_io] (and
-   shares its atomic [save_text] writes and [Parse_error]):
+   The text codec is a [Robust.Persist] frame (the checksummed trailer
+   makes a truncated or damaged witness a loud [Trace_io.Parse_error]),
+   one entry per body line:
 
-     fuzz-schedule v2
-     len <count>        entry count, validated on read
+     fuzz-schedule v3
      S <pid>            step (the process was poised at an operation)
      S <pid> <coin>     step that resolved an internal flip
      X <pid>            crash
-     end                terminator, required on read
-
-   The count and terminator lines are what make truncation loud: a v1
-   file that lost tail lines still parsed as a shorter (wrong) witness,
-   and a cut mid-line can leave a valid shorter entry ("S 1 1" out of
-   "S 1 12"), which only the terminator catches.  v1 files — which have
-   neither — are still read. *)
+     end <bytes> <md5-hex>
+*)
 
 open Sim
 
@@ -57,11 +52,7 @@ let of_trace trace : t =
 
 (* ---- text codec ---- *)
 
-let version = 2
-
-let header = Printf.sprintf "fuzz-schedule v%d" version
-
-let legacy_header = "fuzz-schedule v1"
+let magic = "fuzz-schedule v3"
 
 let entry_to_string = function
   | `Step (pid, None) -> Printf.sprintf "S %d" pid
@@ -69,12 +60,7 @@ let entry_to_string = function
   | `Crash pid -> Printf.sprintf "X %d" pid
 
 let to_text t =
-  String.concat "\n"
-    ((header
-     :: Printf.sprintf "len %d" (List.length t)
-     :: List.map entry_to_string t)
-    @ [ "end" ])
-  ^ "\n"
+  Robust.Persist.frame ~magic (List.map entry_to_string t)
 
 let parse_error fmt =
   Printf.ksprintf (fun s -> raise (Trace_io.Parse_error s)) fmt
@@ -91,52 +77,12 @@ let entry_of_string line =
   | [ "X"; pid ] -> `Crash (int_of pid line)
   | _ -> parse_error "bad schedule line %S" line
 
-(* Each line is trimmed before parsing, not just for the blank test:
-   files that crossed a Windows checkout (CRLF) or an editor that pads
-   trailing whitespace must round-trip.  [entry_of_string] splits on
-   single spaces, so an untrimmed "S 1\r" would otherwise fail on the
-   stowaway "1\r" token. *)
-let of_text text =
-  match
-    List.filter
-      (fun l -> l <> "")
-      (List.map String.trim (String.split_on_char '\n' text))
-  with
-  | [] -> parse_error "empty schedule file"
-  | h :: lines ->
-      if h = header then begin
-        match lines with
-        | [] -> parse_error "schedule file ends before its count line"
-        | len_line :: rest ->
-            let declared =
-              match String.split_on_char ' ' len_line with
-              | [ "len"; n ] -> int_of n len_line
-              | _ ->
-                  parse_error "expected \"len <count>\" line, got %S" len_line
-            in
-            let entries =
-              match List.rev rest with
-              | "end" :: rev_entries -> List.rev rev_entries
-              | _ ->
-                  parse_error
-                    "schedule file missing its end marker (truncated?)"
-            in
-            let entries = List.map entry_of_string entries in
-            let got = List.length entries in
-            if got <> declared then
-              parse_error
-                "schedule declares %d entries but carries %d (truncated file?)"
-                declared got
-            else entries
-      end
-      else if h = legacy_header then
-        (* v1: no count line — truncation of the tail is undetectable,
-           which is why v2 exists *)
-        List.map entry_of_string lines
-      else parse_error "unsupported schedule header %S" h
+(* the frame has already right-trimmed every line (CRLF checkouts,
+   editor padding), so entries split on single spaces *)
+let of_text text = List.map entry_of_string (Robust.Persist.unframe ~magic text)
 
-let save ~path t = Trace_io.save_text ~path (to_text t)
-let load ~path = of_text (Trace_io.load_text ~path)
+let save ~path t = Robust.Persist.write ~path (to_text t)
+let load ~path = Robust.Persist.load ~path of_text
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>%a@]"

@@ -26,13 +26,10 @@ val pids : t -> int list
     the trace. *)
 val of_trace : 'a Trace.t -> t
 
-(** {1 Text codec} — line-oriented, versioned, in the style of
-    {!Sim.Trace_io} (whose [Parse_error] it raises and whose atomic
-    [save_text] it writes through).  v2 files carry a [len <count>]
-    line and a final [end] marker, both validated on read, so a
-    truncated file — whole lines lost or a cut mid-entry — is a loud
-    parse error instead of a silently shorter witness; v1 files, which
-    have neither, are still read. *)
+(** {1 Text codec} — one entry per line in a {!Robust.Persist} frame
+    (header [fuzz-schedule v3], checksummed trailer), so a truncated or
+    damaged file is a loud {!Sim.Trace_io.Parse_error} instead of a
+    silently shorter witness. *)
 
 val to_text : t -> string
 

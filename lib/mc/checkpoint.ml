@@ -21,18 +21,15 @@ let empty =
     path = [];
   }
 
-let version = 2
+let magic = "randsync-checkpoint v3"
 
 let parse_error fmt =
   Printf.ksprintf (fun s -> raise (Trace_io.Parse_error s)) fmt
 
+(* a newline in the scenario is refused by the frame *)
 let to_text ~scenario state =
-  (match String.index_opt scenario '\n' with
-  | Some _ -> invalid_arg "Checkpoint.to_text: scenario contains a newline"
-  | None -> ());
-  String.concat "\n"
+  Robust.Persist.frame ~magic
     [
-      Printf.sprintf "randsync-checkpoint v%d" version;
       "scenario " ^ scenario;
       Printf.sprintf "visited %d" state.visited;
       Printf.sprintf "leaves %d" state.leaves;
@@ -42,60 +39,27 @@ let to_text ~scenario state =
       (match state.reason with
       | None -> "reason -"
       | Some r -> "reason " ^ Robust.Budget.reason_to_string r);
-      (* the element count makes a path truncated at an element boundary
-         a loud error instead of a silently shorter (wrong) cursor; the
-         end marker catches a cut inside the final element ("1:1" out of
-         "1:12"), which keeps both count and elements plausible *)
       String.concat " "
-        (Printf.sprintf "path %d" (List.length state.path)
+        ("path"
         :: List.map (fun (pid, o) -> Printf.sprintf "%d:%d" pid o) state.path);
-      "end";
-      "";
     ]
 
 let of_text text =
-  let lines =
-    List.filter
-      (fun l -> String.trim l <> "")
-      (String.split_on_char '\n' text)
-  in
   let field name line =
-    let prefix = name ^ " " in
-    let plen = String.length prefix in
-    if String.length line >= plen && String.sub line 0 plen = prefix then
-      String.sub line plen (String.length line - plen)
-    else if line = name then ""
-    else parse_error "expected %S line, got %S" name line
+    match String.index_opt line ' ' with
+    | _ when line = name -> ""
+    | Some i when String.sub line 0 i = name ->
+        String.sub line (i + 1) (String.length line - i - 1)
+    | _ -> parse_error "expected %S line, got %S" name line
   in
   let int_field name line =
     match int_of_string_opt (field name line) with
     | Some i -> i
     | None -> parse_error "bad integer in %S line %S" name line
   in
-  match lines with
-  | header :: rest ->
-      let ver =
-        match field "randsync-checkpoint" header with
-        | "v2" -> `V2
-        | "v1" -> `V1  (* legacy: no path element count, no end marker *)
-        | v -> parse_error "unsupported checkpoint version %S" v
-      in
-      let scenario, visited, leaves, table_hits, max_depth_seen, trunc, reason,
-          path =
-        match (ver, rest) with
-        | ( `V1,
-            [ scenario; visited; leaves; table_hits; max_depth_seen; trunc;
-              reason; path ] )
-        | ( `V2,
-            [ scenario; visited; leaves; table_hits; max_depth_seen; trunc;
-              reason; path; "end" ] ) ->
-            (scenario, visited, leaves, table_hits, max_depth_seen, trunc,
-             reason, path)
-        | `V2, [ _; _; _; _; _; _; _; _; e ] ->
-            parse_error "bad checkpoint end marker %S (truncated file?)" e
-        | _ ->
-            parse_error "checkpoint file has %d lines" (List.length lines)
-      in
+  match Robust.Persist.unframe ~magic text with
+  | [ scenario; visited; leaves; table_hits; max_depth_seen; trunc; reason;
+      path ] ->
       let reason =
         match field "reason" reason with
         | "-" -> None
@@ -105,40 +69,12 @@ let of_text text =
             | None -> parse_error "unknown truncation reason %S" s)
       in
       let path =
-        let toks =
-          field "path" path |> String.split_on_char ' '
-          |> List.filter (fun s -> s <> "")
-        in
-        let elems toks =
-          List.map
-            (fun s ->
-              match String.split_on_char ':' s with
-              | [ pid; o ] -> (
-                  match (int_of_string_opt pid, int_of_string_opt o) with
-                  | Some pid, Some o -> (pid, o)
-                  | _ -> parse_error "bad path element %S" s)
-              | _ -> parse_error "bad path element %S" s)
-            toks
-        in
-        match ver with
-        | `V1 -> elems toks
-        | `V2 -> (
-            match toks with
-            | [] -> parse_error "path line missing its element count"
-            | count :: rest ->
-                let declared =
-                  match int_of_string_opt count with
-                  | Some n -> n
-                  | None -> parse_error "bad path element count %S" count
-                in
-                let rest = elems rest in
-                let got = List.length rest in
-                if got <> declared then
-                  parse_error
-                    "path declares %d elements but carries %d (truncated \
-                     file?)"
-                    declared got
-                else rest)
+        field "path" path |> String.split_on_char ' '
+        |> List.filter (fun s -> s <> "")
+        |> List.map (fun s ->
+               try Scanf.sscanf s "%d:%d%!" (fun pid o -> (pid, o))
+               with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+                 parse_error "bad path element %S" s)
       in
       ( field "scenario" scenario,
         {
@@ -150,9 +86,9 @@ let of_text text =
           reason;
           path;
         } )
-  | [] -> parse_error "empty checkpoint file"
+  | l -> parse_error "checkpoint has %d lines, expected 8" (List.length l)
 
 let save ~path ~scenario state =
-  Trace_io.save_text ~path (to_text ~scenario state)
+  Robust.Persist.write ~path (to_text ~scenario state)
 
-let load ~path = of_text (Trace_io.load_text ~path)
+let load ~path = Robust.Persist.load ~path of_text

@@ -20,20 +20,17 @@
     wrong protocol/inputs/depth is refused loudly instead of exploring
     garbage.
 
-    File format, versioned and line-oriented like {!Sim.Trace_io}:
+    File format: a {!Robust.Persist} frame, so a truncated or damaged
+    checkpoint is a loud parse error instead of a silently wrong resume
+    cursor:
     {v
-    randsync-checkpoint v2
+    randsync-checkpoint v3
     scenario <verbatim scenario line>
     visited <int> ... trunc <int> counter lines
     reason <reason|->
-    path <count> <pid>:<outcome> <pid>:<outcome> ...
-    end
-    v}
-    The path element count and the [end] marker are validated on read,
-    so a truncated file — cut at an element boundary or inside the
-    final element — is a loud parse error instead of a silently shorter
-    (and wrong) resume cursor.  v1 files, which have neither, are still
-    read. *)
+    path <pid>:<outcome> <pid>:<outcome> ...
+    end <bytes> <md5-hex>
+    v} *)
 
 type state = {
   visited : int;
@@ -47,14 +44,12 @@ type state = {
 
 val empty : state
 
-val version : int
-
-(** Atomic write (via {!Sim.Trace_io.save_text}): an interrupted save
+(** Durable atomic write ({!Robust.Persist.write}): an interrupted save
     leaves the previous checkpoint intact. *)
 val save : path:string -> scenario:string -> state -> unit
 
-(** Returns [(scenario, state)].  Raises {!Sim.Trace_io.Parse_error} on a
-    malformed or wrong-version file. *)
+(** Returns [(scenario, state)]; raises {!Robust.Persist.Error}, or
+    {!Sim.Trace_io.Parse_error} on a damaged or wrong-version file. *)
 val load : path:string -> string * state
 
 (** The codec under {!save}/{!load}, exposed for tests. *)

@@ -14,9 +14,8 @@
    nevertheless promises not to lose any — [find] is exactly the
    max-merge of every [set] — because the property tests pin it.
 
-   On-disk v1 format, written with the repo's atomic tmp+rename
-   discipline ([Sim.Trace_io.save_text]) at creation and compaction and
-   plain appends in between:
+   On-disk v1 format, written with [Robust.Persist.write] (durable
+   tmp+rename) at creation and compaction and plain appends in between:
 
      randsync-dtbl v1
      e <hash> <nfps> <fp> ... <nobjs> <value> ... <meta> ;
@@ -222,8 +221,8 @@ let scan_log content =
   (!saw_header, List.rev !records, !valid, len - !valid)
 
 let open_disk t path =
-  let content = if Sys.file_exists path then Trace_io.load_text ~path else "" in
-  let fresh () = Trace_io.save_text ~path (header ^ "\n") in
+  let content = if Sys.file_exists path then Robust.Persist.read ~path else "" in
+  let fresh () = Robust.Persist.write ~path (header ^ "\n") in
   let saw_header, records, valid, torn =
     if content = "" then (false, [], 0, 0) else scan_log content
   in
@@ -242,7 +241,7 @@ let open_disk t path =
       "randsync: dtbl %s: dropping %d-byte torn tail, keeping %d records\n%!"
       path (String.length content - valid) (List.length records);
     t.lost_tail <- true;
-    Trace_io.save_text ~path (String.sub content 0 valid)
+    Robust.Persist.write ~path (String.sub content 0 valid)
   end;
   let index = Hashtbl.create 1024 in
   List.iter
@@ -331,7 +330,7 @@ let compact t =
   | None -> ()
   | Some d ->
       flush d.oc;
-      let content = Trace_io.load_text ~path:d.path in
+      let content = Robust.Persist.read ~path:d.path in
       let _, records, _, torn = scan_log content in
       if torn > 0 then
         (* appends happen through [d.oc] only, always whole records *)
@@ -365,7 +364,7 @@ let compact t =
         merged;
       close_out d.oc;
       close_in d.ic;
-      Trace_io.save_text ~path:d.path (Buffer.contents buf);
+      Robust.Persist.write ~path:d.path (Buffer.contents buf);
       d.tail <- Buffer.length buf;
       reopen_channels d;
       d.compact_at <- compact_base t.mem_limit + (2 * d.records);

@@ -163,17 +163,11 @@ module Sink = struct
     | Memory lines -> List.rev !lines
     | Null | File _ -> []
 
-  (* Same atomic discipline as [Sim.Trace_io.save_text]: land the bytes in
-     a sibling temp file, then rename over the target, so a crash
-     mid-flush leaves the previous version intact. *)
+  (* plain line-JSON (users and CI read it directly), written durably:
+     a crash mid-flush leaves the previous version intact *)
   let flush = function
     | Null | Memory _ -> ()
-    | File { path; buf } ->
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        output_string oc (Buffer.contents buf);
-        close_out oc;
-        Sys.rename tmp path
+    | File { path; buf } -> Robust.Persist.write ~path (Buffer.contents buf)
 end
 
 type t = {

@@ -1,7 +1,7 @@
-(** Zero-dependency observability: named monotonic counters, high-water
+(** Dependency-light observability: named monotonic counters, high-water
     marks and histograms ({!Metrics}), nested wall-clock span timers
     ({!span}), and a pluggable {!Sink} (null / in-memory / line-JSON file
-    with the same atomic tmp+rename discipline as [Sim.Trace_io]).
+    written through {!Robust.Persist.write}).
 
     The layer is built for the determinism contracts of this repo: engines
     never tick shared metrics from worker domains.  Instead each parallel
@@ -73,8 +73,8 @@ end
 module Sink : sig
   (** Where emitted lines go.  [null] drops them, [memory] keeps them (in
       emission order) for tests, [file] buffers them and writes the whole
-      file atomically (tmp + rename) on {!flush} — an interrupted process
-      never leaves a half-written metrics file. *)
+      file with {!Robust.Persist.write} on {!flush}: never half-written,
+      and {!Robust.Persist.Error} if it cannot be written. *)
   type t
 
   val null : t

@@ -356,7 +356,7 @@ let run_mc ?cancel ?on_poll ?checkpoint ~deadline (m : mc) =
             match Mc.Checkpoint.load ~path with
             | saved_stamp, state when saved_stamp = stamp -> Some state
             | _ -> None
-            | exception (Sys_error _ | Sim.Trace_io.Parse_error _) -> None)
+            | exception Robust.Persist.(Error _ | Parse_error _) -> None)
         | _ -> None
       in
       let nodes =

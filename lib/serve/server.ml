@@ -90,6 +90,26 @@ let send conn reply =
 
 let notify jr reply = List.iter (fun c -> send c reply) jr.watchers
 
+(* under t.m.  A failed spool write is reported and counted, never
+   raised: a lost verdict or cancel marker still reaches the watchers,
+   and a restart merely re-runs that job to the same verdict. *)
+let spool_failed t e =
+  let msg = "spool: " ^ Robust.Persist.error_message e in
+  prerr_endline ("randsync serve: " ^ msg);
+  obs_incr t "serve/spool-errors";
+  msg
+
+let spool_record t f =
+  try Option.iter f t.spool
+  with Robust.Persist.Error e -> ignore (spool_failed t e)
+
+(* under t.m *)
+let mark_cancelled t jr =
+  jr.state <- Cancelled_j;
+  spool_record t (fun s -> Spool.mark_cancelled s ~id:jr.id);
+  obs_incr t "serve/cancelled";
+  notify jr (Wire.Cancelled { id = jr.id })
+
 (* ---- cancellation paths ---- *)
 
 (* under t.m *)
@@ -101,11 +121,8 @@ let cancel_job t jr ~origin =
       Queue.iter (fun i -> if i <> jr.id then Queue.add i keep) t.queue;
       Queue.clear t.queue;
       Queue.transfer keep t.queue;
-      jr.state <- Cancelled_j;
       jr.origin <- origin;
-      Option.iter (fun s -> Spool.mark_cancelled s ~id:jr.id) t.spool;
-      obs_incr t "serve/cancelled";
-      notify jr (Wire.Cancelled { id = jr.id })
+      mark_cancelled t jr
   | Running ->
       (* the worker owns the epilogue; we just flip the token *)
       if jr.origin = `None then jr.origin <- origin;
@@ -143,15 +160,11 @@ let finish_job t jr (outcome : Job.outcome) =
          spool still holds the spec — a restart finishes the job *)
       jr.state <- Interrupted;
       obs_incr t "serve/interrupted"
-  | `Client, true ->
-      jr.state <- Cancelled_j;
-      Option.iter (fun s -> Spool.mark_cancelled s ~id:jr.id) t.spool;
-      obs_incr t "serve/cancelled";
-      notify jr (Wire.Cancelled { id = jr.id })
+  | `Client, true -> mark_cancelled t jr
   | _ ->
       (* completed on merit (possibly outrunning a late cancel) *)
       jr.state <- Done outcome;
-      Option.iter (fun s -> Spool.record_verdict s ~id:jr.id outcome) t.spool;
+      spool_record t (fun s -> Spool.record_verdict s ~id:jr.id outcome);
       obs_incr t "serve/done";
       notify jr
         (Wire.Verdict
@@ -293,30 +306,35 @@ let handle_request t conn = function
       | `Draining -> send conn Wire.Draining
       | `Shed queued ->
           send conn (Wire.Overloaded { queued; limit = t.cfg.queue_limit })
-      | `Admit id ->
+      | `Admit id -> (
           (* on disk before the accepted reply: a crash after this point
-             cannot lose an admitted job *)
-          Option.iter (fun s -> Spool.add s ~id job) t.spool;
-          let jr =
-            {
-              id;
-              job;
-              cancel = Robust.Cancel.create ();
-              state = Queued;
-              origin = `None;
-              watchers = (if detach then [] else [ conn ]);
-              last_progress = 0.;
-              detached = detach;
-            }
-          in
-          send conn (Wire.Accepted { id });
-          locked t (fun () ->
-              Hashtbl.replace t.jobs id jr;
-              if not detach then conn.attached <- id :: conn.attached;
-              Queue.add id t.queue;
-              obs_incr t "serve/submitted";
-              obs_gauges t;
-              Condition.signal t.work))
+             cannot lose an admitted job, and a job that cannot be put on
+             disk is refused rather than queued *)
+          match Option.iter (fun s -> Spool.add s ~id job) t.spool with
+          | exception Robust.Persist.Error e ->
+              let message = locked t (fun () -> spool_failed t e) in
+              send conn (Wire.Error { message })
+          | () ->
+              let jr =
+                {
+                  id;
+                  job;
+                  cancel = Robust.Cancel.create ();
+                  state = Queued;
+                  origin = `None;
+                  watchers = (if detach then [] else [ conn ]);
+                  last_progress = 0.;
+                  detached = detach;
+                }
+              in
+              send conn (Wire.Accepted { id });
+              locked t (fun () ->
+                  Hashtbl.replace t.jobs id jr;
+                  if not detach then conn.attached <- id :: conn.attached;
+                  Queue.add id t.queue;
+                  obs_incr t "serve/submitted";
+                  obs_gauges t;
+                  Condition.signal t.work)))
 
 let reader_loop t conn =
   let ic = Unix.in_channel_of_descr conn.fd in

@@ -3,8 +3,10 @@ type t = { dir : string }
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    try Unix.mkdir dir 0o755 with
+    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    | Unix.Unix_error (err, _, _) ->
+        raise (Robust.Persist.(Error { path = dir; op = "mkdir"; err }))
   end
 
 let create ~dir =
@@ -12,16 +14,6 @@ let create ~dir =
   { dir }
 
 let dir t = t.dir
-
-(* Same discipline as Obs.Sink: write a sibling temp file, rename over
-   the target.  rename(2) is atomic, so readers (and a post-crash
-   recover) see the old bytes or the new bytes, never a prefix. *)
-let write_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp path
 
 let job_path t id = Filename.concat t.dir (Printf.sprintf "job-%d.json" id)
 
@@ -34,14 +26,19 @@ let cancelled_path t id =
 let checkpoint_path t ~id =
   Filename.concat t.dir (Printf.sprintf "job-%d.ckpt" id)
 
+(* plain JSON (perfbench and users read it), written durably: readers
+   and a post-crash recover see the old bytes or the new, never a
+   prefix *)
 let add t ~id job =
-  write_atomic (job_path t id) (Json.to_string (Job.to_json job) ^ "\n")
+  Robust.Persist.write ~path:(job_path t id)
+    (Json.to_string (Job.to_json job) ^ "\n")
 
 let record_verdict t ~id outcome =
-  write_atomic (verdict_path t id)
+  Robust.Persist.write ~path:(verdict_path t id)
     (Json.to_string (Job.outcome_to_json ~id outcome) ^ "\n")
 
-let mark_cancelled t ~id = write_atomic (cancelled_path t id) "cancelled\n"
+let mark_cancelled t ~id =
+  Robust.Persist.write ~path:(cancelled_path t id) "cancelled\n"
 
 type entry = {
   id : int;
@@ -51,21 +48,14 @@ type entry = {
 
 type recovered = { entries : entry list; next_id : int }
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let skip id path msg =
   Printf.eprintf "spool: skipping job %d (%s): %s\n%!" id path msg
 
 let load_json path decode =
-  match Json.parse (String.trim (read_file path)) with
+  match Json.parse (String.trim (Robust.Persist.read ~path)) with
   | Ok j -> decode j
   | Error e -> Error e
-  | exception Sys_error e -> Error e
+  | exception Robust.Persist.Error e -> Error (Robust.Persist.error_message e)
 
 let recover t =
   let ids = ref [] in

@@ -1,9 +1,9 @@
 (** Crash-safe job persistence.
 
-    One directory, a few small files per job, every write atomic
-    (temp-file-then-rename, the {!Obs.Sink} discipline), so the spool is
-    consistent at every instant — a kill -9 between any two syscalls
-    leaves either the old state or the new one, never a torn file:
+    One directory, a few small files per job, every write durable and
+    atomic ({!Robust.Persist.write}), so the spool is consistent at every
+    instant — a kill -9 or power loss between any two syscalls leaves
+    either the old state or the new one, never a torn file:
 
     - [job-<id>.json] — the spec, written {e before} the [accepted]
       reply goes out (an accepted job is on disk by definition);
@@ -26,6 +26,7 @@ val create : dir:string -> t
 
 val dir : t -> string
 
+(** The three writers raise {!Robust.Persist.Error}. *)
 val add : t -> id:int -> Job.t -> unit
 val record_verdict : t -> id:int -> Job.outcome -> unit
 val mark_cancelled : t -> id:int -> unit

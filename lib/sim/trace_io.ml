@@ -2,7 +2,9 @@
    traces (the counterexample executions the adversaries produce), with a
    parser, so witnesses can be saved, diffed and reloaded.
 
-   Format, one event per line:
+   Format: a {!Robust.Persist} frame (header [randsync-trace v1], then
+   the body, then the checksummed [end] trailer), one event per body
+   line:
 
      A <pid> <obj> <op-name> <arg> <resp>
      C <pid> <n> <outcome>
@@ -16,8 +18,6 @@
      p(<v>,<v>)   pairs         n             None
      o<v>         Some          l[<v>;...]    lists
 *)
-
-type 'a t = 'a Trace.t
 
 let rec encode_value (v : Value.t) =
   match v with
@@ -33,7 +33,7 @@ let rec encode_value (v : Value.t) =
   | Value.List vs ->
       Printf.sprintf "l[%s]" (String.concat ";" (List.map encode_value vs))
 
-exception Parse_error of string
+exception Parse_error = Robust.Persist.Parse_error
 
 let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
@@ -128,40 +128,19 @@ let decode_event decode_decision line =
   | [ "H"; pid ] -> Event.Halted { pid = int_of_string pid }
   | _ -> parse_error "bad event line %S" line
 
-(** Serialize a trace, one event per line. *)
-let to_text ~encode_decision (trace : 'a t) =
-  String.concat "\n"
-    (List.map (encode_event encode_decision) (Trace.events trace))
+let magic = "randsync-trace v1"
 
-(** Parse a serialized trace.  Raises {!Parse_error} on malformed input. *)
-let of_text ~decode_decision text =
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text)
-  in
-  Trace.of_events (List.map (decode_event decode_decision) lines)
+let to_text_int trace =
+  Robust.Persist.frame ~magic
+    (List.map (encode_event string_of_int) (Trace.events trace))
 
-(** Int-decision convenience (binary consensus traces). *)
-let to_text_int trace = to_text ~encode_decision:string_of_int trace
+let of_text_int text =
+  Trace.of_events
+    (List.map
+       (fun l ->
+         try decode_event int_of_string l
+         with Failure _ -> parse_error "bad event line %S" l)
+       (Robust.Persist.unframe ~magic text))
 
-let of_text_int text = of_text ~decode_decision:int_of_string text
-
-(* Atomic whole-file write: the contents land in a sibling temp file that
-   is renamed over [path], so a crash mid-write leaves the previous
-   version intact.  Periodic checkpoints (see [Mc.Checkpoint]) depend on
-   this — an interrupted run must always find a complete file. *)
-let save_text ~path text =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc text;
-  close_out oc;
-  Sys.rename tmp path
-
-let load_text ~path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let buf = really_input_string ic len in
-  close_in ic;
-  buf
-
-let save_int ~path trace = save_text ~path (to_text_int trace ^ "\n")
-let load_int ~path = of_text_int (load_text ~path)
+let save_int ~path trace = Robust.Persist.write ~path (to_text_int trace)
+let load_int ~path = Robust.Persist.load ~path of_text_int

@@ -49,15 +49,14 @@ let first_hit ~n pool p =
 
 (* ---- text codec ----
 
-   One line per lemma, versioned with a count line and an end marker in
-   the Trace_io/Schedule style: byte-identical pools are the jobs 1/2
-   determinism artifact, and a truncated file is a loud parse error.
+   One line per lemma in a [Robust.Persist] frame: byte-identical pools
+   are the jobs 1/2 determinism artifact, and a truncated or damaged file
+   is a loud parse error.
 
-     randsync-lemmas v1
-     count 2
+     randsync-lemmas v2
      L <source> inputs=0,1 sched=s0:0;s1;c0
      L <source> inputs=0,0,1 sched=
-     end
+     end <bytes> <md5-hex>
 *)
 
 let entry_to_string = function
@@ -124,54 +123,8 @@ let lemma_of_line line =
       { source; inputs; schedule }
   | _ -> fail "bad lemma line %S" line
 
-let to_text pool =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "randsync-lemmas v1\n";
-  Buffer.add_string b (Printf.sprintf "count %d\n" (List.length pool));
-  List.iter
-    (fun l ->
-      Buffer.add_string b (lemma_to_line l);
-      Buffer.add_char b '\n')
-    pool;
-  Buffer.add_string b "end\n";
-  Buffer.contents b
-
-let of_text text =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Trace_io.Parse_error m)) fmt in
-  let lines =
-    String.split_on_char '\n' text
-    |> List.map (fun l ->
-           (* tolerate CRLF exactly like the schedule codec *)
-           if String.length l > 0 && l.[String.length l - 1] = '\r' then
-             String.sub l 0 (String.length l - 1)
-           else l)
-    |> List.filter (fun l -> l <> "")
-  in
-  match lines with
-  | "randsync-lemmas v1" :: rest -> (
-      match rest with
-      | count_line :: rest -> (
-          let count =
-            match String.split_on_char ' ' count_line with
-            | [ "count"; n ] -> (
-                match int_of_string_opt n with
-                | Some n when n >= 0 -> n
-                | _ -> fail "bad lemma count line %S" count_line)
-            | _ -> fail "bad lemma count line %S" count_line
-          in
-          let rec take acc k = function
-            | "end" :: [] when k = count -> List.rev acc
-            | "end" :: _ -> fail "lemma file: garbage after end marker"
-            | line :: rest when k < count ->
-                take (lemma_of_line line :: acc) (k + 1) rest
-            | _ :: _ -> fail "lemma file: more entries than declared"
-            | [] -> fail "lemma file truncated: %d of %d entries" k count
-          in
-          match take [] 0 rest with
-          | pool -> pool)
-      | [] -> fail "lemma file truncated: missing count line")
-  | first :: _ -> fail "not a lemma file (leads with %S)" first
-  | [] -> fail "empty lemma file"
-
-let save ~path pool = Trace_io.save_text ~path (to_text pool)
-let load ~path = of_text (Trace_io.load_text ~path)
+let magic = "randsync-lemmas v2"
+let to_text pool = Robust.Persist.frame ~magic (List.map lemma_to_line pool)
+let of_text text = List.map lemma_of_line (Robust.Persist.unframe ~magic text)
+let save ~path pool = Robust.Persist.write ~path (to_text pool)
+let load ~path = Robust.Persist.load ~path of_text

@@ -50,10 +50,10 @@ val hits_pair :
     replays its pool most-hit first instead. *)
 val first_hit : n:int -> t list -> Consensus.Protocol.t -> t option
 
-(** {1 Text codec} — line-oriented and versioned in the {!Sim.Trace_io}
-    style (count line + [end] marker, loud {!Sim.Trace_io.Parse_error}
-    on damage).  Byte-equality of [to_text] output is the determinism
-    artifact the jobs 1/2 suite and CI compare. *)
+(** {1 Text codec} — one lemma per line in a {!Robust.Persist} frame
+    ([randsync-lemmas v2]; loud {!Sim.Trace_io.Parse_error} on damage).
+    Byte-equality of [to_text] output is the determinism artifact the
+    jobs 1/2 suite and CI compare. *)
 
 val to_text : t list -> string
 

@@ -44,16 +44,22 @@ let expect_parse_error name text =
 
 let test_codec_rejects_malformed () =
   let valid = Mc.Checkpoint.to_text ~scenario:"s" Mc.Checkpoint.empty in
+  (* entry syntax is checked inside an intact frame, so the checksum is
+     not what refuses these *)
+  let edit ~sub ~by =
+    let magic = "randsync-checkpoint v3" in
+    Robust.Persist.frame ~magic
+      (List.map
+         (fun l -> Test_util.replace_first ~sub ~by l)
+         (Robust.Persist.unframe ~magic valid))
+  in
   expect_parse_error "empty" "";
   expect_parse_error "wrong version"
-    (Test_util.replace_first ~sub:"v2" ~by:"v9" valid);
-  expect_parse_error "bad reason"
-    (Test_util.replace_first ~sub:"reason -" ~by:"reason zeal" valid);
-  expect_parse_error "truncated file" "randsync-checkpoint v1\nscenario s";
-  expect_parse_error "bad path element"
-    (Test_util.replace_first ~sub:"path " ~by:"path 1:2:3 " valid);
-  expect_parse_error "bad integer"
-    (Test_util.replace_first ~sub:"visited 0" ~by:"visited x" valid);
+    (Test_util.replace_first ~sub:"v3" ~by:"v9" valid);
+  expect_parse_error "bad reason" (edit ~sub:"reason -" ~by:"reason zeal");
+  expect_parse_error "truncated file" "randsync-checkpoint v3\nscenario s";
+  expect_parse_error "bad path element" (edit ~sub:"path" ~by:"path 1:2:3");
+  expect_parse_error "bad integer" (edit ~sub:"visited 0" ~by:"visited x");
   (* a scenario with a newline would corrupt the line format: refused at
      write time, not quietly split *)
   match Mc.Checkpoint.to_text ~scenario:"a\nb" Mc.Checkpoint.empty with
@@ -88,9 +94,9 @@ let test_load_rejects_damaged_files () =
     (fun () ->
       let s = { Mc.Checkpoint.empty with visited = 99; path = [ (1, 0); (0, 2) ] } in
       Mc.Checkpoint.save ~path ~scenario:"sc" s;
-      let valid = Sim.Trace_io.load_text ~path in
+      let valid = Robust.Persist.read ~path in
       let expect_load_error name text =
-        Sim.Trace_io.save_text ~path text;
+        Robust.Persist.write ~path text;
         match Mc.Checkpoint.load ~path with
         | exception Sim.Trace_io.Parse_error msg ->
             Alcotest.(check bool)
@@ -109,7 +115,7 @@ let test_load_rejects_damaged_files () =
       expect_load_error "corrupt counter"
         (Test_util.replace_first ~sub:"visited 99" ~by:"visited 9g" valid);
       (* the original still loads after all that overwriting *)
-      Sim.Trace_io.save_text ~path valid;
+      Robust.Persist.write ~path valid;
       let scenario', s' = Mc.Checkpoint.load ~path in
       Alcotest.(check string) "pristine file still loads" "sc" scenario';
       Alcotest.check state "pristine state intact" s s')
@@ -249,9 +255,10 @@ let test_resume_mismatch_refused () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "resume against a mismatched scenario was accepted"
 
-(* The trip checkpoints of the depth-9 scenario, byte for byte, as the
-   closure DFS wrote them in earlier builds: checkpoint files written by
-   either engine are interchangeable. *)
+(* The trip checkpoints of the depth-9 scenario, byte for byte: the
+   cursor lines are what earlier builds wrote, now in a v3 frame whose
+   trailer (body length, MD5) was cross-checked with an independent
+   MD5 implementation. *)
 let test_checkpoint_bytes_golden () =
   List.iter
     (fun (k, golden) ->
@@ -261,13 +268,15 @@ let test_checkpoint_bytes_golden () =
         (Mc.Checkpoint.to_text ~scenario:"golden" (trip_checkpoint k)))
     [
       ( 17,
-        "randsync-checkpoint v2\nscenario golden\nvisited 17\nleaves 0\n\
+        "randsync-checkpoint v3\nscenario golden\nvisited 17\nleaves 0\n\
          table_hits 0\nmax_depth_seen 9\ntrunc 5\nreason depth\n\
-         path 9 0:0 0:0 0:0 0:0 0:0 0:0 1:0 0:0 1:0\nend\n" );
+         path 0:0 0:0 0:0 0:0 0:0 0:0 1:0 0:0 1:0\n\
+         end 128 6c21aba66d3ccfaafc6ef9f6014bac3b\n" );
       ( 1024,
-        "randsync-checkpoint v2\nscenario golden\nvisited 1024\nleaves 0\n\
+        "randsync-checkpoint v3\nscenario golden\nvisited 1024\nleaves 0\n\
          table_hits 0\nmax_depth_seen 9\ntrunc 583\nreason depth\n\
-         path 6 1:0 0:0 1:0 0:0 0:0 0:0\nend\n" );
+         path 1:0 0:0 1:0 0:0 0:0 0:0\n\
+         end 120 58d8ce71a7781cf089d8cf75093b5fe7\n" );
     ]
 
 (* with a transposition table the resumed run starts from an empty table,

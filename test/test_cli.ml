@@ -136,6 +136,67 @@ let test_checkpoint_resume_round_trip () =
       check_code "garbage checkpoint refused" 1
         (run_cli (scenario @ [ "--resume"; "/dev/null" ])))
 
+(* File failures keep the exit-code contract: a file that cannot be
+   written, or a damaged one that cannot be read, exits 1 with the path
+   on stderr (never 125), over whatever verdict was already printed. *)
+let test_file_failures_exit_1 () =
+  let dir = Filename.temp_dir "randsync-cli-files" "" in
+  let file = Filename.concat dir "regular" in
+  Robust.Persist.write ~path:file "";
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let fails name path args =
+    let r = run_cli args in
+    check_code name 1 r;
+    if not (contains r.out ("randsync: " ^ path ^ ": ")) then
+      Alcotest.failf "%s: path %s not named; output:\n%s" name path r.out;
+    r
+  in
+  let mc = [ "mc"; "counter-3"; "--inputs"; "0,1"; "--depth"; "12" ] in
+  ignore
+    (fails "mc --checkpoint into a missing dir" "/nonexistent/dir/F"
+       (mc @ [ "--max-nodes"; "500"; "--checkpoint"; "/nonexistent/dir/F" ]));
+  let r =
+    fails "mc --metrics into a missing dir" "/nonexistent/m.json"
+      [ "mc"; "cas-1"; "--inputs"; "0,1"; "--metrics"; "/nonexistent/m.json" ]
+  in
+  Alcotest.(check bool) "the verdict stays on stdout" true
+    (contains r.out "verdict: ");
+  ignore
+    (fails "synth --lemmas into a missing dir" "/nonexistent/l"
+       [ "synth"; "--registers"; "1"; "--depth"; "1"; "--seed"; "1";
+         "--lemmas"; "/nonexistent/l" ]);
+  ignore
+    (fails "fuzz --out into a missing dir" "/nonexistent/o"
+       [ "fuzz"; "flawed"; "--runs"; "64"; "--seed"; "1"; "--shrink"; "--out";
+         "/nonexistent/o" ]);
+  (* a regular file as a parent directory: unwritable even for root *)
+  let unwritable = Filename.concat file "w" in
+  ignore
+    (fails "attack --save under a regular file" unwritable
+       [ "attack"; "flawed-unanimous-rw-r1"; "--save"; unwritable ]);
+  (* damaged inputs: a truncated trace, a checkpoint with one changed
+     digit *)
+  let trace = Filename.concat dir "w.trace" in
+  check_code "attack saves its witness" 2
+    (run_cli [ "attack"; "flawed-unanimous-rw-r1"; "--save"; trace ]);
+  let text = Robust.Persist.read ~path:trace in
+  Robust.Persist.write ~path:trace
+    (String.sub text 0 (String.length text / 2));
+  ignore (fails "trace of a truncated file" trace [ "trace"; trace ]);
+  let ckpt = Filename.concat dir "F" in
+  check_code "interrupted run" 3
+    (run_cli (mc @ [ "--max-nodes"; "500"; "--checkpoint"; ckpt ]));
+  Robust.Persist.write ~path:ckpt
+    (Test_util.replace_first ~sub:"visited 500" ~by:"visited 507"
+       (Robust.Persist.read ~path:ckpt));
+  ignore
+    (fails "--resume of a checkpoint with a changed digit" ckpt
+       (mc @ [ "--resume"; ckpt ]))
+
 let test_fuzz_subcommand () =
   (* the acceptance pin: with seed 1, the flawed scenario is found and
      shrunk to <= 12 steps, and the saved trace replays to INCONSISTENT
@@ -459,6 +520,8 @@ let suite =
     Alcotest.test_case "node budget truncation" `Quick test_budget_truncation;
     Alcotest.test_case "deadline terminates in time" `Quick
       test_deadline_terminates;
+    Alcotest.test_case "file failures exit 1 naming the path" `Quick
+      test_file_failures_exit_1;
     Alcotest.test_case "checkpoint/resume round trip" `Quick
       test_checkpoint_resume_round_trip;
   ]

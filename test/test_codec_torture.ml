@@ -1,13 +1,9 @@
 (* Codec torture: truncated, interleaved and trailing-garbage input
    against every codec that crosses a process boundary — the serve wire
-   protocol (and the JSON layer under it), the fuzz-schedule files and
-   the mc checkpoint files.  The invariant is the same everywhere: a
-   damaged artifact is a loud error, never a crash and never a silent
-   partial parse.  Byte-prefix sweeps allow exactly one escape hatch:
-   a prefix may parse iff it decodes to the original value (losing only
-   the trailing newline is not corruption). *)
-
-let contains = Test_util.contains
+   protocol (and the JSON layer under it), the framed artifacts (lemma
+   pools, fuzz schedules, mc checkpoints, traces) and the dtbl records.
+   The invariant is the same everywhere: a damaged artifact is a loud
+   error, never a crash and never a silent partial parse. *)
 
 (* ---- wire frames ---- *)
 
@@ -208,7 +204,42 @@ let test_json_surrogates () =
     [ "plain"; "caf\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80";
       "mixed \xf0\x9f\x98\x80 tail" ]
 
+(* ---- framed artifacts ----
+
+   Every artifact a later run reads back (checkpoint, fuzz schedule,
+   lemma pool, trace) is a [Robust.Persist] frame, so one sweep covers
+   them all: every proper byte prefix and every single-byte flip is a
+   loud parse error, never a shorter or different value. *)
+
+let damage_sweep kind decode text =
+  let refused what damaged =
+    match decode damaged with
+    | exception Sim.Trace_io.Parse_error _ -> ()
+    | _ -> Alcotest.failf "%s: %s silently parsed" kind what
+  in
+  let len = String.length text in
+  for n = 0 to len - 1 do
+    refused (Printf.sprintf "byte prefix %d/%d" n len) (String.sub text 0 n)
+  done;
+  for i = 0 to len - 1 do
+    List.iter
+      (fun mask ->
+        let b = Bytes.of_string text in
+        Bytes.set b i (Char.chr (Char.code text.[i] lxor mask));
+        refused
+          (Printf.sprintf "byte %d/%d xor %#x" i len mask)
+          (Bytes.to_string b))
+      [ 0x01; 0x20; 0x80 ]
+  done
+
+(* the writer's own bytes, reframed around an edited body: the entry
+   syntax is checked, not just the checksum *)
+let reframe ~magic edit text =
+  Robust.Persist.frame ~magic (edit (Robust.Persist.unframe ~magic text))
+
 (* ---- synth lemma files ---- *)
+
+let lemma_magic = "randsync-lemmas v2"
 
 let lemma_error name text =
   match Synth.Lemma.of_text text with
@@ -232,28 +263,13 @@ let test_lemma_torture () =
   in
   let text = Synth.Lemma.to_text pool in
   Alcotest.(check bool) "round-trips" true (Synth.Lemma.of_text text = pool);
-  (* byte-prefix sweep: a prefix parses iff it decodes the whole pool *)
-  for n = 0 to String.length text - 1 do
-    let prefix = String.sub text 0 n in
-    match Synth.Lemma.of_text prefix with
-    | parsed ->
-        if parsed <> pool then
-          Alcotest.failf "byte prefix %d silently parsed to a different pool"
-            n
-    | exception Sim.Trace_io.Parse_error _ -> ()
-  done;
+  damage_sweep "lemmas" Synth.Lemma.of_text text;
   lemma_error "garbage after end" (text ^ "L x inputs=0 sched=\n");
-  lemma_error "count too large"
-    (String.concat "\n"
-       [ "randsync-lemmas v1"; "count 3";
-         "L p inputs=0,1 sched=s0"; "end"; "" ]);
-  lemma_error "count too small"
-    (String.concat "\n"
-       [ "randsync-lemmas v1"; "count 0";
-         "L p inputs=0,1 sched=s0"; "end"; "" ]);
-  lemma_error "bad entry" "randsync-lemmas v1\ncount 1\nL p inputs=0 sched=x9\nend\n";
-  lemma_error "empty inputs" "randsync-lemmas v1\ncount 1\nL p inputs= sched=\nend\n";
-  lemma_error "wrong magic" "randsync-schedule v1\ncount 0\nend\n";
+  let entry line = Robust.Persist.frame ~magic:lemma_magic [ line ] in
+  lemma_error "bad entry" (entry "L p inputs=0 sched=x9");
+  lemma_error "empty inputs" (entry "L p inputs= sched=");
+  lemma_error "wrong magic"
+    (Robust.Persist.frame ~magic:"randsync-schedule v1" []);
   lemma_error "empty file" "";
   (* CRLF tolerance, like every other line codec *)
   let crlf =
@@ -272,48 +288,18 @@ let schedule_error name text =
 let test_schedule_torture () =
   let sched = [ `Step (0, None); `Step (1, Some 1); `Crash 2; `Step (0, Some 0) ] in
   let text = Fuzz.Schedule.to_text sched in
-  (* byte-prefix sweep: parse iff the result is the original schedule *)
-  for n = 0 to String.length text - 1 do
-    match Fuzz.Schedule.of_text (String.sub text 0 n) with
-    | exception Sim.Trace_io.Parse_error _ -> ()
-    | sched' ->
-        if sched' <> sched then
-          Alcotest.failf "schedule prefix %d/%d parsed to a different witness"
-            n (String.length text)
-  done;
-  (* dropping whole tail lines is exactly the v1 silent-truncation hole
-     the count line closes *)
-  let lines = String.split_on_char '\n' (String.trim text) in
-  List.iteri
-    (fun k _ ->
-      if k >= 2 && k < List.length lines then
-        schedule_error
-          (Printf.sprintf "first %d lines only" k)
-          (String.concat "\n" (List.filteri (fun i _ -> i < k) lines) ^ "\n"))
-    lines;
-  (* trailing garbage: extra entries beyond the declared count, and
-     outright junk *)
+  Alcotest.(check bool) "round-trips" true (Fuzz.Schedule.of_text text = sched);
+  damage_sweep "schedule" Fuzz.Schedule.of_text text;
+  (* trailing garbage: extra entries after the trailer, and outright
+     junk *)
   schedule_error "padded with an extra entry" (text ^ "S 0\n");
   schedule_error "padded with junk" (text ^ "not a schedule line\n");
   (* interleaved: two files concatenated *)
-  schedule_error "two schedules concatenated" (text ^ text);
-  (* count line damage *)
-  schedule_error "count line missing"
-    (Test_util.replace_first ~sub:"len 4\n" ~by:"" text);
-  schedule_error "count not a number"
-    (Test_util.replace_first ~sub:"len 4" ~by:"len four" text);
-  schedule_error "count mismatch"
-    (Test_util.replace_first ~sub:"len 4" ~by:"len 3" text)
-
-let test_schedule_v1_still_reads () =
-  Alcotest.(check bool) "legacy v1 file reads" true
-    (Fuzz.Schedule.of_text "fuzz-schedule v1\nS 0\nS 1 1\nX 2\n"
-    = [ `Step (0, None); `Step (1, Some 1); `Crash 2 ]);
-  (* ... but new files are written v2, with the count line *)
-  Alcotest.(check bool) "writes carry the count" true
-    (contains (Fuzz.Schedule.to_text [ `Crash 0 ]) "fuzz-schedule v2\nlen 1\n")
+  schedule_error "two schedules concatenated" (text ^ text)
 
 (* ---- mc checkpoints ---- *)
+
+let ckpt_magic = "randsync-checkpoint v3"
 
 let ckpt_error name text =
   match Mc.Checkpoint.of_text text with
@@ -330,60 +316,68 @@ let test_checkpoint_torture () =
       trunc = 4;
       reason = Some `Depth;
       (* the multi-digit outcome is deliberate: cutting "1:12" to "1:1"
-         leaves a plausible element that only the end marker catches *)
+         leaves a plausible element that only the trailer catches *)
       path = [ (1, 0); (0, 2); (1, 12) ];
     }
   in
   let scenario = "mc protocol=rw-3n inputs=0,1 depth=20 max-states=10 dedup=off" in
   let text = Mc.Checkpoint.to_text ~scenario state in
-  (* byte-prefix sweep with the same parse-iff-identical escape hatch *)
-  for n = 0 to String.length text - 1 do
-    match Mc.Checkpoint.of_text (String.sub text 0 n) with
-    | exception Sim.Trace_io.Parse_error _ -> ()
-    | scenario', state' ->
-        if scenario' <> scenario || state' <> state then
-          Alcotest.failf
-            "checkpoint prefix %d/%d parsed to a different cursor" n
-            (String.length text)
-  done;
-  (* the v1 hole: a path cut at an element boundary used to parse as a
-     shorter path and resume from the wrong frontier *)
+  Alcotest.(check bool) "round-trips" true
+    (Mc.Checkpoint.of_text text = (scenario, state));
+  damage_sweep "checkpoint" Mc.Checkpoint.of_text text;
+  (* a path cut at an element boundary would resume from the wrong
+     frontier *)
   ckpt_error "path cut at an element boundary"
     (Test_util.replace_first ~sub:" 1:12" ~by:"" text);
   ckpt_error "path padded with an extra element"
     (Test_util.replace_first ~sub:" 1:12" ~by:" 1:12 0:0" text);
-  ckpt_error "path count damaged"
-    (Test_util.replace_first ~sub:"path 3" ~by:"path three" text);
   (* interleaving and garbage *)
   ckpt_error "two checkpoints concatenated" (text ^ text);
   ckpt_error "trailing garbage line" (text ^ "coda\n");
-  ckpt_error "binary garbage" "\x00\x01\x02randsync-checkpoint v2\n"
+  ckpt_error "binary garbage" ("\x00\x01\x02" ^ text);
+  (* entry syntax inside an intact frame *)
+  let edit ~sub ~by =
+    reframe ~magic:ckpt_magic
+      (List.map (fun l -> Test_util.replace_first ~sub ~by l))
+      text
+  in
+  ckpt_error "bad path element" (edit ~sub:"1:12" ~by:"1:12:3");
+  ckpt_error "bad counter" (edit ~sub:"visited 7900" ~by:"visited x");
+  ckpt_error "missing line"
+    (reframe ~magic:ckpt_magic (List.filter (fun l -> l <> "trunc 4")) text)
 
-let test_checkpoint_v1_still_reads () =
-  let v1_text =
-    String.concat "\n"
+(* one changed digit is a plausible counter, so only the checksum can
+   refuse it (the parent format resumed with visited off by 7) *)
+let test_checkpoint_flipped_digit () =
+  let text =
+    Mc.Checkpoint.to_text ~scenario:"sc"
+      { Mc.Checkpoint.empty with visited = 300000; path = [ (0, 1) ] }
+  in
+  ckpt_error "visited 300000 -> 300007"
+    (Test_util.replace_first ~sub:"visited 300000" ~by:"visited 300007" text)
+
+(* ---- traces ---- *)
+
+let test_trace_torture () =
+  let trace : int Sim.Trace.t =
+    Sim.Trace.of_events
       [
-        "randsync-checkpoint v1";
-        "scenario sc";
-        "visited 5";
-        "leaves 2";
-        "table_hits 0";
-        "max_depth_seen 3";
-        "trunc 1";
-        "reason nodes";
-        "path 1:0 0:2";
-        "";
+        Sim.Event.Applied
+          {
+            pid = 1;
+            obj = 0;
+            op = Sim.Op.make "write" ~arg:(Sim.Value.int 12);
+            resp = Sim.Value.unit;
+          };
+        Sim.Event.Coin { pid = 0; n = 2; outcome = 1 };
+        Sim.Event.Decided { pid = 1; value = 0 };
+        Sim.Event.Halted { pid = 0 };
       ]
   in
-  let scenario, state = Mc.Checkpoint.of_text v1_text in
-  Alcotest.(check string) "legacy scenario" "sc" scenario;
-  Alcotest.(check int) "legacy visited" 5 state.Mc.Checkpoint.visited;
-  Alcotest.(check bool) "legacy path" true
-    (state.Mc.Checkpoint.path = [ (1, 0); (0, 2) ]);
-  (* new files are written v2, with the path count *)
-  let text = Mc.Checkpoint.to_text ~scenario:"sc" state in
-  Alcotest.(check bool) "writes carry the path count" true
-    (contains text "randsync-checkpoint v2" && contains text "path 2 1:0 0:2")
+  let text = Sim.Trace_io.to_text_int trace in
+  Alcotest.(check bool) "round-trips" true
+    (Sim.Trace_io.of_text_int text = trace);
+  damage_sweep "trace" Sim.Trace_io.of_text_int text
 
 (* ---- dtbl v1 records ---- *)
 
@@ -462,11 +456,10 @@ let suite =
     Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogates;
     Alcotest.test_case "lemma file torture" `Quick test_lemma_torture;
     Alcotest.test_case "schedule torture" `Quick test_schedule_torture;
-    Alcotest.test_case "schedule v1 still reads" `Quick
-      test_schedule_v1_still_reads;
     Alcotest.test_case "checkpoint torture" `Quick test_checkpoint_torture;
-    Alcotest.test_case "checkpoint v1 still reads" `Quick
-      test_checkpoint_v1_still_reads;
+    Alcotest.test_case "checkpoint with one flipped digit refused" `Quick
+      test_checkpoint_flipped_digit;
+    Alcotest.test_case "trace torture" `Quick test_trace_torture;
     Alcotest.test_case "dtbl v1 record torture" `Quick
       test_dtbl_record_torture;
   ]

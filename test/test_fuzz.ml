@@ -50,8 +50,8 @@ let test_flawed_artifact_replays () =
         (Checker.inconsistent ~decisions);
       (* and it survives a file round-trip byte for byte *)
       let path = Filename.temp_file "randsync-fuzz" ".trace" in
-      Trace_io.save_text ~path cex.Fuzz.Campaign.artifact;
-      let reloaded = Trace_io.load_text ~path in
+      Robust.Persist.write ~path cex.Fuzz.Campaign.artifact;
+      let reloaded = Robust.Persist.read ~path in
       Sys.remove path;
       Alcotest.(check string) "artifact file roundtrip"
         cex.Fuzz.Campaign.artifact reloaded
@@ -263,12 +263,17 @@ let test_schedule_crlf_and_trailing_whitespace () =
   Alcotest.(check bool) "trailing blank lines ignored" true
     (Fuzz.Schedule.of_text (text ^ "\r\n\r\n") = sched);
   (* trimming must not loosen what a line may contain *)
+  let framed line = Robust.Persist.frame ~magic:"fuzz-schedule v3" [ line ] in
   List.iter
     (fun text ->
       match Fuzz.Schedule.of_text text with
       | exception Trace_io.Parse_error _ -> ()
       | _ -> Alcotest.failf "accepted malformed schedule %S" text)
-    [ "fuzz-schedule v1\r\nS zero\r\n"; "fuzz-schedule v1\nS 0 1 2  \n" ]
+    [
+      String.concat "\r\n" (String.split_on_char '\n' (framed "S zero"));
+      Test_util.replace_first ~sub:"S 0 1 2\n" ~by:"S 0 1 2  \n"
+        (framed "S 0 1 2");
+    ]
 
 let test_schedule_rejects_malformed () =
   List.iter
@@ -276,15 +281,10 @@ let test_schedule_rejects_malformed () =
       match Fuzz.Schedule.of_text text with
       | exception Trace_io.Parse_error _ -> ()
       | _ -> Alcotest.failf "accepted malformed schedule %S" text)
-    [
-      "";
-      "fuzz-schedule v9\nS 0";
-      "S 0";
-      "fuzz-schedule v1\nQ 0";
-      "fuzz-schedule v1\nS zero";
-      "fuzz-schedule v1\nS 0 1 2";
-      "fuzz-schedule v1\nX";
-    ]
+    ([ ""; "fuzz-schedule v9\nS 0"; "S 0" ]
+    @ List.map
+        (fun line -> Robust.Persist.frame ~magic:"fuzz-schedule v3" [ line ])
+        [ "Q 0"; "S zero"; "S 0 1 2"; "X" ])
 
 let test_schedule_file_roundtrip () =
   let sched = [ `Step (1, Some 0); `Crash 0; `Step (1, None) ] in

@@ -160,7 +160,7 @@ let drain addr =
 
 (* ---- an in-process server on a throwaway unix socket ---- *)
 
-let with_server ?(queue_limit = 64) ?(workers = 2) ?spool_dir f =
+let with_server ?(queue_limit = 64) ?(workers = 2) ?spool_dir ?obs f =
   let dir = mk_tmpdir () in
   let sock = Filename.concat dir "s.sock" in
   let cfg =
@@ -169,7 +169,7 @@ let with_server ?(queue_limit = 64) ?(workers = 2) ?spool_dir f =
       queue_limit;
       workers;
       spool_dir;
-      obs = None;
+      obs;
       progress_interval = 0.05;
     }
   in
@@ -223,6 +223,55 @@ let test_round_trip_identity () =
   Alcotest.(check int) "cli exit code" direct.Serve.Job.status cli.code;
   Alcotest.(check (list string)) "cli --jobs 2 lines" direct.Serve.Job.lines
     (lines_of cli.out)
+
+(* Spool writes that fail (injected at the rename of the durable write)
+   never take a thread down: a submit that cannot be spooled is refused
+   with an error reply and not queued; a verdict that cannot be spooled
+   still reaches its watcher, is counted, and the worker keeps serving. *)
+let test_spool_write_failures () =
+  let spool = mk_tmpdir () in
+  let obs = Obs.create () in
+  let module F = Robust.Persist.Fault in
+  Fun.protect
+    ~finally:(fun () ->
+      Test_util.disarm_fault ();
+      rm_rf spool)
+  @@ fun () ->
+  (with_server ~workers:1 ~spool_dir:spool ~obs @@ fun addr ->
+   ignore (Test_util.arm_fault F.Rename ~nth:1 F.Eio);
+   (match submit_raw addr (fuzz_job ()) with
+   | Ok (Serve.Wire.Error { message }) ->
+       Alcotest.(check bool) "reply names the spool failure" true
+         (contains message "spool: " && contains message "rename")
+   | Ok _ | Error _ -> Alcotest.fail "unspooled submit must be refused");
+   Test_util.disarm_fault ();
+   (match roundtrip addr (Serve.Wire.Status { id = None }) with
+   | Ok (Serve.Wire.Jobs { jobs; _ }) ->
+       Alcotest.(check int) "refused submit is not queued" 0
+         (List.length jobs)
+   | Ok _ | Error _ -> Alcotest.fail "expected a job list");
+   (* rename 1 spools the job, rename 2 would spool its verdict *)
+   let fired = Test_util.arm_fault F.Rename ~nth:2 F.Eio in
+   let direct = Serve.Job.execute (fuzz_job ()) in
+   (match Serve.Client.submit_and_wait addr (fuzz_job ()) with
+   | Ok (status, lines) ->
+       Alcotest.(check bool) "the verdict write failed" true !fired;
+       Alcotest.(check int) "watcher still hears the status"
+         direct.Serve.Job.status status;
+       Alcotest.(check (list string)) "watcher still hears the lines"
+         direct.Serve.Job.lines lines
+   | Error e -> Alcotest.failf "verdict lost with the spool write: %s" e);
+   Test_util.disarm_fault ();
+   match Serve.Client.submit_and_wait addr (quick_job ()) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "worker died with the spool write: %s" e);
+  Alcotest.(check int) "both failures counted" 2
+    (Obs.Metrics.counter (Obs.metrics obs) "serve/spool-errors");
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".tmp" then
+        Alcotest.failf "temp file %s left in the spool" f)
+    (Sys.readdir spool)
 
 (* a full admission queue sheds with an explicit reply; shedding is not
    sticky — capacity freed readmits *)
@@ -593,6 +642,8 @@ let suite =
     Alcotest.test_case "round trip + verdict identity" `Quick
       test_round_trip_identity;
     Alcotest.test_case "bounded queue sheds" `Quick test_shedding;
+    Alcotest.test_case "spool write failures answered, not fatal" `Quick
+      test_spool_write_failures;
     Alcotest.test_case "cancel semantics" `Quick test_cancel;
     Alcotest.test_case "malformed frame isolation" `Quick
       test_malformed_frame_isolation;

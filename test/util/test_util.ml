@@ -1,5 +1,5 @@
-(* Shared string helpers for the test suites (no external string
-   library).  Used by the CLI, trace, checkpoint, stats and fuzz tests. *)
+(* Shared helpers for the test suites: string search/replace (no
+   external string library) and the persistence fault seam. *)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -21,3 +21,27 @@ let replace_first ~sub ~by s =
     else go (i + 1)
   in
   go 0
+
+module Fault = Robust.Persist.Fault
+
+let disarm_fault () = Fault.hook := fun _ -> None
+
+(* fail the [nth] [op] of [Persist.write] from now with [kind]; a short
+   write fills the disk, so the write that continues it hits ENOSPC.
+   Returns whether the fault fired. *)
+let arm_fault op ~nth kind =
+  let seen = ref 0 and fired = ref false and full = ref false in
+  (Fault.hook :=
+     fun o ->
+       if o = Fault.Write && !full then Some Fault.Enospc
+       else if o <> op then None
+       else begin
+         incr seen;
+         if !seen <> nth then None
+         else begin
+           fired := true;
+           full := kind = Fault.Short_write;
+           Some kind
+         end
+       end);
+  fired
