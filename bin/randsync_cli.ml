@@ -7,25 +7,24 @@
      mc        exhaustively model-check a protocol instance
      fuzz      randomized schedule fuzzing with counterexample shrinking
      classify  print the object-algebra classification table
-     sweep     regenerate one experiment table (e1..e8)
+     sweep     regenerate one experiment table (e1..e14)
+     synth     CEGIS search for bounded decision-tree consensus protocols
+     trace     inspect a saved witness trace
      serve     run the verification daemon (lib/serve)
      submit    send a job to a running daemon and await its verdict
+
+   attack, mc and fuzz parse their flags into a Serve.Job.t and run it
+   through Serve.Job.execute, the executor the daemon's workers run, so a
+   served job prints what the direct command prints.
 *)
 
 open Cmdliner
 
-(* One exit-code vocabulary for every subcommand (README has the table):
-     0  clean: whatever was asked completed and found nothing wrong
-     1  bad arguments / unusable input (unknown protocol, parse errors)
-     2  a consensus violation was demonstrated (run, mc, attack alike)
-     3  truncated: a --deadline/--max-nodes budget cut the answer short
-        before anything conclusive — the verdict is an under-approximation
-     4  an attack construction failed for a reason other than a budget
-     5  a progress violation was demonstrated (fuzz: a deadlocked or
-        starved call the drain probe could never finish — safety held,
-        liveness did not)
-   Scripts can branch on "did it break" (2), "did it hang" (5) and "did
-   it finish" (3) without parsing output.
+(* One exit-code vocabulary for every subcommand, Serve.Job.Status (README
+   has the table): 0 clean, 1 bad arguments, 2 violation, 3 truncated by a
+   budget, 4 attack failed, 5 progress violation.  Scripts can branch on
+   "did it break" (2), "did it hang" (5) and "did it finish" (3) without
+   parsing output.
 
    `submit` adds one client-side code on top of the shared vocabulary:
      6  the server could not be reached (connect failures exhausted the
@@ -33,13 +32,8 @@ open Cmdliner
    Verdict-bearing replies reuse 0/2/3/5 verbatim — the wire status IS
    the exit code the same job would have produced locally. *)
 module Exit_code = struct
-  let bad_args = 1
-  let violation = 2
-  let truncated = 3
-  let attack_failed = 4
+  include Serve.Job.Status
 
-  (* 5 (progress violation) is produced via Serve.Job.fuzz_report, which
-     renders mc/fuzz outcomes for CLI and daemon alike *)
   let unavailable = 6
 end
 
@@ -172,6 +166,28 @@ let progress_hook enabled label =
            Printf.sprintf "%s: nodes=%d steps=%d" label nodes steps)
          ())
 
+(* Run the [cmd] job, print its lines (stderr for an outcome without a
+   verdict: bad input, failed attack), dump --metrics and exit with its
+   status.  [after] runs between the lines and the dump. *)
+let run_job ?obs ?pool ?checkpoint ?checkpoint_every ?resume ?on_witness
+    ?(after = ignore) ~cmd ~extra ~progress job =
+  let on_poll = progress_hook progress cmd in
+  let o =
+    Serve.Job.execute ?obs ?pool ~cancel:(term_cancel ()) ?on_poll ?checkpoint
+      ?checkpoint_every ?resume ?on_witness job
+  in
+  let code = o.Serve.Job.status in
+  let verdictless =
+    code = Exit_code.bad_args || code = Exit_code.attack_failed
+  in
+  List.iter
+    (if verdictless then prerr_endline else print_endline)
+    o.Serve.Job.lines;
+  after ();
+  if code <> Exit_code.bad_args then
+    dump_metrics obs ~extra:(("cmd", cmd) :: extra);
+  if code <> 0 then exit code
+
 (* ------------------------------------------------------------------ list *)
 
 let list_cmd =
@@ -285,126 +301,42 @@ let attack_cmd =
   in
   let run name general show_trace do_certify save seeds deadline jobs metrics
       progress =
-    match find_protocol name with
-    | Error e ->
-        prerr_endline e;
-        exit Exit_code.bad_args
-    | Ok p ->
-        let obs = make_obs metrics in
-        let on_poll = progress_hook progress "attack" in
-        let cancel = term_cancel () in
-        let budget =
-          Some (Robust.Budget.make ?deadline ~cancel ?on_poll ())
-        in
-        let save_trace trace =
-          match save with
-          | None -> ()
-          | Some path ->
-              Sim.Trace_io.save_int ~path trace;
-              Fmt.pr "witness saved to %s@." path
-        in
-        (* The lowerbound constructions are not internally instrumented;
-           the CLI records the outcome-shaped facts itself so an attack
-           --metrics dump still tells the whole story. *)
-        let code =
-          Obs.span obs "attack" @@ fun () ->
-          if general then begin
-            match Lowerbound.General_attack.run ?budget p with
-            | Error (Lowerbound.General_attack.Budget_exhausted reason) ->
-                Fmt.pr "verdict: truncated (%s)@."
-                  (Robust.Budget.reason_to_string reason);
-                Obs.incr obs
-                  ("attack/truncated/" ^ Robust.Budget.reason_to_string reason);
-                Exit_code.truncated
-            | Error e ->
-                prerr_endline (Lowerbound.General_attack.error_to_string e);
-                Obs.incr obs "attack/failed";
-                Exit_code.attack_failed
-            | Ok o ->
-                save_trace o.Lowerbound.General_attack.trace;
-                if show_trace then
-                  print_endline
-                    (Sim.Trace.to_string string_of_int o.Lowerbound.General_attack.trace);
-                Fmt.pr "general attack on %s: processes=%d objects=%d pieces=%d/%d@."
-                  name o.Lowerbound.General_attack.processes_used
-                  o.Lowerbound.General_attack.registers
-                  o.Lowerbound.General_attack.pieces_alpha
-                  o.Lowerbound.General_attack.pieces_beta;
-                Fmt.pr "verdict: %a@." Sim.Checker.pp
-                  o.Lowerbound.General_attack.verdict;
-                Obs.add obs "attack/witness-steps"
-                  (Sim.Trace.steps o.Lowerbound.General_attack.trace);
-                if Lowerbound.General_attack.succeeded o then begin
-                  print_endline "INCONSISTENT EXECUTION CONSTRUCTED";
-                  Obs.incr obs "attack/violations";
-                  Exit_code.violation
-                end
-                else 0
-          end
-          else begin
-            let outcome =
-              if seeds <= 0 then Lowerbound.Attack.run p
-              else begin
-                Obs.add obs "attack/seeds" seeds;
-                let sweep =
-                  with_jobs ?obs jobs (fun pool ->
-                      Lowerbound.Attack.seed_sweep ?pool
-                        ~seeds:(List.init seeds (fun i -> i + 1))
-                        p)
-                in
-                match Lowerbound.Attack.best_witness sweep with
-                | Some (seed, o) ->
-                    Fmt.pr "seed sweep 1..%d: best witness from seed %d (%d \
-                            steps)@."
-                      seeds seed
-                      (Sim.Trace.steps o.Lowerbound.Attack.trace);
-                    Ok o
-                | None -> (
-                    (* no seed succeeded; surface the unrandomized error *)
-                    match List.assoc_opt 1 sweep with
-                    | Some r -> r
-                    | None -> Lowerbound.Attack.run p)
-              end
-            in
-            match outcome with
-            | Error e ->
-                prerr_endline (Lowerbound.Attack.error_to_string e);
-                Obs.incr obs "attack/failed";
-                Exit_code.attack_failed
-            | Ok o ->
-                save_trace o.Lowerbound.Attack.trace;
-                if show_trace then
-                  print_endline
-                    (Sim.Trace.to_string string_of_int o.Lowerbound.Attack.trace);
-                Fmt.pr "attack on %s: processes=%d registers=%d@." name
-                  o.Lowerbound.Attack.processes_used o.Lowerbound.Attack.registers;
-                Fmt.pr "verdict: %a@." Sim.Checker.pp o.Lowerbound.Attack.verdict;
-                Obs.add obs "attack/witness-steps"
-                  (Sim.Trace.steps o.Lowerbound.Attack.trace);
-                if do_certify then begin
-                  match Lowerbound.Attack.certify p o with
-                  | Ok (trace, verdict) ->
-                      Fmt.pr
-                        "certified fresh-start replay: %d steps, verdict: %a@."
-                        (Sim.Trace.steps trace) Sim.Checker.pp verdict
-                  | Error msg -> Fmt.pr "certification failed: %s@." msg
-                end;
-                if Lowerbound.Attack.succeeded o then begin
-                  print_endline "INCONSISTENT EXECUTION CONSTRUCTED";
-                  Obs.incr obs "attack/violations";
-                  Exit_code.violation
-                end
-                else 0
-          end
-        in
-        dump_metrics obs
-          ~extra:
-            [
-              ("cmd", "attack");
-              ("protocol", name);
-              ("general", string_of_bool general);
-            ];
-        if code <> 0 then exit code
+    let obs = make_obs metrics in
+    let witness = ref None in
+    (* the CLI-only flags act on the witness after the verdict lines *)
+    let show trace =
+      Option.iter
+        (fun path ->
+          Sim.Trace_io.save_int ~path trace;
+          Fmt.pr "witness saved to %s@." path)
+        save;
+      if show_trace then print_endline (Sim.Trace.to_string string_of_int trace)
+    in
+    let after () =
+      match !witness with
+      | Some (Serve.Job.Attack_witness (p, o)) -> (
+          show o.Lowerbound.Attack.trace;
+          if do_certify then
+            match Lowerbound.Attack.certify p o with
+            | Ok (trace, verdict) ->
+                Fmt.pr "certified fresh-start replay: %d steps, verdict: %a@."
+                  (Sim.Trace.steps trace) Sim.Checker.pp verdict
+            | Error msg -> Fmt.pr "certification failed: %s@." msg)
+      | Some (Serve.Job.General_witness o) ->
+          show o.Lowerbound.General_attack.trace
+      | Some (Serve.Job.Fuzz_witness _) | None -> ()
+    in
+    with_jobs ?obs jobs @@ fun pool ->
+    run_job ?obs ?pool ~progress
+      ~on_witness:(fun w -> witness := Some w)
+      ~after ~cmd:"attack"
+      ~extra:[ ("protocol", name); ("general", string_of_bool general) ]
+      {
+        Serve.Job.spec =
+          Serve.Job.Attack
+            { at_protocol = name; at_general = general; at_seeds = seeds };
+        deadline;
+      }
   in
   Cmd.v
     (Cmd.info "attack"
@@ -419,87 +351,54 @@ let attack_cmd =
 let mc_cmd =
   let run name inputs depth max_states dedup max_nodes deadline
       checkpoint checkpoint_every resume jobs metrics progress =
-    match find_protocol name with
-    | Error e ->
-        prerr_endline e;
-        exit Exit_code.bad_args
-    | Ok p ->
-        let inputs = parse_inputs inputs in
-        let inputs_csv = String.concat "," (List.map string_of_int inputs) in
-        let dedup_name = dedup in
-        let dedup =
-          match dedup with
-          | "off" -> `Off
-          | "exact" -> `Exact
-          | "symmetric" -> `Symmetric
-          | s ->
-              prerr_endline
-                (Printf.sprintf
-                   "unknown --dedup %S (expected off | exact | symmetric)" s);
-              exit Exit_code.bad_args
-        in
-        (* accepted and validated like every other --jobs, but there is
-           only one mc search and it is sequential *)
-        validate_jobs jobs;
-        let obs = make_obs metrics in
-        let on_poll = progress_hook progress "mc" in
-        let cancel = term_cancel () in
-        let budget =
-          Some
-            (Robust.Budget.make ?nodes:max_nodes ?deadline ~cancel ?on_poll ())
-        in
-        (* the scenario stamp refuses resumes against a different search:
-           same protocol, inputs, depth and dedup or nothing.  Built by
-           Serve.Job so CLI and daemon checkpoints are interchangeable. *)
-        let scenario =
-          Serve.Job.mc_stamp
-            {
-              (Serve.Job.mc_defaults ~protocol:name) with
-              Serve.Job.mc_inputs = inputs;
-              mc_depth = depth;
-              mc_max_states = max_states;
-              mc_dedup = dedup;
-            }
-        in
-        let resume_state =
-          match resume with
-          | None -> None
-          | Some path ->
-              let saved_scenario, state = Mc.Checkpoint.load ~path in
-              if saved_scenario <> scenario then begin
-                Fmt.epr
-                  "checkpoint %s was taken for a different search:@.  \
-                   checkpoint: %s@.  requested:  %s@."
-                  path saved_scenario scenario;
-                exit Exit_code.bad_args
-              end;
-              Some state
-        in
-        let on_checkpoint =
-          Option.map
-            (fun path state -> Mc.Checkpoint.save ~path ~scenario state)
-            checkpoint
-        in
-        let config = Consensus.Protocol.initial_config p ~inputs in
-        let result =
-          Mc.Explore.search ?obs ?budget ~dedup ~max_depth:depth ~max_states
-            ~checkpoint_every ?on_checkpoint ?resume:resume_state ~inputs
-            config
-        in
-        (* rendered by the same function the serve daemon uses, so a
-           served verdict is byte-identical by construction *)
-        let report = Serve.Job.mc_report result in
-        List.iter print_endline report.Serve.Job.lines;
-        let code = report.Serve.Job.status in
-        dump_metrics obs
-          ~extra:
-            [
-              ("cmd", "mc");
-              ("protocol", name);
-              ("inputs", inputs_csv);
-              ("dedup", dedup_name);
-            ];
-        if code <> 0 then exit code
+    let inputs = parse_inputs inputs in
+    let mc_dedup =
+      match Serve.Job.dedup_of_name dedup with
+      | Ok d -> d
+      | Error _ ->
+          prerr_endline
+            (Printf.sprintf
+               "unknown --dedup %S (expected off | exact | symmetric)" dedup);
+          exit Exit_code.bad_args
+    in
+    (* accepted and validated like every other --jobs, but there is
+       only one mc search and it is sequential *)
+    validate_jobs jobs;
+    let m =
+      {
+        Serve.Job.mc_protocol = name;
+        mc_inputs = inputs;
+        mc_depth = depth;
+        mc_max_states = max_states;
+        mc_dedup;
+        mc_max_nodes = max_nodes;
+      }
+    in
+    (* the scenario stamp refuses resumes against a different search:
+       same protocol, inputs, depth and dedup or nothing *)
+    let resume =
+      Option.map
+        (fun path ->
+          let saved, state = Mc.Checkpoint.load ~path in
+          if saved <> Serve.Job.mc_stamp m then begin
+            Fmt.epr
+              "checkpoint %s was taken for a different search:@.  \
+               checkpoint: %s@.  requested:  %s@."
+              path saved (Serve.Job.mc_stamp m);
+            exit Exit_code.bad_args
+          end;
+          state)
+        resume
+    in
+    run_job ?obs:(make_obs metrics) ?checkpoint ~checkpoint_every ?resume
+      ~progress ~cmd:"mc"
+      ~extra:
+        [
+          ("protocol", name);
+          ("inputs", String.concat "," (List.map string_of_int inputs));
+          ("dedup", dedup);
+        ]
+      { Serve.Job.spec = Serve.Job.Mc m; deadline }
   in
   Cmd.v
     (Cmd.info "mc" ~doc:"Exhaustively model-check a protocol instance")
@@ -526,7 +425,8 @@ let mc_cmd =
           & info [ "max-nodes" ] ~docv:"K"
               ~doc:
                 "Deterministic node budget: visit exactly the first K DFS \
-                 nodes, then report a truncated verdict and exit 3.")
+                 nodes (counted from the search's start, also under \
+                 --resume), then report a truncated verdict and exit 3.")
       $ deadline_arg
       $ Arg.(
           value
@@ -575,58 +475,42 @@ let fuzz_cmd =
   let run scenario inputs engine runs seed jobs shrink max_candidates out
       deadline max_runs metrics progress =
     let inputs = Option.map parse_inputs inputs in
-    let engine =
-      match engine with
-      | "flat" -> `Flat
-      | "closure" -> `Closure
-      | other ->
-          Fmt.epr "unknown --engine %S (expected flat or closure)@." other;
+    let fz_engine =
+      match Serve.Job.engine_of_name engine with
+      | Ok e -> e
+      | Error _ ->
+          Fmt.epr "unknown --engine %S (expected flat or closure)@." engine;
           exit Exit_code.bad_args
     in
-    (* zero was a silent no-op ("0 runs, verdict clean"), negative an
-       uncaught exception (exit 125) — both argument errors *)
-    (if runs < 1 then begin
-       prerr_endline "--runs must be >= 1";
-       exit Exit_code.bad_args
-     end);
-    match Fuzz.Scenario.find ?inputs ~engine scenario with
-    | Error e ->
-        prerr_endline e;
-        exit Exit_code.bad_args
-    | Ok sc ->
-        let obs = make_obs metrics in
-        let on_poll = progress_hook progress "fuzz" in
-        let cancel = term_cancel () in
-        let budget =
-          Some
-            (Robust.Budget.make ?nodes:max_runs ?deadline ~cancel ?on_poll ())
-        in
-        let result =
-          with_jobs ?obs jobs (fun pool ->
-              Fuzz.Campaign.run ?obs ?pool ?budget ~shrink ~max_candidates
-                ~runs ~seed sc)
-        in
-        (* rendered by the same function the serve daemon uses, so a
-           served verdict is byte-identical by construction *)
-        let report =
-          Serve.Job.fuzz_report ~describe:sc.Fuzz.Scenario.describe ~seed
-            result
-        in
-        List.iter print_endline report.Serve.Job.lines;
-        (match (result.Fuzz.Campaign.first_violation, out) with
-        | Some cex, Some path ->
-            Robust.Persist.write ~path cex.Fuzz.Campaign.artifact;
-            Fmt.pr "counterexample saved to %s@." path
-        | _ -> ());
-        let code = report.Serve.Job.status in
-        dump_metrics obs
-          ~extra:
-            [
-              ("cmd", "fuzz");
-              ("scenario", result.Fuzz.Campaign.scenario);
-              ("seed", string_of_int seed);
-            ];
-        if code <> 0 then exit code
+    let obs = make_obs metrics in
+    let cex = ref None in
+    let after () =
+      match (!cex, out) with
+      | Some (Serve.Job.Fuzz_witness c), Some path ->
+          Robust.Persist.write ~path c.Fuzz.Campaign.artifact;
+          Fmt.pr "counterexample saved to %s@." path
+      | _ -> ()
+    in
+    with_jobs ?obs jobs @@ fun pool ->
+    run_job ?obs ?pool ~progress
+      ~on_witness:(fun w -> cex := Some w)
+      ~after ~cmd:"fuzz"
+      ~extra:[ ("scenario", scenario); ("seed", string_of_int seed) ]
+      {
+        Serve.Job.spec =
+          Serve.Job.Fuzz
+            {
+              fz_scenario = scenario;
+              fz_inputs = inputs;
+              fz_engine;
+              fz_runs = runs;
+              fz_seed = seed;
+              fz_shrink = shrink;
+              fz_max_candidates = max_candidates;
+              fz_max_runs = max_runs;
+            };
+        deadline;
+      }
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -718,7 +602,7 @@ let sweep_cmd =
   let run id quick jobs =
     match Experiments.All.find id with
     | None ->
-        prerr_endline ("unknown experiment " ^ id ^ " (known: e1..e8)");
+        prerr_endline ("unknown experiment " ^ id ^ " (known: e1..e14)");
         exit Exit_code.bad_args
     | Some s ->
         Fmt.pr "=== %s: %s ===@.@." (String.uppercase_ascii s.Experiments.All.id)
@@ -727,7 +611,7 @@ let sweep_cmd =
           (with_jobs jobs (fun pool -> s.Experiments.All.run ~pool ~quick))
   in
   Cmd.v
-    (Cmd.info "sweep" ~doc:"Regenerate one experiment table (e1..e8)")
+    (Cmd.info "sweep" ~doc:"Regenerate one experiment table (e1..e14)")
     Term.(
       const run
       $ Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT")

@@ -3,7 +3,8 @@
     back is a {!frame}. *)
 
 (** A file step failed: [op] is [open], [write], [fsync], [close],
-    [rename], [fsync-dir] or [read] ([mkdir] in [Serve.Spool]). *)
+    [rename], [fsync-dir] or [read] ([mkdir] and [readdir] in
+    [Serve.Spool]). *)
 type error = { path : string; op : string; err : Unix.error }
 
 exception Error of error

@@ -1,7 +1,7 @@
 (* Job specs, their JSON codec, and the executor.  See job.mli: the
-   point of this module is that the server and the CLI render results
-   through the same functions, so a served verdict is byte-identical to
-   the direct run's stdout. *)
+   server and the CLI's mc/fuzz/attack subcommands both run jobs through
+   [execute], so a served verdict is byte-identical to the direct run's
+   output. *)
 
 type mc = {
   mc_protocol : string;
@@ -84,9 +84,43 @@ let mc_stamp m =
     m.mc_protocol (inputs_csv m.mc_inputs) m.mc_depth m.mc_max_states
     (dedup_name m.mc_dedup)
 
-(* ---- JSON codec ---- *)
-
 let ( let* ) = Result.bind
+
+(* ---- validation ---- *)
+
+(* Messages name the CLI flag: the spec's fields are the flags' values. *)
+let validate t =
+  let at_least flag lo v =
+    if v >= lo then Ok ()
+    else Error (Printf.sprintf "--%s must be >= %d" flag lo)
+  in
+  let opt_at_least flag lo = function
+    | None -> Ok ()
+    | Some v -> at_least flag lo v
+  in
+  let non_empty = function
+    | [] -> Error "--inputs must name at least one process"
+    | _ -> Ok ()
+  in
+  let* () =
+    match t.deadline with
+    | Some d when not (d >= 0.) -> Error "--deadline must be >= 0"
+    | _ -> Ok ()
+  in
+  match t.spec with
+  | Mc m ->
+      let* () = non_empty m.mc_inputs in
+      let* () = at_least "depth" 0 m.mc_depth in
+      let* () = at_least "max-states" 1 m.mc_max_states in
+      opt_at_least "max-nodes" 0 m.mc_max_nodes
+  | Fuzz f ->
+      let* () = Option.fold ~none:(Ok ()) ~some:non_empty f.fz_inputs in
+      let* () = at_least "runs" 1 f.fz_runs in
+      let* () = at_least "max-candidates" 0 f.fz_max_candidates in
+      opt_at_least "max-runs" 0 f.fz_max_runs
+  | Attack a -> at_least "seeds" 0 a.at_seeds
+
+(* ---- JSON codec ---- *)
 
 let to_json t =
   let deadline =
@@ -203,11 +237,22 @@ let of_json j =
         Ok (Attack { at_protocol; at_general; at_seeds })
     | k -> Error (Printf.sprintf "unknown job kind %S" k)
   in
-  Ok { spec; deadline }
+  let t = { spec; deadline } in
+  let* () = validate t in
+  Ok t
 
 (* ---- outcomes ---- *)
 
 type outcome = { status : int; lines : string list }
+
+module Status = struct
+  let clean = 0
+  let bad_args = 1
+  let violation = 2
+  let truncated = 3
+  let attack_failed = 4
+  let progress = 5
+end
 
 let outcome_to_json ~id o =
   Json.Obj
@@ -227,15 +272,7 @@ let outcome_of_json j =
     let* lines = Json.str_list "lines" j in
     Ok (id, { status; lines })
 
-(* ---- report renderers (shared with bin/randsync_cli) ---- *)
-
-(* Exit-code contract, restated as wire statuses. *)
-let status_bad_args = 1
-
-let status_violation = 2
-let status_truncated = 3
-let status_attack_failed = 4
-let status_progress = 5
+(* ---- report renderers ---- *)
 
 let mc_report (r : int Mc.Explore.result) =
   let head =
@@ -251,7 +288,7 @@ let mc_report (r : int Mc.Explore.result) =
   match r.Mc.Explore.violation with
   | Some v ->
       {
-        status = status_violation;
+        status = Status.violation;
         lines =
           head
           @ [
@@ -268,8 +305,8 @@ let mc_report (r : int Mc.Explore.result) =
            bound is part of the question being asked *)
         match r.Mc.Explore.completeness with
         | `Truncated (`Nodes | `Steps | `Deadline | `Cancelled) ->
-            status_truncated
-        | `Exhaustive | `Truncated (`Depth | `States) -> 0
+            Status.truncated
+        | `Exhaustive | `Truncated (`Depth | `States) -> Status.clean
       in
       { status; lines = head @ [ "no violation found" ] }
 
@@ -295,15 +332,15 @@ let fuzz_report ~describe ~seed (result : Fuzz.Campaign.result) =
   | None ->
       let status =
         match result.Fuzz.Campaign.completeness with
-        | `Truncated _ -> status_truncated
-        | `Exhaustive -> 0
+        | `Truncated _ -> Status.truncated
+        | `Exhaustive -> Status.clean
       in
       { status; lines = head @ [ "no violation found" ] }
   | Some cex ->
       let status =
         match cex.Fuzz.Campaign.violation with
-        | Fuzz.Scenario.Stuck -> status_progress
-        | _ -> status_violation
+        | Fuzz.Scenario.Stuck -> Status.progress
+        | _ -> Status.violation
       in
       {
         status;
@@ -328,187 +365,164 @@ let fuzz_report ~describe ~seed (result : Fuzz.Campaign.result) =
 
 (* ---- execution ---- *)
 
-let make_budget ?nodes ?deadline ?cancel ?on_poll () =
-  match (nodes, deadline, cancel, on_poll) with
-  | None, None, None, None -> None
-  | _ -> Some (Robust.Budget.make ?nodes ?deadline ?cancel ?on_poll ())
+type witness =
+  | Attack_witness of Consensus.Protocol.t * Lowerbound.Attack.outcome
+  | General_witness of Lowerbound.General_attack.outcome
+  | Fuzz_witness of Fuzz.Campaign.counterexample
 
-let run_mc ?cancel ?on_poll ?checkpoint ~deadline (m : mc) =
-  match Consensus.Registry.find m.mc_protocol with
+let bad_args line = { status = Status.bad_args; lines = [ line ] }
+
+let with_protocol name f =
+  match Consensus.Registry.find name with
+  | Some p -> f p
   | None ->
-      {
-        status = status_bad_args;
-        lines =
-          [
-            Printf.sprintf "unknown protocol %S; try `randsync list`"
-              m.mc_protocol;
-          ];
-      }
-  | Some p ->
-      let stamp = mc_stamp m in
-      (* A matching checkpoint resumes the interrupted search; anything
-         else (missing file, foreign stamp, parse error, dedup on — whose
-         table contents are not checkpointed) falls back to a fresh run,
-         which yields the identical verdict at the cost of redone work. *)
-      let resume =
-        match checkpoint with
-        | Some path when m.mc_dedup = `Off && Sys.file_exists path -> (
-            match Mc.Checkpoint.load ~path with
-            | saved_stamp, state when saved_stamp = stamp -> Some state
-            | _ -> None
-            | exception Robust.Persist.(Error _ | Parse_error _) -> None)
-        | _ -> None
-      in
-      let nodes =
-        match (m.mc_max_nodes, resume) with
-        | Some k, Some state ->
-            (* the allowance is per-search: shrink it by the prefix the
-               checkpoint already accounts for, so resumed-and-direct
-               runs trip at the same frontier *)
-            Some (max 0 (k - state.Mc.Checkpoint.visited))
-        | k, _ -> k
-      in
-      let budget = make_budget ?nodes ?deadline ?cancel ?on_poll () in
-      let on_checkpoint =
-        Option.map
-          (fun path state -> Mc.Checkpoint.save ~path ~scenario:stamp state)
-          checkpoint
-      in
-      let config = Consensus.Protocol.initial_config p ~inputs:m.mc_inputs in
-      mc_report
-        (Mc.Explore.search ?budget ~dedup:m.mc_dedup ~max_depth:m.mc_depth
-           ~max_states:m.mc_max_states ?on_checkpoint ?resume
-           ~inputs:m.mc_inputs config)
+      bad_args (Printf.sprintf "unknown protocol %S; try `randsync list`" name)
 
-let run_fuzz ?cancel ?on_poll ~deadline (f : fuzz) =
+let run_mc ?obs ~budget ?checkpoint ?checkpoint_every ?resume (m : mc) =
+  with_protocol m.mc_protocol @@ fun p ->
+  let nodes =
+    match (m.mc_max_nodes, resume) with
+    | Some k, Some state ->
+        (* the allowance is per-search: shrink it by the prefix the
+           checkpoint already accounts for, so resumed-and-direct runs
+           trip at the same frontier *)
+        Some (max 0 (k - state.Mc.Checkpoint.visited))
+    | k, _ -> k
+  in
+  let on_checkpoint =
+    Option.map
+      (fun path state ->
+        Mc.Checkpoint.save ~path ~scenario:(mc_stamp m) state)
+      checkpoint
+  in
+  mc_report
+    (Mc.Explore.search ?obs ?budget:(budget nodes) ~dedup:m.mc_dedup
+       ~max_depth:m.mc_depth ~max_states:m.mc_max_states ?checkpoint_every
+       ?on_checkpoint ?resume ~inputs:m.mc_inputs
+       (Consensus.Protocol.initial_config p ~inputs:m.mc_inputs))
+
+let run_fuzz ?obs ?pool ~budget ~on_witness (f : fuzz) =
   match
     Fuzz.Scenario.find ?inputs:f.fz_inputs ~engine:f.fz_engine f.fz_scenario
   with
-  | Error e -> { status = status_bad_args; lines = [ e ] }
+  | Error e -> bad_args e
   | Ok sc ->
-      let budget =
-        make_budget ?nodes:f.fz_max_runs ?deadline ?cancel ?on_poll ()
-      in
       let result =
-        Fuzz.Campaign.run ?budget ~shrink:f.fz_shrink
-          ~max_candidates:f.fz_max_candidates ~runs:f.fz_runs ~seed:f.fz_seed
-          sc
+        Fuzz.Campaign.run ?obs ?pool ?budget:(budget f.fz_max_runs)
+          ~shrink:f.fz_shrink ~max_candidates:f.fz_max_candidates
+          ~runs:f.fz_runs ~seed:f.fz_seed sc
       in
+      Option.iter
+        (fun cex -> on_witness (Fuzz_witness cex))
+        result.Fuzz.Campaign.first_violation;
       fuzz_report ~describe:sc.Fuzz.Scenario.describe ~seed:f.fz_seed result
 
 let checker_verdict v = Format.asprintf "%a" Sim.Checker.pp v
 
-let run_attack ?cancel ?on_poll ~deadline (a : attack) =
-  match Consensus.Registry.find a.at_protocol with
-  | None ->
+(* The lowerbound constructions are not internally instrumented; the
+   attack/* counters record the outcome-shaped facts so an --metrics dump
+   still tells the whole story. *)
+let run_attack ?obs ?pool ~budget ~on_witness (a : attack) =
+  with_protocol a.at_protocol @@ fun p ->
+  Obs.span obs "attack" @@ fun () ->
+  let failed msg =
+    Obs.incr obs "attack/failed";
+    { status = Status.attack_failed; lines = [ msg ] }
+  in
+  let constructed ~head ~succeeded ~trace witness =
+    Obs.add obs "attack/witness-steps" (Sim.Trace.steps trace);
+    on_witness witness;
+    if succeeded then begin
+      Obs.incr obs "attack/violations";
       {
-        status = status_bad_args;
-        lines =
-          [
-            Printf.sprintf "unknown protocol %S; try `randsync list`"
-              a.at_protocol;
-          ];
+        status = Status.violation;
+        lines = head @ [ "INCONSISTENT EXECUTION CONSTRUCTED" ];
       }
-  | Some p ->
-      if a.at_general then begin
-        let budget = make_budget ?deadline ?cancel ?on_poll () in
-        match Lowerbound.General_attack.run ?budget p with
-        | Error (Lowerbound.General_attack.Budget_exhausted reason) ->
-            {
-              status = status_truncated;
-              lines =
-                [
-                  Printf.sprintf "verdict: truncated (%s)"
-                    (Robust.Budget.reason_to_string reason);
-                ];
-            }
-        | Error e ->
-            {
-              status = status_attack_failed;
-              lines = [ Lowerbound.General_attack.error_to_string e ];
-            }
-        | Ok o ->
-            let head =
-              [
-                Printf.sprintf
-                  "general attack on %s: processes=%d objects=%d pieces=%d/%d"
-                  a.at_protocol o.Lowerbound.General_attack.processes_used
-                  o.Lowerbound.General_attack.registers
-                  o.Lowerbound.General_attack.pieces_alpha
-                  o.Lowerbound.General_attack.pieces_beta;
-                "verdict: "
-                ^ checker_verdict o.Lowerbound.General_attack.verdict;
-              ]
-            in
-            if Lowerbound.General_attack.succeeded o then
-              {
-                status = status_violation;
-                lines = head @ [ "INCONSISTENT EXECUTION CONSTRUCTED" ];
-              }
-            else { status = 0; lines = head }
-      end
+    end
+    else { status = Status.clean; lines = head }
+  in
+  if a.at_general then
+    match Lowerbound.General_attack.run ?budget:(budget None) p with
+    | Error (Lowerbound.General_attack.Budget_exhausted reason) ->
+        let reason = Robust.Budget.reason_to_string reason in
+        Obs.incr obs ("attack/truncated/" ^ reason);
+        {
+          status = Status.truncated;
+          lines = [ Printf.sprintf "verdict: truncated (%s)" reason ];
+        }
+    | Error e -> failed (Lowerbound.General_attack.error_to_string e)
+    | Ok o ->
+        constructed
+          ~head:
+            [
+              Printf.sprintf
+                "general attack on %s: processes=%d objects=%d pieces=%d/%d"
+                a.at_protocol o.Lowerbound.General_attack.processes_used
+                o.Lowerbound.General_attack.registers
+                o.Lowerbound.General_attack.pieces_alpha
+                o.Lowerbound.General_attack.pieces_beta;
+              "verdict: " ^ checker_verdict o.Lowerbound.General_attack.verdict;
+            ]
+          ~succeeded:(Lowerbound.General_attack.succeeded o)
+          ~trace:o.Lowerbound.General_attack.trace (General_witness o)
+  else
+    let sweep_line, outcome =
+      if a.at_seeds = 0 then ([], Lowerbound.Attack.run p)
       else begin
-        let sweep_line = ref [] in
-        let outcome =
-          if a.at_seeds <= 0 then Lowerbound.Attack.run p
-          else begin
-            let sweep =
-              Lowerbound.Attack.seed_sweep
-                ~seeds:(List.init a.at_seeds (fun i -> i + 1))
-                p
-            in
-            match Lowerbound.Attack.best_witness sweep with
-            | Some (seed, o) ->
-                sweep_line :=
-                  [
-                    Printf.sprintf
-                      "seed sweep 1..%d: best witness from seed %d (%d steps)"
-                      a.at_seeds seed
-                      (Sim.Trace.steps o.Lowerbound.Attack.trace);
-                  ];
-                Ok o
-            | None -> (
-                match List.assoc_opt 1 sweep with
-                | Some r -> r
-                | None -> Lowerbound.Attack.run p)
-          end
+        Obs.add obs "attack/seeds" a.at_seeds;
+        let sweep =
+          Lowerbound.Attack.seed_sweep ?pool
+            ~seeds:(List.init a.at_seeds (fun i -> i + 1))
+            p
         in
-        match outcome with
-        | Error e ->
-            {
-              status = status_attack_failed;
-              lines = [ Lowerbound.Attack.error_to_string e ];
-            }
-        | Ok o ->
-            let head =
-              !sweep_line
-              @ [
-                  Printf.sprintf "attack on %s: processes=%d registers=%d"
-                    a.at_protocol o.Lowerbound.Attack.processes_used
-                    o.Lowerbound.Attack.registers;
-                  "verdict: " ^ checker_verdict o.Lowerbound.Attack.verdict;
-                ]
-            in
-            if Lowerbound.Attack.succeeded o then
-              {
-                status = status_violation;
-                lines = head @ [ "INCONSISTENT EXECUTION CONSTRUCTED" ];
-              }
-            else { status = 0; lines = head }
+        match Lowerbound.Attack.best_witness sweep with
+        | Some (seed, o) ->
+            ( [
+                Printf.sprintf
+                  "seed sweep 1..%d: best witness from seed %d (%d steps)"
+                  a.at_seeds seed
+                  (Sim.Trace.steps o.Lowerbound.Attack.trace);
+              ],
+              Ok o )
+        | None -> (
+            (* no seed succeeded; surface the unrandomized error *)
+            ( [],
+              match List.assoc_opt 1 sweep with
+              | Some r -> r
+              | None -> Lowerbound.Attack.run p ))
       end
+    in
+    match outcome with
+    | Error e -> failed (Lowerbound.Attack.error_to_string e)
+    | Ok o ->
+        constructed
+          ~head:
+            (sweep_line
+            @ [
+                Printf.sprintf "attack on %s: processes=%d registers=%d"
+                  a.at_protocol o.Lowerbound.Attack.processes_used
+                  o.Lowerbound.Attack.registers;
+                "verdict: " ^ checker_verdict o.Lowerbound.Attack.verdict;
+              ])
+          ~succeeded:(Lowerbound.Attack.succeeded o)
+          ~trace:o.Lowerbound.Attack.trace
+          (Attack_witness (p, o))
 
-let execute ?cancel ?on_poll ?checkpoint t =
-  (* the spec carries a relative budget; Budget deadlines are absolute
-     gettimeofday instants *)
-  let deadline = Option.map (fun d -> Unix.gettimeofday () +. d) t.deadline in
-  try
-    match t.spec with
-    | Mc m -> run_mc ?cancel ?on_poll ?checkpoint ~deadline m
-    | Fuzz f -> run_fuzz ?cancel ?on_poll ~deadline f
-    | Attack a -> run_attack ?cancel ?on_poll ~deadline a
-  with exn ->
-    (* a job must never take a worker down with it *)
-    {
-      status = status_bad_args;
-      lines = [ "job failed: " ^ Printexc.to_string exn ];
-    }
+let execute ?obs ?pool ?cancel ?on_poll ?checkpoint ?checkpoint_every ?resume
+    ?(on_witness = ignore) t =
+  match validate t with
+  | Error e -> bad_args e
+  | Ok () -> (
+      (* the spec's deadline is relative, as Budget.make takes it *)
+      let budget nodes =
+        match (nodes, t.deadline, cancel, on_poll) with
+        | None, None, None, None -> None
+        | _ ->
+            Some
+              (Robust.Budget.make ?nodes ?deadline:t.deadline ?cancel ?on_poll
+                 ())
+      in
+      match t.spec with
+      | Mc m -> run_mc ?obs ~budget ?checkpoint ?checkpoint_every ?resume m
+      | Fuzz f -> run_fuzz ?obs ?pool ~budget ~on_witness f
+      | Attack a -> run_attack ?obs ?pool ~budget ~on_witness a)

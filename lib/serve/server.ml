@@ -171,6 +171,19 @@ let finish_job t jr (outcome : Job.outcome) =
            { id = jr.id; status = outcome.Job.status; lines = outcome.Job.lines }));
   obs_gauges t
 
+(* A spooled mc job resumes from its checkpoint when the file exists,
+   carries the job's stamp and the job's dedup is off (table contents are
+   not checkpointed).  Anything else, a damaged file included, runs the
+   job afresh: the same verdict at the cost of redone work. *)
+let spool_resume job path =
+  match job.Job.spec with
+  | Job.Mc m when m.Job.mc_dedup = `Off && Sys.file_exists path -> (
+      match Mc.Checkpoint.load ~path with
+      | stamp, state when stamp = Job.mc_stamp m -> Some state
+      | _ -> None
+      | exception Robust.Persist.(Error _ | Parse_error _) -> None)
+  | _ -> None
+
 let worker_loop t =
   let rec next () =
     Mutex.lock t.m;
@@ -214,7 +227,16 @@ let worker_loop t =
           in
           let t0 = Unix.gettimeofday () in
           let outcome =
-            Job.execute ~cancel:jr.cancel ~on_poll ?checkpoint jr.job
+            try
+              let resume = Option.bind checkpoint (spool_resume jr.job) in
+              Job.execute ~cancel:jr.cancel ~on_poll ?checkpoint ?resume
+                jr.job
+            with exn ->
+              (* a job must never take a worker down with it *)
+              {
+                Job.status = Job.Status.bad_args;
+                lines = [ "job failed: " ^ Printexc.to_string exn ];
+              }
           in
           let dt = Unix.gettimeofday () -. t0 in
           locked t (fun () ->

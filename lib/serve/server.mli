@@ -10,7 +10,10 @@
     A malformed frame is answered with [Error] and costs that client its
     connection; a disconnect (clean or half-closed) cancels only that
     client's attached jobs.  Detached jobs ([Submit {detach = true}])
-    belong to no connection and are never cancelled by churn.
+    belong to no connection and are never cancelled by churn.  A worker
+    never raises: a job whose {!Job.execute} raises (an unwritable spool
+    checkpoint, say) is answered with status 1 and the one line
+    [job failed: <exception>].
 
     {b Drain.}  SIGTERM (or a [Drain] request) stops admission, lets
     idle workers exit, and cancels running jobs via their {!Robust.Cancel}
@@ -23,8 +26,9 @@
     {b Resume.}  With a spool, accepted jobs are on disk before the
     [Accepted] reply.  A restarted server re-enqueues every job with no
     verdict and no cancel marker; determinism of the workloads makes the
-    replay reach the verdict the interrupted run would have (mc resumes
-    from its checkpoint instead of recomputing the prefix).  Pinned by
+    replay reach the verdict the interrupted run would have (an mc job
+    with dedup off resumes from a spool checkpoint carrying its stamp;
+    any other checkpoint is ignored and the prefix recomputed).  Pinned by
     the kill-9 test in [test_serve]. *)
 
 type address = [ `Unix of string | `Tcp of string * int ]

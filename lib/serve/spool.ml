@@ -1,17 +1,32 @@
 type t = { dir : string }
 
+let fail path op err = raise (Robust.Persist.Error { path; op; err })
+
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
     try Unix.mkdir dir 0o755 with
     | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    | Unix.Unix_error (err, _, _) ->
-        raise (Robust.Persist.(Error { path = dir; op = "mkdir"; err }))
+    | Unix.Unix_error (err, _, _) -> fail dir "mkdir" err
   end
 
 let create ~dir =
   mkdir_p dir;
+  if not (Sys.is_directory dir) then fail dir "mkdir" Unix.ENOTDIR;
   { dir }
+
+(* Sys.readdir's Sys_error carries no errno; Unix's carries one *)
+let readdir dir =
+  match Unix.opendir dir with
+  | exception Unix.Unix_error (err, _, _) -> fail dir "readdir" err
+  | d ->
+      let rec go acc =
+        match Unix.readdir d with
+        | name -> go (name :: acc)
+        | exception End_of_file -> acc
+        | exception Unix.Unix_error (err, _, _) -> fail dir "readdir" err
+      in
+      Fun.protect ~finally:(fun () -> Unix.closedir d) (fun () -> go [])
 
 let dir t = t.dir
 
@@ -58,14 +73,12 @@ let load_json path decode =
   | exception Robust.Persist.Error e -> Error (Robust.Persist.error_message e)
 
 let recover t =
-  let ids = ref [] in
-  Array.iter
-    (fun name ->
-      match Scanf.sscanf_opt name "job-%d.json%!" (fun id -> id) with
-      | Some id -> ids := id :: !ids
-      | None -> ())
-    (Sys.readdir t.dir);
-  let ids = List.sort compare !ids in
+  let ids =
+    List.filter_map
+      (fun name -> Scanf.sscanf_opt name "job-%d.json%!" (fun id -> id))
+      (readdir t.dir)
+    |> List.sort compare
+  in
   let entries = ref [] in
   let next_id = ref 1 in
   List.iter

@@ -21,7 +21,9 @@
 
 type t
 
-(** Creates [dir] (and parents) if needed. *)
+(** Creates [dir] (and parents) if needed.  Raises
+    {!Robust.Persist.Error} (op [mkdir]) if it cannot, or if [dir] is not a
+    directory. *)
 val create : dir:string -> t
 
 val dir : t -> string
@@ -47,5 +49,6 @@ type recovered = {
 
 (** Unreadable or unparsable entries are skipped with a note on stderr —
     a corrupt spool degrades to losing that job, never to a crash or a
-    silently wrong replay. *)
+    silently wrong replay.  A directory that cannot be listed raises
+    {!Robust.Persist.Error} (op [readdir]). *)
 val recover : t -> recovered

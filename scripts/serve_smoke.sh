@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Chaos smoke for `randsync serve`: two concurrent clients, a SIGTERM
-# drain cutting a job mid-run, and a crash-safe restart that must
-# reproduce the exact verdicts the direct CLI prints.
+# Chaos smoke for `randsync serve`: two concurrent clients, an attack
+# job, a job cut by its deadline, a SIGTERM drain cutting a job mid-run,
+# and a crash-safe restart that must reproduce the exact verdicts the
+# direct CLI prints.
 #
 #   scripts/serve_smoke.sh [BINARY [WORKDIR]]
 #
@@ -42,7 +43,7 @@ start_server() { # start_server <tag>
 }
 
 # --- 1. direct CLI runs: the ground truth every served verdict must
-#        match byte-for-byte (shared renderer, pinned seeds) ------------
+#        match byte-for-byte (one executor, pinned seeds) --------------
 "$BIN" mc counter-3 --inputs 0,1 --depth 12 \
   >"$WORK/mc.direct" 2>"$WORK/mc.direct.err"
 MC_CODE=$?
@@ -52,6 +53,11 @@ MC_CODE=$?
   >"$WORK/fuzz.direct" 2>"$WORK/fuzz.direct.err"
 FUZZ_CODE=$?
 [ "$FUZZ_CODE" -eq 2 ] || fail "direct fuzz flawed exited $FUZZ_CODE, expected 2 (violation)"
+
+"$BIN" attack flawed-unanimous-rw-r2 \
+  >"$WORK/attack.direct" 2>"$WORK/attack.direct.err"
+ATTACK_CODE=$?
+[ "$ATTACK_CODE" -eq 2 ] || fail "direct attack exited $ATTACK_CODE, expected 2 (violation)"
 
 "$BIN" mc rw-3n --inputs 0,1 --depth 22 --max-states 25000000 \
   >"$WORK/long.direct" 2>"$WORK/long.direct.err"
@@ -76,6 +82,22 @@ diff "$WORK/mc.direct" "$WORK/mc.served" \
   || fail "served mc verdict differs from the direct CLI"
 diff "$WORK/fuzz.direct" "$WORK/fuzz.served" \
   || fail "served fuzz verdict differs from the direct CLI"
+
+submit --job '{"kind":"attack","protocol":"flawed-unanimous-rw-r2"}' \
+  >"$WORK/attack.served" 2>"$WORK/attack.served.err"
+S3=$?
+[ "$S3" -eq "$ATTACK_CODE" ] || fail "served attack exited $S3, direct CLI exited $ATTACK_CODE"
+diff "$WORK/attack.direct" "$WORK/attack.served" \
+  || fail "served attack verdict differs from the direct CLI"
+
+# a served deadline is relative to the job's start: this search runs for
+# seconds, and its 0.2 s deadline must cut it (status 3)
+submit --job '{"kind":"mc","protocol":"rw-3n","inputs":[0,1,0],"depth":24,"max_states":40000000,"deadline":0.2}' \
+  >"$WORK/deadline.served" 2>"$WORK/deadline.served.err"
+S4=$?
+[ "$S4" -eq 3 ] || fail "served deadline job exited $S4, expected 3 (truncated)"
+grep -q '^verdict: truncated (deadline)$' "$WORK/deadline.served" \
+  || fail "served deadline job not cut by its deadline: $(cat "$WORK/deadline.served")"
 
 # --- 3. a detached slow job, then SIGTERM mid-run ----------------------
 submit --detach \
@@ -117,4 +139,4 @@ DRAIN=$?
 SERVER=""
 [ "$DRAIN" -eq 0 ] || fail "final drain exited $DRAIN, expected 0"
 
-echo "serve-smoke: OK (drain, resume and served verdicts all byte-identical)"
+echo "serve-smoke: OK (drain, resume, deadline; served verdicts all byte-identical)"

@@ -136,6 +136,28 @@ let test_checkpoint_resume_round_trip () =
       check_code "garbage checkpoint refused" 1
         (run_cli (scenario @ [ "--resume"; "/dev/null" ])))
 
+(* --max-nodes K counts from the search's start: a resumed run stops
+   where the uninterrupted --max-nodes K run stops, not K nodes past the
+   checkpoint *)
+let test_resume_with_node_budget () =
+  let ckpt = Filename.temp_file "randsync-cli-ckpt" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ())
+    (fun () ->
+      let scenario =
+        [ "mc"; "counter-3"; "--inputs"; "0,1"; "--depth"; "12" ]
+      in
+      check_code "interrupted run" 3
+        (run_cli (scenario @ [ "--max-nodes"; "500"; "--checkpoint"; ckpt ]));
+      let direct = run_cli (scenario @ [ "--max-nodes"; "1000" ]) in
+      let resumed =
+        run_cli (scenario @ [ "--resume"; ckpt; "--max-nodes"; "1000" ])
+      in
+      check_code "uninterrupted --max-nodes 1000" 3 direct;
+      check_code "resumed --max-nodes 1000" 3 resumed;
+      Alcotest.(check string) "resumed output = uninterrupted output"
+        direct.out resumed.out)
+
 (* File failures keep the exit-code contract: a file that cannot be
    written, or a damaged one that cannot be read, exits 1 with the path
    on stderr (never 125), over whatever verdict was already printed. *)
@@ -175,6 +197,9 @@ let test_file_failures_exit_1 () =
          "/nonexistent/o" ]);
   (* a regular file as a parent directory: unwritable even for root *)
   let unwritable = Filename.concat file "w" in
+  ignore
+    (fails "serve --spool on a regular file" file
+       [ "serve"; "--spool"; file; "--socket"; Filename.concat dir "s.sock" ]);
   ignore
     (fails "attack --save under a regular file" unwritable
        [ "attack"; "flawed-unanimous-rw-r1"; "--save"; unwritable ]);
@@ -524,4 +549,6 @@ let suite =
       test_file_failures_exit_1;
     Alcotest.test_case "checkpoint/resume round trip" `Quick
       test_checkpoint_resume_round_trip;
+    Alcotest.test_case "resume keeps the node budget" `Quick
+      test_resume_with_node_budget;
   ]

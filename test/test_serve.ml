@@ -106,6 +106,14 @@ let fuzz_job () =
     deadline = None;
   }
 
+let attack_job ?(general = false) ?(seeds = 0) protocol =
+  {
+    Serve.Job.spec =
+      Serve.Job.Attack
+        { at_protocol = protocol; at_general = general; at_seeds = seeds };
+    deadline = None;
+  }
+
 (* ---- client helpers ---- *)
 
 let with_conn addr f =
@@ -222,7 +230,121 @@ let test_round_trip_identity () =
   in
   Alcotest.(check int) "cli exit code" direct.Serve.Job.status cli.code;
   Alcotest.(check (list string)) "cli --jobs 2 lines" direct.Serve.Job.lines
-    (lines_of cli.out)
+    (lines_of cli.out);
+  (* attack jobs, the failing one included (its line goes to stderr,
+     which run_cli merges) *)
+  List.iter
+    (fun (name, job, args, status) ->
+      check_identity name job;
+      let direct = Serve.Job.execute job in
+      Alcotest.(check int) (name ^ " status") status direct.Serve.Job.status;
+      let cli = run_cli ("attack" :: args) in
+      Alcotest.(check int) (name ^ " cli exit code") direct.Serve.Job.status
+        cli.code;
+      Alcotest.(check (list string)) (name ^ " cli lines")
+        direct.Serve.Job.lines (lines_of cli.out))
+    [
+      ( "attack",
+        attack_job "flawed-unanimous-rw-r2",
+        [ "flawed-unanimous-rw-r2" ],
+        2 );
+      ( "attack --general",
+        attack_job ~general:true "flawed-unanimous-rw-r2",
+        [ "flawed-unanimous-rw-r2"; "--general" ],
+        2 );
+      ( "attack --seeds 3",
+        attack_job ~seeds:3 "flawed-unanimous-rw-r2",
+        [ "flawed-unanimous-rw-r2"; "--seeds"; "3" ],
+        2 );
+      ("attack cas-1", attack_job "cas-1", [ "cas-1" ], 4);
+    ]
+
+(* A served deadline is relative to the job's start, as `mc --deadline`
+   is: this search runs for seconds, and a 0.2 s deadline must cut it
+   (status 3), not let it run to its depth bound (status 0). *)
+let test_served_deadline () =
+  with_server @@ fun addr ->
+  let job =
+    {
+      (mc_job ~inputs:[ 0; 1; 0 ] ~depth:24 ~max_states:40_000_000 "rw-3n") with
+      Serve.Job.deadline = Some 0.2;
+    }
+  in
+  match Serve.Client.submit_and_wait addr job with
+  | Error e -> Alcotest.failf "deadline job: %s" e
+  | Ok (status, lines) ->
+      Alcotest.(check int) "truncated status" 3 status;
+      Alcotest.(check bool) "deadline verdict" true
+        (List.mem "verdict: truncated (deadline)" lines)
+
+(* One validator: a spec the JSON codec refuses, the executor refuses
+   with the same message, and so do the CLI and submit, all with exit 1. *)
+let test_spec_validation () =
+  let fuzz_runs runs =
+    {
+      Serve.Job.spec =
+        Serve.Job.Fuzz
+          { (Serve.Job.fuzz_defaults ~scenario:"flawed") with fz_runs = runs };
+      deadline = None;
+    }
+  in
+  List.iter
+    (fun (json, job, args, msg) ->
+      (match Serve.Json.parse json with
+      | Error e -> Alcotest.failf "%s: %s" json e
+      | Ok j -> (
+          match Serve.Job.of_json j with
+          | Ok _ -> Alcotest.failf "of_json accepted %s" json
+          | Error e -> Alcotest.(check string) (json ^ ": of_json") msg e));
+      let direct = Serve.Job.execute job in
+      Alcotest.(check int) (json ^ ": execute status") 1
+        direct.Serve.Job.status;
+      Alcotest.(check (list string)) (json ^ ": execute message") [ msg ]
+        direct.Serve.Job.lines;
+      let cli = run_cli args in
+      Alcotest.(check int) (json ^ ": cli exit code") 1 cli.code;
+      Alcotest.(check (list string)) (json ^ ": cli message") [ msg ]
+        (lines_of cli.out);
+      let sub =
+        run_cli [ "submit"; "--socket"; "/nonexistent.sock"; "--job"; json ]
+      in
+      Alcotest.(check int) (json ^ ": submit exit code") 1 sub.code;
+      Alcotest.(check (list string)) (json ^ ": submit message")
+        [ "invalid job spec: " ^ msg ] (lines_of sub.out))
+    [
+      ( {|{"kind":"fuzz","scenario":"flawed","runs":0}|},
+        fuzz_runs 0,
+        [ "fuzz"; "flawed"; "--runs=0" ],
+        "--runs must be >= 1" );
+      ( {|{"kind":"fuzz","scenario":"flawed","runs":-3}|},
+        fuzz_runs (-3),
+        [ "fuzz"; "flawed"; "--runs=-3" ],
+        "--runs must be >= 1" );
+      ( {|{"kind":"mc","protocol":"cas-1","depth":-1}|},
+        mc_job ~depth:(-1) "cas-1",
+        [ "mc"; "cas-1"; "--depth=-1" ],
+        "--depth must be >= 0" );
+    ]
+
+(* The spool refuses what it cannot use, naming path and step: a regular
+   file where its directory should be, a directory that cannot be
+   listed. *)
+let test_spool_refuses_non_directory () =
+  let dir = mk_tmpdir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let refused what op f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Robust.Persist.Error e ->
+        Alcotest.(check string) (what ^ ": op") op e.Robust.Persist.op
+  in
+  let file = Filename.concat dir "file" in
+  Robust.Persist.write ~path:file "";
+  refused "a regular file" "mkdir" (fun () -> Serve.Spool.create ~dir:file);
+  let gone = Filename.concat dir "gone" in
+  let spool = Serve.Spool.create ~dir:gone in
+  Unix.rmdir gone;
+  refused "a vanished directory" "readdir" (fun () -> Serve.Spool.recover spool)
 
 (* Spool writes that fail (injected at the rename of the durable write)
    never take a thread down: a submit that cannot be spooled is refused
@@ -641,6 +763,10 @@ let suite =
     Alcotest.test_case "wire unicode round-trip" `Quick test_wire_unicode;
     Alcotest.test_case "round trip + verdict identity" `Quick
       test_round_trip_identity;
+    Alcotest.test_case "served deadline truncates" `Quick test_served_deadline;
+    Alcotest.test_case "one spec validator" `Quick test_spec_validation;
+    Alcotest.test_case "spool refuses a non-directory" `Quick
+      test_spool_refuses_non_directory;
     Alcotest.test_case "bounded queue sheds" `Quick test_shedding;
     Alcotest.test_case "spool write failures answered, not fatal" `Quick
       test_spool_write_failures;
