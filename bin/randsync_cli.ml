@@ -891,8 +891,8 @@ let submit_cmd =
 (* ----------------------------------------------------------------- synth *)
 
 let synth_cmd =
-  let run registers procs depth coins objects seed jobs no_prune no_attack
-      max_nodes deadline lemmas_out metrics progress =
+  let run registers procs depth coins objects seed jobs max_nodes deadline
+      lemmas_out metrics progress =
     let style =
       match Consensus.Dtree.style_of_string objects with
       | Some s -> s
@@ -922,9 +922,8 @@ let synth_cmd =
     in
     let result =
       with_jobs ?obs jobs (fun pool ->
-          Synth.Cegis.search ?obs ?pool ?budget ~prune:(not no_prune)
-            ~attack:(not no_attack) ~style ~registers ~depth ~coins
-            ~max_procs:procs ~seed ())
+          Synth.Cegis.search ?obs ?pool ?budget ~style ~registers ~depth
+            ~coins ~max_procs:procs ~seed ())
     in
     List.iter print_endline (Synth.Cegis.report result);
     Option.iter
@@ -983,21 +982,6 @@ let synth_cmd =
                 "Object style: rw (read/write registers) or swap \
                  (swap-registers, consensus number 2).")
       $ seed_arg $ jobs_arg
-      $ Arg.(
-          value & flag
-          & info [ "no-prune" ]
-              ~doc:
-                "Disable lemma-pool pruning; every candidate pays for its \
-                 own refutation.  Verdicts are identical either way (the \
-                 soundness property the test suite pins) — this flag \
-                 exists to measure what the pool saves.")
-      $ Arg.(
-          value & flag
-          & info [ "no-attack" ]
-              ~doc:
-                "Disable the constructive-adversary refutation stage \
-                 (Lemma 3.2); candidates fall through to exhaustive \
-                 search.")
       $ Arg.(
           value
           & opt (some int) None

@@ -40,40 +40,60 @@ type schedule =
       (** the victim moves only when no other process is active — the
           {!Sim.Sched.starving} adversary, transplanted to the harness *)
 
+(* The two step engines.  [Closure] walks the procedure closure trees
+   directly — the reference semantics.  [Interned] steps {!Sim.Intern}
+   state ids: object values become dense ints, every procedure step a
+   memoized table lookup, and a shared {!runtime} keeps the forced states
+   across runs — the fuzzer's hot path.  Both run under the one driver
+   below, so they draw from their RNGs in identical order and record
+   identical histories by construction; the differential suite pins
+   that the two step functions agree. *)
+type engine = Closure | Interned
+
+(* What an engine gives the driver: procedure states ['st] over object
+   values ['o].  [step objects coins st] takes one step of a call in
+   state [st] — a base-object operation on [objects] or a coin drawn from
+   [coins] — and returns [idle] when [st] has decided, after which the
+   driver reads the value with [decision].  One indirect call per step,
+   no allocation of its own. *)
+type ('o, 'st) semantics = {
+  objects : 'o array;  (* this run's initial object values, fresh *)
+  root : int -> Op.t -> 'st;  (* the state a call of [op] by [pid] starts in *)
+  idle : 'st;  (* no call in flight; compared physically *)
+  step : 'o array -> Rng.t -> 'st -> 'st;
+  decision : 'st -> Value.t option;
+}
+
 (* per-process driver state *)
-type slot = {
-  mutable current : Value.t Proc.t option;  (** in-flight procedure *)
+type 'st slot = {
+  mutable st : 'st;  (** in-flight call's state, [idle] when none *)
   mutable call_id : int;  (** id of the in-flight call *)
   mutable remaining : Op.t list;
   mutable crashed : bool;
 }
 
-(* The two step engines.  [Closure] walks the procedure closure trees
-   directly — the reference semantics.  [Interned] runs the same loop
-   over {!Sim.Intern} state ids: object values become dense ints, every
-   procedure step a memoized table lookup, and a shared {!runtime} keeps
-   the forced states across runs — the fuzzer's hot path.  Both engines
-   draw from their RNGs in identical order and record identical
-   histories; the differential suite pins that. *)
-type engine = Closure | Interned
+(* own-steps the drain probe grants one solo attempt *)
+let solo_bound = 4096
 
-let run_closure (impl : Implementation.t) ~n ~workload ~schedule ?(coin_seed = 0)
-    ?(max_steps = 100_000) ?(crashes = []) ?(probe = false)
-    ?(solo_bound = 4096) () =
-  let optypes = Array.of_list (impl.Implementation.base ~n) in
-  let objects = Array.map (fun (ot : Optype.t) -> ot.Optype.init) optypes in
+let drive sem ~n ~workload ~schedule ~coin_seed ~max_steps ~crashes ~probe =
+  let idle = sem.idle and objects = sem.objects in
   let slots =
     Array.init n (fun pid ->
         {
-          current = None;
+          st = idle;
           call_id = -1;
           remaining =
             (match List.assoc_opt pid workload with Some ops -> ops | None -> []);
           crashed = false;
         })
   in
+  let busy slot = slot.st != idle && not slot.crashed in
   let history = ref [] in
   let next_call_id = ref 0 in
+  let respond pid slot value =
+    history := History.Res { call = slot.call_id; pid; value } :: !history;
+    slot.st <- idle
+  in
   (* [Fixed] and [Starving] schedules resolve internal coin flips from
      [coin_seed] (default 0), so a fixed pid list — or the [pids] a
      starving run realized — is a complete, replayable record of the run:
@@ -91,21 +111,20 @@ let run_closure (impl : Implementation.t) ~n ~workload ~schedule ?(coin_seed = 0
   (* start the next call of [pid] if idle and work remains *)
   let refill pid =
     let slot = slots.(pid) in
-    match (slot.current, slot.remaining) with
-    | None, op :: rest when not slot.crashed ->
-        let id = !next_call_id in
-        incr next_call_id;
-        slot.current <- Some (impl.Implementation.procedure ~n ~pid op);
-        slot.call_id <- id;
-        slot.remaining <- rest;
-        history := History.Inv { call = id; pid; op } :: !history
-    | _ -> ()
+    if slot.st == idle && not slot.crashed then
+      match slot.remaining with
+      | op :: rest ->
+          let id = !next_call_id in
+          incr next_call_id;
+          slot.st <- sem.root pid op;
+          slot.call_id <- id;
+          slot.remaining <- rest;
+          history := History.Inv { call = id; pid; op } :: !history
+      | [] -> ()
   in
   Array.iteri (fun pid _ -> refill pid) slots;
   let active () =
-    List.filter
-      (fun pid -> slots.(pid).current <> None && not slots.(pid).crashed)
-      (List.init n Fun.id)
+    List.filter (fun pid -> busy slots.(pid)) (List.init n Fun.id)
   in
   let steps = ref 0 in
   (* schedule entries consumed so far — the clock crash points count
@@ -114,42 +133,31 @@ let run_closure (impl : Implementation.t) ~n ~workload ~schedule ?(coin_seed = 0
   let ticks = ref 0 in
   let realized = ref [] in
   let crash_list = ref (List.sort compare crashes) in
-  let fire_due_crashes () =
-    let rec go () =
-      match !crash_list with
-      | (at, pid) :: rest when at <= !ticks ->
-          crash_list := rest;
-          if pid >= 0 && pid < n && not slots.(pid).crashed then (
-            let slot = slots.(pid) in
-            slot.crashed <- true;
-            (* the in-flight call never responds; planned work is lost *)
-            slot.remaining <- []);
-          go ()
-      | _ -> ()
-    in
-    go ()
+  let rec fire_due_crashes () =
+    match !crash_list with
+    | (at, pid) :: rest when at <= !ticks ->
+        crash_list := rest;
+        if pid >= 0 && pid < n && not slots.(pid).crashed then (
+          let slot = slots.(pid) in
+          slot.crashed <- true;
+          (* the in-flight call never responds; planned work is lost *)
+          slot.remaining <- []);
+        fire_due_crashes ()
+    | _ -> ()
   in
   let step pid =
     let slot = slots.(pid) in
-    if slot.crashed then ()
-    else
-      match slot.current with
-      | None -> ()
-      | Some proc -> (
-          incr steps;
-          realized := pid :: !realized;
-          match proc with
-          | Proc.Decide value ->
-              history :=
-                History.Res { call = slot.call_id; pid; value } :: !history;
-              slot.current <- None;
-              refill pid
-          | Proc.Apply { obj; op; k } ->
-              let value', resp = Optype.apply optypes.(obj) objects.(obj) op in
-              objects.(obj) <- value';
-              slot.current <- Some (k resp)
-          | Proc.Choose { n = outcomes; k } ->
-              slot.current <- Some (k (Rng.int rng outcomes)))
+    if busy slot then begin
+      incr steps;
+      realized := pid :: !realized;
+      let st = slot.st in
+      let st' = sem.step objects rng st in
+      if st' == idle then begin
+        respond pid slot (Option.get (sem.decision st));
+        refill pid
+      end
+      else slot.st <- st'
+    end
   in
   let rec loop () =
     fire_due_crashes ();
@@ -185,14 +193,14 @@ let run_closure (impl : Implementation.t) ~n ~workload ~schedule ?(coin_seed = 0
                     loop ()))
   in
   loop ();
-  (* drain: a Decide that has not been consumed yet still responds *)
+  (* drain: a decided call whose response has not been consumed yet
+     still responds *)
   Array.iteri
     (fun pid slot ->
-      match slot.current with
-      | Some (Proc.Decide value) when not slot.crashed ->
-          history := History.Res { call = slot.call_id; pid; value } :: !history;
-          slot.current <- None
-      | _ -> ())
+      if busy slot then
+        match sem.decision slot.st with
+        | Some value -> respond pid slot value
+        | None -> ())
     slots;
   (* The drain probe.  Each surviving in-flight call gets solo runs of up
      to [solo_bound] own-steps with coins from deterministic per-attempt
@@ -207,22 +215,15 @@ let run_closure (impl : Implementation.t) ~n ~workload ~schedule ?(coin_seed = 0
       let slot = slots.(pid) in
       let coins = Rng.create (coin_seed + (31 * pid) + (1009 * (attempt + 1))) in
       let snapshot = Array.copy objects in
-      let rec go proc k =
+      let rec go st k =
         if k > solo_bound then None
         else
-          match proc with
-          | Proc.Decide value -> Some value
-          | Proc.Apply { obj; op; k = cont } ->
-              let value', resp = Optype.apply optypes.(obj) objects.(obj) op in
-              objects.(obj) <- value';
-              go (cont resp) (k + 1)
-          | Proc.Choose { n = outcomes; k = cont } ->
-              go (cont (Rng.int coins outcomes)) (k + 1)
+          let st' = sem.step objects coins st in
+          if st' == idle then sem.decision st else go st' (k + 1)
       in
-      match go (Option.get slot.current) 0 with
+      match go slot.st 0 with
       | Some value ->
-          history := History.Res { call = slot.call_id; pid; value } :: !history;
-          slot.current <- None;
+          respond pid slot value;
           true
       | None ->
           Array.blit snapshot 0 objects 0 (Array.length objects);
@@ -233,7 +234,7 @@ let run_closure (impl : Implementation.t) ~n ~workload ~schedule ?(coin_seed = 0
       progress := false;
       Array.iteri
         (fun pid slot ->
-          if (not slot.crashed) && slot.current <> None then
+          if busy slot then
             let rec attempt a =
               if a < attempts then
                 if try_solo pid a then progress := true else attempt (a + 1)
@@ -242,25 +243,44 @@ let run_closure (impl : Implementation.t) ~n ~workload ~schedule ?(coin_seed = 0
         slots
     done;
     Array.iteri
-      (fun pid slot ->
-        if (not slot.crashed) && slot.current <> None then
-          stuck := (pid, slot.call_id) :: !stuck)
+      (fun pid slot -> if busy slot then stuck := (pid, slot.call_id) :: !stuck)
       slots
   end;
-  let history = List.rev !history in
   {
-    history;
+    history = List.rev !history;
     steps = !steps;
     completed =
-      Array.for_all
-        (fun slot -> slot.current = None && slot.remaining = [])
-        slots;
+      Array.for_all (fun slot -> slot.st == idle && slot.remaining = []) slots;
     pids = List.rev !realized;
     crashed =
       Array.to_list slots
       |> List.mapi (fun pid slot -> (pid, slot.crashed))
       |> List.filter_map (fun (pid, c) -> if c then Some pid else None);
     stuck = List.rev !stuck;
+  }
+
+(* ---- the closure engine --------------------------------------------- *)
+
+(* never returned by a procedure continuation, so [==] tells it apart *)
+let closure_idle : Value.t Proc.t =
+  Proc.Choose { n = 0; k = (fun _ -> invalid_arg "Harness: idle slot stepped") }
+
+let closure (impl : Implementation.t) ~n =
+  let optypes = Array.of_list (impl.Implementation.base ~n) in
+  {
+    objects = Array.map (fun (ot : Optype.t) -> ot.Optype.init) optypes;
+    root = (fun pid op -> impl.Implementation.procedure ~n ~pid op);
+    idle = closure_idle;
+    step =
+      (fun objects coins proc ->
+        match proc with
+        | Proc.Decide _ -> closure_idle
+        | Proc.Apply { obj; op; k } ->
+            let value', resp = Optype.apply optypes.(obj) objects.(obj) op in
+            objects.(obj) <- value';
+            k resp
+        | Proc.Choose { n = outcomes; k } -> k (Rng.int coins outcomes));
+    decision = (function Proc.Decide value -> Some value | _ -> None);
   }
 
 (* ---- the interned engine -------------------------------------------- *)
@@ -310,244 +330,58 @@ let root_sid u ~pid op =
       Hashtbl.add u.roots (pid, op) sid;
       sid
 
-(* interned per-process driver state: [sid = -1] means idle *)
-type islot = {
-  mutable sid : int;
-  mutable icall_id : int;
-  mutable iremaining : Op.t list;
-  mutable icrashed : bool;
-}
-
-(* Mirrors [run_closure] statement for statement — same RNG draw order
-   (one coin draw per [Choose] step, scheduling draws in the same
-   places), same tick/step accounting, same history events — with every
-   procedure step an [Intern] table lookup and objects held as value
-   ids. *)
-let run_interned u ~n ~workload ~schedule ?(coin_seed = 0)
-    ?(max_steps = 100_000) ?(crashes = []) ?(probe = false)
-    ?(solo_bound = 4096) () =
-  if u.n <> n then invalid_arg "Harness.run: runtime built for a different n";
+(* Sids over value ids; [-1] is idle.  The coin draw sits exactly where
+   the closure engine draws, one per [Choose] step. *)
+let interned u =
   if Intern.near_capacity u.rt then rebuild u;
   let rt = u.rt in
-  let objects = Array.copy u.obj_init in
-  let slots =
-    Array.init n (fun pid ->
-        {
-          sid = -1;
-          icall_id = -1;
-          iremaining =
-            (match List.assoc_opt pid workload with Some ops -> ops | None -> []);
-          icrashed = false;
-        })
-  in
-  let history = ref [] in
-  let next_call_id = ref 0 in
-  let rng =
-    match schedule with
-    | Random_sched seed -> Rng.create seed
-    | Fixed _ | Starving _ -> Rng.create coin_seed
-  in
-  let sched_rng =
-    match schedule with Starving { seed; _ } -> Rng.create seed | _ -> rng
-  in
-  let fixed = ref (match schedule with Fixed pids -> pids | _ -> []) in
-  let refill pid =
-    let slot = slots.(pid) in
-    if slot.sid < 0 && not slot.icrashed then
-      match slot.iremaining with
-      | op :: rest ->
-          let id = !next_call_id in
-          incr next_call_id;
-          slot.sid <- root_sid u ~pid op;
-          slot.icall_id <- id;
-          slot.iremaining <- rest;
-          history := History.Inv { call = id; pid; op } :: !history
-      | [] -> ()
-  in
-  Array.iteri (fun pid _ -> refill pid) slots;
-  let active () =
-    List.filter
-      (fun pid -> slots.(pid).sid >= 0 && not slots.(pid).icrashed)
-      (List.init n Fun.id)
-  in
-  let steps = ref 0 in
-  let ticks = ref 0 in
-  let realized = ref [] in
-  let crash_list = ref (List.sort compare crashes) in
-  let fire_due_crashes () =
-    let rec go () =
-      match !crash_list with
-      | (at, pid) :: rest when at <= !ticks ->
-          crash_list := rest;
-          if pid >= 0 && pid < n && not slots.(pid).icrashed then (
-            let slot = slots.(pid) in
-            slot.icrashed <- true;
-            slot.iremaining <- []);
-          go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  let step pid =
-    let slot = slots.(pid) in
-    if slot.icrashed || slot.sid < 0 then ()
-    else begin
-      incr steps;
-      realized := pid :: !realized;
-      let code = Intern.code rt slot.sid in
-      let tag = code land 3 in
-      if tag = Intern.tag_decided then begin
-        let value = Option.get (Intern.decision rt slot.sid) in
-        history := History.Res { call = slot.icall_id; pid; value } :: !history;
-        slot.sid <- -1;
-        refill pid
-      end
-      else if tag = Intern.tag_apply then begin
-        let obj = code lsr 2 in
-        let packed =
-          Intern.apply_packed rt ~sid:slot.sid ~vid:(Array.unsafe_get objects obj)
-        in
-        Array.unsafe_set objects obj (Intern.vid_of packed);
-        slot.sid <- Intern.sid_of packed
-      end
-      else
-        slot.sid <-
-          Intern.choose rt ~sid:slot.sid ~outcome:(Rng.int rng (code lsr 2))
-    end
-  in
-  let rec loop () =
-    fire_due_crashes ();
-    if !steps >= max_steps then ()
-    else
-      match schedule with
-      | Fixed _ -> (
-          match !fixed with
-          | [] -> ()
-          | pid :: rest ->
-              fixed := rest;
-              incr ticks;
-              if pid >= 0 && pid < n then step pid;
-              loop ())
-      | Random_sched _ -> (
-          match active () with
-          | [] -> ()
-          | pids ->
-              incr ticks;
-              step (List.nth pids (Rng.int rng (List.length pids)));
-              loop ())
-      | Starving { victim; len; _ } -> (
-          if !ticks >= len then ()
-          else
-            match active () with
-            | [] -> ()
-            | pids -> (
-                incr ticks;
-                match List.filter (fun p -> p <> victim) pids with
-                | [] -> step victim; loop ()
-                | others ->
-                    step (List.nth others (Rng.int sched_rng (List.length others)));
-                    loop ()))
-  in
-  loop ();
-  Array.iteri
-    (fun pid slot ->
-      if slot.sid >= 0 && (not slot.icrashed) && Intern.is_decided rt slot.sid
-      then begin
-        let value = Option.get (Intern.decision rt slot.sid) in
-        history := History.Res { call = slot.icall_id; pid; value } :: !history;
-        slot.sid <- -1
-      end)
-    slots;
-  let stuck = ref [] in
-  if probe then begin
-    let attempts = 3 in
-    let try_solo pid attempt =
-      let slot = slots.(pid) in
-      let coins = Rng.create (coin_seed + (31 * pid) + (1009 * (attempt + 1))) in
-      let snapshot = Array.copy objects in
-      let rec go sid k =
-        if k > solo_bound then None
-        else
-          let code = Intern.code rt sid in
-          let tag = code land 3 in
-          if tag = Intern.tag_decided then Intern.decision rt sid
-          else if tag = Intern.tag_apply then begin
-            let obj = code lsr 2 in
-            let packed =
-              Intern.apply_packed rt ~sid ~vid:(Array.unsafe_get objects obj)
-            in
-            Array.unsafe_set objects obj (Intern.vid_of packed);
-            go (Intern.sid_of packed) (k + 1)
-          end
-          else
-            go
-              (Intern.choose rt ~sid ~outcome:(Rng.int coins (code lsr 2)))
-              (k + 1)
-      in
-      match go slot.sid 0 with
-      | Some value ->
-          history :=
-            History.Res { call = slot.icall_id; pid; value } :: !history;
-          slot.sid <- -1;
-          true
-      | None ->
-          Array.blit snapshot 0 objects 0 (Array.length objects);
-          false
-    in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      Array.iteri
-        (fun pid slot ->
-          if (not slot.icrashed) && slot.sid >= 0 then
-            let rec attempt a =
-              if a < attempts then
-                if try_solo pid a then progress := true else attempt (a + 1)
-            in
-            attempt 0)
-        slots
-    done;
-    Array.iteri
-      (fun pid slot ->
-        if (not slot.icrashed) && slot.sid >= 0 then
-          stuck := (pid, slot.icall_id) :: !stuck)
-      slots
-  end;
-  let history = List.rev !history in
   {
-    history;
-    steps = !steps;
-    completed =
-      Array.for_all (fun slot -> slot.sid < 0 && slot.iremaining = []) slots;
-    pids = List.rev !realized;
-    crashed =
-      Array.to_list slots
-      |> List.mapi (fun pid slot -> (pid, slot.icrashed))
-      |> List.filter_map (fun (pid, c) -> if c then Some pid else None);
-    stuck = List.rev !stuck;
+    objects = Array.copy u.obj_init;
+    root = (fun pid op -> root_sid u ~pid op);
+    idle = -1;
+    step =
+      (fun objects coins sid ->
+        let code = Intern.code rt sid in
+        let tag = code land 3 in
+        if tag = Intern.tag_apply then begin
+          let obj = code lsr 2 in
+          let packed =
+            Intern.apply_packed rt ~sid ~vid:(Array.unsafe_get objects obj)
+          in
+          Array.unsafe_set objects obj (Intern.vid_of packed);
+          Intern.sid_of packed
+        end
+        else if tag = Intern.tag_choose then
+          Intern.choose rt ~sid ~outcome:(Rng.int coins (code lsr 2))
+        else -1);
+    decision = Intern.decision rt;
   }
 
-(* Dispatcher.  [Closure] (the default for bare calls) needs no state;
-   [Interned] uses [rt] when given — sharing forced states across runs,
-   the whole point — or a throwaway runtime otherwise. *)
+(* [Closure] (the default for bare calls) needs no state; [Interned] uses
+   [rt] when given — sharing forced states across runs, the whole point —
+   or a throwaway runtime otherwise. *)
 let run ?(engine = Closure) ?rt (impl : Implementation.t) ~n ~workload
-    ~schedule ?coin_seed ?max_steps ?crashes ?probe ?solo_bound () =
+    ~schedule ?(coin_seed = 0) ?(max_steps = 100_000) ?(crashes = [])
+    ?(probe = false) () =
   match engine with
   | Closure ->
-      run_closure impl ~n ~workload ~schedule ?coin_seed ?max_steps ?crashes
-        ?probe ?solo_bound ()
+      drive (closure impl ~n) ~n ~workload ~schedule ~coin_seed ~max_steps
+        ~crashes ~probe
   | Interned ->
       let u = match rt with Some u -> u | None -> runtime impl ~n in
-      run_interned u ~n ~workload ~schedule ?coin_seed ?max_steps ?crashes
-        ?probe ?solo_bound ()
+      if u.impl != impl then
+        invalid_arg "Harness.run: runtime built for a different implementation";
+      if u.n <> n then invalid_arg "Harness.run: runtime built for a different n";
+      drive (interned u) ~n ~workload ~schedule ~coin_seed ~max_steps ~crashes
+        ~probe
 
 (** Run and check in one go: the verdict of {!Linearize.check} on the
     recorded history (complete calls only). *)
 let run_and_check ?engine ?rt impl ~n ~workload ~schedule ?coin_seed ?max_steps
-    ?crashes ?probe ?solo_bound () =
+    ?crashes ?probe () =
   let outcome =
     run ?engine ?rt impl ~n ~workload ~schedule ?coin_seed ?max_steps ?crashes
-      ?probe ?solo_bound ()
+      ?probe ()
   in
   (outcome, Linearize.check impl.Implementation.spec outcome.history)
 

@@ -27,11 +27,14 @@ type schedule =
       (** [victim] moves only when no other process is active
           ({!Sim.Sched.starving} semantics); [len] bounds the schedule *)
 
-(** The step engines: [Closure] walks the procedure closure trees (the
-    reference semantics, the default); [Interned] runs the same loop over
-    {!Sim.Intern} state ids — objects as dense value ids, each step a
-    memoized table lookup.  Both draw RNGs in identical order and record
-    identical outcomes; the differential suite pins the equality. *)
+(** The step engines.  One driver owns the schedule loop, crash clock,
+    drain and drain probe; an engine supplies only how a call starts and
+    how it steps.  [Closure] (the default) steps the procedure closure
+    trees through [Optype.apply] — the reference semantics the fuzzer's
+    parity checks compare against; [Interned] steps {!Sim.Intern} state
+    ids — objects as dense value ids, each step a memoized table lookup.
+    Sharing the driver, both draw RNGs in identical order; the
+    differential suite pins that their steps agree. *)
 type engine = Closure | Interned
 
 type runtime
@@ -55,7 +58,7 @@ val runtime : Implementation.t -> n:int -> runtime
     operations are dropped.
 
     With [probe] set, after the schedule ends each surviving in-flight
-    call is repeatedly offered solo runs of up to [solo_bound] own-steps
+    call is repeatedly offered solo runs of up to 4096 own-steps
     (coins from deterministic streams; completions keep their effects,
     failures revert them) until a fixpoint; what still cannot finish is
     reported in [stuck].
@@ -63,7 +66,9 @@ val runtime : Implementation.t -> n:int -> runtime
     [engine] selects the step engine (default [Closure]); with
     [Interned], pass [rt] (from {!runtime}, for the same implementation
     and [n]) to share forced states across runs — omitting it builds a
-    throwaway runtime, which is correct but buys nothing. *)
+    throwaway runtime, which is correct but buys nothing.  An [rt] built
+    for another implementation (physically) or another [n] raises
+    [Invalid_argument]. *)
 val run :
   ?engine:engine ->
   ?rt:runtime ->
@@ -75,7 +80,6 @@ val run :
   ?max_steps:int ->
   ?crashes:(int * int) list ->
   ?probe:bool ->
-  ?solo_bound:int ->
   unit ->
   outcome
 
@@ -90,7 +94,6 @@ val run_and_check :
   ?max_steps:int ->
   ?crashes:(int * int) list ->
   ?probe:bool ->
-  ?solo_bound:int ->
   unit ->
   outcome * Linearize.verdict
 

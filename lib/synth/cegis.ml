@@ -165,7 +165,14 @@ type eval = {
   replays : int;  (* pool lemmas replayed against this candidate *)
 }
 
+(* Stage tuning: [probes] seeded random executions per mixed vector
+   (each at most [probe_max_steps] long) before the adversary; the pool
+   keeps at most [max_lemmas] lemmas; [batch] candidates are admitted
+   per budget batch (and per pool-snapshot refresh). *)
+let probes = 4
 let probe_max_steps = 1_000
+let max_lemmas = 256
+let batch = 32
 
 (* Pool replay on the tree kernel, in snapshot order (most-hit first):
    the first applicable lemma that hits, and how many replays that
@@ -185,7 +192,7 @@ let replay_pool ~registers ~n pool pair =
   in
   scan 0 0
 
-let eval_candidate ~style ~registers ~probes ~use_attack ~frozen_pool ~n
+let eval_candidate ~style ~registers ~frozen_pool ~n
     ~vectors ~rng (t0, t1) =
   (* 1. pool replay: cheapest possible rejection *)
   match replay_pool ~registers ~n frozen_pool (t0, t1) with
@@ -244,7 +251,7 @@ let eval_candidate ~style ~registers ~probes ~use_attack ~frozen_pool ~n
              beyond n; then it cannot refute this round, but the
              certified schedule still joins the pool for larger n. *)
           let attack_lemma =
-            if not (use_attack && style = D.Rw) then None
+            if style <> D.Rw then None
             else
               match Lowerbound.Attack.run ~nominal_n:n p with
               | Error _ -> None
@@ -287,8 +294,7 @@ let eval_candidate ~style ~registers ~probes ~use_attack ~frozen_pool ~n
               { outcome = verify vectors; side_lemmas; hits = !hits; replays })))
 
 let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
-    ?(attack = true) ?(probes = 4) ?(max_lemmas = 256) ?(batch = 32) ~style
-    ~registers ~depth ~coins ~max_procs ~seed () =
+    ~style ~registers ~depth ~coins ~max_procs ~seed () =
   if registers < 1 then invalid_arg "Cegis.search: registers must be >= 1";
   if depth < 0 then invalid_arg "Cegis.search: depth must be >= 0";
   if max_procs < 2 then invalid_arg "Cegis.search: max_procs must be >= 2";
@@ -400,8 +406,8 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
                    fold minted or credited is now safe to publish *)
                 refresh ())
               (fun (pair, rng) ->
-                ( eval_candidate ~style ~registers ~probes ~use_attack:attack
-                    ~frozen_pool:!frozen ~n:this_n ~vectors ~rng pair,
+                ( eval_candidate ~style ~registers ~frozen_pool:!frozen
+                    ~n:this_n ~vectors ~rng pair,
                   pair ))
               (fun (pruned, refuted, witness, unknown) (ev, pair) ->
                 lemma_hits := !lemma_hits + ev.hits;

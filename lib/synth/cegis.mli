@@ -73,13 +73,10 @@ type result = {
 
     [prune] gates pool-lemma replay — with [prune:false] every candidate
     pays for its own refutation, which must produce identical verdicts
-    (the soundness property [test_synth] pins).  [attack] gates the
-    constructive adversary stage.  [probes] is the number of seeded
-    random executions tried per mixed vector before full search.
-    [max_lemmas] caps the pool; [batch] is the budget-admission batch
-    size.  [budget] governs the whole search: one node per unanimity
-    check and one per candidate pair; a trip yields [`Unknown] rows and
-    a [`Truncated] completeness, never a silent under-claim.
+    (the soundness property [test_synth] pins).  [budget] governs the
+    whole search: one node per unanimity check and one per candidate
+    pair; a trip yields [`Unknown] rows and a [`Truncated] completeness,
+    never a silent under-claim.
 
     Raises [Invalid_argument] on [registers < 1], [depth < 0] or
     [max_procs < 2]. *)
@@ -88,10 +85,6 @@ val search :
   ?pool:Par.Pool.t ->
   ?budget:Robust.Budget.t ->
   ?prune:bool ->
-  ?attack:bool ->
-  ?probes:int ->
-  ?max_lemmas:int ->
-  ?batch:int ->
   style:Consensus.Dtree.style ->
   registers:int ->
   depth:int ->

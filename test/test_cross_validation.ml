@@ -13,22 +13,23 @@ open Sim
 open Consensus
 open Lowerbound
 
-let protocol_of_trees t0 t1 : Protocol.t =
-  {
-    name = "enumerated-tree-protocol";
-    kind = `Deterministic;
-    identical = true;
-    supports_n = (fun n -> n >= 1);
-    optypes = (fun ~n:_ -> [ Objects.Register.optype () ]);
-    code =
-      (fun ~n:_ ~pid:_ ~input ->
-        Mc.Enumerate.to_proc (if input = 0 then t0 else t1));
-  }
+module D = Consensus.Dtree
+
+let protocol_of_trees t0 t1 = D.protocol ~style:D.Rw ~registers:1 (t0, t1)
+
+let correct_on t0 t1 inputs =
+  Mc.Enumerate.dtree_check_verdict ~style:D.Rw ~registers:1 (t0, t1) inputs
+  = `Correct
 
 let sample_valid_pairs ~depth ~count ~seed =
-  let trees = Mc.Enumerate.enumerate depth in
-  let v0 = Array.of_list (List.filter (fun t -> Mc.Enumerate.solo_decisions t = [ 0 ]) trees) in
-  let v1 = Array.of_list (List.filter (fun t -> Mc.Enumerate.solo_decisions t = [ 1 ]) trees) in
+  let trees =
+    Mc.Enumerate.enumerate_dtrees ~style:D.Rw ~registers:1 ~coins:false depth
+  in
+  let solo_valid v t =
+    Mc.Enumerate.dtree_solo_decisions ~style:D.Rw ~registers:1 t = [ v ]
+  in
+  let v0 = Array.of_list (List.filter (solo_valid 0) trees) in
+  let v1 = Array.of_list (List.filter (solo_valid 1) trees) in
   let rng = Rng.create seed in
   List.init count (fun _ ->
       (v0.(Rng.int rng (Array.length v0)), v1.(Rng.int rng (Array.length v1))))
@@ -41,8 +42,7 @@ let test_adversary_beats_sampled_protocols () =
       (* the model checker's verdict first: is this pair even unanimously
          valid? (the adversary presupposes a plausible protocol) *)
       let unanimous_ok =
-        Mc.Enumerate.check_inputs t0 t0 [ 0; 0 ]
-        && Mc.Enumerate.check_inputs t1 t1 [ 1; 1 ]
+        correct_on t0 t0 [ 0; 0 ] && correct_on t1 t1 [ 1; 1 ]
       in
       if unanimous_ok then begin
         match Attack.run p with

@@ -143,10 +143,19 @@ let test_seeds_separate_inputs () =
     "same input, same initial fingerprint" true
     (Sim.Config.fingerprint config 0 = Sim.Config.fingerprint config 1)
 
-(* Over the full depth-1 tree enumeration, [check_inputs] answers the
-   same under every dedup mode, for unanimous and mixed input vectors. *)
-let test_enumerate_check_inputs_agrees () =
-  let trees = Mc.Enumerate.enumerate_trees ~coins:true 1 in
+(* Over the full depth-1 census enumeration (coins included), the
+   census's correctness check answers the same under every dedup mode,
+   for unanimous and mixed input vectors. *)
+let test_census_check_mode_independent () =
+  let module D = Dtree in
+  let trees =
+    Mc.Enumerate.enumerate_dtrees ~style:D.Rw ~registers:1 ~coins:true 1
+  in
+  let correct dedup t0 t1 inputs =
+    Mc.Enumerate.dtree_check_verdict ~dedup ~style:D.Rw ~registers:1 (t0, t1)
+      inputs
+    = `Correct
+  in
   let disagreements = ref 0 in
   List.iter
     (fun t0 ->
@@ -154,11 +163,10 @@ let test_enumerate_check_inputs_agrees () =
         (fun t1 ->
           List.iter
             (fun inputs ->
-              let off = Mc.Enumerate.check_inputs ~dedup:`Off t0 t1 inputs in
+              let off = correct `Off t0 t1 inputs in
               if
-                Mc.Enumerate.check_inputs ~dedup:`Exact t0 t1 inputs <> off
-                || Mc.Enumerate.check_inputs ~dedup:`Symmetric t0 t1 inputs
-                   <> off
+                correct `Exact t0 t1 inputs <> off
+                || correct `Symmetric t0 t1 inputs <> off
               then incr disagreements)
             [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 1 ] ])
         trees)
@@ -193,7 +201,7 @@ let suite =
     Alcotest.test_case "fp seeds separate inputs" `Quick
       test_seeds_separate_inputs;
     Alcotest.test_case "enumerate check_inputs mode-independent" `Quick
-      test_enumerate_check_inputs_agrees;
+      test_census_check_mode_independent;
     Alcotest.test_case "clones inherit fingerprints" `Quick
       test_clone_fingerprints;
   ]

@@ -4,20 +4,37 @@
 open Sim
 open Mc
 
+module D = Consensus.Dtree
+
+(* one-register rw trees, written in the [Dtree] codec *)
+let tree s = Result.get_ok (D.of_string s)
+let solo_decisions = Enumerate.dtree_solo_decisions ~style:D.Rw ~registers:1
+
+let solo_decision t =
+  match solo_decisions t with
+  | [ v ] -> v
+  | vs -> Alcotest.failf "%d reachable solo outcomes" (List.length vs)
+
 let test_tree_counts () =
-  Alcotest.(check int) "depth 0" 2 (List.length (Enumerate.enumerate 0));
-  Alcotest.(check int) "depth 1" 14 (List.length (Enumerate.enumerate 1));
-  Alcotest.(check int) "depth 2" 2774 (List.length (Enumerate.enumerate 2))
+  let count ?(style = D.Rw) ~coins depth =
+    List.length (Enumerate.enumerate_dtrees ~style ~registers:1 ~coins depth)
+  in
+  Alcotest.(check int) "depth 0" 2 (count ~coins:false 0);
+  Alcotest.(check int) "depth 1" 14 (count ~coins:false 1);
+  Alcotest.(check int) "depth 2" 2774 (count ~coins:false 2);
+  Alcotest.(check int) "depth 1 with coins" 18 (count ~coins:true 1);
+  (* swap style at depth 1: 2 decides + 2x8 one-swap trees + 8 reads *)
+  Alcotest.(check int) "swap depth 1" 26
+    (count ~style:D.Swapping ~coins:false 1)
 
 let test_tree_semantics () =
-  let open Enumerate in
-  Alcotest.(check int) "decide" 0 (solo_decision (Decide 0));
-  Alcotest.(check int) "write then decide" 1 (solo_decision (Write (0, Decide 1)));
+  Alcotest.(check int) "decide" 0 (solo_decision (tree "d0"));
+  Alcotest.(check int) "write then decide" 1 (solo_decision (tree "w0.0(d1)"));
   (* read from the empty register takes the empty branch *)
   Alcotest.(check int) "read empty branch" 0
-    (solo_decision (Read (Decide 0, Decide 1, Decide 1)));
+    (solo_decision (tree "r0(d0,d1,d1)"));
   Alcotest.(check int) "write then read own" 1
-    (solo_decision (Write (1, Read (Decide 0, Decide 0, Decide 1))))
+    (solo_decision (tree "w0.1(r0(d0,d0,d1))"))
 
 let test_census_depth1_impossible () =
   let c = Enumerate.census ~depth:1 in
@@ -31,19 +48,19 @@ let test_census_depth0 () =
   Alcotest.(check int) "and it is inconsistent" 0 c.Enumerate.correct
 
 let test_census_randomized_depth1 () =
-  let c = Enumerate.census_randomized ~depth:1 in
-  Alcotest.(check int) "18 trees with coins" 18 c.Enumerate.trees;
-  Alcotest.(check int) "coins do not help" 0 c.Enumerate.correct
+  let { Enumerate.correct; trees; _ } = Enumerate.census_randomized ~depth:1 in
+  Alcotest.(check int) "18 trees with coins" 18 trees;
+  Alcotest.(check int) "coins do not help" 0 correct
 
 let test_flip_semantics () =
-  let open Enumerate in
+  let flip = tree "f(d0,d1)" in
   (* a flipping tree reaches both outcomes solo *)
-  Alcotest.(check (list int)) "both reachable" [ 0; 1 ]
-    (solo_decisions (Flip (Decide 0, Decide 1)));
+  Alcotest.(check (list int)) "both reachable" [ 0; 1 ] (solo_decisions flip);
   (* and is therefore rejected by the validity filter *)
-  match solo_decision (Flip (Decide 0, Decide 1)) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected rejection of a two-outcome tree"
+  let c = Enumerate.census_of_trees ~depth:1 [ tree "d0"; flip; tree "d1" ] in
+  Alcotest.(check (pair int int))
+    "only the decide trees are solo-valid" (1, 1)
+    (c.Enumerate.valid_solo_0, c.Enumerate.valid_solo_1)
 
 (* the regression: a protocol where both processes decide instantly with
    different values has an inconsistent execution of zero steps — the
@@ -66,74 +83,29 @@ let test_mc_initial_invalid () =
   | Some { kind = `Invalid; _ } -> ()
   | _ -> Alcotest.fail "missed the zero-step validity violation"
 
-(* sanity: a known-broken depth-1 pair is caught by check_inputs *)
-let test_check_inputs_catches () =
-  let open Enumerate in
-  let t0 = Read (Decide 0, Decide 0, Decide 1) in
-  let t1 = Read (Decide 1, Decide 0, Decide 1) in
+(* sanity: a known-broken depth-1 pair is caught by the census check *)
+let test_census_check_catches () =
   (* both read the empty register concurrently and decide their inputs *)
-  Alcotest.(check bool) "mixed inputs refuted" false (check_inputs t0 t1 [ 0; 1 ])
+  match
+    Enumerate.dtree_check_verdict ~style:D.Rw ~registers:1
+      (tree "r0(d0,d0,d1)", tree "r0(d1,d0,d1)")
+      [ 0; 1 ]
+  with
+  | `Violating _ -> ()
+  | `Correct -> Alcotest.fail "mixed inputs not refuted"
+  | `Unknown _ -> Alcotest.fail "check truncated"
 
 (* solo_decisions is contractually duplicate-free and sorted: census
    filters and the synth lemma pool compare the list structurally
    against [0]/[1], so a tree reaching the same decision along several
    coin paths must not report it twice *)
 let test_solo_decisions_dedup () =
-  let open Enumerate in
   Alcotest.(check (list int)) "flip to the same decision" [ 0 ]
-    (solo_decisions (Flip (Decide 0, Decide 0)));
+    (solo_decisions (tree "f(d0,d0)"));
   Alcotest.(check (list int)) "nested flips, two paths each" [ 0; 1 ]
-    (solo_decisions
-       (Flip (Flip (Decide 1, Decide 0), Flip (Decide 0, Decide 1))));
+    (solo_decisions (tree "f(f(d1,d0),f(d0,d1))"));
   Alcotest.(check (list int)) "sorted regardless of branch order" [ 0; 1 ]
-    (solo_decisions (Flip (Decide 1, Decide 0)))
-
-(* ---- generalized trees (the synth search space) ---- *)
-
-module D = Consensus.Dtree
-
-(* at one rw register the generalized enumeration is the legacy one:
-   same counts at every depth, and the census goldens carry over *)
-let test_dtree_counts_match_legacy () =
-  List.iter
-    (fun (depth, expect) ->
-      Alcotest.(check int)
-        (Printf.sprintf "rw r=1 depth %d" depth)
-        expect
-        (List.length
-           (Enumerate.enumerate_dtrees ~style:D.Rw ~registers:1 ~coins:false
-              depth)))
-    [ (0, 2); (1, 14); (2, 2774) ];
-  Alcotest.(check int) "rw r=1 depth 1 with coins" 18
-    (List.length
-       (Enumerate.enumerate_dtrees ~style:D.Rw ~registers:1 ~coins:true 1));
-  (* swap style at depth 1: 2 decides + 2x8 one-swap trees + 8 reads *)
-  Alcotest.(check int) "swap r=1 depth 1" 26
-    (List.length
-       (Enumerate.enumerate_dtrees ~style:D.Swapping ~registers:1
-          ~coins:false 1))
-
-let test_dtree_embedding_agrees () =
-  let open Enumerate in
-  List.iter
-    (fun tree ->
-      let d = dtree_of_tree tree in
-      Alcotest.(check (list int))
-        (D.to_string d ^ " solo decisions agree")
-        (solo_decisions tree)
-        (dtree_solo_decisions ~style:D.Rw ~registers:1 d))
-    (enumerate_randomized 1);
-  (* a violating legacy pair is violating through the dtree checker too *)
-  let t0 = Read (Decide 0, Decide 0, Decide 1) in
-  let t1 = Read (Decide 1, Decide 0, Decide 1) in
-  match
-    dtree_check_verdict ~style:D.Rw ~registers:1
-      (dtree_of_tree t0, dtree_of_tree t1)
-      [ 0; 1 ]
-  with
-  | `Violating _ -> ()
-  | `Correct -> Alcotest.fail "dtree checker missed the race"
-  | `Unknown _ -> Alcotest.fail "dtree check truncated"
+    (solo_decisions (tree "f(d1,d0)"))
 
 (* Synthesis's stage-2 filter runs one tiny search per tree and side:
    its per-check set-up must stay off the major heap.  Every array over
@@ -165,10 +137,6 @@ let suite =
     Alcotest.test_case "tree counts" `Quick test_tree_counts;
     Alcotest.test_case "solo_decisions dedup + sort" `Quick
       test_solo_decisions_dedup;
-    Alcotest.test_case "dtree counts match legacy" `Quick
-      test_dtree_counts_match_legacy;
-    Alcotest.test_case "dtree embedding agrees" `Quick
-      test_dtree_embedding_agrees;
     Alcotest.test_case "tree semantics" `Quick test_tree_semantics;
     Alcotest.test_case "depth-1 census: impossible" `Quick test_census_depth1_impossible;
     Alcotest.test_case "depth-0 census" `Quick test_census_depth0;
@@ -176,7 +144,7 @@ let suite =
     Alcotest.test_case "flip semantics" `Quick test_flip_semantics;
     Alcotest.test_case "MC checks initial decisions" `Quick test_mc_initial_decisions;
     Alcotest.test_case "MC checks initial validity" `Quick test_mc_initial_invalid;
-    Alcotest.test_case "check_inputs catches races" `Quick test_check_inputs_catches;
+    Alcotest.test_case "check_inputs catches races" `Quick test_census_check_catches;
     Alcotest.test_case "stage-2 checks stay off the major heap" `Quick
       test_stage2_checks_stay_minor;
   ]

@@ -119,21 +119,30 @@ let test_fingerprint_parity () =
 
 (* Interned harness engine vs the closure walker: identical outcomes —
    history, realized pids, crash and stuck sets — across schedule
-   families, crash injections, and the drain probe.  One shared
-   runtime across all runs, as production uses it. *)
+   families (random, starving, and the fixed pid lists with crash points
+   that lin fuzz scenarios drive), crash injections, coin-flipping
+   procedures and the drain probe.  One shared runtime per
+   implementation across all runs, as production uses it. *)
 let test_harness_engine_differential () =
+  let counter_ops = Objects.Counter.[ inc; dec; read ] in
   let impls =
     [
-      ("collect", Objimpl.Counters.collect);
-      ("snapshot", Objimpl.Counters.snapshot);
-      ("locked", Objimpl.Locked_counter.locked);
-      ("leaky", Objimpl.Locked_counter.leaky);
+      ("collect", Objimpl.Counters.collect, 3, counter_ops);
+      ("snapshot", Objimpl.Counters.snapshot, 3, counter_ops);
+      ("locked", Objimpl.Locked_counter.locked, 3, counter_ops);
+      ("leaky", Objimpl.Locked_counter.leaky, 3, counter_ops);
+      ( "tas-rand",
+        Objimpl.Tas_rand.implementation,
+        2,
+        Objects.Test_and_set.[ test_and_set; read ] );
+      ( "consensus-swap",
+        Objimpl.Consensus_obj.implementation,
+        2,
+        Objects.Sticky.[ propose_int 7; propose_int 9; read ] );
     ]
   in
-  let n = 3 in
-  let ops = Objects.Counter.[ inc; dec; read ] in
   List.iter
-    (fun (iname, impl) ->
+    (fun (iname, impl, n, ops) ->
       let rt = Objimpl.Harness.runtime impl ~n in
       let check_run tag schedule ~coin_seed ~crashes ~probe ~seed =
         let go engine =
@@ -158,10 +167,39 @@ let test_harness_engine_differential () =
           check_run "crashing"
             (Objimpl.Harness.Random_sched seed)
             ~coin_seed:0
-            ~crashes:[ (7, 0); (31, 2) ]
+            ~crashes:[ (7, 0); (31, n - 1) ]
+            ~probe:true ~seed;
+          (* pid [n] is out of range: the entry ticks the crash clock
+             without stepping anyone *)
+          let pids =
+            let rng = Sim.Rng.create (seed * 7919) in
+            List.init 150 (fun _ -> Sim.Rng.int rng (n + 1))
+          in
+          check_run "fixed"
+            (Objimpl.Harness.Fixed pids)
+            ~coin_seed:seed ~crashes:[] ~probe:true ~seed;
+          check_run "fixed crashing"
+            (Objimpl.Harness.Fixed pids)
+            ~coin_seed:seed
+            ~crashes:[ (9, n - 1); (60, 0) ]
             ~probe:true ~seed)
         [ 1; 2; 3; 4; 5 ])
     impls
+
+(* A runtime carries one implementation's procedures: handing it a
+   different implementation with the same [n] must be refused, not
+   silently run the runtime's own procedures. *)
+let test_harness_runtime_impl_mismatch () =
+  let n = 3 in
+  let rt = Objimpl.Harness.runtime Objimpl.Counters.collect ~n in
+  match
+    Objimpl.Harness.run ~engine:Objimpl.Harness.Interned ~rt
+      Objimpl.Counters.snapshot ~n
+      ~workload:[ (0, [ Objects.Counter.inc ]) ]
+      ~schedule:(Objimpl.Harness.Random_sched 1) ()
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "runtime for another implementation was accepted"
 
 (* Fuzz scenarios: same seed, same drawn kind, identical run report
    (schedule + violation + steps) and identical replay verdict under
@@ -215,6 +253,8 @@ let suite =
       test_fingerprint_parity;
     Alcotest.test_case "harness: interned = closure outcomes" `Quick
       test_harness_engine_differential;
+    Alcotest.test_case "harness: runtime refuses another implementation"
+      `Quick test_harness_runtime_impl_mismatch;
     Alcotest.test_case "fuzz: flat = closure gen/replay" `Quick
       test_fuzz_engine_parity;
   ]
