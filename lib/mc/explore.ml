@@ -557,7 +557,8 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
   Option.iter
     (fun tbl ->
       Obs.add obs "mc/table-bytes" (Ptbl.bytes tbl);
-      Obs.add obs "mc/table-relayouts" (Ptbl.generation tbl))
+      Obs.add obs "mc/table-relayouts" (Ptbl.generation tbl);
+      Obs.add obs "mc/table-widenings" (Ptbl.widenings tbl))
     table;
   let completeness =
     match (!tripped, !first_reason) with

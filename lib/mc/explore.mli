@@ -105,7 +105,8 @@ val witness :
     flat search with a table ([`Exact]/[`Symmetric]) also records the
     table's final size in bytes (["mc/table-bytes"]) and how often it
     was relaid out (["mc/table-relayouts"]: capacity growths plus key
-    width changes, see {!Ptbl}). *)
+    width changes, see {!Ptbl}), the width changes also on their own
+    (["mc/table-widenings"]). *)
 val search :
   ?obs:Obs.t ->
   ?budget:Robust.Budget.t ->

@@ -6,7 +6,9 @@
     into as few words as fit: value ids take [bo] bits, state ids [bs]
     bits, and no field straddles a word.  The widths come from the intern
     table's id counts ({!fit}), so they grow with the data; a width change
-    re-packs every entry (a {e relayout}, as is a capacity growth).
+    re-packs every entry (a {e relayout}, as is a capacity growth).  The
+    word count per key is always the narrowest layout's for the counts
+    seen so far; widths beyond that are headroom inside those words.
 
     A slot is [meta; key words] with meta [-1] marking an empty slot, so a
     lookup touches one region of one array.  Lookups compare every packed
@@ -26,7 +28,15 @@ val create : n_objs:int -> n_procs:int -> n_values:int -> n_states:int -> t
 val fit : t -> n_values:int -> n_states:int -> unit
 (** Widen the layout if value ids below [n_values] or state ids below
     [n_states] no longer fit; O(1) when they do.  Call before every
-    {!slot} whose key may hold a newer id. *)
+    {!slot} whose key may hold a newer id.
+
+    A widening takes the narrowest layout for the counts, so a key uses
+    no more words than it must, then hands the spare bits of those words
+    to the state and value widths in turn, up to the 2{^25} id cap.  A
+    fresh table is packed narrowest.  After its first widening, ids that
+    grow inside the headroom cost nothing; the next widening comes when
+    a key needs another word, or when one kind of id outgrows the bits
+    it was handed while the word count still holds. *)
 
 val slot : t -> int array -> int
 (** [slot t key] is the offset of [key]'s meta word, inserting the key
@@ -41,6 +51,10 @@ val generation : t -> int
 (** Number of relayouts so far (capacity growths plus width changes).
     An offset taken at generation [g] is stale once this moves past
     [g]: re-find the key with {!slot}. *)
+
+val widenings : t -> int
+(** Width changes so far: the relayouts {!fit} made, a subset of
+    {!generation}'s. *)
 
 val length : t -> int
 (** Entries stored. *)

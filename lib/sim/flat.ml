@@ -93,7 +93,16 @@ let decisions t =
   done;
   !acc
 
-let slab_copy t ~into = Array.blit t.slab 0 into 0 (Array.length t.slab)
+(* Int copies are loops, not [Array.blit]: on a major-heap array a blit
+   runs the write barrier ([caml_modify]) once per word, which is most
+   of the cost of a per-probe or per-run copy. *)
+let copy_ints (src : int array) (dst : int array) =
+  if Array.length dst < Array.length src then invalid_arg "Flat: slab copy";
+  for i = 0 to Array.length src - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
+let slab_copy t ~into = copy_ints t.slab into
 
 let clone t =
   {
@@ -103,9 +112,9 @@ let clone t =
   }
 
 (** Overwrite [dst] with [src]'s state: the per-run reset of the fuzz
-    loop, two blits and one scalar write, no allocation. *)
+    loop, two copies and one scalar write, no allocation. *)
 let blit ~src ~dst =
-  Array.blit src.slab 0 dst.slab 0 (Array.length src.slab);
+  copy_ints src.slab dst.slab;
   Bytes.blit src.halted 0 dst.halted 0 (Bytes.length src.halted);
   dst.enabled <- src.enabled
 

@@ -59,7 +59,7 @@ val decisions : 'a t -> 'a list
 val slab_copy : 'a t -> into:int array -> unit
 (** Copy the whole slab (object vids then sids) into [into], which must
     have length [n_objs + n_procs]: the transposition-key fill of the
-    flat search is this one blit (plus a sort of the sid slice under
+    flat search is this one copy (plus a sort of the sid slice under
     [`Symmetric]). *)
 
 val clone : 'a t -> 'a t

@@ -51,9 +51,13 @@ let test_relayout_under_stack () =
           Alcotest.(check bool)
             (label ^ ": flat = closure referee") true
             (project_tables flat = project_tables referee);
+          let counter name = Obs.Metrics.counter (Obs.metrics obs) name in
           Alcotest.(check bool)
             (label ^ ": table relaid out") true
-            (Obs.Metrics.counter (Obs.metrics obs) "mc/table-relayouts" > 0))
+            (counter "mc/table-relayouts" > 0);
+          Alcotest.(check bool)
+            (label ^ ": key widths widened") true
+            (counter "mc/table-widenings" > 0))
         [ `Exact; `Symmetric ])
     [ ("counter-3", [ 0; 1; 0 ], 12); ("rw-3n", [ 0; 1; 0 ], 14) ]
 

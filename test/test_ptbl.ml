@@ -4,7 +4,9 @@
    absent — whatever the packing widths and capacity are at the time,
    and every meta written survives any number of relayouts (capacity
    growths and width changes).  The model is a [Hashtbl] over the
-   unpacked keys. *)
+   unpacked keys.  The table's size must stay that of a table packed
+   narrowest for the current counts: its width headroom lives in words
+   a key needs anyway. *)
 
 type model = {
   tbl : Mc.Ptbl.t;
@@ -51,8 +53,23 @@ let set m key o meta =
   Mc.Ptbl.set_meta m.tbl o meta;
   Hashtbl.replace m.entries (Array.to_list key) meta
 
+(* A fresh table is packed narrowest for the counts it is created with;
+   filled with the same keys it reaches the same capacity, so its bytes
+   are what [m.tbl]'s must be. *)
+let narrowest_bytes m =
+  let t =
+    Mc.Ptbl.create ~n_objs:m.n_objs ~n_procs:m.n_procs ~n_values:m.n_values
+      ~n_states:m.n_states
+  in
+  Hashtbl.iter
+    (fun k _ -> ignore (Mc.Ptbl.slot t (Array.of_list k) : int))
+    m.entries;
+  Mc.Ptbl.bytes t
+
 let check_all m =
   Alcotest.(check int) "entries" (Hashtbl.length m.entries) (Mc.Ptbl.length m.tbl);
+  Alcotest.(check int) "bytes = narrowest layout's" (narrowest_bytes m)
+    (Mc.Ptbl.bytes m.tbl);
   Hashtbl.iter
     (fun k meta ->
       let o = Mc.Ptbl.slot m.tbl (Array.of_list k) in
@@ -72,12 +89,22 @@ let random_key rs m =
    (widening) and enough distinct keys to force capacity growth.  A meta
    update holds its offset across later operations the way the DFS
    holds it across a subtree, and re-finds the key when the generation
+   moved; every entry still pending at the end is finished then.
+   Returns how many held offsets a growth, and how many a widening,
    moved. *)
 let random_run seed ~n_objs ~n_procs =
   let rs = Random.State.make [| seed |] in
   let m = make ~n_objs ~n_procs ~n_values:1 ~n_states:1 in
   let pending = ref [] in
-  let gen0 = Mc.Ptbl.generation m.tbl in
+  let moved_by_growth = ref 0 and moved_by_widening = ref 0 in
+  let finish (key, o, gen, wid) =
+    let relayouts = Mc.Ptbl.generation m.tbl - gen in
+    let widenings = Mc.Ptbl.widenings m.tbl - wid in
+    if widenings > 0 then incr moved_by_widening;
+    if relayouts > widenings then incr moved_by_growth;
+    let o = if relayouts = 0 then o else lookup m key in
+    set m key o (Random.State.int rs 1000)
+  in
   for step = 1 to 4000 do
     (match Random.State.int rs 20 with
     | 0 ->
@@ -97,48 +124,72 @@ let random_run seed ~n_objs ~n_procs =
         (* finish a pending entry, as the DFS does after a subtree *)
         match !pending with
         | [] -> ()
-        | (key, o, gen) :: rest ->
+        | entry :: rest ->
             pending := rest;
-            let o =
-              if Mc.Ptbl.generation m.tbl = gen then o else lookup m key
-            in
-            set m key o (Random.State.int rs 1000))
+            finish entry)
     | _ ->
         let key = random_key rs m in
         let o = lookup m key in
-        pending := (key, o, Mc.Ptbl.generation m.tbl) :: !pending);
+        pending :=
+          (key, o, Mc.Ptbl.generation m.tbl, Mc.Ptbl.widenings m.tbl)
+          :: !pending);
     if step mod 500 = 0 then check_all m
   done;
+  (* the oldest entries have been held across the most relayouts *)
+  List.iter finish !pending;
   check_all m;
-  (* both kinds of relayout happened under the pending entries *)
-  Alcotest.(check bool) "relayouts happened" true
-    (Mc.Ptbl.generation m.tbl - gen0 > 2)
+  (!moved_by_growth, !moved_by_widening)
 
 let test_random_model () =
   List.iter
     (fun (n_objs, n_procs) ->
       for seed = 1 to 4 do
-        random_run seed ~n_objs ~n_procs
+        let by_growth, by_widening = random_run seed ~n_objs ~n_procs in
+        (* both kinds of relayout happened under pending entries *)
+        let label =
+          Printf.sprintf "%d objs x %d procs, seed %d" n_objs n_procs seed
+        in
+        Alcotest.(check bool) (label ^ ": a growth moved held offsets") true
+          (by_growth > 0);
+        Alcotest.(check bool) (label ^ ": a widening moved held offsets") true
+          (by_widening > 0)
       done)
-    [ (1, 1); (0, 3); (3, 2); (21, 7); (2, 12) ]
+    [ (1, 1); (0, 3); (0, 4); (3, 2); (21, 7); (2, 12) ]
 
-(* Widening re-packs every entry; a fit that is not needed is free. *)
-let test_fit_generation () =
+(* Widths carry headroom inside the words a key needs anyway.  Two
+   objects and three processes: a fresh table is packed narrowest (1 and
+   2 bits, one word); its first widening, to 2 and 2 bits, hands the
+   spare bits of that word out in turn, 13 bits per state and 12 per
+   value (3 x 13 + 2 x 12 = 63).  Ids that grow inside those widths cost
+   no relayout; a value id past 2^12 needs 3 x 13 + 2 x 13 = 65 bits, a
+   second word, and costs exactly one. *)
+let test_fit_headroom () =
   let m = make ~n_objs:2 ~n_procs:3 ~n_values:2 ~n_states:4 in
   let keys =
     [ [| 0; 1; 0; 1; 2 |]; [| 1; 1; 3; 3; 3 |]; [| 1; 0; 3; 2; 1 |] ]
   in
   List.iteri (fun i k -> set m k (lookup m k) (i + 7)) keys;
-  let g = Mc.Ptbl.generation m.tbl in
-  grow m ~n_values:2 ~n_states:4;
-  Alcotest.(check int) "ids still fit: no relayout" g (Mc.Ptbl.generation m.tbl);
-  grow m ~n_values:3 ~n_states:4;
-  Alcotest.(check int) "value width grows" (g + 1) (Mc.Ptbl.generation m.tbl);
-  grow m ~n_values:4 ~n_states:4;
-  Alcotest.(check int) "3 values fit 2 bits" (g + 1) (Mc.Ptbl.generation m.tbl);
-  grow m ~n_values:4 ~n_states:1000;
-  Alcotest.(check int) "state width grows" (g + 2) (Mc.Ptbl.generation m.tbl);
-  check_all m
+  let step label ~n_values ~n_states ~relayouts ~words =
+    grow m ~n_values ~n_states;
+    Alcotest.(check int)
+      (label ^ ": relayouts") relayouts (Mc.Ptbl.generation m.tbl);
+    Alcotest.(check int)
+      (label ^ ": widenings") relayouts (Mc.Ptbl.widenings m.tbl);
+    (* 16 slots of [meta; words] *)
+    Alcotest.(check int) (label ^ ": bytes") (16 * (1 + words) * 8)
+      (Mc.Ptbl.bytes m.tbl);
+    check_all m
+  in
+  step "ids still fit" ~n_values:2 ~n_states:4 ~relayouts:0 ~words:1;
+  step "first widening" ~n_values:3 ~n_states:4 ~relayouts:1 ~words:1;
+  step "values inside the headroom" ~n_values:(1 lsl 12) ~n_states:4
+    ~relayouts:1 ~words:1;
+  step "states inside the headroom" ~n_values:(1 lsl 12) ~n_states:(1 lsl 13)
+    ~relayouts:1 ~words:1;
+  step "a key needs a second word" ~n_values:((1 lsl 12) + 1)
+    ~n_states:(1 lsl 13) ~relayouts:2 ~words:2;
+  step "states inside the new headroom" ~n_values:((1 lsl 12) + 1)
+    ~n_states:((1 lsl 13) + 1) ~relayouts:2 ~words:2
 
 (* Keys that differ in one field only — so in one packed word only, the
    last word included — and keys whose fields sit at the width boundary
@@ -190,8 +241,8 @@ let test_bytes () =
 let suite =
   [
     Alcotest.test_case "random ops = Hashtbl model" `Quick test_random_model;
-    Alcotest.test_case "fit relayouts only on widening" `Quick
-      test_fit_generation;
+    Alcotest.test_case "fit relays out only when a key needs another word"
+      `Quick test_fit_headroom;
     Alcotest.test_case "one-field and boundary keys stay distinct" `Quick
       test_boundary_keys;
     Alcotest.test_case "bytes track growth" `Quick test_bytes;
