@@ -405,7 +405,12 @@ let mc_cmd =
     Term.(
       const run $ protocol_arg
       $ Arg.(value & opt string "0,1" & info [ "inputs" ] ~doc:"inputs")
-      $ Arg.(value & opt int 40 & info [ "depth" ] ~doc:"depth bound")
+      $ Arg.(
+          value & opt int 40
+          & info [ "depth" ]
+              ~doc:
+                (Printf.sprintf "Depth bound, 0 to %d."
+                   Mc.Explore.max_depth_bound))
       $ Arg.(
           value
           & opt int 2_000_000

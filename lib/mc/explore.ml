@@ -317,17 +317,19 @@ let resumes_into (cursor : (int * int) array) on_path ~depth pid outcome =
    is replayed from [config] by [witness], so the reported trace and
    configuration are the referee's.
 
-   Table lookups go through one reused scratch key per search (the slab,
-   with the sid slice insertion-sorted in place under [`Symmetric]),
-   which {!Ptbl} packs and hashes.  A miss inserts the key *before*
-   expanding the subtree, marked in-progress (meta 0: stored depth -1,
-   incomplete) — which every revisit treats exactly as the closure
-   engine treats an absent entry, so counters match node for node — and
-   the held slot offset lets the post-expansion update write the final
-   (depth, complete) meta without re-probing.  If the table was relaid
-   out meanwhile (it grew, or the intern table outgrew a key field
-   width), the offset is stale: the restored slab is the pre-expansion
-   key, so one more lookup finds the entry again.
+   Table lookups read the key from the table's key register ({!Ptbl}),
+   which holds the node's key packed: each step into a node that probes
+   is XORed into it and out again, and under [`Symmetric] a lookup ORs
+   in the sorted sids, so no lookup re-packs the slab.  A miss inserts
+   the key *before* expanding the subtree, marked in-progress (meta 0:
+   stored depth -1, incomplete) — which every revisit treats exactly as
+   the closure engine treats an absent entry, so counters match node
+   for node — and the held slot offset lets the post-expansion update
+   write the final (depth, complete) meta without re-probing.  If the
+   table was relaid out meanwhile (it grew, or the intern table outgrew
+   a key field width), the offset is stale: the undo discipline restored
+   the slab and the register to the pre-expansion key, so one more
+   lookup finds the entry again.
 
    Checkpoint/resume: the meter is consulted *before* a node is counted,
    so a tripped node is exactly the first unvisited node of the
@@ -388,34 +390,62 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
     | `Exact | `Symmetric ->
         Some
           (Ptbl.create ~n_objs ~n_procs ~n_values:(Intern.n_values rt)
-             ~n_states:(Intern.n_states rt))
+             ~n_states:(Intern.n_states rt)
+             ~max_depth:(max max_depth 0))
   in
-  (* one reused scratch key per search: the slab slice, with the sid
-     slice insertion-sorted in place under [`Symmetric] (n_procs is
-     small; no comparator closure, no allocation) *)
+  (* The table's key register holds the current node's key packed (its
+     state fields left 0 under [`Symmetric]): loaded from the slab at
+     the root and after a widening, and otherwise kept by [flip]. *)
   let skey = Array.make width 0 in
-  (* the current node's entry, inserted in progress when absent *)
-  let table_slot tbl =
+  let load tbl =
     Flat.slab_copy flat ~into:skey;
     if symmetric then
-      for p = n_objs + 1 to width - 1 do
-        let v = Array.unsafe_get skey p in
+      for p = n_objs to width - 1 do
+        Array.unsafe_set skey p 0
+      done;
+    Ptbl.load tbl skey
+  in
+  Option.iter load table;
+  (* The step into a node (process [pid] moved by [ds], object [obj] by
+     [dv], as XORs of old and new ids) is flipped into the register when
+     the node probes or expands, and out again when it returns: leaves
+     and horizon nodes never touch it, and every probe sees its
+     ancestors' steps and its own. *)
+  let flip tbl pid obj dv ds =
+    if dv <> 0 then Ptbl.flip tbl obj dv;
+    if ds <> 0 && not symmetric then Ptbl.flip tbl (n_objs + pid) ds
+  in
+  (* under [`Symmetric] a probe ORs in the sorted sids, insertion-sorted
+     in one reused array (n_procs is small; no comparator closure, no
+     allocation); under [`Exact] the register is the whole key *)
+  let sids = if symmetric then Array.make n_procs 0 else [||] in
+  (* the current node's entry, inserted in progress when absent *)
+  let table_slot tbl =
+    if
+      Ptbl.fit tbl ~n_values:(Intern.n_values rt)
+        ~n_states:(Intern.n_states rt)
+    then load tbl;
+    if symmetric then
+      for p = 0 to n_procs - 1 do
+        let v = Flat.sid flat p in
         let j = ref (p - 1) in
-        while !j >= n_objs && Array.unsafe_get skey !j > v do
-          Array.unsafe_set skey (!j + 1) (Array.unsafe_get skey !j);
+        while !j >= 0 && Array.unsafe_get sids !j > v do
+          Array.unsafe_set sids (!j + 1) (Array.unsafe_get sids !j);
           decr j
         done;
-        Array.unsafe_set skey (!j + 1) v
+        Array.unsafe_set sids (!j + 1) v
       done;
-    Ptbl.fit tbl ~n_values:(Intern.n_values rt) ~n_states:(Intern.n_states rt);
-    Ptbl.slot tbl skey
+    Ptbl.slot tbl sids
   in
   let path_pid = Array.make (max max_depth 1) 0 in
   let path_out = Array.make (max max_depth 1) 0 in
-  let rec go distinct depth =
-    if depth < !on_path then
+  let rec go distinct depth pid obj dv ds =
+    if depth < !on_path then begin
       (* on the resume path: counted before the interruption *)
-      expand distinct depth
+      Option.iter (fun tbl -> flip tbl pid obj dv ds) table;
+      expand distinct depth;
+      Option.iter (fun tbl -> flip tbl pid obj dv ds) table
+    end
     else begin
       (match meter with
       | None -> ()
@@ -436,6 +466,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
         match table with
         | None -> expand distinct depth
         | Some tbl ->
+            flip tbl pid obj dv ds;
             let rd = max_depth - depth in
             let o = table_slot tbl in
             (* meta = (stored_depth + 1) lsl 1 lor complete; a fresh
@@ -455,11 +486,13 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
               let complete = !trunc = trunc0 in
               let depth' = max ((m lsr 1) - 1) rd in
               (* a relaid-out table moved the entry: the undo discipline
-                 restored the slab, so the key is found again *)
+                 restored the slab and the register, so the key is found
+                 again *)
               let o = if Ptbl.generation tbl = gen then o else table_slot tbl in
               Ptbl.set_meta tbl o
                 (((depth' + 1) lsl 1) lor Bool.to_int complete)
-            end
+            end;
+            flip tbl pid obj dv ds
     end
   and expand distinct depth =
     (* step in place, recurse, undo from stack locals; one packed
@@ -476,9 +509,11 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
             let vid0 = Flat.obj_vid flat obj in
             let packed = Intern.apply_packed rt ~sid:sid0 ~vid:vid0 in
             let sid' = Intern.sid_of packed in
-            Flat.write_obj flat obj (Intern.vid_of packed);
+            let vid' = Intern.vid_of packed in
+            Flat.write_obj flat obj vid';
             Flat.write_sid flat pid sid';
-            enter distinct depth pid 0 sid';
+            enter distinct depth pid 0 sid' obj (vid0 lxor vid')
+              (sid0 lxor sid');
             Flat.write_sid flat pid sid0;
             Flat.write_obj flat obj vid0
           end
@@ -491,7 +526,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
             then begin
               let sid' = Intern.choose rt ~sid:sid0 ~outcome in
               Flat.write_sid flat pid sid';
-              enter distinct depth pid outcome sid';
+              enter distinct depth pid outcome sid' 0 0 (sid0 lxor sid');
               Flat.write_sid flat pid sid0
             end
           done
@@ -500,7 +535,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
     done;
     (* still on the resume path: the cursor child was never entered *)
     if depth < !on_path then resume_mismatch ()
-  and enter distinct depth pid outcome sid' =
+  and enter distinct depth pid outcome sid' obj dv ds =
     path_pid.(depth) <- pid;
     path_out.(depth) <- outcome;
     let decided = Intern.is_decided rt sid' in
@@ -517,7 +552,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
               stop `Invalid ~depth:(depth + 1)
             else v :: distinct
     in
-    go distinct' (depth + 1);
+    go distinct' (depth + 1) pid obj dv ds;
     if decided then Flat.note_undecided flat pid
   (* [stop] and [checkpoint_at] live in the recursive group so they share
      its closure block: a search allocates no closure of its own for
@@ -547,7 +582,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
     else values
   in
   let tripped = ref None in
-  (try go (check_prefix ()) 0 with
+  (try go (check_prefix ()) 0 0 0 0 0 with
   | Stop -> ()
   | Budget_stop (r, depth) ->
       tripped := Some r;
@@ -592,9 +627,16 @@ let record_result obs (r : 'a result) =
       Obs.incr obs ("mc/truncated/" ^ Robust.Budget.reason_to_string reason));
   r
 
+(* The flat DFS allocates two [max_depth]-long path arrays up front, and
+   its table's meta field is as wide as [max_depth] needs. *)
+let max_depth_bound = 1 lsl 20
+
 let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
     ?(max_states = 2_000_000) ?(checkpoint_every = 50_000) ?on_checkpoint
     ?resume ?(state = `Flat) ~inputs config =
+  if max_depth > max_depth_bound then
+    invalid_arg
+      (Printf.sprintf "Explore.search: max_depth above %d" max_depth_bound);
   Obs.span obs "mc/search" @@ fun () ->
   let polls = ref 0 in
   let r =

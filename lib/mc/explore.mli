@@ -67,6 +67,10 @@ val successors : 'a Config.t -> int -> ('a Config.t * 'a Event.t list) list
 val witness :
   'a Config.t -> [ `Inconsistent | `Invalid ] -> (int * int) list -> 'a violation
 
+val max_depth_bound : int
+(** The largest [max_depth] {!search} accepts, 2{^20}: the flat search
+    allocates its depth-indexed path arrays up front. *)
+
 (** Depth-first exploration from [config].
 
     [?budget] meters node entries (checked {e before} a node is counted):
@@ -106,7 +110,9 @@ val witness :
     table's final size in bytes (["mc/table-bytes"]) and how often it
     was relaid out (["mc/table-relayouts"]: capacity growths plus key
     width changes, see {!Ptbl}), the width changes also on their own
-    (["mc/table-widenings"]). *)
+    (["mc/table-widenings"]).
+
+    A [max_depth] above {!max_depth_bound} raises [Invalid_argument]. *)
 val search :
   ?obs:Obs.t ->
   ?budget:Robust.Budget.t ->

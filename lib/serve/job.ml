@@ -111,6 +111,12 @@ let validate t =
   | Mc m ->
       let* () = non_empty m.mc_inputs in
       let* () = at_least "depth" 0 m.mc_depth in
+      let* () =
+        if m.mc_depth <= Mc.Explore.max_depth_bound then Ok ()
+        else
+          Error
+            (Printf.sprintf "--depth must be <= %d" Mc.Explore.max_depth_bound)
+      in
       let* () = at_least "max-states" 1 m.mc_max_states in
       opt_at_least "max-nodes" 0 m.mc_max_nodes
   | Fuzz f ->

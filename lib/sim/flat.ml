@@ -10,9 +10,11 @@
    part of the transposition key — the closure engine's key omits them
    too, and they are constant within one search).
 
-   The slab is the whole transposition key: the model checker's table
-   ([Mc.Ptbl]) copies it out ({!slab_copy}), packs it and hashes the
-   packed words itself, so a slot write is one store.  Slot writes are
+   The slab is the whole transposition key.  The model checker keeps it
+   packed in its table's key register ([Mc.Ptbl]), XORing each step's
+   id changes in and out, and copies the slab out ({!slab_copy}) only to
+   load the register, at the root and after a key widening; a slot
+   write itself is one store.  Slot writes are
    trivially self-inverse: writing the old id back restores the slab,
    which is what the DFS undo discipline relies on.
 
@@ -95,7 +97,7 @@ let decisions t =
 
 (* Int copies are loops, not [Array.blit]: on a major-heap array a blit
    runs the write barrier ([caml_modify]) once per word, which is most
-   of the cost of a per-probe or per-run copy. *)
+   of the cost of a per-run copy. *)
 let copy_ints (src : int array) (dst : int array) =
   if Array.length dst < Array.length src then invalid_arg "Flat: slab copy";
   for i = 0 to Array.length src - 1 do

@@ -58,9 +58,8 @@ val decisions : 'a t -> 'a list
 
 val slab_copy : 'a t -> into:int array -> unit
 (** Copy the whole slab (object vids then sids) into [into], which must
-    have length [n_objs + n_procs]: the transposition-key fill of the
-    flat search is this one copy (plus a sort of the sid slice under
-    [`Symmetric]). *)
+    have length [n_objs + n_procs]: what the flat search packs into its
+    table's key register at the root and after a key widening. *)
 
 val clone : 'a t -> 'a t
 (** Independent copy sharing the intern table: one array copy + one

@@ -469,6 +469,12 @@ let test_numeric_validation () =
   refused "synth --jobs=-1"
     [ "synth"; "--registers"; "1"; "--depth"; "1"; "--jobs=-1" ]
     "--jobs must be >= 0";
+  refused "mc --depth one above the bound"
+    [
+      "mc"; "cas-1"; "--inputs"; "0,1";
+      Printf.sprintf "--depth=%d" (Mc.Explore.max_depth_bound + 1);
+    ]
+    (Printf.sprintf "--depth must be <= %d" Mc.Explore.max_depth_bound);
   refused "fuzz --runs=0" [ "fuzz"; "flawed"; "--runs=0" ] "--runs must be >= 1";
   refused "fuzz --runs=-5" [ "fuzz"; "flawed"; "--runs=-5" ]
     "--runs must be >= 1";

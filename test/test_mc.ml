@@ -115,9 +115,33 @@ let test_visited_counts () =
   Alcotest.(check bool) "visited some states" true (result.Mc.Explore.visited > 4);
   Alcotest.(check bool) "found leaves" true (result.Mc.Explore.leaves > 0)
 
+(* A depth bound is refused above [max_depth_bound], by both engines and
+   before the flat one allocates its depth-indexed path arrays; the bound
+   itself is a search like any other. *)
+let test_depth_bound () =
+  let config () = Protocol.initial_config Cas_consensus.protocol ~inputs:[ 0; 1 ] in
+  let bound = Mc.Explore.max_depth_bound in
+  List.iter
+    (fun state ->
+      (match
+         Mc.Explore.search ~state ~dedup:`Exact ~max_depth:(bound + 1)
+           ~inputs:[ 0; 1 ] (config ())
+       with
+      | _ -> Alcotest.fail "max_depth above the bound accepted"
+      | exception Invalid_argument _ -> ());
+      let r =
+        Mc.Explore.search ~state ~dedup:`Exact ~max_depth:bound
+          ~inputs:[ 0; 1 ] (config ())
+      in
+      Alcotest.(check bool) "the bound itself searches" true
+        (r.Mc.Explore.completeness = `Exhaustive))
+    [ `Flat; `Closure ]
+
 let suite =
   [
     Alcotest.test_case "cas exhaustive n=2,3" `Quick test_cas_exhaustive;
+    Alcotest.test_case "max_depth above the bound is refused" `Quick
+      test_depth_bound;
     Alcotest.test_case "tas2 exhaustive" `Quick test_tas2_exhaustive;
     Alcotest.test_case "swap2 exhaustive" `Quick test_swap2_exhaustive;
     Alcotest.test_case "first-writer refuted" `Quick test_flawed_first_writer_refuted;

@@ -324,6 +324,15 @@ let test_spec_validation () =
         mc_job ~depth:(-1) "cas-1",
         [ "mc"; "cas-1"; "--depth=-1" ],
         "--depth must be >= 0" );
+      (* one above the bound: refused before any path array exists *)
+      ( Printf.sprintf {|{"kind":"mc","protocol":"cas-1","depth":%d}|}
+          (Mc.Explore.max_depth_bound + 1),
+        mc_job ~depth:(Mc.Explore.max_depth_bound + 1) "cas-1",
+        [
+          "mc"; "cas-1";
+          Printf.sprintf "--depth=%d" (Mc.Explore.max_depth_bound + 1);
+        ],
+        Printf.sprintf "--depth must be <= %d" Mc.Explore.max_depth_bound );
     ]
 
 (* The spool refuses what it cannot use, naming path and step: a regular
