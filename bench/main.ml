@@ -1,144 +1,19 @@
-(* The benchmark harness.
+(* The benchmark harness: five suites of rows in the [Bench_row] schema,
+   each written to a committed BENCH_<suite>.json.
 
-   1. The *experiment harness*: regenerates every table/figure of
-      EXPERIMENTS.md (E1..E14) by calling the drivers in [Experiments].
-      Run `dune exec bench/main.exe` (add `--quick` for a CI-speed pass,
-      `--only e3` for a single experiment, `--jobs N` for a pool of N
-      domains, 0 = one per core).
+     --mc-bench     transposition table: nodes and flat wall clock per
+                    dedup mode (closure referee checked untimed)
+     --fuzz-bench   fuzz campaign throughput, shrink included
+     --synth-bench  CEGIS frontier search
+     --serve-bench  daemon submit-to-verdict latency and jobs/s
+     --obs-bench    instrumentation cost: an mc search with and without
+                    an [Obs.t], and the counters it records
 
-   2. Bechamel micro/macro benchmarks — one Test per experiment-relevant
-      code path (simulator step costs, one consensus run per protocol,
-      one adversary construction per lower bound, one exhaustive model
-      check).  Run with `--bench` (also included in a default full run).
-
-   3. The parallel-speedup scenario (`--par-bench`): wall-clock time of
-      the general attack sweep and the attack seed sweep sequentially
-      and at 2 and 4 domains; a jobs count whose result differs from
-      the sequential one exits 1.  `--obs-bench` prices disabled
-      instrumentation.
-
-   4. The four BENCH_*.json suites (`--mc-bench`, `--fuzz-bench`,
-      `--synth-bench`, `--serve-bench`), rows in the [Bench_row]
-      schema.  `--smoke` runs the CI subset without rewriting the file;
-      `--baseline FILE` diffs against a committed file (exit 1 on any
-      exact-field or row-set difference, 2 on an unreadable file).
+   `--smoke` runs the CI subset without rewriting the file; `--baseline
+   FILE` diffs against a committed file (exit 1 on any exact-field or
+   row-set difference, 2 on an unreadable file).  The experiment tables
+   (E1..E14) come from `randsync sweep <id|all>`.
 *)
-
-open Bechamel
-open Toolkit
-
-let nf = Staged.stage
-
-(* --- micro: simulator step costs ------------------------------------- *)
-
-let bench_object_step name (ot : Sim.Optype.t) op =
-  Test.make ~name (nf (fun () -> Sim.Optype.apply ot ot.Sim.Optype.init op))
-
-let micro_tests =
-  [
-    bench_object_step "step-register-write" (Objects.Register.optype ())
-      (Objects.Register.write_int 1);
-    bench_object_step "step-fetch-add" (Objects.Fetch_add.optype ())
-      (Objects.Fetch_add.fetch_add 1);
-    bench_object_step "step-compare-swap" (Objects.Compare_swap.optype ())
-      (Objects.Compare_swap.cas ~expected:Sim.Value.none
-         ~desired:(Sim.Value.some (Sim.Value.int 1)));
-    Test.make ~name:"step-config-run"
-      (let config =
-         Consensus.Protocol.initial_config Consensus.Cas_consensus.protocol
-           ~inputs:[ 0; 1 ]
-       in
-       nf (fun () -> Sim.Run.step config ~pid:0 ~coin:(fun _ -> 0)));
-  ]
-
-(* --- macro: one experiment-shaped unit of work per table/figure ------- *)
-
-let run_protocol (p : Consensus.Protocol.t) ~n ~seed =
-  let rng = Sim.Rng.create seed in
-  let inputs = List.init n (fun _ -> Sim.Rng.int rng 2) in
-  Consensus.Protocol.run_once p ~inputs ~sched:(Sim.Sched.random ~seed)
-
-let macro_tests =
-  [
-    (* E1/E5: one consensus run per protocol, n = 8 *)
-    Test.make ~name:"e1-consensus-cas-n8"
-      (nf (fun () -> run_protocol Consensus.Cas_consensus.protocol ~n:8 ~seed:1));
-    Test.make ~name:"e5-consensus-fetch-add-n8"
-      (nf (fun () -> run_protocol Consensus.Fa_consensus.protocol ~n:8 ~seed:1));
-    Test.make ~name:"e5-consensus-counter-n8"
-      (nf (fun () ->
-           run_protocol Consensus.Counter_consensus.protocol ~n:8 ~seed:1));
-    Test.make ~name:"e5-consensus-rw3n-n8"
-      (nf (fun () -> run_protocol Consensus.Rw_consensus.protocol ~n:8 ~seed:1));
-    (* E2: one identical-process adversary construction (Lemma 3.2) *)
-    Test.make ~name:"e2-attack-identical-r2"
-      (nf (fun () ->
-           Lowerbound.Attack.run
-             (Consensus.Flawed.unanimous ~style:Consensus.Flawed.Rw ~r:2)));
-    (* E3: one general adversary construction (Lemma 3.6) *)
-    Test.make ~name:"e3-attack-general-r2"
-      (nf (fun () ->
-           Lowerbound.General_attack.run
-             (Consensus.Flawed.unanimous ~style:Consensus.Flawed.Rw ~r:2)));
-    (* E6: one shared-coin random walk, n = 8 *)
-    Test.make ~name:"e6-shared-coin-n8"
-      (nf (fun () ->
-           let procs =
-             List.init 8 (fun _ ->
-                 Consensus.Shared_coin.counter_coin ~n:8 ~obj:0 ~k:1)
-           in
-           let config =
-             Sim.Config.make ~optypes:[ Objects.Counter.optype () ] ~procs
-           in
-           Sim.Run.exec_fast (Sim.Sched.random ~seed:3) config));
-    (* E7: one exhaustive classification *)
-    Test.make ~name:"e7-classify-all"
-      (nf (fun () -> List.map Objclass.Classify.report Objects.Specs.all));
-    (* E4/E8 are arithmetic; benchmark the model checker instead *)
-    Test.make ~name:"mc-cas-exhaustive-n2"
-      (nf (fun () ->
-           let config =
-             Consensus.Protocol.initial_config Consensus.Cas_consensus.protocol
-               ~inputs:[ 0; 1 ]
-           in
-           Mc.Explore.search ~max_depth:30 ~inputs:[ 0; 1 ] config));
-    (* same search under a never-binding node budget: the delta between
-       this and mc-cas-exhaustive-n2 is the whole cost of metering *)
-    Test.make ~name:"mc-cas-exhaustive-n2-metered"
-      (let budget = Robust.Budget.make ~nodes:max_int () in
-       nf (fun () ->
-           let config =
-             Consensus.Protocol.initial_config Consensus.Cas_consensus.protocol
-               ~inputs:[ 0; 1 ]
-           in
-           Mc.Explore.search ~budget ~max_depth:30 ~inputs:[ 0; 1 ] config));
-    (* E9: one snapshot-counter workload, recorded and checked *)
-    Test.make ~name:"e9-linearize-snapshot-counter"
-      (nf (fun () ->
-           let workload =
-             Objimpl.Harness.random_workload ~n:3 ~calls:3
-               ~ops:
-                 [ Objects.Counter.inc; Objects.Counter.dec; Objects.Counter.read ]
-               ~seed:4
-           in
-           Objimpl.Harness.run_and_check Objimpl.Counters.snapshot ~n:3
-             ~workload ~schedule:(Objimpl.Harness.Random_sched 4) ()));
-    (* E10: one greedy bivalence-survival probe *)
-    Test.make ~name:"e10-bivalence-tas2"
-      (nf (fun () ->
-           let config =
-             Consensus.Protocol.initial_config Consensus.Tas2.protocol
-               ~inputs:[ 0; 1 ]
-           in
-           Mc.Valency.bivalence_survival ~max_depth:6 config));
-    (* E12: the depth-1 protocol census (deterministic + randomized) *)
-    Test.make ~name:"e12-census-depth1"
-      (nf (fun () ->
-           (Mc.Enumerate.census ~depth:1, Mc.Enumerate.census_randomized ~depth:1)));
-    (* E13: exhaustive mutual-exclusion check of Peterson *)
-    Test.make ~name:"e13-mutex-peterson"
-      (nf (fun () -> Mutex.check_exclusion ~max_depth:14 Mutex.peterson ~n:2));
-  ]
 
 (* --- the bench's clock --------------------------------------------------- *)
 
@@ -168,84 +43,6 @@ let min_of_n ?(iters = 1) fs =
   List.map (fun acc -> Bench_row.timing_of_samples !acc) samples
 
 let timed f = List.hd (min_of_n [ (fun () -> ignore (f ())) ])
-
-(* --- parallel speedup: sequential vs. Par pools on the hot sweeps ----- *)
-
-(* One scenario = one workload as a function of the (optional) pool.  The
-   workload must return plain data (no closures) so results from
-   different jobs counts can be compared structurally; a jobs count
-   whose result differs from the sequential one fails the bench. *)
-let add_scenario table name work =
-  let seq_result, seq_time = wall (fun () -> work None) in
-  Stats.Table.add_row table
-    [ name; "seq"; Printf.sprintf "%.3f" seq_time; "1.00x"; "-" ];
-  List.iter
-    (fun jobs ->
-      let result, time =
-        wall (fun () -> Par.with_pool ~jobs (fun pool -> work (Some pool)))
-      in
-      if result <> seq_result then begin
-        Printf.eprintf
-          "par-bench: RESULT MISMATCH on %s: jobs=%d differs from sequential\n"
-          name jobs;
-        exit 1
-      end;
-      Stats.Table.add_row table
-        [
-          name;
-          string_of_int jobs;
-          Printf.sprintf "%.3f" time;
-          Printf.sprintf "%.2fx" (seq_time /. time);
-          "true";
-        ])
-    [ 2; 4 ]
-
-let par_bench () =
-  let table =
-    Stats.Table.create
-      ~header:[ "scenario"; "jobs"; "seconds"; "speedup"; "identical" ]
-  in
-  (* the general attack sweep: one Lemma 3.6 construction per (r, style)
-     cell at register counts big enough to cost ~0.5 s each — the E3
-     workload pushed into the parameter regime the parallel engine is
-     for.  6 coarse independent cells saturate 4 domains. *)
-  add_scenario table "general-attack-sweep" (fun pool ->
-      Lowerbound.General_attack.sweep ?pool
-        (List.concat_map
-           (fun r ->
-             [
-               Consensus.Flawed.unanimous ~style:Consensus.Flawed.Rw ~r;
-               Consensus.Flawed.unanimous ~style:Consensus.Flawed.Swapping ~r;
-             ])
-           [ 10; 13; 16 ])
-      |> List.map (fun (name, result) ->
-             ( name,
-               match result with
-               | Ok o ->
-                   Ok
-                     ( o.Lowerbound.General_attack.processes_used,
-                       o.Lowerbound.General_attack.registers,
-                       o.Lowerbound.General_attack.pieces_alpha,
-                       o.Lowerbound.General_attack.pieces_beta,
-                       Sim.Trace.steps o.Lowerbound.General_attack.trace,
-                       Lowerbound.General_attack.succeeded o )
-               | Error e ->
-                   Error (Lowerbound.General_attack.error_to_string e) )));
-  (* randomized-restart seed sweep of the identical-process adversary:
-     thousands of tiny tasks, the chunked queue's amortization case *)
-  add_scenario table "attack-seed-sweep" (fun pool ->
-      Lowerbound.Attack.seed_sweep ?pool
-        ~seeds:(List.init 8192 (fun i -> i + 1))
-        (Consensus.Flawed.unanimous ~style:Consensus.Flawed.Rw ~r:4)
-      |> List.map (fun (seed, result) ->
-             ( seed,
-               match result with
-               | Ok o ->
-                   Ok
-                     ( Sim.Trace.steps o.Lowerbound.Attack.trace,
-                       Lowerbound.Attack.succeeded o )
-               | Error e -> Error (Lowerbound.Attack.error_to_string e) )));
-  Stats.Table.print table
 
 (* --- transposition-table benchmark: nodes and wall-clock per dedup mode - *)
 
@@ -296,11 +93,15 @@ let engine_project (r : int Mc.Explore.result) =
     r.Mc.Explore.table_hits,
     r.Mc.Explore.truncated )
 
-(* The mc-bench rows: every obs-bench scenario under all three dedup
-   modes, plus the deep symmetric sweep — the longest row, where the
-   flat slab engine's advantage is structural ([`Off] at this depth
-   would take minutes, so it runs deduped only; its node reduction is
-   relative to [`Exact]). *)
+(* The mc-bench rows: every scenario above (the obs bench's too) under
+   all three dedup modes, plus two deep sweeps that run deduped only
+   ([`Off] at these depths would take minutes; a row's node reduction is
+   relative to its first mode).  [rw-3n-n7-deep], seven processes at
+   depth 12 (1.67M nodes), is the longest row.  [rw-3n] gives each pid
+   its own registers, so it is not an identical-process instance and its
+   [`Symmetric] counters equal [`Exact]'s (test_dedup pins this): the
+   row measures the table at scale, not Theorem 3.3's identical-process
+   threshold. *)
 let mc_bench_rows () =
   List.map
     (fun (name, p, inputs, max_depth) ->
@@ -382,30 +183,19 @@ let mc_rows ~keep =
         runs)
     (List.filter (fun (name, _, _, _, _) -> keep name) (mc_bench_rows ()))
 
-(* --- observability overhead: null-sink cost on the BENCH_mc scenarios -- *)
+(* --- observability overhead: null-sink cost on the mc scenarios -------- *)
 
-(* The claim under test: instrumenting a search with a disabled (null-sink)
-   [Obs.t] costs ≲2% wall-clock on searches long enough for a percentage
-   to mean anything.  The design makes this cheap by construction —
-   engines record counters once from the result, not per node — so
-   the entire overhead is a fixed per-invocation constant (one span's
-   [gettimeofday] pair plus ~10 hashtable writes, ≈0.5µs); the Δ/search
-   column shows that constant directly, which is the honest number for
-   the microsecond-long scenarios where it dwarfs 2% of nearly nothing. *)
-let obs_bench () =
-  let table =
-    Stats.Table.create
-      ~header:
-        [
-          "scenario";
-          "baseline s";
-          "obs s";
-          "overhead";
-          "delta/search";
-          "counters ok";
-        ]
-  in
-  List.iter
+(* The claim under test: instrumenting a search with an [Obs.t] costs
+   ≲2% wall clock on searches long enough for a percentage to mean
+   anything.  Engines record counters once from the result, not per node,
+   so the whole overhead is a fixed per-search constant (one span's
+   [gettimeofday] pair plus ~10 hashtable writes); [delta_ns] shows that
+   constant directly, the honest number for the
+   microsecond-long scenarios where it dwarfs 2% of nearly nothing.  The
+   recorded counters must equal the result's fields: a false check exits
+   1, like an mc verdict mismatch. *)
+let obs_rows ~keep =
+  List.map
     (fun (name, p, inputs, max_depth) ->
       let config = Consensus.Protocol.initial_config p ~inputs in
       let search ?obs () =
@@ -420,7 +210,7 @@ let obs_bench () =
       let iters =
         max 50 (min 20_000 (int_of_float (0.02 /. Float.max probe 1e-7)))
       in
-      let base, instr =
+      let base, timing =
         match
           min_of_n ~iters
             [
@@ -428,29 +218,49 @@ let obs_bench () =
               (fun () -> ignore (search ~obs:shared ()));
             ]
         with
-        | [ b; i ] -> (b.Bench_row.min, i.Bench_row.min)
+        | [ b; i ] -> (b.Bench_row.min, i)
         | _ -> assert false
       in
       let obs = Obs.create () in
       let r = search ~obs () in
       let m = Obs.metrics obs in
-      let counters_ok =
-        Obs.Metrics.counter m "mc/visited" = r.Mc.Explore.visited
-        && Obs.Metrics.counter m "mc/table-hits" = r.Mc.Explore.table_hits
-        && Obs.Metrics.counter m "mc/table-misses" = r.Mc.Explore.table_misses
-        && Obs.Metrics.watermark m "mc/max-depth" = r.Mc.Explore.max_depth_seen
-      in
-      Stats.Table.add_row table
+      let checks =
         [
-          name;
-          Printf.sprintf "%.6f" base;
-          Printf.sprintf "%.6f" instr;
-          Printf.sprintf "%+.1f%%" ((instr /. base -. 1.) *. 100.);
-          Printf.sprintf "%+.0fns" ((instr -. base) *. 1e9);
-          string_of_bool counters_ok;
-        ])
-    (mc_bench_scenarios ());
-  Stats.Table.print table
+          ("visited_ok", Obs.Metrics.counter m "mc/visited" = r.Mc.Explore.visited);
+          ( "table_hits_ok",
+            Obs.Metrics.counter m "mc/table-hits" = r.Mc.Explore.table_hits );
+          ( "table_misses_ok",
+            Obs.Metrics.counter m "mc/table-misses" = r.Mc.Explore.table_misses );
+          ( "max_depth_ok",
+            Obs.Metrics.watermark m "mc/max-depth" = r.Mc.Explore.max_depth_seen );
+        ]
+      in
+      List.iter
+        (fun (check, ok) ->
+          if not ok then begin
+            Printf.eprintf "obs-bench: COUNTER MISMATCH on %s: %s is false\n"
+              name check;
+            exit 1
+          end)
+        checks;
+      {
+        Bench_row.name;
+        exact =
+          [
+            ("inputs", Serve.Json.List (List.map (fun i -> Serve.Json.Int i) inputs));
+            ("depth", Int max_depth);
+            ("visited", Int r.Mc.Explore.visited);
+          ]
+          @ List.map (fun (check, ok) -> (check, Serve.Json.Bool ok)) checks;
+        timing;
+        advisory =
+          [
+            ("bare_s", Bench_row.num base);
+            ("overhead", Bench_row.num (timing.min /. base));
+            ("delta_ns", Bench_row.num ((timing.min -. base) *. 1e9));
+          ];
+      })
+    (List.filter (fun (name, _, _, _) -> keep name) (mc_bench_scenarios ()))
 
 (* --- fuzz throughput: runs/sec and shrink cost per scenario ----------- *)
 
@@ -712,19 +522,20 @@ let synth_rows ~keep =
       })
     (List.filter (fun (name, _, _, _, _, _) -> keep name) synth_bench_scenarios)
 
-(* --- the four BENCH_*.json suites ---------------------------------------- *)
+(* --- the five BENCH_*.json suites ---------------------------------------- *)
 
 (* (flag, suite, title, rows, smoke subset).  A suite's rows are built
    from the scenarios [keep] admits; CI's perf-smoke job runs the smoke
    subset and diffs it against the committed file.  Smoke runs never
    rewrite BENCH_*.json. *)
 let suites =
+  let mc_smoke s = List.mem s [ "coin-rw-r2-n2"; "cas-n2-mixed" ] in
   [
     ( "--mc-bench",
       "mc",
       "Transposition table (nodes, flat wall clock per dedup mode)",
       mc_rows,
-      fun s -> List.mem s [ "coin-rw-r2-n2"; "cas-n2-mixed" ] );
+      mc_smoke );
     ( "--fuzz-bench",
       "fuzz",
       "Fuzz campaign throughput (shrink included)",
@@ -740,6 +551,12 @@ let suites =
       "Serve daemon: submit-to-verdict latency and jobs/s by client count",
       serve_rows,
       fun s -> List.mem s [ "clients=1"; "clients=2" ] );
+    ( "--obs-bench",
+      "obs",
+      "Observability overhead (exact-dedup mc search with and without an \
+       Obs.t; timing is the instrumented search)",
+      obs_rows,
+      mc_smoke );
   ]
 
 (* mc row names are scenario/dedup; the smoke subset names scenarios *)
@@ -789,44 +606,9 @@ let run_suite ~smoke ~baseline (_, suite, title, rows, smoke_subset) =
       if d.Bench_row.failures <> [] then exit 1)
     baseline
 
-let run_bechamel tests =
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"randsync" ~fmt:"%s/%s" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> est
-          | _ -> nan
-        in
-        let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols) in
-        (name, ns, r2) :: acc)
-      results []
-  in
-  let t = Stats.Table.create ~header:[ "benchmark"; "ns/run"; "r^2" ] in
-  List.iter
-    (fun (name, ns, r2) ->
-      Stats.Table.add_row t
-        [ name; Printf.sprintf "%.1f" ns; Printf.sprintf "%.4f" r2 ])
-    (List.sort compare rows);
-  Stats.Table.print t
-
 let usage =
-  "usage: main.exe [--quick] [--only ID] [--jobs N] [--bench]\n\
-  \       main.exe --par-bench | --obs-bench\n\
-  \       main.exe --mc-bench | --fuzz-bench | --synth-bench | --serve-bench\n\
-  \                [--smoke] [--baseline FILE]"
+  "usage: main.exe --mc-bench | --fuzz-bench | --synth-bench | --serve-bench\n\
+  \                | --obs-bench [--smoke] [--baseline FILE]"
 
 let () =
   let die fmt =
@@ -836,28 +618,14 @@ let () =
         exit 2)
       fmt
   in
-  let switches =
-    [ "--quick"; "--bench"; "--par-bench"; "--obs-bench"; "--smoke" ]
-    @ List.map (fun (flag, _, _, _, _) -> flag) suites
-  in
-  let set = ref [] and only = ref None and baseline = ref None in
-  let jobs = ref None in
+  let switches = "--smoke" :: List.map (fun (flag, _, _, _, _) -> flag) suites in
+  let set = ref [] and baseline = ref None in
   let rec parse = function
     | [] -> ()
-    | "--only" :: id :: rest ->
-        only := Some id;
-        parse rest
     | "--baseline" :: file :: rest ->
         baseline := Some file;
         parse rest
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some 0 -> jobs := Some (Par.default_jobs ())
-        | Some n when n > 0 -> jobs := Some n
-        | _ -> die "--jobs: expected a non-negative integer, got %S" n);
-        parse rest
-    | [ (("--only" | "--baseline" | "--jobs") as flag) ] ->
-        die "%s needs an argument" flag
+    | [ "--baseline" ] -> die "--baseline needs an argument"
     | arg :: rest when List.mem arg switches ->
         set := arg :: !set;
         parse rest
@@ -865,44 +633,6 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let has flag = List.mem flag !set in
-  let quick = has "--quick" in
   match List.find_opt (fun (flag, _, _, _, _) -> has flag) suites with
   | Some suite -> run_suite ~smoke:(has "--smoke") ~baseline:!baseline suite
-  | None when has "--obs-bench" ->
-      Printf.printf
-        "\n=== Observability overhead (null sink vs. none, min of %d \
-         interleaved rounds) ===\n\n"
-        Bench_row.runs;
-      obs_bench ()
-  | None when has "--par-bench" ->
-      print_endline "\n=== Parallel speedup (wall clock, determinism checked) ===\n";
-      par_bench ()
-  | None ->
-      let bench_only = has "--bench" in
-      if not bench_only then begin
-        let run pool =
-          match !only with
-          | Some id -> (
-              match Experiments.All.find id with
-              | Some s ->
-                  Printf.printf "\n=== %s: %s ===\n\n"
-                    (String.uppercase_ascii s.Experiments.All.id)
-                    s.Experiments.All.title;
-                  Stats.Table.print (s.Experiments.All.run ~pool ~quick)
-              | None ->
-                  Printf.eprintf "unknown experiment %S (known: %s)\n" id
-                    (String.concat ", "
-                       (List.map
-                          (fun s -> s.Experiments.All.id)
-                          Experiments.All.specs));
-                  exit 1)
-          | None -> Experiments.All.run_all ?pool ~quick ()
-        in
-        match !jobs with
-        | None -> run None
-        | Some jobs -> Par.with_pool ~jobs (fun pool -> run (Some pool))
-      end;
-      if bench_only || (!only = None && not quick) then begin
-        print_endline "\n=== Bechamel micro/macro benchmarks (ns per run) ===\n";
-        run_bechamel (micro_tests @ macro_tests)
-      end
+  | None -> die "no suite chosen"

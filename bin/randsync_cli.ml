@@ -7,7 +7,7 @@
      mc        exhaustively model-check a protocol instance
      fuzz      randomized schedule fuzzing with counterexample shrinking
      classify  print the object-algebra classification table
-     sweep     regenerate one experiment table (e1..e14)
+     sweep     regenerate one experiment table (e1..e14) or all of them
      synth     CEGIS search for bounded decision-tree consensus protocols
      trace     inspect a saved witness trace
      serve     run the verification daemon (lib/serve)
@@ -605,18 +605,21 @@ let classify_cmd =
 
 let sweep_cmd =
   let run id quick jobs =
-    match Experiments.All.find id with
-    | None ->
-        prerr_endline ("unknown experiment " ^ id ^ " (known: e1..e14)");
+    match (id, Experiments.All.find id) with
+    | "all", _ ->
+        with_jobs jobs (fun pool -> Experiments.All.run_all ?pool ~quick ())
+    | _, None ->
+        prerr_endline ("unknown experiment " ^ id ^ " (known: e1..e14, all)");
         exit Exit_code.bad_args
-    | Some s ->
+    | _, Some s ->
         Fmt.pr "=== %s: %s ===@.@." (String.uppercase_ascii s.Experiments.All.id)
           s.Experiments.All.title;
         Stats.Table.print
           (with_jobs jobs (fun pool -> s.Experiments.All.run ~pool ~quick))
   in
   Cmd.v
-    (Cmd.info "sweep" ~doc:"Regenerate one experiment table (e1..e14)")
+    (Cmd.info "sweep"
+       ~doc:"Regenerate one experiment table (e1..e14), or all of them (all)")
     Term.(
       const run
       $ Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT")

@@ -1,12 +1,12 @@
 (* Exit-code hygiene and resource-governance flags of the randsync binary,
-   checked by actually running it (dune's test action runs with cwd =
-   _build/default/test, so the executable is a relative path away).
+   checked by actually running it ([Test_util.cli_binary] finds it next
+   to the test executable).
 
    The contract under test (see README):
      0 clean, 1 bad args, 2 violation demonstrated, 3 budget-truncated,
      4 attack construction failed, 5 progress violation (stuck call). *)
 
-let binary = Filename.concat ".." "bin/randsync_cli.exe"
+let binary = Test_util.cli_binary
 
 type run = { code : int; out : string }
 
@@ -529,6 +529,32 @@ let test_synth_subcommand () =
   Alcotest.(check bool) "truncated completeness printed" true
     (contains truncated.out "completeness: truncated (nodes)")
 
+(* `sweep` runs one experiment or, with `all`, every one of them in
+   order; an unknown id is a bad argument whose message lists `all`.
+   The quick E9 and E12 tables inside `sweep all` are the CI goldens. *)
+let test_sweep () =
+  let nope = run_cli [ "sweep"; "nope" ] in
+  check_code "unknown experiment" 1 nope;
+  Alcotest.(check bool) "message names all" true (contains nope.out "e1..e14, all");
+  let all = run_cli [ "sweep"; "all"; "--quick" ] in
+  check_code "sweep all --quick" 0 all;
+  List.iter
+    (fun s ->
+      let header =
+        Printf.sprintf "=== %s: %s ===" (String.uppercase_ascii s.Experiments.All.id)
+          s.Experiments.All.title
+      in
+      Alcotest.(check bool) (header ^ " present") true (contains all.out header))
+    Experiments.All.specs;
+  List.iter
+    (fun id ->
+      let golden =
+        Robust.Persist.read
+          ~path:(Test_util.beside_test ("golden/sweep-" ^ id ^ "-quick.txt"))
+      in
+      Alcotest.(check bool) (id ^ " table = golden") true (contains all.out golden))
+    [ "e9"; "e12" ]
+
 let suite =
   [
     Alcotest.test_case "exit codes" `Quick test_exit_codes;
@@ -557,4 +583,5 @@ let suite =
       test_checkpoint_resume_round_trip;
     Alcotest.test_case "resume keeps the node budget" `Quick
       test_resume_with_node_budget;
+    Alcotest.test_case "sweep one or all" `Quick test_sweep;
   ]

@@ -190,6 +190,33 @@ let test_clone_fingerprints () =
     "clone fp <> unstepped process fp" false
     (Sim.Config.fingerprint c clone = Sim.Config.fingerprint c 1)
 
+(* [`Symmetric] collapses only processes that run one code: [rw-3n]
+   gives each pid its own registers ([identical = false] in the
+   registry), so its counters equal [`Exact]'s, while the anonymous
+   [anon-rw] at unanimous inputs collapses interleavings. *)
+let test_symmetric_needs_identical () =
+  let counters p =
+    List.map
+      (fun dedup ->
+        let r = search dedup p [ 0; 0; 0 ] 10 in
+        (r.Mc.Explore.visited, r.Mc.Explore.leaves, r.Mc.Explore.table_hits))
+      [ `Exact; `Symmetric ]
+  in
+  Alcotest.(check bool) "rw-3n is not identical" false
+    Rw_consensus.protocol.Protocol.identical;
+  (match counters Rw_consensus.protocol with
+  | [ exact; sym ] ->
+      Alcotest.(check (triple int int int)) "rw-3n: symmetric = exact" exact sym
+  | _ -> assert false);
+  Alcotest.(check bool) "anon-rw is identical" true
+    Anon_consensus.protocol.Protocol.identical;
+  match counters Anon_consensus.protocol with
+  | [ (exact, _, _); (sym, _, _) ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "anon-rw: symmetric visits fewer (%d < %d)" sym exact)
+        true (sym < exact)
+  | _ -> assert false
+
 let suite =
   [
     Alcotest.test_case "dedup modes agree with off (witness included)" `Quick
@@ -204,4 +231,6 @@ let suite =
       test_census_check_mode_independent;
     Alcotest.test_case "clones inherit fingerprints" `Quick
       test_clone_fingerprints;
+    Alcotest.test_case "symmetric collapses only identical processes" `Quick
+      test_symmetric_needs_identical;
   ]

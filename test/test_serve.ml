@@ -7,7 +7,7 @@
    nothing a restarted server can't replay to verdicts byte-identical
    to a direct `randsync mc` run. *)
 
-let binary = Filename.concat ".." "bin/randsync_cli.exe"
+let binary = Test_util.cli_binary
 
 let contains = Test_util.contains
 

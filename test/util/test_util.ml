@@ -10,6 +10,13 @@ let contains haystack needle =
   in
   nn = 0 || go 0
 
+(* A path relative to the running test executable's directory
+   (_build/default/test/), so a suite passes from any working directory,
+   not only from dune's. *)
+let beside_test path = Filename.concat (Filename.dirname Sys.executable_name) path
+
+let cli_binary = beside_test "../bin/randsync_cli.exe"
+
 (* replace the first occurrence of [sub] with [by]; the haystack unchanged
    when [sub] does not occur *)
 let replace_first ~sub ~by s =
