@@ -1,7 +1,6 @@
 (* Bounded decision-tree protocols over r historyless objects: the
-   candidate space the CEGIS driver (lib/synth) searches, generalizing
-   Mc.Enumerate's single-register trees to multiple registers and to the
-   swap-register class (Ovens 2023 direction).
+   candidate space the CEGIS driver (lib/synth) searches, over plain
+   registers and over the swap-register class (Ovens 2023 direction).
 
    A tree is one process's whole program: decide, flip a fair coin, write
    a bit to a register and continue, or read/swap a register and branch
@@ -174,49 +173,54 @@ let of_string s =
       else Ok t
   | exception Parse msg -> Error (msg ^ " in " ^ Printf.sprintf "%S" s)
 
-(* ---- execution ---- *)
+(* ---- execution ----
+
+   One step semantics, two executions.  What a branch can observe of a
+   register is its class: [reg_empty] until written, then [0] for a
+   stored [Value.Int 0] and [1] for any other value.  [next] is the
+   subtree a process continues with after stepping a node, given the
+   step's outcome: the coin for [Flip], the class read or swapped out
+   for [Read]/[Swap] (ignored for [Write]).  [to_proc] feeds it the
+   simulator's responses through [class_of_value]; [replay] feeds it the
+   classes it keeps itself. *)
+
+let reg_empty = 2
+let class_of_int v = if v = 0 then 0 else 1
+let class_of_value = function Value.Int v -> class_of_int v | _ -> reg_empty
+
+let next tree outcome =
+  match tree with
+  | Decide _ -> invalid_arg "Dtree.next: a decided process takes no step"
+  | Flip (tails, heads) -> if outcome = 1 then heads else tails
+  | Write { k; _ } -> k
+  | Read { empty; zero; one; _ } | Swap { empty; zero; one; _ } ->
+      if outcome = reg_empty then empty else if outcome = 0 then zero else one
 
 let rec to_proc tree : int Proc.t =
   match tree with
   | Decide v -> Proc.decide v
-  | Flip (tails, heads) ->
-      Proc.bind Proc.flip (fun h -> to_proc (if h then heads else tails))
-  | Write { reg; bit; k } ->
-      Proc.bind
-        (Proc.apply reg (Objects.Register.write_int bit))
-        (fun _ -> to_proc k)
-  | Read { reg; empty; zero; one } ->
-      Proc.bind (Proc.apply reg Objects.Register.read) (fun v ->
-          match v with
-          | Value.Int 0 -> to_proc zero
-          | Value.Int _ -> to_proc one
-          | _ -> to_proc empty)
-  | Swap { reg; bit; empty; zero; one } ->
+  | Flip _ ->
+      Proc.bind Proc.flip (fun heads -> to_proc (next tree (Bool.to_int heads)))
+  | Write { reg; bit; _ } ->
+      Proc.bind (Proc.apply reg (Objects.Register.write_int bit)) (resume tree)
+  | Read { reg; _ } ->
+      Proc.bind (Proc.apply reg Objects.Register.read) (resume tree)
+  | Swap { reg; bit; _ } ->
       Proc.bind
         (Proc.apply reg (Objects.Swap_register.swap_int bit))
-        (fun v ->
-          match v with
-          | Value.Int 0 -> to_proc zero
-          | Value.Int _ -> to_proc one
-          | _ -> to_proc empty)
+        (resume tree)
+
+and resume tree response = to_proc (next tree (class_of_value response))
 
 (* ---- closure-free replay ----
 
    The CEGIS pool's inner loop: [Run.exec_script] over [protocol pair]
    without building [Proc] closures, a [Config] or a trace.  A process is
-   its current subtree; a register holds the only thing a branch can
-   observe of its value — [reg_empty] until written, then [0] for a
-   written 0 and [1] for any other bit ([Read]/[Swap] branch on
-   [Value.Int 0 | Value.Int _ | _]).  Every rule below mirrors one of
-   [exec_script]'s: stop once nobody is enabled or [max_steps] steps
-   were taken, skip entries whose pid is out of range or disabled, and
-   fall back to coin 0 unless [Some c] with [0 <= c < 2] is given. *)
-
-let reg_empty = 2
-let reg_of_bit bit = if bit = 0 then 0 else 1
-
-let branch v ~empty ~zero ~one =
-  if v = reg_empty then empty else if v = 0 then zero else one
+   its current subtree, a register holds its class, and a step is
+   [next].  Only the scheduling layer is [exec_script]'s, restated rule
+   for rule: stop once nobody is enabled or [max_steps] steps were
+   taken, skip entries whose pid is out of range or disabled, and fall
+   back to coin 0 unless [Some c] with [0 <= c < 2] is given. *)
 
 (* toplevel, taking the state as arguments: local closures over it would
    be allocated on every replay *)
@@ -228,20 +232,21 @@ let rec all_decided cur halted pid =
   || ((not (enabled cur halted pid)) && all_decided cur halted (pid + 1))
 
 let step_tree cur regs pid coin =
-  match cur.(pid) with
-  | Decide _ -> invalid_arg "Dtree.replay: stepping a decided process"
-  | Flip (tails, heads) ->
-      let c = match coin with Some c when c >= 0 && c < 2 -> c | _ -> 0 in
-      cur.(pid) <- (if c = 1 then heads else tails)
-  | Write { reg; bit; k } ->
-      regs.(reg) <- reg_of_bit bit;
-      cur.(pid) <- k
-  | Read { reg; empty; zero; one } ->
-      cur.(pid) <- branch regs.(reg) ~empty ~zero ~one
-  | Swap { reg; bit; empty; zero; one } ->
-      let old = regs.(reg) in
-      regs.(reg) <- reg_of_bit bit;
-      cur.(pid) <- branch old ~empty ~zero ~one
+  let tree = cur.(pid) in
+  let outcome =
+    match tree with
+    | Decide _ -> 0 (* [next] refuses it *)
+    | Flip _ -> ( match coin with Some c when c >= 0 && c < 2 -> c | _ -> 0)
+    | Write { reg; bit; _ } ->
+        regs.(reg) <- class_of_int bit;
+        0
+    | Read { reg; _ } -> regs.(reg)
+    | Swap { reg; bit; _ } ->
+        let old = regs.(reg) in
+        regs.(reg) <- class_of_int bit;
+        old
+  in
+  cur.(pid) <- next tree outcome
 
 let rec run_script ~max_steps cur halted regs steps script =
   if (not (all_decided cur halted 0)) && steps < max_steps then

@@ -58,8 +58,9 @@ val to_proc : t -> int Proc.t
     [0 <= c < 2] or else [0], and the replay stops once every process
     has decided or crashed.  The trees must be ones {!protocol} accepts
     for [registers] objects (a register index [>= registers] raises
-    [Invalid_argument]).  Agreement with [exec_script] is pinned by a
-    differential test rather than derived. *)
+    [Invalid_argument]).  Each step goes through the per-node function
+    {!to_proc} is built from, so only the scheduling rules above are
+    restated; an exhaustive test pins them against [exec_script]. *)
 val replay :
   ?max_steps:int ->
   registers:int ->

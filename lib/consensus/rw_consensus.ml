@@ -8,9 +8,7 @@
    adopt-commit protocol on their current preference; a COMMIT decides, an
    ADOPT forces the adopted value into the next round, and a process that
    saw no possible commit takes the round's shared coin as its new
-   preference.  Safety is coin-independent: if any process commits w at
-   round r, every process leaving round r carries w, so all later rounds
-   are unanimous and can only commit w.
+   preference.  Safety is coin-independent (argued below).
 
    Register layout (3n single-writer registers — O(n) total, reused across
    rounds via round tags rather than allocated per round):
@@ -20,16 +18,47 @@
      C[i] = 2n..3n-1  : shared-coin accumulators ({!Shared_coin})
 
    Adopt-commit per round r, process i with preference v:
-     1. A[i] := (r, v); collect A-entries tagged r.
-     2. flag := (all collected values equal v);
-        B[i] := (r, (v, flag)); collect B-entries tagged r.
-     3. If every B-entry is flagged (they then all carry the same value w):
-        COMMIT w.  Else if some entry is flagged with w: ADOPT w.  Else:
-        no one can have committed this round — free to take the coin.
+     1. A[i] := (r, v); collect the A-entries tagged r.
+     2. flag := (no A-entry is tagged later than r, and every collected
+        value equals v); B[i] := (r, (v, flag)); collect the B-entries
+        tagged r.
+     3. If no B-entry is tagged later than r and every collected entry is
+        flagged: COMMIT w (their common value).  Else if some entry is
+        flagged with w: ADOPT w.  Else: take the round's coin.
 
-   The classic argument that at most one value is ever flagged in a round:
-   order processes by their A-writes; a later writer's collect sees the
-   earlier value and refuses to flag a different one. *)
+   Safety.  A register can be overwritten by its owner's next round while
+   a slower process is still collecting round r, so an entry tagged later
+   than r counts as disagreement: it clears the phase-1 flag and forbids
+   the commit.  Three facts follow, for every round r.
+
+   (a) At most one value is flagged in round r.  Order two flaggers p, q
+       by their A-writes, p first: q's collect reads A[p] after p wrote
+       it, and finds either p's round-r value (q flags only if it is the
+       same) or a later tag (q does not flag).
+
+   (b) If p commits w in round r, every process that finishes round r
+       leaves it carrying w.  p has decided, so B[p] = (r, (w, true)) is
+       never overwritten.  Take q finishing round r.  If p read B[q]
+       before q's round-r B-write, q's collect comes after p's B-write
+       and finds p's flagged w.  Otherwise p's read found q's round-r
+       entry or a later one; a later one would have forbidden the
+       commit, so q's own entry is flagged, with w by (a).  Either way q sees a flagged
+       w, the only flagged value by (a), so q commits or adopts w and
+       never takes the coin.
+
+   (c) A round s that every process enters carrying w is left only by
+       committing w.  Otherwise let x be the first process to write a
+       tag later than s.  Before that write no later tag exists, so
+       x's A-collect found only w and x flagged.  x did not commit, so
+       its B-collect found an unflagged round-s entry of some y; y's
+       A-collect came earlier still, saw only w and no later tag, and y
+       flagged: a contradiction.
+
+   So if r is the first round with a commit, every commit in round r is
+   of one value w (a), every process entering round r + 1 carries w (b),
+   and each of them commits w there (c).  Validity: with unanimous
+   inputs round 1 is such a round (c); with mixed binary inputs either
+   value is valid. *)
 
 open Sim
 open Objects
@@ -37,26 +66,24 @@ open Objects
 let code ~n ~pid ~input =
   let open Proc in
   let reg_a i = i and reg_b i = n + i in
-  let tagged_a r v =
-    match v with
-    | Value.Pair (Value.Int r', Value.Int value) when r' = r -> Some value
-    | _ -> None
-  in
-  let tagged_b r v =
-    match v with
-    | Value.Pair (Value.Int r', Value.Pair (Value.Int value, Value.Bool flag))
-      when r' = r ->
-        Some (value, flag)
-    | _ -> None
-  in
-  let collect reg decode =
-    let rec go j acc =
-      if j >= n then return (List.rev acc)
+  (* one bank's round-r entries, decoded, and whether any entry is
+     tagged with a later round *)
+  let collect reg r decode =
+    let rec go j acc later =
+      if j >= n then return (List.rev acc, later)
       else
         let* v = apply (reg j) Register.read in
-        go (j + 1) (match decode v with Some x -> x :: acc | None -> acc)
+        match v with
+        | Value.Pair (Value.Int r', x) when r' = r ->
+            go (j + 1) (decode x :: acc) later
+        | Value.Pair (Value.Int r', _) when r' > r -> go (j + 1) acc true
+        | _ -> go (j + 1) acc later
     in
-    go 0 []
+    go 0 [] false
+  in
+  let decode_b x =
+    let value, flag = Value.to_pair x in
+    (Value.to_int value, Value.to_bool flag)
   in
   let rec round_loop pref r =
     (* phase 1: announce preference *)
@@ -64,8 +91,8 @@ let code ~n ~pid ~input =
       apply (reg_a pid)
         (Register.write (Value.pair (Value.int r) (Value.int pref)))
     in
-    let* avals = collect reg_a (tagged_a r) in
-    let flag = List.for_all (( = ) pref) avals in
+    let* avals, a_later = collect reg_a r Value.to_int in
+    let flag = (not a_later) && List.for_all (( = ) pref) avals in
     (* phase 2: announce whether we saw unanimity *)
     let* _ =
       apply (reg_b pid)
@@ -73,10 +100,10 @@ let code ~n ~pid ~input =
            (Value.pair (Value.int r)
               (Value.pair (Value.int pref) (Value.bool flag))))
     in
-    let* bvals = collect reg_b (tagged_b r) in
+    let* bvals, b_later = collect reg_b r decode_b in
     let flagged = List.filter_map (fun (v, f) -> if f then Some v else None) bvals in
     match flagged with
-    | w :: _ when List.for_all snd bvals -> decide w (* commit *)
+    | w :: _ when (not b_later) && List.for_all snd bvals -> decide w (* commit *)
     | w :: _ -> round_loop w (r + 1) (* adopt *)
     | [] ->
         let* c = Shared_coin.register_coin ~n ~base:(2 * n) ~pid ~round:r in

@@ -4,7 +4,8 @@
    [pool] fans an experiment's independent cells out across domains; the
    parallelized experiments (e2, e3, e4, e14 — see EXPERIMENTS.md) derive
    every cell's parameters and seeds before dispatch, so the produced
-   table is bit-identical for any pool, [None] included.  The other
+   table is bit-identical for any pool, [None] included.  e12 hands the
+   pool to the CEGIS search, whose rows are pool-invariant.  The other
    experiments ignore the pool. *)
 
 type spec = {
@@ -90,10 +91,11 @@ let specs =
       title =
         "Table 4 - exhaustive impossibility: every bounded register protocol fails";
       run =
-        (fun ~pool:_ ~quick ->
+        (fun ~pool ~quick ->
           if quick then
-            E12_impossibility.table ~depths:[ 0; 1 ] ~randomized_depths:[ 1 ] ()
-          else E12_impossibility.table ());
+            E12_impossibility.table ?pool ~depths:[ 0; 1 ]
+              ~randomized_depths:[ 1 ] ()
+          else E12_impossibility.table ?pool ());
     };
     {
       id = "e13";

@@ -1,13 +1,16 @@
 (* E12 — "Table 4": exhaustive impossibility for bounded protocols.
 
    The paper's starting point — deterministic wait-free consensus from
-   read-write registers is impossible — established by brute force for
-   the class of bounded decision-tree protocols ([Consensus.Dtree] at one
-   read-write register): EVERY protocol of depth <= 2 for two identical
-   processes is enumerated and model-checked; each either violates
-   validity or admits an inconsistent interleaving.  (Bounded trees
-   always terminate, so safety is the only thing left to fail — and it
-   always does.)
+   read-write registers is impossible — established mechanically for the
+   class of bounded decision-tree protocols ([Consensus.Dtree] at one
+   read-write register).  Each row is the n = 2 round of
+   [Synth.Cegis.search] over every tree of depth <= d: trees are
+   filtered by solo validity and unanimity, and every surviving pair of
+   two identical processes is then refuted, by a replayed lemma (a
+   concrete violating execution of that very pair) or by a fresh
+   counterexample.  An [`Unsatisfiable] row is exhaustive: no pair is a
+   correct protocol.  (Bounded trees always terminate, so safety is the
+   only thing left to fail — and it always does.)
 
    The randomized rows add internal coin flips to the protocol grammar.
    Consensus may never err on any execution (Section 2: no Monte Carlo),
@@ -16,30 +19,27 @@
    consensus (Aspnes-Herlihy, Theorem 4.2, ...) must have unbounded
    executions of vanishing probability. *)
 
-type row = { coins : bool; census : Mc.Enumerate.census }
+module Cegis = Synth.Cegis
 
-(* [dedup] reaches every model-checking call of the census; [`Symmetric]
-   (the default) is sound here because each tree is a function of the
-   input — see [Mc.Enumerate.dtree_check_verdict].  [budget] reaches
-   them too: a governed census stays a valid impossibility witness only
-   when it completes ungoverned — a truncated check counts its pair as
-   not correct, so budgets can only shrink the survivor columns, never
-   manufacture a correct protocol. *)
-let rows ?dedup ?budget ?(depths = [ 0; 1; 2 ]) ?(randomized_depths = [ 1; 2 ])
-    () =
-  let census ~coins depth =
-    Mc.Enumerate.census_of_trees ?budget ?dedup ~depth
-      (Mc.Enumerate.enumerate_dtrees ~style:Consensus.Dtree.Rw ~registers:1
-         ~coins depth)
+(* [pool] only spreads the search: CEGIS rows are identical at any pool *)
+let row ?pool ~coins depth =
+  let r =
+    Cegis.search ?pool ~style:Consensus.Dtree.Rw ~registers:1 ~depth ~coins
+      ~max_procs:2 ~seed:1 ()
   in
-  List.map
-    (fun depth -> { coins = false; census = census ~coins:false depth })
-    depths
-  @ List.map
-      (fun depth -> { coins = true; census = census ~coins:true depth })
-      randomized_depths
+  let n2 = List.hd r.Cegis.rows in
+  [
+    string_of_int depth;
+    string_of_bool coins;
+    string_of_int r.Cegis.trees;
+    string_of_int (r.Cegis.valid0 * r.Cegis.valid1);
+    string_of_int (n2.Cegis.unanimous0 * n2.Cegis.unanimous1);
+    (match n2.Cegis.verdict with
+    | `Unsatisfiable -> "0"
+    | v -> Cegis.verdict_to_string v);
+  ]
 
-let table ?dedup ?budget ?depths ?randomized_depths () =
+let table ?pool ?(depths = [ 0; 1; 2 ]) ?(randomized_depths = [ 1; 2 ]) () =
   let t =
     Stats.Table.create
       ~header:
@@ -53,19 +53,7 @@ let table ?dedup ?budget ?depths ?randomized_depths () =
         ]
   in
   List.iter
-    (fun { coins; census = c } ->
-      let { Mc.Enumerate.depth; trees; candidate_pairs; survive_unanimous;
-            correct; _ } =
-        c
-      in
-      Stats.Table.add_row t
-        [
-          string_of_int depth;
-          string_of_bool coins;
-          string_of_int trees;
-          string_of_int candidate_pairs;
-          string_of_int survive_unanimous;
-          string_of_int correct;
-        ])
-    (rows ?dedup ?budget ?depths ?randomized_depths ());
+    (fun (coins, depth) -> Stats.Table.add_row t (row ?pool ~coins depth))
+    (List.map (fun d -> (false, d)) depths
+    @ List.map (fun d -> (true, d)) randomized_depths);
   t

@@ -29,15 +29,18 @@ let row ?budget n =
   (* the upper-bound protocol's space numbers are claims about a protocol
      that must actually BE safe; for the smallest n the model checker
      verifies that directly (depth-bounded, so a `no violation` here is
-     bounded safety, not a proof) *)
+     bounded safety, not a proof).  Depth 30 clears the 26-step
+     inconsistent execution rw-3n had at n = 2 before later-round tags
+     counted as disagreement, which depth 8 never reached; at n = 2 the
+     search visits about 80,000 nodes, under the state cap. *)
   let mc_safe =
     if n > 3 then None
     else
       let inputs = List.init n (fun i -> i mod 2) in
       let config = Protocol.initial_config Rw_consensus.protocol ~inputs in
       let res =
-        Mc.Explore.search ?budget ~dedup:`Symmetric ~max_depth:8
-          ~max_states:50_000 ~inputs config
+        Mc.Explore.search ?budget ~dedup:`Symmetric ~max_depth:30
+          ~max_states:1_000_000 ~inputs config
       in
       if res.Mc.Explore.violation <> None then Some false
       else

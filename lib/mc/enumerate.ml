@@ -1,23 +1,13 @@
-(* Exhaustive impossibility for bounded protocols: enumerate EVERY
-   deterministic decision-tree protocol of bounded depth for two identical
-   processes over ONE read-write register, and check each against the
-   consensus conditions on all input vectors.
+(* The bounded decision-tree protocol space ({!Consensus.Dtree.t}) and
+   the model-checker hooks the CEGIS driver ([Synth.Cegis]) runs on it:
+   enumerate every tree of bounded depth, read off a tree's solo
+   decisions, build a candidate pair's initial configuration, and check
+   a pair exhaustively on one input vector.
 
-   The paper's starting point — deterministic wait-free consensus from
-   registers is impossible — is usually proved by the FLP/Herlihy
-   bivalence argument (see {!Valency}); here, for protocols of bounded
-   size, it is established by brute force instead: none of the finitely
-   many candidates works, and the checker can say so because bounded trees
-   always terminate, leaving only safety to fail.
-
-   The trees are {!Consensus.Dtree.t}, the language the CEGIS driver
-   ([Synth]) searches: decide, flip a coin, write a bit and continue, or
-   read and branch on (empty | 0 | 1) — the census instantiates it at one
-   [Rw] register.  A protocol assigns one tree per input value; every
-   process runs its input's tree (identical processes).  Each census pair
-   gets a full model-checker search ({!dtree_check_verdict}), never the
-   synthesizer's lemma replay, so the census stays an independent check
-   on CEGIS. *)
+   E12's impossibility table is the CEGIS n = 2 round over the
+   one-register [Rw] slice of this space; a brute-force census of the
+   same slice (every pair through {!dtree_check_verdict}, no lemmas)
+   lives in the tests as its referee. *)
 
 open Sim
 module D = Consensus.Dtree
@@ -26,8 +16,8 @@ module D = Consensus.Dtree
    and read, [Swapping] trees swap and read (a write is a swap whose
    response is ignored, so offering both would only duplicate the
    space); [coins] decides whether [Flip] is offered.  At
-   [registers = 1], style [Rw] is the census's class: 14 trees at depth
-   1, 2774 at depth 2. *)
+   [registers = 1], style [Rw] is E12's class: 14 trees at depth 1,
+   2774 at depth 2. *)
 let enumerate_dtrees ~style ~registers ~coins depth =
   if registers < 1 then invalid_arg "enumerate_dtrees: registers must be >= 1";
   let decides = [ D.Decide 0; D.Decide 1 ] in
@@ -80,8 +70,8 @@ let dtree_config ~style ~registers (t0, t1) inputs =
 
 (* every decision reachable in a solo run from the initial objects (coin
    outcomes enumerated); singleton for deterministic trees.  The
-   dedup+sort is part of the contract — census filters and the synth
-   lemma pool compare these lists against [[ 0 ]]/[[ 1 ]] structurally,
+   dedup+sort is part of the contract — the synth validity filter
+   compares these lists against [[ 0 ]]/[[ 1 ]] structurally,
    so a duplicated or unsorted result would miscount validity candidates
    — and is enforced here rather than inherited from whatever
    [decidable_values] happens to return. *)
@@ -112,72 +102,3 @@ let dtree_check_verdict ?obs ?budget ?(dedup = `Symmetric) ~style ~registers
       match result.completeness with
       | `Exhaustive -> `Correct
       | `Truncated reason -> `Unknown reason)
-
-type census = {
-  depth : int;
-  trees : int;
-  valid_solo_0 : int;  (** trees deciding 0 when run alone *)
-  valid_solo_1 : int;
-  candidate_pairs : int;  (** pairs passing the solo-validity filter *)
-  survive_unanimous : int;  (** also correct on (0,0) and (1,1) *)
-  correct : int;  (** also consistent on (0,1) — expected: none *)
-  example_correct : (D.t * D.t) option;
-}
-
-(** The full census of [trees] (one-register [Rw] trees).  [correct = 0]
-    is the impossibility statement for this bounded protocol class.
-
-    Factorized for tractability: the unanimous-input checks (0,0) and
-    (1,1) each involve only one of the two trees, so they filter the tree
-    lists independently before the quadratic mixed-input sweep; with
-    identical processes, inputs (0,1) and (1,0) are pid-symmetric, so one
-    mixed check per pair suffices.  A check cut short by [budget] counts
-    its pair as not correct. *)
-let census_of_trees ?budget ?dedup ~depth trees =
-  let style = D.Rw and registers = 1 in
-  let correct_on t0 t1 inputs =
-    dtree_check_verdict ?budget ?dedup ~style ~registers (t0, t1) inputs
-    = `Correct
-  in
-  (* validity on a solo run: EVERY reachable outcome must be the input
-     (for deterministic trees this is the unique decision) *)
-  let solo_valid v t = dtree_solo_decisions ~style ~registers t = [ v ] in
-  let v0 = List.filter (solo_valid 0) trees in
-  let v1 = List.filter (solo_valid 1) trees in
-  let u0 = List.filter (fun t -> correct_on t t [ 0; 0 ]) v0 in
-  let u1 = List.filter (fun t -> correct_on t t [ 1; 1 ]) v1 in
-  let correct = ref 0 in
-  let example = ref None in
-  List.iter
-    (fun t0 ->
-      List.iter
-        (fun t1 ->
-          if correct_on t0 t1 [ 0; 1 ] then begin
-            incr correct;
-            if !example = None then example := Some (t0, t1)
-          end)
-        u1)
-    u0;
-  {
-    depth;
-    trees = List.length trees;
-    valid_solo_0 = List.length v0;
-    valid_solo_1 = List.length v1;
-    candidate_pairs = List.length v0 * List.length v1;
-    survive_unanimous = List.length u0 * List.length u1;
-    correct = !correct;
-    example_correct = !example;
-  }
-
-let census_trees ~coins depth =
-  enumerate_dtrees ~style:D.Rw ~registers:1 ~coins depth
-
-(** Census of all deterministic trees of depth <= [depth]. *)
-let census ~depth = census_of_trees ~depth (census_trees ~coins:false depth)
-
-(** Census including coin-flipping trees: consensus may never err on any
-    execution (no Monte Carlo), so the adversary also resolves the coins —
-    bounded randomized protocols fail exactly like deterministic ones,
-    which is why real randomized consensus has unbounded runs. *)
-let census_randomized ~depth =
-  census_of_trees ~depth (census_trees ~coins:true depth)

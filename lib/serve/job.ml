@@ -102,6 +102,20 @@ let validate t =
     | [] -> Error "--inputs must name at least one process"
     | _ -> Ok ()
   in
+  (* binary consensus, at a process count the protocol supports; an
+     unknown name is refused when the job runs *)
+  let fits_protocol name inputs =
+    let* () =
+      if List.for_all (fun v -> v = 0 || v = 1) inputs then Ok ()
+      else Error "--inputs must be 0s and 1s"
+    in
+    match Consensus.Registry.find name with
+    | Some p when not (p.Consensus.Protocol.supports_n (List.length inputs)) ->
+        Error
+          (Printf.sprintf "protocol %s does not support %d processes" name
+             (List.length inputs))
+    | _ -> Ok ()
+  in
   let* () =
     match t.deadline with
     | Some d when not (d >= 0.) -> Error "--deadline must be >= 0"
@@ -110,6 +124,7 @@ let validate t =
   match t.spec with
   | Mc m ->
       let* () = non_empty m.mc_inputs in
+      let* () = fits_protocol m.mc_protocol m.mc_inputs in
       let* () = at_least "depth" 0 m.mc_depth in
       let* () =
         if m.mc_depth <= Mc.Explore.max_depth_bound then Ok ()
@@ -120,7 +135,13 @@ let validate t =
       let* () = at_least "max-states" 1 m.mc_max_states in
       opt_at_least "max-nodes" 0 m.mc_max_nodes
   | Fuzz f ->
-      let* () = Option.fold ~none:(Ok ()) ~some:non_empty f.fz_inputs in
+      let* () =
+        match f.fz_inputs with
+        | None -> Ok ()
+        | Some inputs ->
+            let* () = non_empty inputs in
+            fits_protocol f.fz_scenario inputs
+      in
       let* () = at_least "runs" 1 f.fz_runs in
       let* () = at_least "max-candidates" 0 f.fz_max_candidates in
       opt_at_least "max-runs" 0 f.fz_max_runs

@@ -58,7 +58,8 @@ val fuzz_defaults : scenario:string -> fuzz
 (** A short human label: ["mc counter-3"], ["fuzz flawed"], ... *)
 val label : t -> string
 
-(** The spec's own constraints: inputs non-empty, [depth >= 0],
+(** The spec's own constraints: inputs non-empty and binary, and a
+    process count the named registry protocol supports, [depth >= 0],
     [max_states >= 1], [runs >= 1], [seeds], [max_candidates],
     [max_nodes], [max_runs] and [deadline] non-negative.  The message
     names the CLI flag ([--runs must be >= 1]).  {!of_json} and

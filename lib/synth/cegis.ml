@@ -9,8 +9,7 @@
      2. unanimity       — tree t survives side v only if (t, t) is
                           correct on the all-v vector of length n (a
                           per-tree full search, so the quadratic pair
-                          stage sweeps survivors only — the same
-                          factorization as [Enumerate.census_of_trees])
+                          stage sweeps survivors only)
      3. pair sweep      — each (t0, t1) in u0 x u1 runs the candidate
                           pipeline: lemma replay, then seeded random
                           probes, then the identical-process adversary,

@@ -5,8 +5,8 @@
     counterexample along the way.
 
     Per round [n = 2, 3, ...] the driver filters candidate trees by solo
-    validity and unanimity (the {!Mc.Enumerate.census_of_trees}
-    factorization), then sweeps surviving pairs through a pipeline of
+    validity and then by unanimity, per tree rather than per pair, then
+    sweeps surviving pairs through a pipeline of
     increasingly expensive refuters: pool-lemma replay, seeded random
     probes, the constructive adversary ({!Lowerbound.Attack}, rw only),
     and finally exhaustive search on every mixed input vector.  Every
@@ -16,6 +16,9 @@
     replayed on the trees themselves ({!Lemma.hits_pair}), most-hit
     lemma first, and a candidate's protocol is built only when no lemma
     hits.
+
+    The [n = 2] round over one [Rw] register is E12's impossibility
+    table: its counts are that table's columns.
 
     Correctness of a protocol is monotone downward in [n] (idle-process
     embedding), so the round loop stops at the first exhaustively

@@ -59,6 +59,10 @@ let test_exit_codes () =
   check_code "unknown protocol" 1 (run_cli [ "mc"; "no-such-protocol" ]);
   check_code "bad inputs" 1 (run_cli [ "mc"; "cas-1"; "--inputs"; "0,zebra" ]);
   check_code "bad dedup" 1 (run_cli [ "mc"; "cas-1"; "--dedup"; "turbo" ]);
+  check_code "process count the protocol refuses" 1
+    (run_cli [ "mc"; "tas-2proc"; "--inputs"; "0,1,1" ]);
+  check_code "non-binary input" 1
+    (run_cli [ "mc"; "cas-1"; "--inputs"; "0,2" ]);
   let violating =
     run_cli [ "mc"; "flawed-first-writer-r1"; "--inputs"; "0,1" ]
   in

@@ -143,6 +143,36 @@ let prop_rw_random =
       Checker.ok report.Protocol.verdict)
   |> QCheck_alcotest.to_alcotest
 
+(* rw-3n once let a process commit on a collect that missed an
+   overwritten entry: P1 leaves round 1 on the coin and overwrites its
+   unflagged phase-2 entry, P0's collect then sees only its own flagged
+   entry and commits 0, and P1 commits 1 alone in round 2 — a 26-step
+   witness at n = 2.  The exhaustive search runs past it, and seeded
+   starving-scheduler campaigns (which found it at n >= 3 within the
+   first run) must stay clean. *)
+let test_rw_overwritten_rounds () =
+  let inputs = [ 0; 1 ] in
+  let r =
+    Mc.Explore.search ~dedup:`Exact ~max_depth:30 ~max_states:1_000_000
+      ~inputs
+      (Protocol.initial_config Rw_consensus.protocol ~inputs)
+  in
+  Alcotest.(check bool) "no violation to depth 30" true
+    (r.Mc.Explore.violation = None);
+  Alcotest.(check bool) "cut only by depth" true
+    (r.Mc.Explore.visited <= 1_000_000);
+  List.iter
+    (fun inputs ->
+      let c =
+        Fuzz.Campaign.run ~weights:[ (Fuzz.Scenario.Starving, 1.) ] ~runs:300
+          ~seed:1
+          (Fuzz.Scenario.consensus ~inputs Rw_consensus.protocol)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "starving campaign, n = %d" (List.length inputs))
+        0 c.Fuzz.Campaign.violations)
+    [ [ 0; 1; 1 ]; [ 0; 1; 1; 0 ] ]
+
 let test_space_claims () =
   Alcotest.(check int) "cas uses 1" 1 (Protocol.space Cas_consensus.protocol ~n:8);
   Alcotest.(check int) "f&a uses 1" 1 (Protocol.space Fa_consensus.protocol ~n:8);
@@ -180,6 +210,8 @@ let suite =
     prop_fa_random;
     prop_counter_random;
     prop_rw_random;
+    Alcotest.test_case "rw: overwritten rounds stay safe" `Quick
+      test_rw_overwritten_rounds;
     Alcotest.test_case "space claims" `Quick test_space_claims;
     Alcotest.test_case "f&a field encoding" `Quick test_fa_encoding;
   ]

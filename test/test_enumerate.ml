@@ -1,5 +1,7 @@
-(* Exhaustive bounded-protocol impossibility, and the model-checker
-   regression it uncovered (initial decisions must be checked). *)
+(* The bounded decision-tree space behind E12: tree counts and solo
+   semantics, E12's rows against the brute-force referee
+   ([Census_referee]), and the model-checker regression the census
+   uncovered (initial decisions must be checked). *)
 
 open Sim
 open Mc
@@ -36,31 +38,80 @@ let test_tree_semantics () =
   Alcotest.(check int) "write then read own" 1
     (solo_decision (tree "w0.1(r0(d0,d0,d1))"))
 
+(* E12's rows come from CEGIS's n = 2 round; the brute-force referee
+   must print the same row wherever it can afford every pair *)
+let check_e12_row ~coins depth =
+  let c = Census_referee.filters ~coins depth in
+  let correct = Census_referee.correct c in
+  Alcotest.(check (list string))
+    (Printf.sprintf "E12 row, depth %d coins %b" depth coins)
+    (Census_referee.row ~coins depth c @ [ string_of_int correct ])
+    (Experiments.E12_impossibility.row ~coins depth);
+  (c, correct)
+
 let test_census_depth1_impossible () =
-  let c = Enumerate.census ~depth:1 in
-  Alcotest.(check int) "no correct protocol" 0 c.Enumerate.correct;
-  Alcotest.(check bool) "no example" true (c.Enumerate.example_correct = None);
-  Alcotest.(check int) "pairs checked" 49 c.Enumerate.candidate_pairs
+  let c, correct = check_e12_row ~coins:false 1 in
+  Alcotest.(check int) "no correct protocol" 0 correct;
+  Alcotest.(check (pair int int)) "7 x 7 solo-valid trees" (7, 7) c.valid
 
 let test_census_depth0 () =
-  let c = Enumerate.census ~depth:0 in
-  Alcotest.(check int) "one candidate pair (D0, D1)" 1 c.Enumerate.candidate_pairs;
-  Alcotest.(check int) "and it is inconsistent" 0 c.Enumerate.correct
+  let c, correct = check_e12_row ~coins:false 0 in
+  Alcotest.(check (pair int int)) "one candidate pair (D0, D1)" (1, 1) c.valid;
+  Alcotest.(check int) "and it is inconsistent" 0 correct
 
 let test_census_randomized_depth1 () =
-  let { Enumerate.correct; trees; _ } = Enumerate.census_randomized ~depth:1 in
-  Alcotest.(check int) "18 trees with coins" 18 trees;
+  let c, correct = check_e12_row ~coins:true 1 in
+  Alcotest.(check int) "18 trees with coins" 18 c.trees;
   Alcotest.(check int) "coins do not help" 0 correct
+
+(* Depth 2 has 1.4 M (5.3 M with coins) unanimity-surviving pairs, too
+   many for the referee's per-pair search.  Its filters still run in
+   full and must give E12's counts (the coin row's are the table's
+   published figures: its CEGIS run would triple this test's time); a
+   seeded sample of the surviving pairs must each fail the full search
+   on [0; 1], as CEGIS claims every one of them does. *)
+let test_census_depth2_sample () =
+  List.iter
+    (fun coins ->
+      let c = Census_referee.filters ~coins 2 in
+      Alcotest.(check (list string))
+        (Printf.sprintf "E12 row before its last column, coins %b" coins)
+        (Census_referee.row ~coins 2 c)
+        (if coins then [ "2"; "true"; "6194"; "7144929"; "5313025" ]
+         else
+           List.filteri (fun i _ -> i < 5)
+             (Experiments.E12_impossibility.row ~coins 2));
+      let u0 = Array.of_list c.u0 and u1 = Array.of_list c.u1 in
+      let rng = Random.State.make [| 12 |] in
+      for _ = 1 to 2_000 do
+        let pair =
+          ( u0.(Random.State.int rng (Array.length u0)),
+            u1.(Random.State.int rng (Array.length u1)) )
+        in
+        if Census_referee.correct_on pair [ 0; 1 ] then
+          Alcotest.failf "correct depth-2 pair %s | %s" (D.to_string (fst pair))
+            (D.to_string (snd pair))
+      done)
+    [ false; true ]
 
 let test_flip_semantics () =
   let flip = tree "f(d0,d1)" in
   (* a flipping tree reaches both outcomes solo *)
   Alcotest.(check (list int)) "both reachable" [ 0; 1 ] (solo_decisions flip);
-  (* and is therefore rejected by the validity filter *)
-  let c = Enumerate.census_of_trees ~depth:1 [ tree "d0"; flip; tree "d1" ] in
-  Alcotest.(check (pair int int))
-    "only the decide trees are solo-valid" (1, 1)
-    (c.Enumerate.valid_solo_0, c.Enumerate.valid_solo_1)
+  (* and is therefore rejected by both validity filters *)
+  let trees = [ tree "d0"; flip; tree "d1" ] in
+  let solo_valid v t = solo_decisions t = [ v ] in
+  List.iter
+    (fun v ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "only the decide tree is solo-valid for %d" v)
+        [ Printf.sprintf "d%d" v ]
+        (List.map D.to_string (List.filter (solo_valid v) trees));
+      Alcotest.(check (list string))
+        (Printf.sprintf "the referee agrees for %d" v)
+        [ Printf.sprintf "d%d" v ]
+        (List.map D.to_string (List.filter (Census_referee.solo_valid v) trees)))
+    [ 0; 1 ]
 
 (* the regression: a protocol where both processes decide instantly with
    different values has an inconsistent execution of zero steps — the
@@ -95,8 +146,8 @@ let test_census_check_catches () =
   | `Correct -> Alcotest.fail "mixed inputs not refuted"
   | `Unknown _ -> Alcotest.fail "check truncated"
 
-(* solo_decisions is contractually duplicate-free and sorted: census
-   filters and the synth lemma pool compare the list structurally
+(* solo_decisions is contractually duplicate-free and sorted: the synth
+   validity filter compares the list structurally
    against [0]/[1], so a tree reaching the same decision along several
    coin paths must not report it twice *)
 let test_solo_decisions_dedup () =
@@ -141,6 +192,8 @@ let suite =
     Alcotest.test_case "depth-1 census: impossible" `Quick test_census_depth1_impossible;
     Alcotest.test_case "depth-0 census" `Quick test_census_depth0;
     Alcotest.test_case "randomized census depth 1" `Quick test_census_randomized_depth1;
+    Alcotest.test_case "depth-2 census: sampled survivors all fail" `Quick
+      test_census_depth2_sample;
     Alcotest.test_case "flip semantics" `Quick test_flip_semantics;
     Alcotest.test_case "MC checks initial decisions" `Quick test_mc_initial_decisions;
     Alcotest.test_case "MC checks initial validity" `Quick test_mc_initial_invalid;

@@ -333,6 +333,33 @@ let test_spec_validation () =
           Printf.sprintf "--depth=%d" (Mc.Explore.max_depth_bound + 1);
         ],
         Printf.sprintf "--depth must be <= %d" Mc.Explore.max_depth_bound );
+      ( {|{"kind":"mc","protocol":"tas-2proc","inputs":[0,1,1]}|},
+        mc_job ~inputs:[ 0; 1; 1 ] "tas-2proc",
+        [ "mc"; "tas-2proc"; "--inputs"; "0,1,1" ],
+        "protocol tas-2proc does not support 3 processes" );
+      ( {|{"kind":"mc","protocol":"cas-1","inputs":[0,2]}|},
+        mc_job ~inputs:[ 0; 2 ] "cas-1",
+        [ "mc"; "cas-1"; "--inputs"; "0,2" ],
+        "--inputs must be 0s and 1s" );
+    ]
+
+(* ... and a daemon refuses them at submission with the same message,
+   rather than failing the job once a worker runs it *)
+let test_served_spec_refusal () =
+  with_server @@ fun addr ->
+  List.iter
+    (fun (job, msg) ->
+      match Serve.Client.submit_and_wait ~attempts:1 addr job with
+      | Ok (status, lines) ->
+          Alcotest.failf "served %s: status %d, %s" msg status
+            (String.concat " / " lines)
+      | Error e ->
+          Alcotest.(check bool) (msg ^ ": refusal names it") true
+            (contains e msg))
+    [
+      ( mc_job ~inputs:[ 0; 1; 1 ] "tas-2proc",
+        "protocol tas-2proc does not support 3 processes" );
+      (mc_job ~inputs:[ 0; 2 ] "cas-1", "--inputs must be 0s and 1s");
     ]
 
 (* The spool refuses what it cannot use, naming path and step: a regular
@@ -774,6 +801,8 @@ let suite =
       test_round_trip_identity;
     Alcotest.test_case "served deadline truncates" `Quick test_served_deadline;
     Alcotest.test_case "one spec validator" `Quick test_spec_validation;
+    Alcotest.test_case "served arity and inputs refused" `Quick
+      test_served_spec_refusal;
     Alcotest.test_case "spool refuses a non-directory" `Quick
       test_spool_refuses_non_directory;
     Alcotest.test_case "bounded queue sheds" `Quick test_shedding;

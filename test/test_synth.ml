@@ -14,7 +14,7 @@ let search ?prune ?(procs = 4) ~style ~depth () =
 let verdict_str (row : Cegis.row) = Cegis.verdict_to_string row.Cegis.verdict
 
 (* rw registers, depth 1: consensus is impossible already at n = 2, and
-   the loop proves it exhaustively over exactly the census's 49 pairs *)
+   the loop proves it exhaustively over exactly E12's 49 pairs *)
 let test_rw_depth1_frontier () =
   let r = search ~style:D.Rw ~depth:1 () in
   Alcotest.(check int) "trees" 14 r.Cegis.trees;
@@ -157,10 +157,10 @@ let test_lemma_codec_round_trip () =
     (Lemma.to_text back)
 
 (* The pool prunes through [Lemma.hits_pair], whose tree kernel
-   ([Dtree.replay]) re-implements [Run.exec_script] rather than calling
-   it, so its agreement with [Lemma.hits] on the compiled protocol is an
-   assumption this differential test pins, over every (pair, lemma) the
-   search replays and beyond. *)
+   ([Dtree.replay]) shares its step semantics with [Dtree.to_proc] but
+   restates [Run.exec_script]'s scheduling rules; these differential
+   tests compare it with [Lemma.hits] on the compiled protocol over
+   every (pair, lemma) the search replays and beyond. *)
 let pool_mismatches ~style ~registers pool pairs =
   List.fold_left
     (fun (replays, bad) pair ->
@@ -264,6 +264,68 @@ let test_kernel_scripts () =
     [ (D.Rw, 2, 1); (D.Swapping, 2, 1); (D.Rw, 1, 2) ];
   Alcotest.(check int) (Printf.sprintf "mismatches in %d scripts" !runs) 0 !bad
 
+(* The scheduling layer is the one part of [Dtree.replay] that restates
+   [Run.exec_script] — the tree semantics is shared with [Dtree.to_proc]
+   — so it is pinned exhaustively: every depth-1 pair of both styles,
+   coins included, on every script of up to two entries over pids out
+   of range, bad coins and crashes.  [hits_pair] must equal [hits], and
+   the decisions must agree under [max_steps] 0, 1 and the default. *)
+let kernel_alphabet =
+  [ `Step (-1, None); `Step (2, None); `Crash (-1); `Crash 2; `Crash 0; `Crash 1 ]
+  @ List.concat_map
+      (fun pid ->
+        List.map
+          (fun coin -> `Step (pid, coin))
+          [ None; Some 0; Some 1; Some 2; Some (-1) ])
+      [ 0; 1 ]
+
+let rec scripts_upto len =
+  if len = 0 then [ [] ]
+  else
+    []
+    :: List.concat_map
+         (fun e -> List.map (fun s -> e :: s) (scripts_upto (len - 1)))
+         kernel_alphabet
+
+let test_kernel_exhaustive () =
+  let inputs = [ 0; 1 ] in
+  let scripts = scripts_upto 2 in
+  let runs = ref 0 and bad = ref 0 in
+  List.iter
+    (fun style ->
+      let trees =
+        Mc.Enumerate.enumerate_dtrees ~style ~registers:1 ~coins:true 1
+      in
+      List.iter
+        (fun t0 ->
+          List.iter
+            (fun t1 ->
+              let pair = (t0, t1) in
+              let p = D.protocol ~style ~registers:1 pair in
+              let config = Consensus.Protocol.initial_config p ~inputs in
+              List.iter
+                (fun script ->
+                  let lemma = { Lemma.source = ""; inputs; schedule = script } in
+                  incr runs;
+                  if Lemma.hits_pair ~registers:1 lemma pair <> Lemma.hits lemma p
+                  then incr bad;
+                  List.iter
+                    (fun max_steps ->
+                      let generic =
+                        Sim.Config.decisions
+                          (Sim.Run.exec_script ~max_steps ~script config)
+                            .Sim.Run.config
+                      in
+                      if D.replay ~max_steps ~registers:1 pair ~inputs script
+                         <> generic
+                      then incr bad)
+                    [ 0; 1; 100_000 ])
+                scripts)
+            trees)
+        trees)
+    [ D.Rw; D.Swapping ];
+  Alcotest.(check int) (Printf.sprintf "mismatches in %d scripts" !runs) 0 !bad
+
 (* a node budget yields an unknown row and a truncated completeness —
    never a silently under-approximated unsatisfiable *)
 let test_budget_trips_loudly () =
@@ -308,4 +370,6 @@ let suite =
       test_kernel_depth2;
     Alcotest.test_case "tree kernel = exec_script: seeded scripts" `Quick
       test_kernel_scripts;
+    Alcotest.test_case "tree kernel = exec_script: every short script" `Quick
+      test_kernel_exhaustive;
   ]
