@@ -113,21 +113,15 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* A negative domain count is an argument error, not something to hand
-   to the pool (where it raised an uncaught exception — exit 125 —
-   or, worse, was silently accepted by paths that bypass pool
-   creation).  Every --jobs consumer funnels through here. *)
-let validate_jobs jobs =
+(* [None] → no pool (sequential); [Some 0] → recommended domain count.
+   A negative domain count is an argument error, not something to hand
+   to the pool (where it raised an uncaught exception — exit 125).
+   Every --jobs consumer funnels through here. *)
+let with_jobs ?obs jobs f =
   match jobs with
   | Some j when j < 0 ->
       prerr_endline "--jobs must be >= 0 (0 = one domain per core)";
       exit Exit_code.bad_args
-  | _ -> ()
-
-(* [None] → no pool (sequential); [Some 0] → recommended domain count. *)
-let with_jobs ?obs jobs f =
-  validate_jobs jobs;
-  match jobs with
   | None -> f None
   | Some j ->
       let jobs = if j = 0 then None else Some j in
@@ -350,7 +344,7 @@ let attack_cmd =
 
 let mc_cmd =
   let run name inputs depth max_states dedup max_nodes deadline
-      checkpoint checkpoint_every resume jobs metrics progress =
+      checkpoint checkpoint_every resume metrics progress =
     let inputs = parse_inputs inputs in
     let mc_dedup =
       match Serve.Job.dedup_of_name dedup with
@@ -361,9 +355,6 @@ let mc_cmd =
                "unknown --dedup %S (expected off | exact | symmetric)" dedup);
           exit Exit_code.bad_args
     in
-    (* accepted and validated like every other --jobs, but there is
-       only one mc search and it is sequential *)
-    validate_jobs jobs;
     let m =
       {
         Serve.Job.mc_protocol = name;
@@ -454,14 +445,6 @@ let mc_cmd =
                 "Resume a search from a checkpoint FILE; the stored \
                  scenario must match the protocol/inputs/depth/dedup given \
                  here.")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "jobs"; "j" ] ~docv:"N"
-              ~doc:
-                "Accepted for symmetry with the other subcommands and \
-                 validated (N >= 0), but mc runs one sequential search: \
-                 its output is the same for every N.")
       $ metrics_arg $ progress_arg)
 
 (* ------------------------------------------------------------------ fuzz *)

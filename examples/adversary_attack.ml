@@ -34,9 +34,9 @@ let () =
   let config = Protocol.initial_config target ~inputs:[ 0; 1 ] in
   List.iter
     (fun pid ->
-      match Solo.terminating config ~pid with
-      | Some { decision = Some d; steps; _ } ->
-          Printf.printf "   P%d solo decides %d in %d steps\n" pid d steps
+      match Run.solo_search config ~pid with
+      | Some { decision = Some d; solo_steps; _ } ->
+          Printf.printf "   P%d solo decides %d in %d steps\n" pid d solo_steps
       | _ -> Printf.printf "   P%d: no terminating solo execution?!\n" pid)
     [ 0; 1 ];
   print_newline ();

@@ -20,7 +20,7 @@ let () =
           List.init n (fun _ -> Shared_coin.counter_coin ~n ~obj:0 ~k:2)
         in
         let config = Config.make ~optypes:[ Counter.optype () ] ~procs in
-        let result = Run.exec_fast ~max_steps:2_000_000 (Sched.random ~seed) config in
+        let result = Run.exec ~max_steps:2_000_000 (Sched.random ~seed) config in
         let outputs = Config.decisions result.Run.config in
         flips_acc := !flips_acc + List.length (Trace.coins result.Run.trace);
         if List.length (List.sort_uniq compare outputs) = 1 then incr agree

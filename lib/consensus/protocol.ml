@@ -50,7 +50,7 @@ type run_report = {
     decisions were reached. *)
 let run_once ?(max_steps = 200_000) t ~inputs ~sched =
   let config = initial_config t ~inputs in
-  let result = Run.exec_fast ~max_steps sched config in
+  let result = Run.exec ~max_steps sched config in
   let verdict = Checker.of_config ~inputs result.config in
   { result; verdict; inputs }
 

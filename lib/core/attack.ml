@@ -81,7 +81,7 @@ let run ?(nominal_n = 64) ?(max_solo_steps = 5_000) ?(max_solo_nodes = 500_000)
     let config = Config.make ~optypes ~procs:[ code 0; code 1 ] in
     let solo pid expected =
       match
-        Solo.terminating ~max_steps:max_solo_steps ~max_nodes:max_solo_nodes
+        Run.solo_search ~max_steps:max_solo_steps ~max_nodes:max_solo_nodes
           ?rng config ~pid
       with
       | None -> Error (No_solo_termination pid)
@@ -95,13 +95,13 @@ let run ?(nominal_n = 64) ?(max_solo_steps = 5_000) ?(max_solo_nodes = 500_000)
     | Ok alpha, Ok beta -> (
         let b = Builder.create ~config ~inputs:[ 0; 1 ] in
         try
-          (match run_prefix b ~pid:0 ~coins:alpha.Solo.coins with
+          (match run_prefix b ~pid:0 ~coins:alpha.Run.coins with
           | None ->
               (* alpha wrote nothing: run it, then beta replays solo *)
-              let _ = Builder.run_coins b ~pid:1 ~coins:beta.Solo.coins () in
+              let _ = Builder.run_coins b ~pid:1 ~coins:beta.Run.coins () in
               ()
           | Some acoins -> (
-              match run_prefix b ~pid:1 ~coins:beta.Solo.coins with
+              match run_prefix b ~pid:1 ~coins:beta.Run.coins with
               | None ->
                   (* beta wrote nothing and already decided during its
                      prefix; alpha's continuation still replays because

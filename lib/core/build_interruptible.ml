@@ -88,7 +88,8 @@ let construct b ~all_objects ~vset ~pset ~uset ~e =
     let run_one pid =
       if !decided = None then
         match
-          Solo.search (Builder.config b) ~pid ~stop:(Solo.poised_outside vset)
+          Run.solo_search (Builder.config b) ~pid
+            ~stop:(Solo.poised_outside vset)
         with
         | None ->
             fail "solo search failed for P%d (budget or no termination)" pid

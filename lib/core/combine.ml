@@ -71,7 +71,7 @@ let with_budget_meter budget f =
 let solo_search config ~pid =
   let max_steps, max_nodes = get_search_budget () in
   let meter = Domain.DLS.get budget_meter in
-  Solo.terminating ~max_steps ~max_nodes ?meter config ~pid
+  Run.solo_search ~max_steps ~max_nodes ?meter config ~pid
 
 (* Execute a block write on a scratch copy of the configuration (pure
    steps; the builder is untouched) and return the resulting config. *)
@@ -164,11 +164,11 @@ and incomparable_case b (pside : Side.t) (qside : Side.t) =
         fail "no terminating solo execution for P%d after block write to U"
           perf
   in
-  let d = match gamma.Solo.decision with Some d -> d | None -> assert false in
+  let d = match gamma.Run.decision with Some d -> d | None -> assert false in
   if d = pside.Side.decides then begin
     (* gamma extends the P side: P' = P + clones(W-V), U *)
     let pside' =
-      Side.make ~regs:u_regs ~writers:umap_a ~runner:perf ~coins:gamma.Solo.coins
+      Side.make ~regs:u_regs ~writers:umap_a ~runner:perf ~coins:gamma.Run.coins
         ~decides:d
     in
     combine b pside' qside
@@ -191,7 +191,7 @@ and incomparable_case b (pside : Side.t) (qside : Side.t) =
     let qside' =
       Side.make
         ~regs:(List.map fst umap_b)
-        ~writers:umap_b ~runner:perf_clone ~coins:gamma.Solo.coins ~decides:d
+        ~writers:umap_b ~runner:perf_clone ~coins:gamma.Run.coins ~decides:d
     in
     combine b pside qside'
   end

@@ -1,89 +1,9 @@
-(* Nondeterministic solo termination, made effective.
+(* Goal predicates for the solo-termination search ({!Sim.Run.solo_search}).
 
-   The property (Section 2): from every configuration, every process has
-   *some* finite solo execution that completes its operation.  The proofs
-   use it purely existentially; the executable adversary needs witnesses,
-   so we search: depth-first over the process's internal coin outcomes
-   (solo applies are deterministic), bounded by path length and total
-   nodes.  A protocol for which the search fails within the budget is
-   reported as such, never silently treated as terminating.
-
-   [stop] generalizes the goal, e.g. Lemma 3.4 runs a process "until it has
-   decided or is poised at an object in V-bar": pass a predicate that holds
-   when the process's pending nontrivial operation lies outside V. *)
-
-open Sim
-
-type 'a found = {
-  coins : int list;  (** coin outcomes along the found path, in order *)
-  decision : 'a option;  (** [Some v] if the goal state has pid decided *)
-  steps : int;  (** solo steps on the found path *)
-}
-
-let search ?(max_steps = 2_000) ?(max_nodes = 200_000) ?meter
-    ?(stop = fun _config _pid -> false) ?rng (config : 'a Config.t) ~pid =
-  let nodes = ref 0 in
-  (* [meter] is the caller's budget (deadline/cancellation/global step
-     cap) layered over the local [max_steps]/[max_nodes] bounds: local
-     exhaustion means "no witness found" and the search backtracks, while
-     a metered trip means "stop everything" and unwinds the whole
-     construction via [Robust.Budget.Exhausted]. *)
-  let guard () =
-    match meter with
-    | None -> ()
-    | Some m -> Robust.Budget.Meter.guard_step m
-  in
-  (* With [rng], coin outcomes at each Choose node are tried in a
-     shuffled order instead of 0..n-1: a randomized restart of the same
-     complete search.  Different seeds reach different witnesses (and can
-     escape pathological corners of the tree); a fixed seed is fully
-     deterministic, which is what the parallel seed sweeps rely on. *)
-  let outcome_order n =
-    match rng with
-    | None -> Array.init n Fun.id
-    | Some rng ->
-        let order = Array.init n Fun.id in
-        Rng.shuffle rng order;
-        order
-  in
-  (* rev_coins accumulates outcomes; returns the goal description *)
-  let rec go config rev_coins steps =
-    guard ();
-    incr nodes;
-    if !nodes > max_nodes || steps > max_steps then None
-    else if Config.is_decided config pid then
-      Some
-        {
-          coins = List.rev rev_coins;
-          decision = Config.decision config pid;
-          steps;
-        }
-    else if stop config pid then
-      Some { coins = List.rev rev_coins; decision = None; steps }
-    else
-      match config.Config.procs.(pid) with
-      | Proc.Decide _ -> assert false
-      | Proc.Apply _ ->
-          let config', _ = Run.step config ~pid ~coin:(fun _ -> 0) in
-          go config' rev_coins (steps + 1)
-      | Proc.Choose { n; _ } ->
-          let order = outcome_order n in
-          let rec try_outcome idx =
-            if idx >= n then None
-            else
-              let o = order.(idx) in
-              let config', _ = Run.step config ~pid ~coin:(fun _ -> o) in
-              match go config' (o :: rev_coins) (steps + 1) with
-              | Some _ as found -> found
-              | None -> try_outcome (idx + 1)
-          in
-          try_outcome 0
-  in
-  go config [] 0
-
-(** A terminating solo execution (decision goal only). *)
-let terminating ?max_steps ?max_nodes ?meter ?rng config ~pid =
-  search ?max_steps ?max_nodes ?meter ?rng config ~pid
+   Lemma 3.4 runs a process "until it has decided or is poised at an
+   object in V-bar"; the search's [~stop] takes the second half as a
+   predicate.  These depend on {!Triviality}, which is why they live here
+   and the search itself lives in [Sim.Run]. *)
 
 (** Goal predicate: pid is poised at a nontrivial operation on an object
     outside [inside].  Combine with the implicit decided-goal to get

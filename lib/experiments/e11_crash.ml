@@ -31,8 +31,7 @@ let measure (p : Protocol.t) ~n ~crashed ~reps ~seed =
     (* crash pids 0..crashed-1 at staggered steps 5, 10, 15, ... *)
     let crashes = List.init crashed (fun i -> ((i + 1) * 5, i)) in
     let result =
-      Run.exec_with_crashes ~max_steps:500_000 ~crashes (Sched.random ~seed:s)
-        config
+      Run.exec ~max_steps:500_000 ~crashes (Sched.random ~seed:s) config
     in
     let verdict = Checker.of_config ~inputs result.Run.config in
     if Checker.ok verdict then incr safe;

@@ -24,7 +24,7 @@ type row = {
 let run_once ~n ~k ~seed =
   let procs = List.init n (fun _ -> Shared_coin.counter_coin ~n ~obj:0 ~k) in
   let config = Config.make ~optypes:[ Counter.optype () ] ~procs in
-  let result = Run.exec_fast ~max_steps:5_000_000 (Sched.random ~seed) config in
+  let result = Run.exec ~max_steps:5_000_000 (Sched.random ~seed) config in
   if result.Run.outcome <> Run.All_decided then None
   else
     let outputs = Config.decisions result.Run.config in

@@ -95,14 +95,13 @@ let gen_crashes rng ~n =
 let config_run config ~inputs:_ ~max_steps rng kind =
   let seed = seed_of rng in
   let n = Config.n_procs config in
-  match kind with
-  | Uniform -> Run.exec_fast ~max_steps (Sched.random ~seed) config
-  | Starving ->
-      let victim = Rng.int rng n in
-      Run.exec_fast ~max_steps (Sched.starving ~victim ~seed) config
-  | Crashing ->
-      let crashes = gen_crashes rng ~n in
-      Run.exec_with_crashes ~max_steps ~crashes (Sched.random ~seed) config
+  let sched, crashes =
+    match kind with
+    | Uniform -> (Sched.random ~seed, [])
+    | Starving -> (Sched.starving ~victim:(Rng.int rng n) ~seed, [])
+    | Crashing -> (Sched.random ~seed, gen_crashes rng ~n)
+  in
+  Run.exec ~max_steps ~crashes sched config
 
 let consensus ?(engine = `Flat) ?(inputs = [ 0; 1 ]) ?(max_steps = 4096)
     (p : Consensus.Protocol.t) =
@@ -156,8 +155,7 @@ let consensus ?(engine = `Flat) ?(inputs = [ 0; 1 ]) ?(max_steps = 4096)
           Flat_run.exec_starving ~max_steps ~victim ~rng:(Rng.create seed) work
       | Crashing ->
           let crashes = gen_crashes rng ~n in
-          Flat_run.exec_with_crashes ~max_steps ~crashes
-            ~rng:(Rng.create seed) work
+          Flat_run.exec_random ~max_steps ~crashes ~rng:(Rng.create seed) work
     in
     {
       schedule = r.Flat_run.schedule;

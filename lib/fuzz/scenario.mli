@@ -18,7 +18,7 @@ val violation_to_string : violation -> string
 
 (** Adversarial schedule families drawn per run.  For linearizability
     scenarios [Crashing] injects harness crash points ([`Crash] schedule
-    entries); elsewhere it uses {!Sim.Run.exec_with_crashes}. *)
+    entries); elsewhere it passes [~crashes] to {!Sim.Run.exec}. *)
 type sched_kind = Uniform | Starving | Crashing
 
 val all_kinds : sched_kind list

@@ -8,21 +8,24 @@
    cannot be hashed directly — but they never need to be: a process is a
    deterministic step machine, so its state is fully determined by its
    initial protocol term and the sequence of responses / coin outcomes it
-   consumed, and [Config.fps] maintains a 64-bit hash of exactly that
-   history (see [Sim.Fingerprint]).  The optional transposition table
-   ([~dedup]) keys on (object values, per-process fingerprints) and
-   memoizes "subtree violation-free up to remaining depth d", collapsing
-   the configurations that different interleavings reach redundantly:
+   consumed.  The flat engine interns exactly that history to a dense
+   state id ([Sim.Intern]); the closure referee keys on [Config.fps], a
+   64-bit hash of it (see [Sim.Fingerprint]).  The optional
+   transposition table ([~dedup]) keys on (object values, per-process
+   states) and memoizes "subtree violation-free up to remaining depth
+   d", collapsing the configurations that different interleavings reach
+   redundantly:
 
    - [`Off]       — the plain DFS (the baseline; bit-identical to the
                     pre-table checker).
-   - [`Exact]     — per-slot fingerprints: two configurations are merged
+   - [`Exact]     — per-slot states: two configurations are merged
                     when every process consumed the same history and the
                     objects hold the same values.  Always sound.
-   - [`Symmetric] — additionally sorts the per-process fingerprints, so
+   - [`Symmetric] — additionally sorts the per-process states, so
                     permutations of interchangeable processes collapse to
-                    one state.  Sound exactly when fingerprint equality
-                    implies state equality *across* process slots: either
+                    one state.  Sound exactly when equal initial
+                    fingerprints (the flat engine's shared roots) imply
+                    equal terms *across* process slots: either
                     all processes start from one protocol term (identical
                     processes with one input — the Theorem 3.3 setting),
                     or the initial fingerprints of differing terms were
@@ -31,10 +34,9 @@
 
    Memoized skips of *complete* (exhaustively clean) subtrees never affect
    the verdict or [truncated]; skips of depth-bounded entries conservatively
-   set [truncated].  The DFS inner loop allocates only the successor
-   configuration and one choice-path cell per step: witness traces are
-   reconstructed by replaying the recorded (pid, outcome) choice path only
-   when a violation is actually found. *)
+   set [truncated].  Neither engine builds a trace while it searches:
+   witness traces are reconstructed by replaying the recorded (pid,
+   outcome) choice path only when a violation is actually found. *)
 
 open Sim
 
@@ -137,6 +139,17 @@ let witness root kind choices =
         replay config' (List.rev_append events rev_events) rest
   in
   replay root [] choices
+
+(* Why a search stopped short, if it did: a budget trip dominates (see
+   [search_from]); then a search that went past [max_states] reports
+   [`States], even when a depth cut came first in preorder: the cap, not
+   the depth bound, is what ended the search. *)
+let completeness ~tripped ~visited ~max_states first_reason =
+  match (tripped, first_reason) with
+  | Some r, _ -> `Truncated r
+  | None, _ when visited > max_states -> `Truncated `States
+  | None, Some r -> `Truncated r
+  | None, None -> `Exhaustive
 
 (* The closure DFS over persistent configurations: the referee the flat
    engine is pinned against ([search ~state:`Closure]), and nothing else.
@@ -243,7 +256,7 @@ let search_from ~polls ~budget ~dedup ~max_depth ~max_states ~inputs config =
               child config rev_choices distinct depth pid outcome
             done)
   and child config rev_choices distinct depth pid outcome =
-    let config' = Run.step_quiet config ~pid ~coin:(fun _ -> outcome) in
+    let config', _ = Run.step config ~pid ~coin:(fun _ -> outcome) in
     let rev_choices' = (pid, outcome) :: rev_choices in
     let distinct' =
       match Config.decision config' pid with
@@ -262,10 +275,7 @@ let search_from ~polls ~budget ~dedup ~max_depth ~max_states ~inputs config =
   | Budget_stop r -> tripped := Some r);
   (match meter with Some m -> polls := Robust.Budget.Meter.polls m | None -> ());
   let completeness =
-    match (!tripped, !first_reason) with
-    | Some r, _ -> `Truncated r
-    | None, Some r -> `Truncated r
-    | None, None -> `Exhaustive
+    completeness ~tripped:!tripped ~visited:!visited ~max_states !first_reason
   in
   {
     violation = !found;
@@ -596,10 +606,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
       Obs.add obs "mc/table-widenings" (Ptbl.widenings tbl))
     table;
   let completeness =
-    match (!tripped, !first_reason) with
-    | Some r, _ -> `Truncated r
-    | None, Some r -> `Truncated r
-    | None, None -> `Exhaustive
+    completeness ~tripped:!tripped ~visited:!visited ~max_states !first_reason
   in
   {
     violation = !found;
@@ -655,35 +662,6 @@ let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
   Obs.add obs "budget/polls" !polls;
   record_result obs r
 
-(* First terminating solo decision of [pid], searching coin outcomes.
-   Cheap probe used to seed [decidable_values]: a solo run that decides
-   witnesses a reachable decision without touching the full tree. *)
-let solo_decision ?(max_steps = 300) ?(max_nodes = 5_000) config ~pid =
-  let nodes = ref 0 in
-  let rec go config steps =
-    incr nodes;
-    if !nodes > max_nodes || steps > max_steps then None
-    else
-      match Config.decision config pid with
-      | Some v -> Some v
-      | None -> (
-          match config.Config.procs.(pid) with
-          | Proc.Decide _ -> assert false
-          | Proc.Apply _ ->
-              go (Run.step_quiet config ~pid ~coin:(fun _ -> 0)) (steps + 1)
-          | Proc.Choose { n; _ } ->
-              let rec try_outcome o =
-                if o >= n then None
-                else
-                  let config' = Run.step_quiet config ~pid ~coin:(fun _ -> o) in
-                  match go config' (steps + 1) with
-                  | Some _ as found -> found
-                  | None -> try_outcome (o + 1)
-              in
-              try_outcome 0)
-  in
-  go config 0
-
 (** All values decided in some execution reachable from [config] (within the
     exploration budget).  The second component tells whether the set is
     exhaustive ([false]) or may be an under-approximation ([true]).
@@ -698,7 +676,9 @@ let decidable_values ?(max_depth = 60) ?(max_states = 2_000_000) config =
      probe contributes a cheap reachable-decision witness *)
   List.iter add (Config.decisions config);
   Config.iter_enabled config (fun pid ->
-      match solo_decision config ~pid with Some v -> add v | None -> ());
+      match Run.solo_search ~max_steps:300 ~max_nodes:5_000 config ~pid with
+      | Some { Run.decision = Some v; _ } -> add v
+      | _ -> ());
   let rec go config depth =
     incr visited;
     if !visited > max_states || depth >= max_depth then truncated := true
@@ -712,7 +692,7 @@ let decidable_values ?(max_depth = 60) ?(max_states = 2_000_000) config =
                 visit config depth pid outcome
               done)
   and visit config depth pid outcome =
-    let config' = Run.step_quiet config ~pid ~coin:(fun _ -> outcome) in
+    let config', _ = Run.step config ~pid ~coin:(fun _ -> outcome) in
     (match Config.decision config' pid with Some v -> add v | None -> ());
     go config' (depth + 1)
   in

@@ -5,17 +5,27 @@
     Depth-first, depth- and node-bounded; [truncated] reports whether the
     verdict is exhaustive or merely bounded.
 
-    [~dedup] enables the transposition table over incremental state
-    fingerprints (see [Sim.Fingerprint] and DESIGN.md for the soundness
+    [~dedup] enables a transposition table (DESIGN.md has the soundness
     argument): [`Exact] merges configurations whose object values and
-    per-slot process fingerprints coincide; [`Symmetric] additionally
-    sorts the per-process fingerprints so permutations of interchangeable
-    processes collapse to one state — sound when all processes run one
-    protocol term with one input (the identical-processes setting of
-    Theorem 3.3), or when differing initial terms were distinguished via
-    [Config.make ~fp_seeds] (as [Consensus.Protocol.initial_config] does).
-    Dedup never changes the violation verdict or the reported witness; it
-    changes only the node counts ([visited], [leaves]) and wall-clock. *)
+    per-slot process states coincide; [`Symmetric] additionally sorts
+    the per-process states so permutations of interchangeable processes
+    collapse to one state.  What a state is depends on the engine:
+
+    - the flat engine (production) keys on interned ids ([Sim.Intern]):
+      value ids, and state ids that stand for (root, consumed history)
+      exactly, with no hash trusted.  The one place it reads 64-bit
+      fingerprints is [`Symmetric]'s root sharing ([Sim.Flat.By_fp]):
+      processes whose initial fingerprint seeds are equal share a root;
+    - the closure referee keys on object values and the per-process
+      consumed-history fingerprints ([Sim.Fingerprint]).
+
+    So [`Symmetric] is sound when all processes run one protocol term
+    with one input (the identical-processes setting of Theorem 3.3), or
+    when differing initial terms were distinguished via
+    [Config.make ~fp_seeds] (as [Consensus.Protocol.initial_config]
+    does).  Dedup never changes the violation verdict or the reported
+    witness; it changes only the node counts ([visited], [leaves]) and
+    wall-clock. *)
 
 open Sim
 
@@ -42,12 +52,11 @@ type 'a result = {
   leaves : int;  (** maximal executions reached *)
   truncated : bool;  (** [completeness <> `Exhaustive] *)
   completeness : Robust.Budget.completeness;
-      (** why (and whether) the exploration stopped short; the first
-          reason hit in sequential DFS preorder.  A [`Truncated] result
-          with [violation = None] is an under-approximation — "no
-          violation among the visited states" — never a proof.  Mostly
-          informational when a violation {e was} found: the witness is
-          valid regardless. *)
+      (** why (and whether) the exploration stopped short (see
+          {!search}).  A [`Truncated] result with [violation = None] is
+          an under-approximation — "no violation among the visited
+          states" — never a proof.  Mostly informational when a
+          violation {e was} found: the witness is valid regardless. *)
   max_depth_seen : int;
   table_hits : int;  (** subtrees skipped via the transposition table *)
   table_misses : int;
@@ -78,9 +87,10 @@ val max_depth_bound : int
     preorder nodes — while deadline/cancellation trips are best-effort
     (polled, so overshoot is bounded but the frontier is not
     reproducible).  In [completeness] a budget trip dominates the
-    structural [max_depth]/[max_states] reasons (which report the first
-    one hit in preorder): structural cuts still answer the bounded
-    question, a trip leaves it unanswered.
+    structural reasons: structural cuts still answer the bounded
+    question, a trip leaves it unanswered.  Of the two structural
+    reasons, [`States] wins once [visited] passed [max_states], even
+    when a depth cut came first in preorder.
 
     Checkpoint/resume: [?on_checkpoint] receives the counters plus the
     root-to-cursor choice path every [checkpoint_every] visited nodes
@@ -135,13 +145,8 @@ val search :
     verbatim; call it once, on the calling domain. *)
 val record_result : Obs.t option -> 'a result -> 'a result
 
-(** First terminating solo decision of [pid], searching coin outcomes — a
-    cheap witness of a reachable decision. *)
-val solo_decision :
-  ?max_steps:int -> ?max_nodes:int -> 'a Config.t -> pid:int -> 'a option
-
 (** All values decided in some reachable execution, and whether the set may
-    be an under-approximation (budget hit).  Seeded with per-process solo
-    probes. *)
+    be an under-approximation (budget hit).  Seeded with per-process
+    {!Sim.Run.solo_search} probes (300 steps, 5,000 nodes each). *)
 val decidable_values :
   ?max_depth:int -> ?max_states:int -> 'a Config.t -> 'a list * bool

@@ -124,7 +124,7 @@ let write_obj t i vid = Array.unsafe_set t.slab i vid
 let write_sid t p sid = Array.unsafe_set t.slab (t.n_objs + p) sid
 
 (** Crash process [p] in place (no further steps); mirrors
-    [Run.exec_with_crashes]'s in-place halt. *)
+    [Run.exec ~crashes]'s in-place halt. *)
 let halt t p =
   if not (is_halted t p) then begin
     if not (is_decided t p) then t.enabled <- t.enabled - 1;

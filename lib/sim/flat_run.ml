@@ -1,10 +1,10 @@
 (* Executing flat configurations ({!Flat}): the measurement-loop
-   counterparts of [Run.exec_fast] / [Run.exec_with_crashes] /
+   counterparts of [Run.exec] (with or without crashes) and
    [Run.exec_script], mutating the slab in place.
 
    The randomized executors consume their [Rng.t] in *exactly* the draw
    order of the closure engine ([Sched.random] / [Sched.starving] driven
-   by [Run.exec_fast]): one draw bounded by the enabled count to pick the
+   by [Run.exec]): one draw bounded by the enabled count to pick the
    process, then one draw for the coin iff the chosen process is poised
    at a [Choose] — so a flat run and a closure run from the same seed
    take bit-identical executions.  Instead of a trace (events carry
@@ -99,13 +99,15 @@ let exec_loop ~max_steps ~rng ~pick ?(crashes = []) (t : 'a Flat.t) =
   | Some o -> finish t !rev_schedule !steps o
   | None -> assert false
 
-(** [Run.exec_fast] over [Sched.random ~seed] with [rng = Rng.create
-    seed]: uniformly random enabled process, fair coins, one rng. *)
-let exec_random ?(max_steps = 100_000) ~rng t =
+(** [Run.exec ?crashes] over [Sched.random ~seed] with [rng = Rng.create
+    seed]: uniformly random enabled process, fair coins, one rng.  Before
+    each loop iteration at most one due crash fires (recorded as
+    [`Crash] when the pid was still enabled). *)
+let exec_random ?(max_steps = 100_000) ?crashes ~rng t =
   let pick t = nth_enabled t ~skip:(-1) (Rng.int rng (Flat.enabled_count t)) in
-  exec_loop ~max_steps ~rng ~pick t
+  exec_loop ~max_steps ~rng ~pick ?crashes t
 
-(** [Run.exec_fast] over [Sched.starving ~victim ~seed]: uniform among
+(** [Run.exec] over [Sched.starving ~victim ~seed]: uniform among
     the non-victim enabled processes; the victim moves (with no rng
     draw) only when nobody else can. *)
 let exec_starving ?(max_steps = 100_000) ~victim ~rng t =
@@ -115,13 +117,6 @@ let exec_starving ?(max_steps = 100_000) ~victim ~rng t =
     else nth_enabled t ~skip:victim (Rng.int rng others)
   in
   exec_loop ~max_steps ~rng ~pick t
-
-(** [Run.exec_with_crashes] over [Sched.random]: before each loop
-    iteration at most one due crash fires (recorded as [`Crash] when the
-    pid was still enabled), then one uniformly random step. *)
-let exec_with_crashes ?(max_steps = 100_000) ~crashes ~rng t =
-  let pick t = nth_enabled t ~skip:(-1) (Rng.int rng (Flat.enabled_count t)) in
-  exec_loop ~max_steps ~rng ~pick ~crashes t
 
 (** Deterministic script replay, mirroring [Run.exec_script]: disabled
     or out-of-range pids are skipped, absent/out-of-range coins fall

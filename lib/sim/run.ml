@@ -1,10 +1,12 @@
 (* Executing configurations.
 
-   [step] is the *pure* single-step function: it copies the configuration, so
-   callers (model checker, lower-bound adversaries) can keep the old one.
-   [exec] drives a scheduler over the pure step.  [exec_fast] is an in-place
-   variant with identical semantics for long measurement runs; a property
-   test asserts trace equivalence between the two. *)
+   The step rule is written once, in place ([step_in]).  [step] wraps it
+   on a copy: the *pure* single-step function, so callers (model
+   checker, lower-bound adversaries) can keep the old configuration.
+   [exec] drives a scheduler, with optional crash injection, over the
+   in-place rule on a private copy; [exec_script] replays a recorded
+   schedule the same way.  [solo_search] finds a finite solo execution
+   (the paper's nondeterministic solo termination) over pure steps. *)
 
 type outcome = All_decided | Max_steps | Scheduler_stopped
 
@@ -12,15 +14,6 @@ let outcome_to_string = function
   | All_decided -> "all-decided"
   | Max_steps -> "max-steps"
   | Scheduler_stopped -> "scheduler-stopped"
-
-(* A new constructor must be added here too (the round-trip test sweeps
-   this list), but it cannot silently diverge in naming: the parser is
-   defined as the inverse of [outcome_to_string], whose match the
-   compiler keeps exhaustive. *)
-let all_outcomes = [ All_decided; Max_steps; Scheduler_stopped ]
-
-let outcome_of_string s =
-  List.find_opt (fun outcome -> outcome_to_string outcome = s) all_outcomes
 
 type 'a result = {
   config : 'a Config.t;
@@ -31,143 +24,58 @@ type 'a result = {
 
 exception Step_disabled of int
 
-(* Shared core: compute the successor state of process [pid] plus the events
-   of that step, given the (already current) object array.  Also returns the
-   process's updated consumed-history fingerprint (see [Fingerprint]): the
-   response is mixed in on [Apply], the outcome on [Choose]. *)
-let step_events (config : 'a Config.t) ~pid ~coin ~objects =
-  match config.procs.(pid) with
-  | Proc.Decide _ -> raise (Step_disabled pid)
-  | Proc.Apply { obj; op; k } ->
-      let value, resp = Optype.apply config.optypes.(obj) objects.(obj) op in
-      let proc' = k resp in
-      let fp' = Fingerprint.mix config.fps.(pid) (Fingerprint.value_hash resp) in
-      let ev = Event.Applied { pid; obj; op; resp } in
-      (proc', fp', Some (obj, value), ev)
-  | Proc.Choose { n; k } ->
-      let outcome = coin n in
-      if outcome < 0 || outcome >= n then
-        invalid_arg "Run.step: coin outcome out of range";
-      let proc' = k outcome in
-      let fp' = Fingerprint.mix config.fps.(pid) outcome in
-      (proc', fp', None, Event.Coin { pid; n; outcome })
-
-(** Pure step: returns the successor configuration and the events emitted
-    (the step itself, plus [Decided] if the process just decided).  Raises
-    [Step_disabled] on a decided process and ignores [halted] flags — the
-    caller decides who is allowed to move. *)
-let step (config : 'a Config.t) ~pid ~coin =
-  let config' = Config.copy config in
-  let proc', fp', write_back, ev =
-    step_events config ~pid ~coin ~objects:config'.objects
+(* The step rule: move process [pid] of [config] in place and return the
+   events of that step — the step itself, plus [Decided] if the process
+   just decided.  The process's consumed-history fingerprint (see
+   [Fingerprint]) mixes in the response on [Apply], the outcome on
+   [Choose]. *)
+let step_in (config : 'a Config.t) ~pid ~coin =
+  let proc', ev =
+    match config.procs.(pid) with
+    | Proc.Decide _ -> raise (Step_disabled pid)
+    | Proc.Apply { obj; op; k } ->
+        let value, resp =
+          Optype.apply config.optypes.(obj) config.objects.(obj) op
+        in
+        config.objects.(obj) <- value;
+        config.fps.(pid) <-
+          Fingerprint.mix config.fps.(pid) (Fingerprint.value_hash resp);
+        (k resp, Event.Applied { pid; obj; op; resp })
+    | Proc.Choose { n; k } ->
+        let outcome = coin n in
+        if outcome < 0 || outcome >= n then
+          invalid_arg "Run.step: coin outcome out of range";
+        config.fps.(pid) <- Fingerprint.mix config.fps.(pid) outcome;
+        (k outcome, Event.Coin { pid; n; outcome })
   in
-  (match write_back with
-  | Some (obj, value) -> config'.objects.(obj) <- value
-  | None -> ());
-  config'.procs.(pid) <- proc';
-  config'.fps.(pid) <- fp';
-  let events =
-    match Proc.decision proc' with
-    | Some value -> [ ev; Event.Decided { pid; value } ]
-    | None -> [ ev ]
-  in
-  (config', events)
-
-(** Pure step without event construction — same successor configuration as
-    {!step}, nothing else allocated beyond the configuration copy.  The
-    model checker's happy path: whether the process just decided (and what
-    it decided) is read back off the configuration. *)
-let step_quiet (config : 'a Config.t) ~pid ~coin =
-  let config' = Config.copy config in
-  (match config.procs.(pid) with
-  | Proc.Decide _ -> raise (Step_disabled pid)
-  | Proc.Apply { obj; op; k } ->
-      let value, resp =
-        Optype.apply config.optypes.(obj) config'.objects.(obj) op
-      in
-      config'.objects.(obj) <- value;
-      config'.procs.(pid) <- k resp;
-      config'.fps.(pid) <-
-        Fingerprint.mix config.fps.(pid) (Fingerprint.value_hash resp)
-  | Proc.Choose { n; k } ->
-      let outcome = coin n in
-      if outcome < 0 || outcome >= n then
-        invalid_arg "Run.step: coin outcome out of range";
-      config'.procs.(pid) <- k outcome;
-      config'.fps.(pid) <- Fingerprint.mix config.fps.(pid) outcome);
-  config'
-
-(* In-place step on a private copy owned by [exec_fast]. *)
-let step_inplace (config : 'a Config.t) ~pid ~coin =
-  let proc', fp', write_back, ev =
-    step_events config ~pid ~coin ~objects:config.objects
-  in
-  (match write_back with
-  | Some (obj, value) -> config.objects.(obj) <- value
-  | None -> ());
   config.procs.(pid) <- proc';
-  config.fps.(pid) <- fp';
   match Proc.decision proc' with
   | Some value -> [ ev; Event.Decided { pid; value } ]
   | None -> [ ev ]
 
+(** Pure step: returns the successor configuration and the events emitted.
+    Raises [Step_disabled] on a decided process and ignores [halted]
+    flags — the caller decides who is allowed to move. *)
+let step (config : 'a Config.t) ~pid ~coin =
+  let config' = Config.copy config in
+  let events = step_in config' ~pid ~coin in
+  (config', events)
+
 let finish config rev_trace steps outcome =
   { config; trace = List.rev rev_trace; steps; outcome }
 
-(** Drive [sched] from [config] for at most [max_steps] steps. *)
-let exec ?(max_steps = 100_000) (sched : 'a Sched.t) (config : 'a Config.t) =
-  let rec go config rev_trace steps =
-    if Config.all_decided config then
-      finish config rev_trace steps All_decided
-    else if steps >= max_steps then finish config rev_trace steps Max_steps
-    else
-      match sched.choose config ~step:steps with
-      | None -> finish config rev_trace steps Scheduler_stopped
-      | Some pid ->
-          let config', events =
-            step config ~pid ~coin:(fun n -> sched.coin ~pid ~n)
-          in
-          go config' (List.rev_append events rev_trace) (steps + 1)
-  in
-  go config [] 0
-
-(** Same contract as [exec], but mutates a private copy of [config] in
-    place.  Use for long measurement runs. *)
-let exec_fast ?(max_steps = 100_000) (sched : 'a Sched.t)
+(** Drive [sched] from a private copy of [config] for at most [max_steps]
+    steps.  [crashes] maps step indices to pids halted just before that
+    step — the paper's "a process may become faulty at a given point in
+    an execution" — at most one per iteration, recorded as [Halted]
+    events. *)
+let exec ?(max_steps = 100_000) ?(crashes = []) (sched : 'a Sched.t)
     (config : 'a Config.t) =
   let config = Config.copy config in
   let rev_trace = ref [] in
   let steps = ref 0 in
-  let outcome = ref None in
-  while !outcome = None do
-    if Config.all_decided config then outcome := Some All_decided
-    else if !steps >= max_steps then outcome := Some Max_steps
-    else
-      match sched.choose config ~step:!steps with
-      | None -> outcome := Some Scheduler_stopped
-      | Some pid ->
-          let events =
-            step_inplace config ~pid ~coin:(fun n -> sched.coin ~pid ~n)
-          in
-          rev_trace := List.rev_append events !rev_trace;
-          incr steps
-  done;
-  match !outcome with
-  | Some o -> finish config !rev_trace !steps o
-  | None -> assert false
-
-(** Like {!exec_fast}, with crash injection: [crashes] maps step indices to
-    pids halted just before that step — the paper's "a process may become
-    faulty at a given point in an execution".  Crashes are recorded as
-    [Halted] events. *)
-let exec_with_crashes ?(max_steps = 100_000) ~crashes (sched : 'a Sched.t)
-    (config : 'a Config.t) =
-  let config = Config.copy config in
-  let rev_trace = ref [] in
-  let steps = ref 0 in
-  let outcome = ref None in
   let remaining = ref (List.sort compare crashes) in
-  while !outcome = None do
+  let rec go () =
     (match !remaining with
     | (at, pid) :: rest when at <= !steps ->
         remaining := rest;
@@ -176,21 +84,21 @@ let exec_with_crashes ?(max_steps = 100_000) ~crashes (sched : 'a Sched.t)
           rev_trace := Event.Halted { pid } :: !rev_trace
         end
     | _ -> ());
-    if Config.all_decided config then outcome := Some All_decided
-    else if !steps >= max_steps then outcome := Some Max_steps
+    if Config.all_decided config then All_decided
+    else if !steps >= max_steps then Max_steps
     else
       match sched.Sched.choose config ~step:!steps with
-      | None -> outcome := Some Scheduler_stopped
+      | None -> Scheduler_stopped
       | Some pid ->
           let events =
-            step_inplace config ~pid ~coin:(fun n -> sched.Sched.coin ~pid ~n)
+            step_in config ~pid ~coin:(fun n -> sched.Sched.coin ~pid ~n)
           in
           rev_trace := List.rev_append events !rev_trace;
-          incr steps
-  done;
-  match !outcome with
-  | Some o -> finish config !rev_trace !steps o
-  | None -> assert false
+          incr steps;
+          go ()
+  in
+  let outcome = go () in
+  finish config !rev_trace !steps outcome
 
 (** Deterministically replay a recorded schedule script (see [Fuzz.Schedule]
     for the recording side).  Each element either crashes a process
@@ -225,7 +133,7 @@ let exec_script ?(max_steps = 100_000) ~script (config : 'a Config.t) =
             let coin k =
               match coin with Some c when c >= 0 && c < k -> c | _ -> 0
             in
-            let events = step_inplace config ~pid ~coin in
+            let events = step_in config ~pid ~coin in
             rev_trace := List.rev_append events !rev_trace;
             incr steps
           end;
@@ -234,26 +142,83 @@ let exec_script ?(max_steps = 100_000) ~script (config : 'a Config.t) =
   let outcome = go script in
   finish config !rev_trace !steps outcome
 
-(** Run process [pid] solo with explicitly given coin outcomes; stops when
-    the process decides, the coins run out, or [max_steps] is reached.
-    Returns the final configuration, trace, and unused coins.  This is the
-    workhorse of the solo-termination search in [lowerbound]. *)
-let run_solo_with_coins (config : 'a Config.t) ~pid ~coins
-    ?(max_steps = 10_000) () =
-  let rec go config rev_trace coins steps =
-    if (not (Config.is_enabled config pid)) || steps >= max_steps then
-      (config, List.rev rev_trace, coins)
-    else
-      match (config.procs.(pid), coins) with
-      | Proc.Choose _, [] -> (config, List.rev rev_trace, [])
-      | _ ->
-          let used = ref false in
-          let coin _n =
-            used := true;
-            match coins with c :: _ -> c | [] -> assert false
-          in
-          let config', events = step config ~pid ~coin in
-          let coins = if !used then List.tl coins else coins in
-          go config' (List.rev_append events rev_trace) coins (steps + 1)
+(* Nondeterministic solo termination, made effective.
+
+   The property (Section 2): from every configuration, every process has
+   *some* finite solo execution that completes its operation.  The proofs
+   use it purely existentially; the executable adversaries need
+   witnesses, so we search: depth-first over the process's internal coin
+   outcomes (solo applies are deterministic), bounded by path length and
+   total nodes.  A protocol for which the search fails within the budget
+   is reported as such, never silently treated as terminating.
+
+   [stop] generalizes the goal, e.g. Lemma 3.4 runs a process "until it
+   has decided or is poised at an object in V-bar": pass a predicate that
+   holds when the process's pending nontrivial operation lies outside V. *)
+
+type 'a solo = {
+  coins : int list;  (** coin outcomes along the found path, in order *)
+  decision : 'a option;  (** [Some v] if the goal state has pid decided *)
+  solo_steps : int;  (** solo steps on the found path *)
+}
+
+let solo_search ?(max_steps = 2_000) ?(max_nodes = 200_000) ?meter
+    ?(stop = fun _config _pid -> false) ?rng (config : 'a Config.t) ~pid =
+  let nodes = ref 0 in
+  (* [meter] is the caller's budget (deadline/cancellation/global step
+     cap) layered over the local [max_steps]/[max_nodes] bounds: local
+     exhaustion means "no witness found" and the search backtracks, while
+     a metered trip means "stop everything" and unwinds the whole
+     construction via [Robust.Budget.Exhausted]. *)
+  let guard () =
+    match meter with
+    | None -> ()
+    | Some m -> Robust.Budget.Meter.guard_step m
   in
-  go config [] coins 0
+  (* With [rng], coin outcomes at each Choose node are tried in a
+     shuffled order instead of 0..n-1: a randomized restart of the same
+     complete search.  Different seeds reach different witnesses (and can
+     escape pathological corners of the tree); a fixed seed is fully
+     deterministic, which is what the parallel seed sweeps rely on. *)
+  let outcome_order n =
+    match rng with
+    | None -> Array.init n Fun.id
+    | Some rng ->
+        let order = Array.init n Fun.id in
+        Rng.shuffle rng order;
+        order
+  in
+  (* rev_coins accumulates outcomes; returns the goal description *)
+  let rec go config rev_coins steps =
+    guard ();
+    incr nodes;
+    if !nodes > max_nodes || steps > max_steps then None
+    else if Config.is_decided config pid then
+      Some
+        {
+          coins = List.rev rev_coins;
+          decision = Config.decision config pid;
+          solo_steps = steps;
+        }
+    else if stop config pid then
+      Some { coins = List.rev rev_coins; decision = None; solo_steps = steps }
+    else
+      match config.Config.procs.(pid) with
+      | Proc.Decide _ -> assert false
+      | Proc.Apply _ ->
+          let config', _ = step config ~pid ~coin:(fun _ -> 0) in
+          go config' rev_coins (steps + 1)
+      | Proc.Choose { n; _ } ->
+          let order = outcome_order n in
+          let rec try_outcome idx =
+            if idx >= n then None
+            else
+              let o = order.(idx) in
+              let config', _ = step config ~pid ~coin:(fun _ -> o) in
+              match go config' (o :: rev_coins) (steps + 1) with
+              | Some _ as found -> found
+              | None -> try_outcome (idx + 1)
+          in
+          try_outcome 0
+  in
+  go config [] 0

@@ -1,18 +1,11 @@
-(** Executing configurations: the pure single-step function and two
-    scheduler-driven runners with identical semantics (a property test
-    asserts trace equivalence). *)
+(** Executing configurations: one step rule, applied purely by {!step},
+    in place on a private copy by the scheduler loop {!exec} and the
+    script replayer {!exec_script}, and the solo-termination search
+    {!solo_search} over pure steps. *)
 
 type outcome = All_decided | Max_steps | Scheduler_stopped
 
 val outcome_to_string : outcome -> string
-
-(** Inverse of {!outcome_to_string}; [None] on unknown input.  Used by
-    durable formats (trace dumps, checkpoints) that must re-parse what
-    they print. *)
-val outcome_of_string : string -> outcome option
-
-(** Every [outcome] constructor, for round-trip sweeps. *)
-val all_outcomes : outcome list
 
 type 'a result = {
   config : 'a Config.t;
@@ -32,24 +25,14 @@ exception Step_disabled of int
 val step :
   'a Config.t -> pid:int -> coin:(int -> int) -> 'a Config.t * 'a Event.t list
 
-(** {!step} without event construction: same successor configuration,
-    nothing allocated beyond the configuration copy.  The model checker's
-    happy path; decisions are read back off the configuration. *)
-val step_quiet : 'a Config.t -> pid:int -> coin:(int -> int) -> 'a Config.t
-
 (** Drive a scheduler for at most [max_steps] steps (default 100_000),
-    copying configurations (persistent). *)
-val exec : ?max_steps:int -> 'a Sched.t -> 'a Config.t -> 'a result
-
-(** Same contract as {!exec} but mutates a private copy in place; use for
-    long measurement runs. *)
-val exec_fast : ?max_steps:int -> 'a Sched.t -> 'a Config.t -> 'a result
-
-(** {!exec_fast} with crash injection: [crashes] maps step indices to pids
-    halted just before that step; recorded as [Halted] events. *)
-val exec_with_crashes :
+    stepping a private copy of the configuration in place (the caller's
+    is never touched).  [crashes] (default none) maps step indices to
+    pids halted just before that step, at most one per loop iteration;
+    recorded as [Halted] events. *)
+val exec :
   ?max_steps:int ->
-  crashes:(int * int) list ->
+  ?crashes:(int * int) list ->
   'a Sched.t ->
   'a Config.t ->
   'a result
@@ -69,13 +52,36 @@ val exec_script :
   'a Config.t ->
   'a result
 
-(** Run [pid] solo with the given coin outcomes until it decides, runs out
-    of coins at a flip, or [max_steps] is reached.  Returns final
-    configuration, trace, and unused coins. *)
-val run_solo_with_coins :
+(** A finite solo execution found by {!solo_search}. *)
+type 'a solo = {
+  coins : int list;  (** coin outcomes along the found path, in order *)
+  decision : 'a option;  (** [Some v] iff the goal state has pid decided *)
+  solo_steps : int;  (** solo steps on the found path *)
+}
+
+(** Nondeterministic solo termination (Section 2), made effective: search
+    the tree of [pid]'s internal coin outcomes, depth first, for a finite
+    solo execution reaching a goal — [pid] decided, or [stop config pid]
+    (checked before each step; default never).  [None] when no goal is
+    reached within [max_steps] steps per path (default 2_000) and
+    [max_nodes] nodes in all (default 200_000): a protocol for which the
+    search fails is reported as such, never silently assumed
+    terminating.
+
+    With [rng], coin outcomes at each node are tried in a shuffled order
+    — a randomized restart of the same complete search, deterministic for
+    a fixed generator state (the parallel seed sweeps of the attacks).
+
+    [?meter] layers a caller-wide budget (deadline, cancellation, global
+    step cap) over the local bounds: exhausting them means "no witness"
+    and returns [None], while a metered trip raises
+    {!Robust.Budget.Exhausted} to unwind the whole construction. *)
+val solo_search :
+  ?max_steps:int ->
+  ?max_nodes:int ->
+  ?meter:Robust.Budget.Meter.t ->
+  ?stop:('a Config.t -> int -> bool) ->
+  ?rng:Rng.t ->
   'a Config.t ->
   pid:int ->
-  coins:int list ->
-  ?max_steps:int ->
-  unit ->
-  'a Config.t * 'a Trace.t * int list
+  'a solo option

@@ -77,22 +77,6 @@ let solo ~pid ~seed =
   in
   { name = Printf.sprintf "solo(P%d)" pid; choose; coin = fair_coin rng }
 
-(** Replay a recorded schedule: a fixed list of pids, then stop.  Skips a
-    scheduled pid silently if it is no longer enabled (decided earlier than
-    the recording expected), which keeps replays robust. *)
-let replay ~pids ~seed =
-  let rng = Rng.create seed in
-  let remaining = ref pids in
-  let rec choose config ~step =
-    match !remaining with
-    | [] -> None
-    | pid :: rest ->
-        remaining := rest;
-        if Config.is_enabled config pid then Some pid
-        else choose config ~step
-  in
-  { name = "replay"; choose; coin = fair_coin rng }
-
 (** Starve [victim]: schedule uniformly among the {e other} enabled
     processes, letting the victim move only when nobody else can.  The
     classic adversary against protocols that implicitly assume every

@@ -19,10 +19,6 @@ val random : seed:int -> 'a t
 (** Run one process solo; everyone else stalls. *)
 val solo : pid:int -> seed:int -> 'a t
 
-(** Replay a fixed pid sequence, skipping pids that are no longer enabled,
-    then stop. *)
-val replay : pids:int list -> seed:int -> 'a t
-
 (** Starve [victim]: uniformly random among the other enabled processes;
     the victim moves only when nobody else can.  Fair coins. *)
 val starving : victim:int -> seed:int -> 'a t

@@ -87,11 +87,11 @@ let test_witness_replayable () =
 let test_solo_search () =
   let p = Flawed.unanimous ~style:Flawed.Rw ~r:2 in
   let config = Protocol.initial_config p ~inputs:[ 0; 1 ] in
-  (match Solo.terminating config ~pid:0 with
-  | Some { decision = Some 0; steps; _ } ->
-      Alcotest.(check bool) "solo run has steps" true (steps > 0)
+  (match Run.solo_search config ~pid:0 with
+  | Some { decision = Some 0; solo_steps; _ } ->
+      Alcotest.(check bool) "solo run has steps" true (solo_steps > 0)
   | _ -> Alcotest.fail "P0 solo should decide 0");
-  match Solo.terminating config ~pid:1 with
+  match Run.solo_search config ~pid:1 with
   | Some { decision = Some 1; _ } -> ()
   | _ -> Alcotest.fail "P1 solo should decide 1"
 
@@ -99,10 +99,10 @@ let test_solo_search () =
 let test_solo_stop_predicate () =
   let p = Flawed.unanimous ~style:Flawed.Rw ~r:2 in
   let config = Protocol.initial_config p ~inputs:[ 0; 1 ] in
-  match Solo.search config ~pid:0 ~stop:Solo.poised_anywhere with
-  | Some { decision = None; steps; _ } ->
+  match Run.solo_search config ~pid:0 ~stop:Solo.poised_anywhere with
+  | Some { decision = None; solo_steps; _ } ->
       (* unanimous writes immediately: prefix is empty *)
-      Alcotest.(check int) "stops before first write" 0 steps
+      Alcotest.(check int) "stops before first write" 0 solo_steps
   | _ -> Alcotest.fail "expected to stop poised at first write"
 
 (* Builder bookkeeping: cloning the last writer yields a process poised to

@@ -76,7 +76,7 @@ let test_crash_one () =
             let inputs = some_inputs n (seed * 31 + victim) in
             let config = Protocol.initial_config p ~inputs in
             let config = Config.halt config victim in
-            let result = Run.exec_fast (Sched.random ~seed) config in
+            let result = Run.exec (Sched.random ~seed) config in
             let verdict = Checker.of_config ~inputs result.Run.config in
             if not (Checker.ok verdict) then
               Alcotest.failf "%s crash P%d seed %d: safety broken"
@@ -97,7 +97,7 @@ let test_solo_decides_own () =
         for seed = 1 to 5 do
           let inputs = [ 1; 0; 0; 0 ] in
           let config = Protocol.initial_config p ~inputs in
-          let result = Run.exec_fast (Sched.solo ~pid:0 ~seed) config in
+          let result = Run.exec (Sched.solo ~pid:0 ~seed) config in
           match Config.decision result.Run.config 0 with
           | Some 1 -> ()
           | Some v -> Alcotest.failf "%s solo decided %d" p.Protocol.name v

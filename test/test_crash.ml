@@ -1,4 +1,4 @@
-(* Crash injection: the exec_with_crashes runner and the fault-tolerance
+(* Crash injection: [Run.exec ~crashes] and the fault-tolerance
    claim (survivors always decide, safety never breaks). *)
 
 open Sim
@@ -8,9 +8,7 @@ let test_crash_recorded () =
   let p = Fa_consensus.protocol in
   let inputs = [ 0; 1; 1 ] in
   let config = Protocol.initial_config p ~inputs in
-  let result =
-    Run.exec_with_crashes ~crashes:[ (3, 0) ] (Sched.round_robin ()) config
-  in
+  let result = Run.exec ~crashes:[ (3, 0) ] (Sched.round_robin ()) config in
   let halts =
     List.filter
       (function Event.Halted _ -> true | _ -> false)
@@ -43,7 +41,7 @@ let test_survivors_decide () =
           (* crash three processes at staggered points *)
           let crashes = [ (4, 0); (9, 1); (14, 2) ] in
           let result =
-            Run.exec_with_crashes ~max_steps:500_000 ~crashes
+            Run.exec ~max_steps:500_000 ~crashes
               (Sched.random ~seed) config
           in
           let verdict = Checker.of_config ~inputs result.Run.config in
@@ -60,7 +58,7 @@ let test_crash_everyone () =
   let inputs = [ 0; 1 ] in
   let config = Protocol.initial_config p ~inputs in
   let result =
-    Run.exec_with_crashes ~crashes:[ (1, 0); (2, 1) ] (Sched.random ~seed:1)
+    Run.exec ~crashes:[ (1, 0); (2, 1) ] (Sched.random ~seed:1)
       config
   in
   (* everyone crashed: run ends (all "decided-or-halted"), nobody decided,
@@ -90,7 +88,7 @@ let test_registry_crash_sweep () =
             let inputs = List.init n (fun _ -> Rng.int rng 2) in
             let config = Protocol.initial_config p ~inputs in
             let result =
-              Run.exec_with_crashes ~max_steps:500_000 ~crashes
+              Run.exec ~max_steps:500_000 ~crashes
                 (Sched.random ~seed) config
             in
             let verdict = Checker.of_config ~inputs result.Run.config in
@@ -128,7 +126,7 @@ let prop_random_crashes =
     (fun (seed, crashes, inputs) ->
       let config = Protocol.initial_config Fa_consensus.protocol ~inputs in
       let result =
-        Run.exec_with_crashes ~max_steps:200_000 ~crashes
+        Run.exec ~max_steps:200_000 ~crashes
           (Sched.random ~seed:(seed + 1))
           config
       in

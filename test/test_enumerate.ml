@@ -12,7 +12,7 @@ module D = Consensus.Dtree
 let tree s = Result.get_ok (D.of_string s)
 let solo_decisions = Enumerate.dtree_solo_decisions ~style:D.Rw ~registers:1
 
-let solo_decision t =
+let solo_value t =
   match solo_decisions t with
   | [ v ] -> v
   | vs -> Alcotest.failf "%d reachable solo outcomes" (List.length vs)
@@ -30,13 +30,13 @@ let test_tree_counts () =
     (count ~style:D.Swapping ~coins:false 1)
 
 let test_tree_semantics () =
-  Alcotest.(check int) "decide" 0 (solo_decision (tree "d0"));
-  Alcotest.(check int) "write then decide" 1 (solo_decision (tree "w0.0(d1)"));
+  Alcotest.(check int) "decide" 0 (solo_value (tree "d0"));
+  Alcotest.(check int) "write then decide" 1 (solo_value (tree "w0.0(d1)"));
   (* read from the empty register takes the empty branch *)
   Alcotest.(check int) "read empty branch" 0
-    (solo_decision (tree "r0(d0,d1,d1)"));
+    (solo_value (tree "r0(d0,d1,d1)"));
   Alcotest.(check int) "write then read own" 1
-    (solo_decision (tree "w0.1(r0(d0,d0,d1))"))
+    (solo_value (tree "w0.1(r0(d0,d0,d1))"))
 
 (* E12's rows come from CEGIS's n = 2 round; the brute-force referee
    must print the same row wherever it can afford every pair *)

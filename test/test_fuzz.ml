@@ -307,7 +307,7 @@ let test_exec_script_reproduces_run () =
         | None -> Alcotest.fail "cas-1 not registered"
       in
       let config () = Consensus.Protocol.initial_config p ~inputs:[ 0; 1 ] in
-      let original = Run.exec_fast (Sched.random ~seed) (config ()) in
+      let original = Run.exec (Sched.random ~seed) (config ()) in
       let script = Fuzz.Schedule.of_trace original.Run.trace in
       let replayed = Run.exec_script ~script (config ()) in
       Alcotest.(check bool)
@@ -321,7 +321,7 @@ let test_exec_script_total_on_mangled_scripts () =
      the shrinker relies on *)
   let p = Consensus.Flawed.first_writer ~r:1 in
   let config () = Consensus.Protocol.initial_config p ~inputs:[ 0; 1 ] in
-  let original = Run.exec_fast (Sched.random ~seed:3) (config ()) in
+  let original = Run.exec (Sched.random ~seed:3) (config ()) in
   let script = Fuzz.Schedule.of_trace original.Run.trace in
   let n = List.length script in
   for mask = 0 to min 255 ((1 lsl n) - 1) do

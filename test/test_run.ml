@@ -79,19 +79,32 @@ let test_coin_out_of_range () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected out-of-range rejection"
 
-let test_pure_fast_equivalent =
-  (* the two runners produce identical traces for identical seeds *)
-  QCheck.Test.make ~name:"pure/fast runners agree" ~count:50
+let test_exec_matches_pure_steps =
+  (* [exec]'s in-place loop takes the trace that folding the pure [step]
+     under the same scheduler takes *)
+  QCheck.Test.make ~name:"exec = fold of pure steps" ~count:50
     QCheck.(pair (int_bound 10_000) (list_of_size Gen.(1 -- 4) (int_bound 1)))
     (fun (seed, inputs) ->
       QCheck.assume (inputs <> []);
       let inputs = if List.length inputs = 1 then [ 0; 1 ] else inputs in
       let inputs = List.filteri (fun i _ -> i < 2) inputs in
       let mk () = tiny_config inputs in
-      let r1 = Run.exec (Sched.random ~seed) (mk ()) in
-      let r2 = Run.exec_fast (Sched.random ~seed) (mk ()) in
-      r1.Run.trace = r2.Run.trace
-      && Config.decisions r1.Run.config = Config.decisions r2.Run.config)
+      let r = Run.exec (Sched.random ~seed) (mk ()) in
+      let sched = Sched.random ~seed in
+      let rec fold config rev_events step =
+        if Config.all_decided config then (config, List.rev rev_events)
+        else
+          match sched.Sched.choose config ~step with
+          | None -> (config, List.rev rev_events)
+          | Some pid ->
+              let config', events =
+                Run.step config ~pid ~coin:(fun n -> sched.Sched.coin ~pid ~n)
+              in
+              fold config' (List.rev_append events rev_events) (step + 1)
+      in
+      let config, trace = fold (mk ()) [] 0 in
+      r.Run.trace = trace
+      && Config.decisions r.Run.config = Config.decisions config)
   |> QCheck_alcotest.to_alcotest
 
 let test_add_proc () =
@@ -102,24 +115,6 @@ let test_add_proc () =
   Alcotest.(check int) "original untouched" 2 (Config.n_procs config);
   let result = Run.exec (Sched.round_robin ()) config' in
   Alcotest.(check bool) "still runs" true (result.Run.outcome = Run.All_decided)
-
-let test_outcome_string_round_trip () =
-  (* [all_outcomes] covers the variant (the exhaustive match inside
-     [outcome_to_string] keeps it honest at compile time), and the codec
-     is its own inverse — durable formats re-parse what they print *)
-  List.iter
-    (fun outcome ->
-      let s = Run.outcome_to_string outcome in
-      Alcotest.(check bool) (s ^ " round-trips") true
-        (Run.outcome_of_string s = Some outcome))
-    Run.all_outcomes;
-  let strings = List.map Run.outcome_to_string Run.all_outcomes in
-  Alcotest.(check int) "outcome strings distinct"
-    (List.length Run.all_outcomes)
-    (List.length (List.sort_uniq compare strings));
-  Alcotest.(check bool) "garbage rejected" true
-    (Run.outcome_of_string "gave-up" = None
-    && Run.outcome_of_string "" = None)
 
 let test_poised_at () =
   let config = tiny_config [ 1; 2 ] in
@@ -138,9 +133,7 @@ let suite =
     Alcotest.test_case "max steps" `Quick test_max_steps;
     Alcotest.test_case "step disabled raises" `Quick test_step_disabled;
     Alcotest.test_case "coin range checked" `Quick test_coin_out_of_range;
-    test_pure_fast_equivalent;
+    test_exec_matches_pure_steps;
     Alcotest.test_case "add_proc" `Quick test_add_proc;
-    Alcotest.test_case "outcome string round-trip" `Quick
-      test_outcome_string_round_trip;
     Alcotest.test_case "poised_at" `Quick test_poised_at;
   ]

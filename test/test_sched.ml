@@ -24,26 +24,26 @@ let test_random_deterministic_by_seed () =
   let r2 = Run.exec (Sched.random ~seed:5) (config3 ()) in
   Alcotest.(check bool) "same trace" true (r1.Run.trace = r2.Run.trace)
 
+(* recorded schedules replay through [Run.exec_script] *)
+let replay pids =
+  Run.exec_script ~script:(List.map (fun pid -> `Step (pid, None)) pids)
+
 let test_replay_schedule () =
-  let result =
-    Run.exec (Sched.replay ~pids:[ 2; 0; 1 ] ~seed:1) (config3 ())
-  in
+  let result = replay [ 2; 0; 1 ] (config3 ()) in
   let apply_pids =
     List.map (fun (pid, _, _, _) -> pid) (Trace.applied_ops result.Run.trace)
   in
   Alcotest.(check (list int)) "replayed order" [ 2; 0; 1 ] apply_pids
 
 let test_replay_stops () =
-  let result = Run.exec (Sched.replay ~pids:[ 0 ] ~seed:1) (config3 ()) in
+  let result = replay [ 0 ] (config3 ()) in
   Alcotest.(check bool) "stops after list" true
     (result.Run.outcome = Run.Scheduler_stopped);
   Alcotest.(check int) "one step" 1 result.Run.steps
 
 let test_replay_skips_decided () =
   (* scheduling a decided process is skipped, not an error *)
-  let result =
-    Run.exec (Sched.replay ~pids:[ 0; 0; 0; 1 ] ~seed:1) (config3 ())
-  in
+  let result = replay [ 0; 0; 0; 1 ] (config3 ()) in
   (* P0 has 2 steps (write + implicit decide is same step); after its
      decision further 0s are skipped *)
   let apply_pids =

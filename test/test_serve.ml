@@ -85,9 +85,10 @@ let endless_job () =
   mc_job ~inputs:[ 0; 1; 1; 0 ] ~depth:200 ~max_states:2_000_000_000
     "counter-3"
 
-(* ~1.7s sequential (25M nodes, "truncated (depth)", exit 0), checkpoints
-   every few ms: the interrupt/resume prop.  It must outlast the drain
-   and kill -9 tests' cut, so the interruption lands mid-search. *)
+(* ~1.7s sequential (25M nodes, just past its 25M state cap:
+   "truncated (states)", exit 0), checkpoints every few ms: the
+   interrupt/resume prop.  It must outlast the drain and kill -9 tests'
+   cut, so the interruption lands mid-search. *)
 let resumable_job () = mc_job ~depth:22 ~max_states:25_000_000 "rw-3n"
 
 let resumable_cli_args =
@@ -222,14 +223,11 @@ let test_round_trip_identity () =
   in
   check_identity "mc" (quick_job ());
   check_identity "fuzz" (fuzz_job ());
-  (* ... and byte-identical to the binary, including under --jobs *)
+  (* ... and byte-identical to the binary *)
   let direct = Serve.Job.execute (quick_job ()) in
-  let cli =
-    run_cli
-      [ "mc"; "counter-3"; "--inputs"; "0,1"; "--depth"; "10"; "--jobs"; "2" ]
-  in
+  let cli = run_cli [ "mc"; "counter-3"; "--inputs"; "0,1"; "--depth"; "10" ] in
   Alcotest.(check int) "cli exit code" direct.Serve.Job.status cli.code;
-  Alcotest.(check (list string)) "cli --jobs 2 lines" direct.Serve.Job.lines
+  Alcotest.(check (list string)) "cli lines" direct.Serve.Job.lines
     (lines_of cli.out);
   (* attack jobs, the failing one included (its line goes to stderr,
      which run_cli merges) *)

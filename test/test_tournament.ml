@@ -3,7 +3,6 @@
 
 open Sim
 open Consensus
-open Lowerbound
 
 let p = Tas_tournament.protocol
 
@@ -23,7 +22,7 @@ let test_safe_under_fair_schedules () =
 
 let test_solo_terminates () =
   let config = Protocol.initial_config p ~inputs:[ 1; 0; 0 ] in
-  match Solo.terminating config ~pid:0 with
+  match Run.solo_search config ~pid:0 with
   | Some { decision = Some 1; _ } -> ()
   | _ -> Alcotest.fail "solo run should win and decide its input"
 
@@ -57,7 +56,7 @@ let test_winner_crash_blocks () =
         else List.find_opt (fun pid -> pid <> 0) (Config.enabled_pids config))
   in
   let result =
-    Run.exec_with_crashes ~max_steps:500
+    Run.exec ~max_steps:500
       ~crashes:[ (2, 0) ] (* P0 dies right after winning, before announcing *)
       sched config
   in

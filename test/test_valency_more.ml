@@ -26,12 +26,16 @@ let test_unanimous_inputs_never_bivalent () =
   Alcotest.(check int) "univalent start" 0
     (Mc.Valency.bivalence_survival ~max_depth:4 config)
 
+(* the probe [decidable_values] seeds itself with *)
 let test_solo_probe () =
   let config = Protocol.initial_config Rw_consensus.protocol ~inputs:[ 0; 1 ] in
-  Alcotest.(check (option int)) "P0 solo decides 0" (Some 0)
-    (Mc.Explore.solo_decision config ~pid:0);
-  Alcotest.(check (option int)) "P1 solo decides 1" (Some 1)
-    (Mc.Explore.solo_decision config ~pid:1)
+  let probe pid =
+    Option.bind
+      (Sim.Run.solo_search ~max_steps:300 ~max_nodes:5_000 config ~pid)
+      (fun f -> f.Sim.Run.decision)
+  in
+  Alcotest.(check (option int)) "P0 solo decides 0" (Some 0) (probe 0);
+  Alcotest.(check (option int)) "P1 solo decides 1" (Some 1) (probe 1)
 
 let test_decidable_values_seeded () =
   let config = Protocol.initial_config Rw_consensus.protocol ~inputs:[ 0; 1 ] in
