@@ -37,6 +37,7 @@ type error =
   | No_solo_termination of int  (** pid whose solo search failed *)
   | Solo_decides_wrong of { pid : int; expected : int; got : int }
   | Construction_failed of string
+  | Budget_exhausted of Robust.Budget.reason
 
 let error_to_string = function
   | Not_identical -> "protocol does not have identical process code"
@@ -47,6 +48,9 @@ let error_to_string = function
       Printf.sprintf "P%d solo decided %d, expected its own input %d" pid got
         expected
   | Construction_failed msg -> "construction failed: " ^ msg
+  | Budget_exhausted reason ->
+      Printf.sprintf "budget exhausted (%s) before the construction finished"
+        (Robust.Budget.reason_to_string reason)
 
 (* Run [pid]'s witness up to (excluding) its first nontrivial operation;
    returns remaining coins, or None if it decided without one. *)
@@ -70,31 +74,26 @@ let finish b ~n_objects ~nominal_n =
     nominal_n;
   }
 
-let run ?(nominal_n = 64) ?(max_solo_steps = 5_000) ?(max_solo_nodes = 500_000)
-    ?rng (p : Consensus.Protocol.t) =
+let run ?budget ?(nominal_n = 64) ?rng (p : Consensus.Protocol.t) =
   if not p.Consensus.Protocol.identical then Error Not_identical
   else begin
-    Combine.set_search_budget (max_solo_steps, max_solo_nodes);
     let optypes = p.Consensus.Protocol.optypes ~n:nominal_n in
     let n_objects = List.length optypes in
     let code input = p.Consensus.Protocol.code ~n:nominal_n ~pid:0 ~input in
     let config = Config.make ~optypes ~procs:[ code 0; code 1 ] in
     let solo pid expected =
-      match
-        Run.solo_search ~max_steps:max_solo_steps ~max_nodes:max_solo_nodes
-          ?rng config ~pid
-      with
+      match Combine.solo_search ?rng config ~pid with
       | None -> Error (No_solo_termination pid)
       | Some { decision = Some d; _ } when d <> expected ->
           Error (Solo_decides_wrong { pid; expected; got = d })
       | Some ({ decision = Some _; _ } as f) -> Ok f
       | Some { decision = None; _ } -> assert false
     in
-    match (solo 0 0, solo 1 1) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok alpha, Ok beta -> (
-        let b = Builder.create ~config ~inputs:[ 0; 1 ] in
-        try
+    let construct () =
+      match (solo 0 0, solo 1 1) with
+      | Error e, _ | _, Error e -> Error e
+      | Ok alpha, Ok beta ->
+          let b = Builder.create ~config ~inputs:[ 0; 1 ] in
           (match run_prefix b ~pid:0 ~coins:alpha.Run.coins with
           | None ->
               (* alpha wrote nothing: run it, then beta replays solo *)
@@ -131,29 +130,29 @@ let run ?(nominal_n = 64) ?(max_solo_steps = 5_000) ?(max_solo_nodes = 500_000)
                   in
                   Combine.combine b pside qside));
           Ok (finish b ~n_objects ~nominal_n)
-        with Combine.Attack_failed msg -> Error (Construction_failed msg))
+    in
+    match Combine.governed budget construct with
+    | Ok result -> result
+    | Error (`Failed msg) -> Error (Construction_failed msg)
+    | Error (`Exhausted reason) -> Error (Budget_exhausted reason)
   end
 
 (** Did the attack produce a genuine violation? *)
 let succeeded outcome = not outcome.verdict.Checker.consistent
 
 (* ------------------------------------------------------------------ *)
-(* Parallel sweeps.
+(* Seed sweeps.
 
    The construction itself is sequential; what parallelizes is the search
    *around* it: randomized-restart seeds for the solo witness searches
    (each seed shuffles the coin-outcome order and can land on a different,
-   often shorter, witness) and batches of target protocols.  Tasks are
-   independent — all shared construction state (the Combine search budget)
-   is domain-local — and results come back in input order, so a sweep's
-   output is bit-identical for any [?pool]. *)
+   often shorter, witness).  Seeds are independent — the construction's
+   meter is domain-local — and results come back in seed order, so a
+   sweep's output is bit-identical for any [?pool]. *)
 
-let seed_sweep ?pool ?nominal_n ?max_solo_steps ?max_solo_nodes ~seeds p =
+let seed_sweep ?pool ?budget ?nominal_n ~seeds p =
   Par.map ?pool
-    (fun seed ->
-      ( seed,
-        run ?nominal_n ?max_solo_steps ?max_solo_nodes ~rng:(Rng.create seed) p
-      ))
+    (fun seed -> (seed, run ?budget ?nominal_n ~rng:(Rng.create seed) p))
     seeds
 
 let best_witness results =
@@ -168,9 +167,6 @@ let best_witness results =
       | Ok _ | Error _ -> best)
     None results
   |> Option.map fst
-
-let sweep ?pool ps =
-  Par.map ?pool (fun p -> (p.Consensus.Protocol.name, run p)) ps
 
 (* ------------------------------------------------------------------ *)
 (* Certification: realize the attack's execution from a *fresh* start.

@@ -1,7 +1,9 @@
 (** Lemma 3.2 / Theorem 3.3, as a program: the adversary for
     identical-process consensus protocols over read-write registers.
     Given such a protocol (with nondeterministic solo termination), build
-    a replayable execution deciding both 0 and 1. *)
+    a replayable execution deciding both 0 and 1.  Every solo search it
+    makes, the two initial ones included, is {!Combine.solo_search} under
+    the [?budget]'s meter. *)
 
 open Sim
 
@@ -21,15 +23,20 @@ type error =
   | No_solo_termination of int
   | Solo_decides_wrong of { pid : int; expected : int; got : int }
   | Construction_failed of string
+  | Budget_exhausted of Robust.Budget.reason
+      (** the governed construction was cut short: no witness {e and} no
+          evidence of robustness — an explicitly unknown outcome *)
 
 val error_to_string : error -> string
 
-(** With [rng], the solo witness searches try coin outcomes in shuffled
-    order (randomized restarts); a fixed generator is deterministic. *)
+(** With [rng], the two initial solo searches try coin outcomes in
+    shuffled order (randomized restarts); a fixed generator is
+    deterministic.  [?budget] governs every solo search (via
+    {!Combine.governed}); a trip surfaces as
+    [Error (Budget_exhausted reason)], as in {!General_attack.run}. *)
 val run :
+  ?budget:Robust.Budget.t ->
   ?nominal_n:int ->
-  ?max_solo_steps:int ->
-  ?max_solo_nodes:int ->
   ?rng:Rng.t ->
   Consensus.Protocol.t ->
   (outcome, error) result
@@ -38,13 +45,14 @@ val run :
 val succeeded : outcome -> bool
 
 (** [seed_sweep ?pool ~seeds p] runs the attack once per seed — each seed
-    randomizes the solo witness search — across the pool's domains.
-    Results are in [seeds] order and bit-identical for any [?pool]. *)
+    randomizes the solo witness search — across the pool's domains, each
+    run under its own meter of [?budget].  Results are in [seeds] order
+    and bit-identical for any [?pool] (budget trips excepted: deadlines
+    and cancellation are best-effort). *)
 val seed_sweep :
   ?pool:Par.Pool.t ->
+  ?budget:Robust.Budget.t ->
   ?nominal_n:int ->
-  ?max_solo_steps:int ->
-  ?max_solo_nodes:int ->
   seeds:int list ->
   Consensus.Protocol.t ->
   (int * (outcome, error) result) list
@@ -53,13 +61,6 @@ val seed_sweep :
     order). *)
 val best_witness :
   (int * (outcome, error) result) list -> (int * outcome) option
-
-(** Run the attack against a batch of protocols in parallel; results in
-    input order. *)
-val sweep :
-  ?pool:Par.Pool.t ->
-  Consensus.Protocol.t list ->
-  (string * (outcome, error) result) list
 
 (** Realize the attack's execution from a fresh start: all processes
     (clones included) present from the initial configuration, each clone

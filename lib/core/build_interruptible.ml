@@ -88,7 +88,7 @@ let construct b ~all_objects ~vset ~pset ~uset ~e =
     let run_one pid =
       if !decided = None then
         match
-          Run.solo_search (Builder.config b) ~pid
+          Combine.solo_search (Builder.config b) ~pid
             ~stop:(Solo.poised_outside vset)
         with
         | None ->

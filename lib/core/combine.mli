@@ -1,27 +1,39 @@
 (** Lemma 3.1, as a program: from a configuration and two sides (poised
     writer sets with solo-continuation witnesses deciding different
     values), grow an execution in the builder that decides both.  See the
-    implementation header for the case analysis. *)
+    implementation header for the case analysis.
 
-(** Raised when a construction step cannot proceed (budget exhausted,
-    replay divergence, malformed sides); the attack drivers surface it as
-    an error result. *)
+    It also holds what both lower-bound constructions ({!Attack} and
+    {!General_attack}) share: the one solo search ({!solo_search}) and the
+    one budget and error boundary ({!governed}). *)
+
+(** Raised when a construction step cannot proceed (replay divergence,
+    malformed sides, no solo witness); {!governed} turns it into an error
+    result. *)
 exception Attack_failed of string
 
 val fail : ('a, unit, string, 'b) format4 -> 'a
 
-(** Budget for internal solo searches: (max_steps, max_nodes).  Stored
-    domain-locally so parallel attack sweeps don't race on it; set it on
-    the domain that runs the construction (the attack drivers do). *)
-val set_search_budget : int * int -> unit
-
-val get_search_budget : unit -> int * int
-
-(** [with_budget_meter budget f] runs [f] with a fresh domain-local
+(** [governed budget f] runs a construction [f] with a fresh domain-local
     {!Robust.Budget.Meter} (created from [budget] unless it is [None] or
-    unlimited) that every internal solo search ticks; a trip raises
-    {!Robust.Budget.Exhausted} out of [f].  The previous meter is
-    restored on exit, so governed constructions nest. *)
-val with_budget_meter : Robust.Budget.t option -> (unit -> 'a) -> 'a
+    unlimited) that every {!solo_search} inside [f] ticks.  A trip comes
+    back as [Error (`Exhausted reason)]; {!Attack_failed}, and a replay
+    that steps an already-decided process ({!Sim.Run.Step_disabled}), as
+    [Error (`Failed msg)].  The previous meter is restored on exit, so
+    governed constructions nest. *)
+val governed :
+  Robust.Budget.t option ->
+  (unit -> 'a) ->
+  ('a, [ `Failed of string | `Exhausted of Robust.Budget.reason ]) result
+
+(** The one solo-termination search of both constructions:
+    {!Sim.Run.solo_search} bounded at 5,000 steps per path and 500,000
+    nodes, metered by the enclosing {!governed} call (none outside one). *)
+val solo_search :
+  ?stop:(int Sim.Config.t -> int -> bool) ->
+  ?rng:Sim.Rng.t ->
+  int Sim.Config.t ->
+  pid:int ->
+  int Sim.Run.solo option
 
 val combine : Builder.t -> Side.t -> Side.t -> unit

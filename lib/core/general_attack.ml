@@ -32,6 +32,7 @@ type outcome = {
 
 type error =
   | Side_decides_wrong of { side : int; got : int }
+  | Unsupported_processes of int
   | Construction_failed of string
   | Budget_exhausted of Robust.Budget.reason
 
@@ -39,6 +40,10 @@ let error_to_string = function
   | Side_decides_wrong { side; got } ->
       Printf.sprintf
         "interruptible execution over input-%d processes decided %d" side got
+  | Unsupported_processes m ->
+      Printf.sprintf
+        "the construction needs %d processes, which the protocol does not \
+         support" m
   | Construction_failed msg -> "construction failed: " ^ msg
   | Budget_exhausted reason ->
       Printf.sprintf "budget exhausted (%s) before the construction finished"
@@ -57,63 +62,66 @@ let run ?budget ?processes (p : Consensus.Protocol.t) =
   in
   let half = m / 2 in
   let m = 2 * half in
-  let inputs = List.init m (fun pid -> if pid < half then 0 else 1) in
-  let pset = List.init half Fun.id in
-  let qset = List.init half (fun i -> half + i) in
-  let config = Consensus.Protocol.initial_config p ~inputs in
-  let objs = List.init (Config.n_objects config) Fun.id in
-  let build side_pids =
-    let scratch = Builder.create ~config ~inputs in
-    Build_interruptible.construct scratch ~all_objects:objs ~vset:[]
-      ~pset:side_pids ~uset:objs ~e:r
-  in
-  try
-    Combine.with_budget_meter budget @@ fun () ->
-    let a = build pset and b_ = build qset in
-    if a.Build_interruptible.witness.Interruptible.decides <> 0 then
-      Error
-        (Side_decides_wrong
-           { side = 0; got = a.Build_interruptible.witness.Interruptible.decides })
-    else if b_.Build_interruptible.witness.Interruptible.decides <> 1 then
-      Error
-        (Side_decides_wrong
-           { side = 1; got = b_.Build_interruptible.witness.Interruptible.decides })
-    else begin
-      let aside =
-        {
-          Splice.witness = a.Build_interruptible.witness;
-          pset;
-          excess = a.Build_interruptible.released;
-          decides = 0;
-        }
+  if not (p.Consensus.Protocol.supports_n m) then
+    Error (Unsupported_processes m)
+  else
+    let inputs = List.init m (fun pid -> if pid < half then 0 else 1) in
+    let pset = List.init half Fun.id in
+    let qset = List.init half (fun i -> half + i) in
+    let config = Consensus.Protocol.initial_config p ~inputs in
+    let objs = List.init (Config.n_objects config) Fun.id in
+    let build side_pids =
+      let scratch = Builder.create ~config ~inputs in
+      Build_interruptible.construct scratch ~all_objects:objs ~vset:[]
+        ~pset:side_pids ~uset:objs ~e:r
+    in
+    let construct () =
+      let a = build pset and b_ = build qset in
+      let decides (s : Build_interruptible.result) =
+        s.Build_interruptible.witness.Interruptible.decides
       in
-      let bside =
-        {
-          Splice.witness = b_.Build_interruptible.witness;
-          pset = qset;
-          excess = b_.Build_interruptible.released;
-          decides = 1;
-        }
-      in
-      let b = Builder.create ~config ~inputs in
-      Splice.combine b aside bside;
-      Ok
-        {
-          trace = Builder.trace b;
-          config = Builder.config b;
-          verdict = Builder.verdict b;
-          inputs;
-          processes_used = m;
-          registers = r;
-          pieces_alpha =
-            List.length a.Build_interruptible.witness.Interruptible.pieces;
-          pieces_beta =
-            List.length b_.Build_interruptible.witness.Interruptible.pieces;
-        }
-    end
-  with
-  | Combine.Attack_failed msg -> Error (Construction_failed msg)
-  | Robust.Budget.Exhausted reason -> Error (Budget_exhausted reason)
+      if decides a <> 0 then
+        Error (Side_decides_wrong { side = 0; got = decides a })
+      else if decides b_ <> 1 then
+        Error (Side_decides_wrong { side = 1; got = decides b_ })
+      else begin
+        let aside =
+          {
+            Splice.witness = a.Build_interruptible.witness;
+            pset;
+            excess = a.Build_interruptible.released;
+            decides = 0;
+          }
+        in
+        let bside =
+          {
+            Splice.witness = b_.Build_interruptible.witness;
+            pset = qset;
+            excess = b_.Build_interruptible.released;
+            decides = 1;
+          }
+        in
+        let b = Builder.create ~config ~inputs in
+        Splice.combine b aside bside;
+        Ok
+          {
+            trace = Builder.trace b;
+            config = Builder.config b;
+            verdict = Builder.verdict b;
+            inputs;
+            processes_used = m;
+            registers = r;
+            pieces_alpha =
+              List.length a.Build_interruptible.witness.Interruptible.pieces;
+            pieces_beta =
+              List.length b_.Build_interruptible.witness.Interruptible.pieces;
+          }
+      end
+    in
+    match Combine.governed budget construct with
+    | Ok result -> result
+    | Error (`Failed msg) -> Error (Construction_failed msg)
+    | Error (`Exhausted reason) -> Error (Budget_exhausted reason)
 
 let succeeded outcome = not outcome.verdict.Checker.consistent
 
@@ -123,68 +131,28 @@ let succeeded outcome = not outcome.verdict.Checker.consistent
     With [?pool] the upward search evaluates a batch of candidate counts
     per round across the pool's domains and takes the smallest success in
     the batch — the same answer the sequential scan returns, found in
-    roughly [1/jobs] of the wall-clock time when successes are rare.
-
-    With [?budget], a candidate whose construction trips the budget
-    *before* any smaller candidate succeeded makes the minimum unknowable
-    this run, so the scan stops and reports [`Truncated]: reporting a
-    larger success as "the minimum" would silently overstate the bound. *)
-let minimum_processes_gov ?pool ?budget ?(start = 4) ?(limit = 400) p =
+    roughly [1/jobs] of the wall-clock time when successes are rare. *)
+let minimum_processes ?pool ?(start = 4) ?(limit = 400) p =
   let batch =
     match pool with None -> 1 | Some pool -> max 1 (2 * Par.Pool.jobs pool)
   in
-  let lands m = (m, run ?budget ~processes:m p) in
-  let rec verdict_of = function
-    | [] -> None
-    | (_, Error (Budget_exhausted reason)) :: _ -> Some (`Truncated reason)
-    | (c, Ok outcome) :: rest ->
-        if succeeded outcome then Some (`Found c) else verdict_of rest
-    | (_, (Error (Side_decides_wrong _ | Construction_failed _))) :: rest ->
-        verdict_of rest
+  let lands m =
+    match run ~processes:m p with Ok o -> succeeded o | Error _ -> false
   in
   let rec go m =
-    if m > limit then `Not_found
+    if m > limit then None
     else begin
       let candidates =
         List.init batch (fun i -> m + (2 * i))
         |> List.filter (fun c -> c <= limit)
       in
-      let landed = Par.map ?pool lands candidates in
-      match verdict_of landed with
-      | Some v -> v
+      match
+        List.find_map
+          (fun (c, landed) -> if landed then Some c else None)
+          (List.combine candidates (Par.map ?pool lands candidates))
+      with
+      | Some c -> Some c
       | None -> go (m + (2 * batch))
     end
   in
   go start
-
-let minimum_processes ?pool ?start ?limit p =
-  match minimum_processes_gov ?pool ?start ?limit p with
-  | `Found c -> Some c
-  | `Not_found -> None
-  | `Truncated _ -> None (* unreachable without a budget *)
-
-(** Run the general attack against a batch of protocols in parallel;
-    results in input order, bit-identical for any [?pool] (budget trips
-    excepted: deadline/cancellation budgets are best-effort, so which
-    protocols report [Budget_exhausted] may vary run to run). *)
-let sweep ?pool ?budget ?processes ps =
-  Par.map ?pool
-    (fun p -> (p.Consensus.Protocol.name, run ?budget ?processes p))
-    ps
-
-(** Independent cross-check by exhaustive model checking: search the
-    protocol's full execution tree on a small mixed-input instance
-    ([processes], split half 0s / half 1s) and report whether a
-    consistency or validity violation is reachable within the bounds.
-    The spliced adversarial witness above lives at ~3r^2 processes where
-    exhaustive search is hopeless; this confirms by an unrelated method
-    that the protocol is genuinely attackable at all.  [`Symmetric] dedup
-    is sound for any packaged protocol because
-    [Consensus.Protocol.initial_config] seeds fingerprints accordingly. *)
-let confirm ?budget ?(dedup = `Symmetric) ?(processes = 2) ?(max_depth = 16)
-    ?(max_states = 300_000) (p : Consensus.Protocol.t) =
-  let half = max 1 (processes / 2) in
-  let m = 2 * half in
-  let inputs = List.init m (fun pid -> if pid < half then 0 else 1) in
-  let config = Consensus.Protocol.initial_config p ~inputs in
-  Mc.Explore.search ?budget ~dedup ~max_depth ~max_states ~inputs config

@@ -20,12 +20,8 @@ type row = {
   broke : bool;
   certified : string;  (** "yes" / reason *)
   mc_confirms : bool option;
-      (** independent exhaustive check on a 2-process instance of the same
-          protocol ([Mc.Explore] with [`Symmetric] dedup — sound, the
-          processes are identical): [Some true] iff the model checker also
-          reaches a violation; [None] for cells too large to check, or
-          whose governed check was cut short ([?budget]) before finding
-          anything — an honest "unknown", never a clean bill *)
+      (** {!Mc_confirm.confirms} on the r = 1 cells; [None] for cells too
+          large to check exhaustively *)
 }
 
 let targets r =
@@ -41,7 +37,7 @@ let targets r =
    cells are independent, so [?pool] fans them out across domains.  The
    cell list and the result order are fixed before dispatch — the table
    is bit-identical for any [?pool]. *)
-let rows ?pool ?budget ?(max_r = 4) () =
+let rows ?pool ?(max_r = 4) () =
   let cells =
     List.concat_map
       (fun r -> List.map (fun p -> (r, p)) (targets r))
@@ -59,23 +55,7 @@ let rows ?pool ?budget ?(max_r = 4) () =
         (* r=1 instances are small enough for an exhaustive 2-process
            cross-check of the adversary's verdict by an unrelated method *)
         let mc_confirms =
-          if r > 1 then None
-          else
-            let inputs = [ 0; 1 ] in
-            let config = Protocol.initial_config p ~inputs in
-            let res =
-              Mc.Explore.search ?budget ~dedup:`Symmetric ~max_depth:16
-                ~max_states:300_000 ~inputs config
-            in
-            if res.Mc.Explore.violation <> None then Some true
-            else
-              (* a governed cut leaves the question open; only the
-                 structural depth/state bounds keep their historical
-                 bounded-claim reading *)
-              match res.Mc.Explore.completeness with
-              | `Truncated (`Nodes | `Deadline | `Cancelled) -> None
-              | `Exhaustive | `Truncated (`Depth | `States | `Steps) ->
-                  Some false
+          if r > 1 then None else Some (Mc_confirm.confirms p)
         in
         Some
           {
@@ -91,7 +71,7 @@ let rows ?pool ?budget ?(max_r = 4) () =
   in
   List.filter_map Fun.id (Par.map ?pool cell cells)
 
-let table ?pool ?budget ?max_r () =
+let table ?pool ?max_r () =
   let t =
     Stats.Table.create
       ~header:
@@ -121,5 +101,5 @@ let table ?pool ?budget ?max_r () =
           | Some b -> string_of_bool b
           | None -> "-");
         ])
-    (rows ?pool ?budget ?max_r ());
+    (rows ?pool ?max_r ());
   t

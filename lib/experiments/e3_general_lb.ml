@@ -18,11 +18,8 @@ type row = {
   witness_steps : int option;
   broke : bool;
   mc_confirms : bool option;
-      (** independent [Mc.Explore] cross-check on a 2-process instance:
-          [Some true] iff the model checker also reaches a violation;
-          [None] when the cell is too large to check exhaustively or its
-          governed check was cut short ([?budget]) before finding
-          anything *)
+      (** {!Mc_confirm.confirms} on the r = 1 cells; [None] for cells too
+          large to check exhaustively *)
 }
 
 let targets r =
@@ -36,7 +33,7 @@ let targets r =
    construction.  Cells fan out across [?pool]'s domains; the inner scan
    stays sequential (the pool is not reentrant), which is the right grain
    anyway — cells dominate the cost and there are plenty of them. *)
-let rows ?pool ?budget ?(max_r = 3) () =
+let rows ?pool ?(max_r = 3) () =
   let cells =
     List.concat_map
       (fun r -> List.map (fun p -> (r, p)) (targets r))
@@ -45,7 +42,7 @@ let rows ?pool ?budget ?(max_r = 3) () =
   let cell (r, (p : Protocol.t)) =
     let min_processes = General_attack.minimum_processes p in
     let pieces, witness_steps, broke =
-      match General_attack.run ?budget p with
+      match General_attack.run p with
       | Ok o ->
           ( Some (o.General_attack.pieces_alpha, o.General_attack.pieces_beta),
             Some (Sim.Trace.steps o.General_attack.trace),
@@ -54,16 +51,7 @@ let rows ?pool ?budget ?(max_r = 3) () =
     in
     (* the r=1 cells are small enough for an exhaustive 2-process
        cross-check; the transposition table keeps it cheap *)
-    let mc_confirms =
-      if r > 1 then None
-      else
-        let res = General_attack.confirm ?budget ~dedup:`Symmetric p in
-        if res.Mc.Explore.violation <> None then Some true
-        else
-          match res.Mc.Explore.completeness with
-          | `Truncated (`Nodes | `Deadline | `Cancelled) -> None
-          | `Exhaustive | `Truncated (`Depth | `States | `Steps) -> Some false
-    in
+    let mc_confirms = if r > 1 then None else Some (Mc_confirm.confirms p) in
     {
       r;
       protocol = p.Protocol.name;
@@ -77,7 +65,7 @@ let rows ?pool ?budget ?(max_r = 3) () =
   in
   Par.map ?pool cell cells
 
-let table ?pool ?budget ?max_r () =
+let table ?pool ?max_r () =
   let t =
     Stats.Table.create
       ~header:
@@ -109,5 +97,5 @@ let table ?pool ?budget ?max_r () =
           | Some b -> string_of_bool b
           | None -> "-");
         ])
-    (rows ?pool ?budget ?max_r ());
+    (rows ?pool ?max_r ());
   t

@@ -20,12 +20,10 @@ type row = {
       (** bounded-safety cross-check of the register upper bound: the
           rw-3n protocol at this [n] admits no violation within a small
           exhaustive search ([Mc.Explore], [`Symmetric] dedup).  [None]
-          for [n] beyond exhaustive reach, or when a governed check
-          ([?budget]) was cut short — a truncated safe verdict is an
-          under-approximation and must not be printed as safety. *)
+          for [n] beyond exhaustive reach. *)
 }
 
-let row ?budget n =
+let row n =
   (* the upper-bound protocol's space numbers are claims about a protocol
      that must actually BE safe; for the smallest n the model checker
      verifies that directly (depth-bounded, so a `no violation` here is
@@ -39,14 +37,10 @@ let row ?budget n =
       let inputs = List.init n (fun i -> i mod 2) in
       let config = Protocol.initial_config Rw_consensus.protocol ~inputs in
       let res =
-        Mc.Explore.search ?budget ~dedup:`Symmetric ~max_depth:30
+        Mc.Explore.search ~dedup:`Symmetric ~max_depth:30
           ~max_states:1_000_000 ~inputs config
       in
-      if res.Mc.Explore.violation <> None then Some false
-      else
-        match res.Mc.Explore.completeness with
-        | `Truncated (`Nodes | `Deadline | `Cancelled) -> None
-        | `Exhaustive | `Truncated (`Depth | `States | `Steps) -> Some true
+      Some (res.Mc.Explore.violation = None)
   in
   {
     n;
@@ -63,10 +57,9 @@ let default_ns = [ 2; 4; 8; 16; 32; 64; 128; 256 ]
 
 (* Mostly arithmetic, but [Protocol.space] instantiates each protocol at
    each n; one task per n keeps the cells independent. *)
-let rows ?pool ?budget ?(ns = default_ns) () =
-  Par.map ?pool (fun n -> row ?budget n) ns
+let rows ?pool ?(ns = default_ns) () = Par.map ?pool row ns
 
-let table ?pool ?budget ?ns () =
+let table ?pool ?ns () =
   let t =
     Stats.Table.create
       ~header:
@@ -94,5 +87,5 @@ let table ?pool ?budget ?ns () =
           string_of_int r.identical_lb;
           (match r.mc_safe with Some b -> string_of_bool b | None -> "-");
         ])
-    (rows ?pool ?budget ?ns ());
+    (rows ?pool ?ns ());
   t

@@ -448,92 +448,92 @@ let checker_verdict v = Format.asprintf "%a" Sim.Checker.pp v
 
 (* The lowerbound constructions are not internally instrumented; the
    attack/* counters record the outcome-shaped facts so an --metrics dump
-   still tells the whole story. *)
+   still tells the whole story.  Both constructions run under the job's
+   one budget, and end on one path: truncated, failed or constructed. *)
 let run_attack ?obs ?pool ~budget ~on_witness (a : attack) =
   with_protocol a.at_protocol @@ fun p ->
   Obs.span obs "attack" @@ fun () ->
-  let failed msg =
-    Obs.incr obs "attack/failed";
-    { status = Status.attack_failed; lines = [ msg ] }
-  in
-  let constructed ~head ~succeeded ~trace witness =
-    Obs.add obs "attack/witness-steps" (Sim.Trace.steps trace);
-    on_witness witness;
-    if succeeded then begin
-      Obs.incr obs "attack/violations";
-      {
-        status = Status.violation;
-        lines = head @ [ "INCONSISTENT EXECUTION CONSTRUCTED" ];
-      }
-    end
-    else { status = Status.clean; lines = head }
-  in
-  if a.at_general then
-    match Lowerbound.General_attack.run ?budget:(budget None) p with
-    | Error (Lowerbound.General_attack.Budget_exhausted reason) ->
-        let reason = Robust.Budget.reason_to_string reason in
-        Obs.incr obs ("attack/truncated/" ^ reason);
-        {
-          status = Status.truncated;
-          lines = [ Printf.sprintf "verdict: truncated (%s)" reason ];
-        }
-    | Error e -> failed (Lowerbound.General_attack.error_to_string e)
-    | Ok o ->
-        constructed
-          ~head:
-            [
-              Printf.sprintf
-                "general attack on %s: processes=%d objects=%d pieces=%d/%d"
-                a.at_protocol o.Lowerbound.General_attack.processes_used
-                o.Lowerbound.General_attack.registers
-                o.Lowerbound.General_attack.pieces_alpha
-                o.Lowerbound.General_attack.pieces_beta;
-              "verdict: " ^ checker_verdict o.Lowerbound.General_attack.verdict;
-            ]
-          ~succeeded:(Lowerbound.General_attack.succeeded o)
-          ~trace:o.Lowerbound.General_attack.trace (General_witness o)
-  else
-    let sweep_line, outcome =
-      if a.at_seeds = 0 then ([], Lowerbound.Attack.run p)
-      else begin
-        Obs.add obs "attack/seeds" a.at_seeds;
-        let sweep =
-          Lowerbound.Attack.seed_sweep ?pool
-            ~seeds:(List.init a.at_seeds (fun i -> i + 1))
-            p
-        in
-        match Lowerbound.Attack.best_witness sweep with
-        | Some (seed, o) ->
+  let budget = budget None in
+  let module A = Lowerbound.Attack in
+  let module G = Lowerbound.General_attack in
+  (* [Ok (head, succeeded, trace, witness)], or why there is none *)
+  let result =
+    if a.at_general then
+      match G.run ?budget p with
+      | Ok o ->
+          Ok
             ( [
                 Printf.sprintf
-                  "seed sweep 1..%d: best witness from seed %d (%d steps)"
-                  a.at_seeds seed
-                  (Sim.Trace.steps o.Lowerbound.Attack.trace);
+                  "general attack on %s: processes=%d objects=%d pieces=%d/%d"
+                  a.at_protocol o.G.processes_used o.G.registers
+                  o.G.pieces_alpha o.G.pieces_beta;
+                "verdict: " ^ checker_verdict o.G.verdict;
               ],
-              Ok o )
-        | None -> (
-            (* no seed succeeded; surface the unrandomized error *)
-            ( [],
-              match List.assoc_opt 1 sweep with
-              | Some r -> r
-              | None -> Lowerbound.Attack.run p ))
+              G.succeeded o,
+              o.G.trace,
+              General_witness o )
+      | Error (G.Budget_exhausted reason) -> Error (`Truncated reason)
+      | Error e -> Error (`Failed (G.error_to_string e))
+    else
+      let sweep_line, outcome =
+        if a.at_seeds = 0 then ([], A.run ?budget p)
+        else begin
+          Obs.add obs "attack/seeds" a.at_seeds;
+          let sweep =
+            A.seed_sweep ?pool ?budget
+              ~seeds:(List.init a.at_seeds (fun i -> i + 1))
+              p
+          in
+          match A.best_witness sweep with
+          | Some (seed, o) ->
+              ( [
+                  Printf.sprintf
+                    "seed sweep 1..%d: best witness from seed %d (%d steps)"
+                    a.at_seeds seed (Sim.Trace.steps o.A.trace);
+                ],
+                Ok o )
+          | None ->
+              (* no seed succeeded; surface the first seed's outcome *)
+              ([], List.assoc 1 sweep)
+        end
+      in
+      match outcome with
+      | Ok o ->
+          Ok
+            ( sweep_line
+              @ [
+                  Printf.sprintf "attack on %s: processes=%d registers=%d"
+                    a.at_protocol o.A.processes_used o.A.registers;
+                  "verdict: " ^ checker_verdict o.A.verdict;
+                ],
+              A.succeeded o,
+              o.A.trace,
+              Attack_witness (p, o) )
+      | Error (A.Budget_exhausted reason) -> Error (`Truncated reason)
+      | Error e -> Error (`Failed (A.error_to_string e))
+  in
+  match result with
+  | Error (`Truncated reason) ->
+      let reason = Robust.Budget.reason_to_string reason in
+      Obs.incr obs ("attack/truncated/" ^ reason);
+      {
+        status = Status.truncated;
+        lines = [ Printf.sprintf "verdict: truncated (%s)" reason ];
+      }
+  | Error (`Failed msg) ->
+      Obs.incr obs "attack/failed";
+      { status = Status.attack_failed; lines = [ msg ] }
+  | Ok (head, succeeded, trace, witness) ->
+      Obs.add obs "attack/witness-steps" (Sim.Trace.steps trace);
+      on_witness witness;
+      if succeeded then begin
+        Obs.incr obs "attack/violations";
+        {
+          status = Status.violation;
+          lines = head @ [ "INCONSISTENT EXECUTION CONSTRUCTED" ];
+        }
       end
-    in
-    match outcome with
-    | Error e -> failed (Lowerbound.Attack.error_to_string e)
-    | Ok o ->
-        constructed
-          ~head:
-            (sweep_line
-            @ [
-                Printf.sprintf "attack on %s: processes=%d registers=%d"
-                  a.at_protocol o.Lowerbound.Attack.processes_used
-                  o.Lowerbound.Attack.registers;
-                "verdict: " ^ checker_verdict o.Lowerbound.Attack.verdict;
-              ])
-          ~succeeded:(Lowerbound.Attack.succeeded o)
-          ~trace:o.Lowerbound.Attack.trace
-          (Attack_witness (p, o))
+      else { status = Status.clean; lines = head }
 
 let execute ?obs ?pool ?cancel ?on_poll ?checkpoint ?checkpoint_every ?resume
     ?(on_witness = ignore) t =

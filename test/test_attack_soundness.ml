@@ -45,8 +45,16 @@ let test_identical_attack_on_randomized_correct () =
     [ Fa_consensus.protocol; Counter_consensus.protocol ]
 
 let test_general_attack_on_correct () =
+  (* counters and fetch&add are not historyless: the splice's replays
+     can step a process that already decided, which must surface as a
+     construction failure, not an exception *)
   List.iter assert_general_fails
-    [ Cas_consensus.protocol; Sticky_consensus.protocol ]
+    [
+      Cas_consensus.protocol;
+      Sticky_consensus.protocol;
+      Counter_consensus.protocol;
+      Fa_consensus.protocol;
+    ]
 
 (* even when given absurdly many processes, no fabrication *)
 let test_attack_large_budget () =
@@ -55,6 +63,34 @@ let test_attack_large_budget () =
   | Ok o ->
       Alcotest.(check bool) "no fabricated violation" false
         (General_attack.succeeded o)
+
+(* every solo search of both constructions ticks the caller's meter: on
+   anon-rw, whose searches run for seconds, a step allowance trips
+   deterministically and is reported as such, never as a failure *)
+let test_step_budget_cuts_both () =
+  let p = Anon_consensus.protocol in
+  List.iter
+    (fun k ->
+      let budget = Robust.Budget.make ~steps:k () in
+      (match Attack.run ~budget p with
+      | Error (Attack.Budget_exhausted `Steps) -> ()
+      | Error e ->
+          Alcotest.failf "attack, %d steps: %s" k (Attack.error_to_string e)
+      | Ok _ -> Alcotest.failf "attack, %d steps: constructed" k);
+      List.iter
+        (fun (seed, r) ->
+          match r with
+          | Error (Attack.Budget_exhausted `Steps) -> ()
+          | Error _ | Ok _ ->
+              Alcotest.failf "seed %d, %d steps: not cut by the budget" seed k)
+        (Attack.seed_sweep ~budget ~seeds:[ 1; 2 ] p);
+      match General_attack.run ~budget p with
+      | Error (General_attack.Budget_exhausted `Steps) -> ()
+      | Error e ->
+          Alcotest.failf "general attack, %d steps: %s" k
+            (General_attack.error_to_string e)
+      | Ok _ -> Alcotest.failf "general attack, %d steps: constructed" k)
+    [ 1; 200 ]
 
 let suite =
   [
@@ -66,4 +102,6 @@ let suite =
       test_general_attack_on_correct;
     Alcotest.test_case "general attack, large budget" `Quick
       test_attack_large_budget;
+    Alcotest.test_case "step budget cuts both constructions" `Quick
+      test_step_budget_cuts_both;
   ]

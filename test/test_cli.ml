@@ -71,7 +71,19 @@ let test_exit_codes () =
     (contains violating.out "VIOLATION");
   check_code "attack demonstrates violation" 2
     (run_cli [ "attack"; "flawed-unanimous-rw-r1" ]);
-  check_code "attack fails on correct protocol" 4 (run_cli [ "attack"; "cas-1" ])
+  check_code "attack fails on correct protocol" 4 (run_cli [ "attack"; "cas-1" ]);
+  (* the general construction needs 3r^2 + r processes plus slack, which a
+     2-process protocol refuses: an attack error naming the count *)
+  let too_few = run_cli [ "attack"; "tas-2proc"; "--general" ] in
+  check_code "general attack on a 2-process protocol" 4 too_few;
+  Alcotest.(check bool) "names the process count" true
+    (contains too_few.out "needs 44 processes");
+  (* counters are not historyless: a splice replay steps a decided
+     process, which is a construction failure, not an internal error *)
+  let diverged = run_cli [ "attack"; "counter-3"; "--general" ] in
+  check_code "general attack on counter-3" 4 diverged;
+  Alcotest.(check bool) "construction failure reported" true
+    (contains diverged.out "construction failed: replay diverged")
 
 let test_budget_truncation () =
   let r =
@@ -101,23 +113,32 @@ let test_state_cap_reason () =
   Alcotest.(check string) "depth bound named" "verdict: truncated (depth)"
     (verdict_of deep)
 
+(* over-budget scenarios that a deadline must stop within ~2x of it,
+   exiting 3: an effectively unbounded search, and anon-rw's attacks,
+   whose constructions run for seconds (the general one for many minutes)
+   and are cut because every solo search of both attacks is metered *)
 let test_deadline_terminates () =
-  (* an over-budget scenario: an effectively unbounded search that a 1s
-     deadline must stop within ~2x of the deadline, exiting 3 *)
-  let t0 = Unix.gettimeofday () in
-  let r =
-    run_cli
-      [ "mc"; "counter-3"; "--inputs"; "0,1,1,0"; "--depth"; "200";
-        "--max-states"; "2000000000"; "--deadline"; "1s" ]
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  check_code "deadline exits truncated" 3 r;
-  Alcotest.(check bool) "verdict line" true
-    (contains r.out "verdict: truncated (deadline)");
-  (* ~2x deadline plus generous slack for process startup on a loaded CI *)
-  Alcotest.(check bool)
-    (Printf.sprintf "terminated in %.2fs" elapsed)
-    true (elapsed < 5.)
+  List.iter
+    (fun (name, args) ->
+      let t0 = Unix.gettimeofday () in
+      let r = run_cli args in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      check_code (name ^ " exits truncated") 3 r;
+      Alcotest.(check bool) (name ^ " verdict line") true
+        (contains r.out "verdict: truncated (deadline)");
+      (* ~2x deadline plus generous slack for process startup on a
+         loaded CI *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s terminated in %.2fs" name elapsed)
+        true (elapsed < 5.))
+    [
+      ( "mc",
+        [ "mc"; "counter-3"; "--inputs"; "0,1,1,0"; "--depth"; "200";
+          "--max-states"; "2000000000"; "--deadline"; "1s" ] );
+      ("attack", [ "attack"; "anon-rw"; "--deadline"; "200ms" ]);
+      ( "attack --general",
+        [ "attack"; "anon-rw"; "--general"; "--deadline"; "200ms" ] );
+    ]
 
 let test_checkpoint_resume_round_trip () =
   let ckpt = Filename.temp_file "randsync-cli-ckpt" ".txt" in
@@ -388,41 +409,53 @@ let test_checkpoint_keeps_output () =
    cancel token turns the signal into a truncated (cancelled) verdict,
    and the Obs sink is flushed on that path like any other *)
 let test_sigterm_dumps_metrics () =
-  let metrics = Filename.temp_file "randsync-cli-term" ".metrics" in
-  let out = Filename.temp_file "randsync-cli-term" ".out" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ metrics; out ])
-    (fun () ->
-      Sys.remove metrics;
-      let outfd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-      let argv =
-        [| binary; "mc"; "counter-3"; "--inputs"; "0,1,1,0"; "--depth"; "200";
-           "--max-states"; "2000000000"; "--metrics"; metrics |]
-      in
-      let pid = Unix.create_process binary argv Unix.stdin outfd outfd in
-      Unix.close outfd;
-      Unix.sleepf 0.4;
-      Unix.kill pid Sys.sigterm;
-      (match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 3 -> ()
-      | _, Unix.WEXITED n ->
-          Alcotest.failf "SIGTERM'd mc exited %d, expected 3" n
-      | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-          Alcotest.fail "SIGTERM'd mc died without its epilogue");
-      let ic = open_in_bin out in
-      let printed = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Alcotest.(check bool) "cancelled verdict printed" true
-        (contains printed "verdict: truncated (cancelled)");
-      Alcotest.(check bool) "metrics dumped on the signal path" true
-        (Sys.file_exists metrics);
-      let ic = open_in_bin metrics in
-      let dumped = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Alcotest.(check bool) "dump carries the mc counters" true
-        (contains dumped {|"cmd":"mc"|} && contains dumped "mc/visited"))
+  List.iter
+    (fun (cmd, args, counter) ->
+      let metrics = Filename.temp_file "randsync-cli-term" ".metrics" in
+      let out = Filename.temp_file "randsync-cli-term" ".out" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
+            [ metrics; out ])
+        (fun () ->
+          Sys.remove metrics;
+          let outfd =
+            Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600
+          in
+          let argv =
+            Array.of_list ((binary :: cmd :: args) @ [ "--metrics"; metrics ])
+          in
+          let pid = Unix.create_process binary argv Unix.stdin outfd outfd in
+          Unix.close outfd;
+          Unix.sleepf 0.4;
+          Unix.kill pid Sys.sigterm;
+          (match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 3 -> ()
+          | _, Unix.WEXITED n ->
+              Alcotest.failf "SIGTERM'd %s exited %d, expected 3" cmd n
+          | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
+              Alcotest.failf "SIGTERM'd %s died without its epilogue" cmd);
+          let ic = open_in_bin out in
+          let printed = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          Alcotest.(check bool) (cmd ^ ": cancelled verdict printed") true
+            (contains printed "verdict: truncated (cancelled)");
+          Alcotest.(check bool) (cmd ^ ": metrics dumped on the signal path")
+            true (Sys.file_exists metrics);
+          let ic = open_in_bin metrics in
+          let dumped = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          Alcotest.(check bool) (cmd ^ ": dump carries its counters") true
+            (contains dumped (Printf.sprintf {|"cmd":"%s"|} cmd)
+            && contains dumped counter)))
+    [
+      ( "mc",
+        [ "counter-3"; "--inputs"; "0,1,1,0"; "--depth"; "200";
+          "--max-states"; "2000000000" ],
+        "mc/visited" );
+      (* the general attack's solo searches are metered too *)
+      ("attack", [ "anon-rw"; "--general" ], "attack/truncated/cancelled");
+    ]
 
 (* numeric-flag hygiene: degenerate counts are refused as bad args
    (exit 1) with a message naming the flag, never silently clamped.

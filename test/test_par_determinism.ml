@@ -54,7 +54,9 @@ let test_attack_protocol_sweep_deterministic () =
   in
   ignore
     (across_pools (fun pool ->
-         List.map (fun (n, r) -> (n, project_attack r)) (Attack.sweep ?pool ps)))
+         Par.map ?pool
+           (fun (p : Protocol.t) -> (p.name, project_attack (Attack.run p)))
+           ps))
 
 let project_general = function
   | Ok (o : General_attack.outcome) ->
@@ -75,9 +77,10 @@ let test_general_attack_sweep_deterministic () =
   in
   ignore
     (across_pools (fun pool ->
-         List.map
-           (fun (n, r) -> (n, project_general r))
-           (General_attack.sweep ?pool ps)))
+         Par.map ?pool
+           (fun (p : Protocol.t) ->
+             (p.name, project_general (General_attack.run p)))
+           ps))
 
 let test_minimum_processes_deterministic () =
   let p = Flawed.unanimous ~style:Flawed.Rw ~r:1 in

@@ -255,6 +255,10 @@ let test_round_trip_identity () =
         [ "flawed-unanimous-rw-r2"; "--seeds"; "3" ],
         2 );
       ("attack cas-1", attack_job "cas-1", [ "cas-1" ], 4);
+      ( "attack --general tas-2proc",
+        attack_job ~general:true "tas-2proc",
+        [ "tas-2proc"; "--general" ],
+        4 );
     ]
 
 (* A served deadline is relative to the job's start, as `mc --deadline`
@@ -452,16 +456,22 @@ let test_shedding () =
 
 let test_cancel () =
   with_server ~workers:1 @@ fun addr ->
-  let id = submit_detached addr (endless_job ()) in
-  await "job running" (fun () -> job_state addr id = Some Serve.Wire.Running);
-  cancel addr id;
-  await "job cancelled" (fun () ->
-      job_state addr id = Some Serve.Wire.Cancelled);
-  (match Serve.Client.wait_result addr ~id with
-  | Error e ->
-      Alcotest.(check bool) "cancelled job is a loud error" true
-        (contains e "cancelled")
-  | Ok _ -> Alcotest.fail "cancelled job must not yield a verdict");
+  (* an mc search, and an attack: every solo search of the general
+     construction is metered, so its cancel takes effect too *)
+  List.iter
+    (fun job ->
+      let id = submit_detached addr job in
+      await "job running" (fun () ->
+          job_state addr id = Some Serve.Wire.Running);
+      cancel addr id;
+      await "job cancelled" (fun () ->
+          job_state addr id = Some Serve.Wire.Cancelled);
+      match Serve.Client.wait_result addr ~id with
+      | Error e ->
+          Alcotest.(check bool) "cancelled job is a loud error" true
+            (contains e "cancelled")
+      | Ok _ -> Alcotest.fail "cancelled job must not yield a verdict")
+    [ endless_job (); attack_job ~general:true "anon-rw" ];
   (* unknown ids are loud too *)
   match roundtrip addr (Serve.Wire.Result { id = 999 }) with
   | Ok (Serve.Wire.Error { message }) ->
