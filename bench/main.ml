@@ -98,10 +98,12 @@ let engine_project (r : int Mc.Explore.result) =
    ([`Off] at these depths would take minutes; a row's node reduction is
    relative to its first mode).  [rw-3n-n7-deep], seven processes at
    depth 12 (1.67M nodes), is the longest row.  [rw-3n] gives each pid
-   its own registers, so it is not an identical-process instance and its
-   [`Symmetric] counters equal [`Exact]'s (test_dedup pins this): the
-   row measures the table at scale, not Theorem 3.3's identical-process
-   threshold. *)
+   its own registers, so it is not an identical-process instance: no two
+   processes share a root, and as state ids form a tree under their
+   roots, [`Symmetric] keys it exactly like [`Exact], with no per-probe
+   sort, and its counters equal [`Exact]'s (test_dedup and CI pin this).
+   The row measures the table at scale, not Theorem 3.3's
+   identical-process threshold. *)
 let mc_bench_rows () =
   List.map
     (fun (name, p, inputs, max_depth) ->

@@ -33,6 +33,7 @@ type outcome = {
 type error =
   | Side_decides_wrong of { side : int; got : int }
   | Unsupported_processes of int
+  | Objects_grow of { probed : int; objects : int; processes : int }
   | Construction_failed of string
   | Budget_exhausted of Robust.Budget.reason
 
@@ -44,6 +45,12 @@ let error_to_string = function
       Printf.sprintf
         "the construction needs %d processes, which the protocol does not \
          support" m
+  | Objects_grow { probed; objects; processes } ->
+      Printf.sprintf
+        "the protocol uses %d objects at 2 processes but %d at %d: its \
+         object count grows with n, so no process count satisfies 3r^2 + r \
+         <= n"
+        probed objects processes
   | Construction_failed msg -> "construction failed: " ^ msg
   | Budget_exhausted reason ->
       Printf.sprintf "budget exhausted (%s) before the construction finished"
@@ -69,7 +76,8 @@ let run ?budget ?processes (p : Consensus.Protocol.t) =
     let pset = List.init half Fun.id in
     let qset = List.init half (fun i -> half + i) in
     let config = Consensus.Protocol.initial_config p ~inputs in
-    let objs = List.init (Config.n_objects config) Fun.id in
+    let objects = Config.n_objects config in
+    let objs = List.init objects Fun.id in
     let build side_pids =
       let scratch = Builder.create ~config ~inputs in
       Build_interruptible.construct scratch ~all_objects:objs ~vset:[]
@@ -118,10 +126,13 @@ let run ?budget ?processes (p : Consensus.Protocol.t) =
           }
       end
     in
-    match Combine.governed budget construct with
-    | Ok result -> result
-    | Error (`Failed msg) -> Error (Construction_failed msg)
-    | Error (`Exhausted reason) -> Error (Budget_exhausted reason)
+    if objects > r then
+      Error (Objects_grow { probed = r; objects; processes = m })
+    else
+      match Combine.governed budget construct with
+      | Ok result -> result
+      | Error (`Failed msg) -> Error (Construction_failed msg)
+      | Error (`Exhausted reason) -> Error (Budget_exhausted reason)
 
 let succeeded outcome = not outcome.verdict.Checker.consistent
 

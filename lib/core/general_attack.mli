@@ -21,6 +21,11 @@ type error =
   | Unsupported_processes of int
       (** the protocol cannot be instantiated with the process count the
           construction needs *)
+  | Objects_grow of { probed : int; objects : int; processes : int }
+      (** the protocol uses [probed] objects at 2 processes, from which the
+          construction sized [processes], but [objects] at [processes]:
+          the object count grows with n, so the bound 3r^2 + r <= n holds
+          at no process count *)
   | Construction_failed of string
   | Budget_exhausted of Robust.Budget.reason
       (** the governed construction was cut short: no witness {e and} no

@@ -329,17 +329,17 @@ let resumes_into (cursor : (int * int) array) on_path ~depth pid outcome =
 
    Table lookups read the key from the table's key register ({!Ptbl}),
    which holds the node's key packed: each step into a node that probes
-   is XORed into it and out again, and under [`Symmetric] a lookup ORs
-   in the sorted sids, so no lookup re-packs the slab.  A miss inserts
-   the key *before* expanding the subtree, marked in-progress (meta 0:
-   stored depth -1, incomplete) — which every revisit treats exactly as
-   the closure engine treats an absent entry, so counters match node
-   for node — and the held slot offset lets the post-expansion update
-   write the final (depth, complete) meta without re-probing.  If the
-   table was relaid out meanwhile (it grew, or the intern table outgrew
-   a key field width), the offset is stale: the undo discipline restored
-   the slab and the register to the pre-expansion key, so one more
-   lookup finds the entry again.
+   is XORed into it and out again, and under [`Symmetric] with a shared
+   root a lookup ORs in the sorted sids, so no lookup re-packs the slab.
+   A miss inserts the key *before* expanding the subtree, marked
+   in-progress (meta 0: stored depth -1, incomplete) — which every
+   revisit treats exactly as the closure engine treats an absent entry,
+   so counters match node for node — and the held slot offset lets the
+   post-expansion update write the final (depth, complete) meta without
+   re-probing.  If the table was relaid out meanwhile (it grew, or the
+   intern table outgrew a key field width), the offset is stale: the
+   undo discipline restored the slab and the register to the
+   pre-expansion key, so one more lookup finds the entry again.
 
    Checkpoint/resume: the meter is consulted *before* a node is counted,
    so a tripped node is exactly the first unvisited node of the
@@ -394,6 +394,18 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
   let rt = Flat.rt flat in
   let n_objs = Flat.n_objs flat and n_procs = Flat.n_procs flat in
   let width = n_objs + n_procs in
+  (* Sort only where two processes share a root ([Per_slot] shares
+     none).  Sids form a tree (a fresh child per (parent, input)), so
+     processes with distinct roots never hold equal sids and sorting
+     could merge nothing the exact key does not.  Allocation-free:
+     CEGIS runs thousands of tiny searches. *)
+  let sorted = ref false in
+  for p = 0 to n_procs - 1 do
+    for q = p + 1 to n_procs - 1 do
+      if Flat.sid flat p = Flat.sid flat q then sorted := true
+    done
+  done;
+  let sorted = !sorted in
   let table =
     match dedup with
     | `Off -> None
@@ -404,12 +416,12 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
              ~max_depth:(max max_depth 0))
   in
   (* The table's key register holds the current node's key packed (its
-     state fields left 0 under [`Symmetric]): loaded from the slab at
+     state fields left 0 when [sorted]): loaded from the slab at
      the root and after a widening, and otherwise kept by [flip]. *)
   let skey = Array.make width 0 in
   let load tbl =
     Flat.slab_copy flat ~into:skey;
-    if symmetric then
+    if sorted then
       for p = n_objs to width - 1 do
         Array.unsafe_set skey p 0
       done;
@@ -423,19 +435,19 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
      ancestors' steps and its own. *)
   let flip tbl pid obj dv ds =
     if dv <> 0 then Ptbl.flip tbl obj dv;
-    if ds <> 0 && not symmetric then Ptbl.flip tbl (n_objs + pid) ds
+    if ds <> 0 && not sorted then Ptbl.flip tbl (n_objs + pid) ds
   in
-  (* under [`Symmetric] a probe ORs in the sorted sids, insertion-sorted
-     in one reused array (n_procs is small; no comparator closure, no
-     allocation); under [`Exact] the register is the whole key *)
-  let sids = if symmetric then Array.make n_procs 0 else [||] in
+  (* when [sorted] a probe ORs in the sorted sids, insertion-sorted in
+     one reused array (n_procs is small; no comparator closure, no
+     allocation); otherwise the register is the whole key *)
+  let sids = if sorted then Array.make n_procs 0 else [||] in
   (* the current node's entry, inserted in progress when absent *)
   let table_slot tbl =
     if
       Ptbl.fit tbl ~n_values:(Intern.n_values rt)
         ~n_states:(Intern.n_states rt)
     then load tbl;
-    if symmetric then
+    if sorted then
       for p = 0 to n_procs - 1 do
         let v = Flat.sid flat p in
         let j = ref (p - 1) in

@@ -297,6 +297,46 @@ let test_resume_exact_dedup () =
     (* the depth-9 exact-dedup tree holds 216 nodes; every allowance trips *)
     [ 1; 17; 100; 200 ]
 
+(* rw-3n gives every pid its own registers, so no two processes share a
+   root and [`Symmetric] keys the search exactly like [`Exact]: the
+   state fields live in the key register, which a resume loads at the
+   root and keeps by the resume path's flips.  The depth-8 preorder
+   first counts the root and the eight configurations where process 0
+   alone moved; one path reaches each, so a trip among them leaves
+   nothing in the uninterrupted run's table that the resumed run (whose
+   table starts empty) could miss, and the counters must be equal. *)
+let test_resume_symmetric_unshared () =
+  let config () =
+    Protocol.initial_config Rw_consensus.protocol ~inputs:[ 0; 0; 0 ]
+  in
+  let flat = Sim.Flat.of_config ~roots:Sim.Flat.By_fp (config ()) in
+  Alcotest.(check int) "no shared root" 3
+    (List.length (List.sort_uniq compare (List.init 3 (Sim.Flat.sid flat))));
+  let go ?budget ?on_checkpoint ?resume () =
+    let r =
+      Mc.Explore.search ?budget ?on_checkpoint ?resume ~dedup:`Symmetric
+        ~max_depth:8 ~inputs:[ 0; 1 ] (config ())
+    in
+    (r.Mc.Explore.visited, r.Mc.Explore.leaves, r.Mc.Explore.table_hits)
+  in
+  let base = go () in
+  Alcotest.(check bool) "the table hits" true
+    (match base with _, _, hits -> hits > 100);
+  List.iter
+    (fun k ->
+      let last = ref None in
+      let visited, _, _ =
+        go ~budget:(Robust.Budget.make ~nodes:k ())
+          ~on_checkpoint:(fun s -> last := Some s)
+          ()
+      in
+      Alcotest.(check int) (Printf.sprintf "nodes=%d: tripped" k) k visited;
+      Alcotest.(check bool)
+        (Printf.sprintf "nodes=%d: resume = uninterrupted counters" k)
+        true
+        (go ~resume:(Option.get !last) () = base))
+    [ 1; 2; 5; 9 ]
+
 (* the closure referee does not checkpoint, and asking it to is an error,
    never a silent switch of engine *)
 let test_closure_refuses_checkpointing () =
@@ -332,6 +372,8 @@ let suite =
       test_checkpoint_bytes_golden;
     Alcotest.test_case "resume under exact dedup" `Quick
       test_resume_exact_dedup;
+    Alcotest.test_case "resume under symmetric dedup, no shared root"
+      `Quick test_resume_symmetric_unshared;
     Alcotest.test_case "closure referee refuses checkpointing" `Quick
       test_closure_refuses_checkpointing;
   ]

@@ -83,7 +83,15 @@ let test_exit_codes () =
   let diverged = run_cli [ "attack"; "counter-3"; "--general" ] in
   check_code "general attack on counter-3" 4 diverged;
   Alcotest.(check bool) "construction failure reported" true
-    (contains diverged.out "construction failed: replay diverged")
+    (contains diverged.out "construction failed: replay diverged");
+  (* rw-3n has 3n registers: sized from its 6 at n = 2, the construction
+     meets 420 at 140 processes, and no count satisfies 3r^2 + r <= n *)
+  let growing = run_cli [ "attack"; "rw-3n"; "--general" ] in
+  check_code "general attack on rw-3n" 4 growing;
+  Alcotest.(check bool) "object growth named" true
+    (contains growing.out
+       "the protocol uses 6 objects at 2 processes but 420 at 140: its \
+        object count grows with n")
 
 let test_budget_truncation () =
   let r =

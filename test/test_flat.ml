@@ -42,25 +42,42 @@ let dedups = [ ("off", `Off); ("exact", `Exact); ("symmetric", `Symmetric) ]
 (* Every registry protocol under every dedup mode: same witness trace,
    same verdict, same visited/leaves/table counters.  [max_states]
    truncation is deterministic (first k preorder nodes), so bounded
-   searches compare exactly too. *)
+   searches compare exactly too.  An [identical] protocol also runs at
+   inputs 0,1,0, where processes 0 and 2 share a root: [`Symmetric]
+   sorts state ids only there (at 0,1 it keys exactly like [`Exact]),
+   so both keyings meet the referee. *)
 let test_search_registry_differential () =
+  let check (p : Protocol.t) inputs =
+    let n = List.length inputs in
+    List.iter
+      (fun (dname, dedup) ->
+        let run state =
+          project
+            (Mc.Explore.search ~state ~dedup ~max_depth:9 ~max_states:20_000
+               ~inputs:[ 0; 1 ]
+               (Protocol.initial_config p ~inputs))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s n=%d %s: flat = closure" p.name n dname)
+          true
+          (run `Flat = run `Closure))
+      dedups
+  in
   List.iter
     (fun (p : Protocol.t) ->
-      let n = smallest_n p in
-      let inputs = List.init n (fun i -> i land 1) in
-      List.iter
-        (fun (dname, dedup) ->
-          let run state =
-            project
-              (Mc.Explore.search ~state ~dedup ~max_depth:9 ~max_states:20_000
-                 ~inputs:[ 0; 1 ]
-                 (Protocol.initial_config p ~inputs))
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s n=%d %s: flat = closure" p.name n dname)
-            true
-            (run `Flat = run `Closure))
-        dedups)
+      check p (List.init (smallest_n p) (fun i -> i land 1));
+      if p.identical && p.supports_n 3 then begin
+        let inputs = [ 0; 1; 0 ] in
+        let flat =
+          Sim.Flat.of_config ~roots:Sim.Flat.By_fp
+            (Protocol.initial_config p ~inputs)
+        in
+        Alcotest.(check bool)
+          (p.name ^ " 0,1,0: processes 0 and 2 share a root")
+          true
+          (Sim.Flat.sid flat 0 = Sim.Flat.sid flat 2);
+        check p inputs
+      end)
     Registry.all
 
 (* The key-immutability regression (the packed table copies keys on
