@@ -365,20 +365,15 @@ let mc_cmd =
         mc_max_nodes = max_nodes;
       }
     in
-    (* the scenario stamp refuses resumes against a different search:
-       same protocol, inputs, depth and dedup or nothing *)
+    let job = { Serve.Job.spec = Serve.Job.Mc m; deadline } in
     let resume =
       Option.map
         (fun path ->
-          let saved, state = Mc.Checkpoint.load ~path in
-          if saved <> Serve.Job.mc_stamp m then begin
-            Fmt.epr
-              "checkpoint %s was taken for a different search:@.  \
-               checkpoint: %s@.  requested:  %s@."
-              path saved (Serve.Job.mc_stamp m);
-            exit Exit_code.bad_args
-          end;
-          state)
+          match Serve.Job.load_checkpoint job ~path with
+          | Ok state -> state
+          | Error msg ->
+              prerr_endline msg;
+              exit Exit_code.bad_args)
         resume
     in
     run_job ?obs:(make_obs metrics) ?checkpoint ~checkpoint_every ?resume
@@ -389,7 +384,7 @@ let mc_cmd =
           ("inputs", String.concat "," (List.map string_of_int inputs));
           ("dedup", dedup);
         ]
-      { Serve.Job.spec = Serve.Job.Mc m; deadline }
+      job
   in
   Cmd.v
     (Cmd.info "mc" ~doc:"Exhaustively model-check a protocol instance")
@@ -431,12 +426,13 @@ let mc_cmd =
               ~doc:
                 "Periodically save the DFS frontier to FILE (checksummed, \
                  durable; exit 1 if unwritable), and once more if a budget \
-                 trips.")
+                 trips.  Needs --dedup off.")
       $ Arg.(
           value
           & opt int 50_000
           & info [ "checkpoint-every" ] ~docv:"N"
-              ~doc:"Checkpoint every N visited nodes (with --checkpoint).")
+              ~doc:
+                "Checkpoint every N >= 1 visited nodes (with --checkpoint).")
       $ Arg.(
           value
           & opt (some string) None
@@ -444,7 +440,7 @@ let mc_cmd =
               ~doc:
                 "Resume a search from a checkpoint FILE; the stored \
                  scenario must match the protocol/inputs/depth/dedup given \
-                 here.")
+                 here.  Needs --dedup off.")
       $ metrics_arg $ progress_arg)
 
 (* ------------------------------------------------------------------ fuzz *)

@@ -3,25 +3,15 @@ open Sim
 type state = {
   visited : int;
   leaves : int;
-  table_hits : int;
   max_depth_seen : int;
-  trunc : int;
   reason : Robust.Budget.reason option;
   path : (int * int) list;
 }
 
 let empty =
-  {
-    visited = 0;
-    leaves = 0;
-    table_hits = 0;
-    max_depth_seen = 0;
-    trunc = 0;
-    reason = None;
-    path = [];
-  }
+  { visited = 0; leaves = 0; max_depth_seen = 0; reason = None; path = [] }
 
-let magic = "randsync-checkpoint v3"
+let magic = "randsync-checkpoint v4"
 
 let parse_error fmt =
   Printf.ksprintf (fun s -> raise (Trace_io.Parse_error s)) fmt
@@ -33,9 +23,7 @@ let to_text ~scenario state =
       "scenario " ^ scenario;
       Printf.sprintf "visited %d" state.visited;
       Printf.sprintf "leaves %d" state.leaves;
-      Printf.sprintf "table_hits %d" state.table_hits;
       Printf.sprintf "max_depth_seen %d" state.max_depth_seen;
-      Printf.sprintf "trunc %d" state.trunc;
       (match state.reason with
       | None -> "reason -"
       | Some r -> "reason " ^ Robust.Budget.reason_to_string r);
@@ -58,8 +46,7 @@ let of_text text =
     | None -> parse_error "bad integer in %S line %S" name line
   in
   match Robust.Persist.unframe ~magic text with
-  | [ scenario; visited; leaves; table_hits; max_depth_seen; trunc; reason;
-      path ] ->
+  | [ scenario; visited; leaves; max_depth_seen; reason; path ] ->
       let reason =
         match field "reason" reason with
         | "-" -> None
@@ -80,13 +67,11 @@ let of_text text =
         {
           visited = int_field "visited" visited;
           leaves = int_field "leaves" leaves;
-          table_hits = int_field "table_hits" table_hits;
           max_depth_seen = int_field "max_depth_seen" max_depth_seen;
-          trunc = int_field "trunc" trunc;
           reason;
           path;
         } )
-  | l -> parse_error "checkpoint has %d lines, expected 8" (List.length l)
+  | l -> parse_error "checkpoint has %d lines, expected 6" (List.length l)
 
 let save ~path ~scenario state =
   Robust.Persist.write ~path (to_text ~scenario state)

@@ -13,20 +13,23 @@
     already uses, which keeps checkpoints a few hundred bytes regardless
     of state-space size.
 
-    Resume-equals-uninterrupted holds for [~dedup:`Off] (pinned by
-    [test_checkpoint]); with a transposition table the verdict is still
-    sound but node counts can differ, because the table's contents are
-    not checkpointed.  The scenario string exists so a resume against the
-    wrong protocol/inputs/depth is refused loudly instead of exploring
-    garbage.
+    Only a dedup-off search checkpoints ({!Explore.search} refuses
+    anything else), so a resumed run is the uninterrupted one, node for
+    node: its verdict, counters and witness are the same.  A table's
+    contents could not be restored, and a resumed dedup run could give
+    a different verdict.  The scenario string exists so a resume against
+    the wrong protocol/inputs/depth is refused loudly instead of
+    exploring garbage.
 
     File format: a {!Robust.Persist} frame, so a truncated or damaged
     checkpoint is a loud parse error instead of a silently wrong resume
-    cursor:
+    cursor; files of another version (v3 and older) are refused:
     {v
-    randsync-checkpoint v3
+    randsync-checkpoint v4
     scenario <verbatim scenario line>
-    visited <int> ... trunc <int> counter lines
+    visited <int>
+    leaves <int>
+    max_depth_seen <int>
     reason <reason|->
     path <pid>:<outcome> <pid>:<outcome> ...
     end <bytes> <md5-hex>
@@ -35,9 +38,7 @@
 type state = {
   visited : int;
   leaves : int;
-  table_hits : int;
   max_depth_seen : int;
-  trunc : int;  (** truncation points seen so far *)
   reason : Robust.Budget.reason option;  (** first truncation reason *)
   path : (int * int) list;  (** root-to-cursor choice path *)
 }

@@ -29,7 +29,7 @@
                     all processes start from one protocol term (identical
                     processes with one input — the Theorem 3.3 setting),
                     or the initial fingerprints of differing terms were
-                    distinguished via [Config.make ~fp_seeds] (what
+                    distinguished via [Config.make_seeded ~fp_seeds] (what
                     [Consensus.Protocol.initial_config] does).
 
    Memoized skips of *complete* (exhaustively clean) subtrees never affect
@@ -60,8 +60,7 @@ type 'a result = {
   max_depth_seen : int;
   table_hits : int;  (** subtrees skipped via the transposition table *)
   table_misses : int;
-      (** lookups that found no reusable entry; 0 under [`Off], and
-          restarts from 0 on resume (not part of the checkpoint format) *)
+      (** lookups that found no reusable entry; 0 under [`Off] *)
 }
 
 (** All single-step successors of [config] for process [pid]: one successor
@@ -341,31 +340,29 @@ let resumes_into (cursor : (int * int) array) on_path ~depth pid outcome =
    undo discipline restored the slab and the register to the
    pre-expansion key, so one more lookup finds the entry again.
 
-   Checkpoint/resume: the meter is consulted *before* a node is counted,
-   so a tripped node is exactly the first unvisited node of the
-   sequential preorder, and the path arrays at the trip are a checkpoint
-   cursor for free.  [~on_checkpoint] is called with the counters and
-   the root-to-cursor path every [checkpoint_every] visited nodes (before
+   Checkpoint/resume ([search] allows it under [`Off] only, so no table
+   is involved): the meter is consulted *before* a node is counted, so a
+   tripped node is exactly the first unvisited node of the sequential
+   preorder, and the path arrays at the trip are a checkpoint cursor for
+   free.  [~on_checkpoint] is called with the counters and the
+   root-to-cursor path every [checkpoint_every] visited nodes (before
    the node is counted) and once more at a budget trip.  [~resume]
    restores the counters and fast-forwards to the cursor: a node at
    [depth < !on_path] lies on the resume path and is re-entered without
-   being counted, metered or looked up in the table (it was counted
-   before the interruption; the table is not checkpointed), and
-   [resumes_into] skips its children left of the path.  Under [`Off] the
-   resumed run is bit-identical to an uninterrupted one (pinned by
+   being counted or metered (it was counted before the interruption),
+   and [resumes_into] skips its children left of the path.  The resumed
+   run is bit-identical to an uninterrupted one (pinned by
    [test_checkpoint]). *)
 let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
     ~dedup ~max_depth ~max_states ~inputs ~obs config =
   let resume = match resume with None -> Checkpoint.empty | Some s -> s in
   let visited = ref resume.Checkpoint.visited in
   let leaves = ref resume.Checkpoint.leaves in
-  let table_hits = ref resume.Checkpoint.table_hits in
-  (* not checkpointed: a resumed run's miss count covers the resumed
-     portion only *)
+  let table_hits = ref 0 in
   let table_misses = ref 0 in
   (* counts truncation points so subtree completeness is a before/after
      comparison, not a sticky boolean *)
-  let trunc = ref resume.Checkpoint.trunc in
+  let trunc = ref 0 in
   let max_depth_seen = ref resume.Checkpoint.max_depth_seen in
   (* first structural (depth/states) truncation in preorder; budget trips
      are kept separate because a resumed run voids them *)
@@ -462,12 +459,8 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
   let path_pid = Array.make (max max_depth 1) 0 in
   let path_out = Array.make (max max_depth 1) 0 in
   let rec go distinct depth pid obj dv ds =
-    if depth < !on_path then begin
-      (* on the resume path: counted before the interruption *)
-      Option.iter (fun tbl -> flip tbl pid obj dv ds) table;
-      expand distinct depth;
-      Option.iter (fun tbl -> flip tbl pid obj dv ds) table
-    end
+    (* on the resume path: counted before the interruption *)
+    if depth < !on_path then expand distinct depth
     else begin
       (match meter with
       | None -> ()
@@ -586,9 +579,7 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
     {
       Checkpoint.visited = !visited;
       leaves = !leaves;
-      table_hits = !table_hits;
       max_depth_seen = !max_depth_seen;
-      trunc = !trunc;
       reason = !first_reason;
       path = path_to path_pid path_out depth;
     }
@@ -656,6 +647,10 @@ let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
   if max_depth > max_depth_bound then
     invalid_arg
       (Printf.sprintf "Explore.search: max_depth above %d" max_depth_bound);
+  if
+    (Option.is_some on_checkpoint || Option.is_some resume)
+    && (state, dedup) <> (`Flat, `Off)
+  then invalid_arg "Explore.search: only a dedup-off flat search checkpoints";
   Obs.span obs "mc/search" @@ fun () ->
   let polls = ref 0 in
   let r =
@@ -664,10 +659,6 @@ let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
         search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint
           ~resume ~dedup ~max_depth ~max_states ~inputs ~obs config
     | `Closure ->
-        if Option.is_some on_checkpoint || Option.is_some resume then
-          invalid_arg
-            "Explore.search: the closure referee does not checkpoint or \
-             resume";
         search_from ~polls ~budget ~dedup ~max_depth ~max_states
           ~inputs config
   in

@@ -22,7 +22,7 @@
     So [`Symmetric] is sound when all processes run one protocol term
     with one input (the identical-processes setting of Theorem 3.3), or
     when differing initial terms were distinguished via
-    [Config.make ~fp_seeds] (as [Consensus.Protocol.initial_config]
+    [Config.make_seeded ~fp_seeds] (as [Consensus.Protocol.initial_config]
     does).  Dedup never changes the violation verdict or the reported
     witness; it changes only the node counts ([visited], [leaves]) and
     wall-clock. *)
@@ -92,23 +92,22 @@ val max_depth_bound : int
     reasons, [`States] wins once [visited] passed [max_states], even
     when a depth cut came first in preorder.
 
-    Checkpoint/resume: [?on_checkpoint] receives the counters plus the
-    root-to-cursor choice path every [checkpoint_every] visited nodes
-    (before the node at the cursor is counted) and once more when the
-    budget trips, with the first uncounted node as the cursor; [?resume]
-    restores that state and fast-forwards the DFS to the cursor without
-    re-counting, metering or table-probing the nodes on its path.  Under
-    [~dedup:`Off] an interrupted + resumed run is bit-identical to an
-    uninterrupted one (pinned by [test_checkpoint]); with a table, counts
-    may differ (the table is not checkpointed) but the verdict stays
-    sound.  [table_misses] restarts from 0 on resume — the checkpoint
-    format does not carry it.  A resume path that does not fit the
-    scenario raises [Invalid_argument].
+    Checkpoint/resume, for the flat search with [~dedup:`Off] only:
+    [?on_checkpoint] receives the counters plus the root-to-cursor
+    choice path every [checkpoint_every] visited nodes (before the node
+    at the cursor is counted) and once more when the budget trips, with
+    the first uncounted node as the cursor; [?resume] restores that
+    state and fast-forwards the DFS to the cursor without re-counting or
+    metering the nodes on its path.  An interrupted + resumed run is
+    bit-identical to an uninterrupted one (pinned by [test_checkpoint]).
+    [?on_checkpoint] or [?resume] with a table ([`Exact]/[`Symmetric])
+    or with [~state:`Closure] raises [Invalid_argument]: a table's
+    contents are not checkpointed, so a resumed dedup run could give
+    another verdict, and no engine is swapped behind the caller's back.
+    A resume path that does not fit the scenario raises
+    [Invalid_argument].
 
-    [?state] picks the engine (default [`Flat]); [~state:`Closure]
-    together with [?on_checkpoint] or [?resume] raises
-    [Invalid_argument] — the referee never checkpoints, and no engine is
-    swapped behind the caller's back.
+    [?state] picks the engine (default [`Flat]).
 
     [?obs]: the run is wrapped in an ["mc/search"] span and, on return,
     records ["mc/visited"], ["mc/leaves"], ["mc/table-hits"],

@@ -77,14 +77,41 @@ let engine_of_name = function
 
 let inputs_csv inputs = String.concat "," (List.map string_of_int inputs)
 
-(* Character-identical to the stamp randsync mc builds, so CLI and server
-   checkpoints interoperate. *)
+(* One stamp for CLI and server checkpoints, so each resumes the other's. *)
 let mc_stamp m =
   Printf.sprintf "mc protocol=%s inputs=%s depth=%d max-states=%d dedup=%s"
     m.mc_protocol (inputs_csv m.mc_inputs) m.mc_depth m.mc_max_states
     (dedup_name m.mc_dedup)
 
 let ( let* ) = Result.bind
+
+(* ---- checkpoints ---- *)
+
+(* Only a dedup-off mc search checkpoints: a resumed search starts with an
+   empty table, so under dedup it could answer another verdict than the
+   uninterrupted one. *)
+let checkpoints t = match t.spec with Mc m -> m.mc_dedup = `Off | _ -> false
+
+let checkpoint_rule =
+  "--checkpoint and --resume need --dedup off: the transposition table is \
+   not checkpointed"
+
+let load_checkpoint t ~path =
+  match t.spec with
+  | Mc m when checkpoints t -> (
+      match Mc.Checkpoint.load ~path with
+      | saved, state when saved = mc_stamp m -> Ok state
+      | saved, _ ->
+          Error
+            (Printf.sprintf
+               "checkpoint %s was taken for a different search:\n\
+               \  checkpoint: %s\n\
+               \  requested:  %s"
+               path saved (mc_stamp m))
+      | exception (Robust.Persist.Error _ | Sim.Trace_io.Parse_error _ as e) ->
+          (* the CLI's one file-failure line *)
+          Error ("randsync: " ^ Printexc.to_string e))
+  | _ -> Error checkpoint_rule
 
 (* ---- validation ---- *)
 
@@ -539,6 +566,10 @@ let execute ?obs ?pool ?cancel ?on_poll ?checkpoint ?checkpoint_every ?resume
     ?(on_witness = ignore) t =
   match validate t with
   | Error e -> bad_args e
+  | Ok () when Option.value ~default:1 checkpoint_every < 1 ->
+      bad_args "--checkpoint-every must be >= 1"
+  | Ok () when not (checkpoints t || (checkpoint = None && resume = None)) ->
+      bad_args checkpoint_rule
   | Ok () -> (
       (* the spec's deadline is relative, as Budget.make takes it *)
       let budget nodes =

@@ -66,10 +66,23 @@ val label : t -> string
     {!execute} both apply it. *)
 val validate : t -> (unit, string) result
 
-(** The checkpoint scenario stamp for an mc job — character-identical to
-    the one [randsync mc --checkpoint] writes, so server checkpoints and
-    CLI checkpoints are mutually resumable. *)
-val mc_stamp : mc -> string
+(** {1 Checkpoints} *)
+
+(** The one checkpoint rule: only an mc job with [mc_dedup = `Off]
+    checkpoints or resumes.  Its resumed run is the uninterrupted one,
+    node for node; a table's contents are not checkpointed, so a resumed
+    dedup run could answer another verdict.  {!execute} refuses the rest,
+    and the server gives no other job a spool checkpoint. *)
+val checkpoints : t -> bool
+
+(** [load_checkpoint t ~path] is the resume state saved in [path] for
+    job [t].  [Error msg] if [t] may not resume ({!checkpoints}), the
+    file cannot be read or parsed, or it was saved for another search
+    (its scenario stamp: protocol, inputs, depth, max-states, dedup —
+    one stamp for CLI and server checkpoints, so each resumes the
+    other's).  [msg] is what [randsync mc --resume] prints before it
+    exits 1; the server runs such a job afresh. *)
+val load_checkpoint : t -> path:string -> (Mc.Checkpoint.state, string) result
 
 (** The enum spellings the JSON codec and the CLI flags share. *)
 val dedup_of_name : string -> ([ `Off | `Exact | `Symmetric ], string) result
@@ -122,13 +135,17 @@ type witness =
     - [cancel] is a kill switch (client cancel, drain, SIGTERM);
       [on_poll] rides the budget's poll cadence (progress).  The spec's
       [deadline] is relative to the call.
-    - [checkpoint] (mc only) names a file the search writes its cursor to
-      every [checkpoint_every] nodes (default 50,000) and at any budget
-      trip; it is never read.
-    - [resume] (mc only) continues a checkpointed search.  The node
-      allowance shrinks by the nodes the checkpoint already visited, so
-      the resumed run stops at the uninterrupted run's frontier.  Whether
-      a checkpoint matches the job ({!mc_stamp}) is the caller's check.
+    - [checkpoint] names a file the search writes its cursor to every
+      [checkpoint_every] nodes (default 50,000; below 1 is a
+      [Status.bad_args] outcome) and at any budget trip; it is never
+      read.
+    - [resume] continues a checkpointed search ({!load_checkpoint}).
+      The node allowance shrinks by the nodes the checkpoint already
+      visited, so the resumed run stops at the uninterrupted run's
+      frontier.
+    - [checkpoint] or [resume] for a job that does not {!checkpoints} is
+      a [Status.bad_args] outcome naming the flags; nothing is searched
+      or written.
     - [on_witness] receives the job's {!witness}, if it has one.
 
     File failures of [checkpoint] raise {!Robust.Persist.Error}. *)

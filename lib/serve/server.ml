@@ -156,7 +156,7 @@ let finish_job t jr (outcome : Job.outcome) =
   let cut_by_cancel = List.mem interrupted_line outcome.Job.lines in
   (match (jr.origin, cut_by_cancel) with
   | `Drain, true ->
-      (* drained mid-run: the checkpoint (if mc) holds the cursor and the
+      (* drained mid-run: the checkpoint (if any) holds the cursor and the
          spool still holds the spec — a restart finishes the job *)
       jr.state <- Interrupted;
       obs_incr t "serve/interrupted"
@@ -170,19 +170,6 @@ let finish_job t jr (outcome : Job.outcome) =
         (Wire.Verdict
            { id = jr.id; status = outcome.Job.status; lines = outcome.Job.lines }));
   obs_gauges t
-
-(* A spooled mc job resumes from its checkpoint when the file exists,
-   carries the job's stamp and the job's dedup is off (table contents are
-   not checkpointed).  Anything else, a damaged file included, runs the
-   job afresh: the same verdict at the cost of redone work. *)
-let spool_resume job path =
-  match job.Job.spec with
-  | Job.Mc m when m.Job.mc_dedup = `Off && Sys.file_exists path -> (
-      match Mc.Checkpoint.load ~path with
-      | stamp, state when stamp = Job.mc_stamp m -> Some state
-      | _ -> None
-      | exception Robust.Persist.(Error _ | Parse_error _) -> None)
-  | _ -> None
 
 let worker_loop t =
   let rec next () =
@@ -221,14 +208,20 @@ let worker_loop t =
               notify jr (Wire.Progress { id = jr.id; nodes; steps })
           in
           let checkpoint =
-            match (t.spool, jr.job.Job.spec) with
-            | Some s, Job.Mc _ -> Some (Spool.checkpoint_path s ~id:jr.id)
+            match t.spool with
+            | Some s when Job.checkpoints jr.job ->
+                Some (Spool.checkpoint_path s ~id:jr.id)
             | _ -> None
           in
           let t0 = Unix.gettimeofday () in
           let outcome =
             try
-              let resume = Option.bind checkpoint (spool_resume jr.job) in
+              (* a missing, damaged or foreign checkpoint: the same
+                 verdict from a fresh run, at the cost of redone work *)
+              let resume =
+                Option.bind checkpoint (fun path ->
+                    Result.to_option (Job.load_checkpoint jr.job ~path))
+              in
               Job.execute ~cancel:jr.cancel ~on_poll ?checkpoint ?resume
                 jr.job
             with exn ->

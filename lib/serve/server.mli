@@ -17,7 +17,8 @@
 
     {b Drain.}  SIGTERM (or a [Drain] request) stops admission, lets
     idle workers exit, and cancels running jobs via their {!Robust.Cancel}
-    tokens; an mc job checkpoints its cursor on the way out.  Jobs cut
+    tokens; a job that {!Job.checkpoints} saves its cursor on the way
+    out.  Jobs cut
     by the drain are left {e pending} in the spool (state
     [Interrupted]); jobs that complete despite it are recorded normally.
     After the workers join, metrics are dumped ({!Obs.dump}) and [run]
@@ -26,9 +27,10 @@
     {b Resume.}  With a spool, accepted jobs are on disk before the
     [Accepted] reply.  A restarted server re-enqueues every job with no
     verdict and no cancel marker; determinism of the workloads makes the
-    replay reach the verdict the interrupted run would have (an mc job
-    with dedup off resumes from a spool checkpoint carrying its stamp;
-    any other checkpoint is ignored and the prefix recomputed).  Pinned by
+    replay reach the verdict the interrupted run would have (a job that
+    {!Job.checkpoints} resumes from the spool checkpoint
+    {!Job.load_checkpoint} accepts; a missing or refused one means the
+    prefix is recomputed).  Pinned by
     the kill-9 test in [test_serve]. *)
 
 type address = [ `Unix of string | `Tcp of string * int ]

@@ -10,7 +10,8 @@
     - [job-<id>.verdict] — the outcome, written when the job finishes;
     - [job-<id>.cancelled] — a marker for client/operator cancellation;
     - [job-<id>.ckpt] — the mc search checkpoint ({!Mc.Checkpoint}
-      format), written by the running search itself.
+      format) of a job that {!Job.checkpoints}, written by the running
+      search itself.
 
     [recover] classifies what a restarted server owes its past self: a
     job with a verdict or a cancel marker is terminal; anything else —

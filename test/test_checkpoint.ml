@@ -1,7 +1,8 @@
 (* Checkpoint/resume: the codec round-trips, malformed files are refused
    loudly, and — the contract that makes checkpoints worth having — a
    budget-interrupted search resumed from its final checkpoint produces
-   exactly the result of an uninterrupted run (under [`Off] dedup). *)
+   exactly the result of an uninterrupted run (only a dedup-off search
+   checkpoints). *)
 
 open Consensus
 
@@ -19,9 +20,7 @@ let test_codec_round_trip () =
     {
       Mc.Checkpoint.visited = 12345;
       leaves = 67;
-      table_hits = 8;
       max_depth_seen = 21;
-      trunc = 3;
       reason = Some `Deadline;
       path = [ (0, 0); (2, 1); (1, 3) ];
     }
@@ -47,7 +46,7 @@ let test_codec_rejects_malformed () =
   (* entry syntax is checked inside an intact frame, so the checksum is
      not what refuses these *)
   let edit ~sub ~by =
-    let magic = "randsync-checkpoint v3" in
+    let magic = "randsync-checkpoint v4" in
     Robust.Persist.frame ~magic
       (List.map
          (fun l -> Test_util.replace_first ~sub ~by l)
@@ -55,9 +54,14 @@ let test_codec_rejects_malformed () =
   in
   expect_parse_error "empty" "";
   expect_parse_error "wrong version"
-    (Test_util.replace_first ~sub:"v3" ~by:"v9" valid);
+    (Test_util.replace_first ~sub:"v4" ~by:"v9" valid);
+  (* a v3 file, intact, carries counters v4 dropped: refused, not read *)
+  expect_parse_error "v3 file"
+    "randsync-checkpoint v3\nscenario s\nvisited 0\nleaves 0\n\
+     table_hits 0\nmax_depth_seen 0\ntrunc 0\nreason -\npath\n\
+     end 82 28597a4e1677e40abb07cfed1f3bad53\n";
   expect_parse_error "bad reason" (edit ~sub:"reason -" ~by:"reason zeal");
-  expect_parse_error "truncated file" "randsync-checkpoint v3\nscenario s";
+  expect_parse_error "truncated file" "randsync-checkpoint v4\nscenario s";
   expect_parse_error "bad path element" (edit ~sub:"path" ~by:"path 1:2:3");
   expect_parse_error "bad integer" (edit ~sub:"visited 0" ~by:"visited x");
   (* a scenario with a newline would corrupt the line format: refused at
@@ -153,10 +157,10 @@ let search ?(dedup = `Off) ?budget ?on_checkpoint ?checkpoint_every ?resume
     ~dedup ~max_depth:9 ~inputs:[ 0; 1 ] config
 
 (* the final checkpoint of a run interrupted after [k] nodes *)
-let trip_checkpoint ?dedup k =
+let trip_checkpoint k =
   let last = ref None in
   ignore
-    (search ?dedup
+    (search
        ~budget:(Robust.Budget.make ~nodes:k ())
        ~on_checkpoint:(fun s -> last := Some s)
        ());
@@ -256,7 +260,7 @@ let test_resume_mismatch_refused () =
   | _ -> Alcotest.fail "resume against a mismatched scenario was accepted"
 
 (* The trip checkpoints of the depth-9 scenario, byte for byte: the
-   cursor lines are what earlier builds wrote, now in a v3 frame whose
+   cursor lines are what earlier builds wrote, now in a v4 frame whose
    trailer (body length, MD5) was cross-checked with an independent
    MD5 implementation. *)
 let test_checkpoint_bytes_golden () =
@@ -268,87 +272,38 @@ let test_checkpoint_bytes_golden () =
         (Mc.Checkpoint.to_text ~scenario:"golden" (trip_checkpoint k)))
     [
       ( 17,
-        "randsync-checkpoint v3\nscenario golden\nvisited 17\nleaves 0\n\
-         table_hits 0\nmax_depth_seen 9\ntrunc 5\nreason depth\n\
+        "randsync-checkpoint v4\nscenario golden\nvisited 17\nleaves 0\n\
+         max_depth_seen 9\nreason depth\n\
          path 0:0 0:0 0:0 0:0 0:0 0:0 1:0 0:0 1:0\n\
-         end 128 6c21aba66d3ccfaafc6ef9f6014bac3b\n" );
+         end 107 3ee90580fab6577e093fd83356102e81\n" );
       ( 1024,
-        "randsync-checkpoint v3\nscenario golden\nvisited 1024\nleaves 0\n\
-         table_hits 0\nmax_depth_seen 9\ntrunc 583\nreason depth\n\
+        "randsync-checkpoint v4\nscenario golden\nvisited 1024\nleaves 0\n\
+         max_depth_seen 9\nreason depth\n\
          path 1:0 0:0 1:0 0:0 0:0 0:0\n\
-         end 120 58d8ce71a7781cf089d8cf75093b5fe7\n" );
+         end 97 8417a6974753c34bb1e93132e1b7250b\n" );
     ]
 
-(* with a transposition table the resumed run starts from an empty table,
-   so its counts may differ, but never its verdict *)
-let test_resume_exact_dedup () =
-  let verdict (r : _ Mc.Explore.result) =
-    ( Robust.Budget.completeness_to_string r.Mc.Explore.completeness,
-      r.Mc.Explore.violation = None )
-  in
-  let base = verdict (search ~dedup:`Exact ()) in
-  List.iter
-    (fun k ->
-      let resume = trip_checkpoint ~dedup:`Exact k in
-      Alcotest.(check bool)
-        (Printf.sprintf "exact, nodes=%d: resume = uninterrupted verdict" k)
-        true
-        (verdict (search ~dedup:`Exact ~resume ()) = base))
-    (* the depth-9 exact-dedup tree holds 216 nodes; every allowance trips *)
-    [ 1; 17; 100; 200 ]
-
-(* rw-3n gives every pid its own registers, so no two processes share a
-   root and [`Symmetric] keys the search exactly like [`Exact]: the
-   state fields live in the key register, which a resume loads at the
-   root and keeps by the resume path's flips.  The depth-8 preorder
-   first counts the root and the eight configurations where process 0
-   alone moved; one path reaches each, so a trip among them leaves
-   nothing in the uninterrupted run's table that the resumed run (whose
-   table starts empty) could miss, and the counters must be equal. *)
-let test_resume_symmetric_unshared () =
-  let config () =
-    Protocol.initial_config Rw_consensus.protocol ~inputs:[ 0; 0; 0 ]
-  in
-  let flat = Sim.Flat.of_config ~roots:Sim.Flat.By_fp (config ()) in
-  Alcotest.(check int) "no shared root" 3
-    (List.length (List.sort_uniq compare (List.init 3 (Sim.Flat.sid flat))));
-  let go ?budget ?on_checkpoint ?resume () =
-    let r =
-      Mc.Explore.search ?budget ?on_checkpoint ?resume ~dedup:`Symmetric
-        ~max_depth:8 ~inputs:[ 0; 1 ] (config ())
-    in
-    (r.Mc.Explore.visited, r.Mc.Explore.leaves, r.Mc.Explore.table_hits)
-  in
-  let base = go () in
-  Alcotest.(check bool) "the table hits" true
-    (match base with _, _, hits -> hits > 100);
-  List.iter
-    (fun k ->
-      let last = ref None in
-      let visited, _, _ =
-        go ~budget:(Robust.Budget.make ~nodes:k ())
-          ~on_checkpoint:(fun s -> last := Some s)
-          ()
-      in
-      Alcotest.(check int) (Printf.sprintf "nodes=%d: tripped" k) k visited;
-      Alcotest.(check bool)
-        (Printf.sprintf "nodes=%d: resume = uninterrupted counters" k)
-        true
-        (go ~resume:(Option.get !last) () = base))
-    [ 1; 2; 5; 9 ]
-
-(* the closure referee does not checkpoint, and asking it to is an error,
-   never a silent switch of engine *)
+(* only the flat search with dedup off checkpoints: asking the closure
+   referee, or a search with a table, is an error, never a silent switch
+   of engine or a resume whose verdict could differ *)
 let test_closure_refuses_checkpointing () =
   let refused name f =
     match f () with
     | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: accepted by the closure referee" name
+    | _ -> Alcotest.failf "%s: accepted" name
   in
-  refused "on_checkpoint" (fun () ->
-      search ~state:`Closure ~on_checkpoint:ignore ());
-  refused "resume" (fun () ->
-      search ~state:`Closure ~resume:Mc.Checkpoint.empty ())
+  List.iter
+    (fun (label, state, dedup) ->
+      refused (label ^ ", on_checkpoint") (fun () ->
+          search ~state ~dedup ~on_checkpoint:ignore ());
+      refused (label ^ ", resume") (fun () ->
+          search ~state ~dedup ~resume:Mc.Checkpoint.empty ()))
+    [
+      ("closure referee", `Closure, `Off);
+      ("flat, exact dedup", `Flat, `Exact);
+      ("flat, symmetric dedup", `Flat, `Symmetric);
+      ("closure referee, exact dedup", `Closure, `Exact);
+    ]
 
 let suite =
   [
@@ -370,10 +325,6 @@ let suite =
       test_resume_mismatch_refused;
     Alcotest.test_case "checkpoint bytes golden" `Quick
       test_checkpoint_bytes_golden;
-    Alcotest.test_case "resume under exact dedup" `Quick
-      test_resume_exact_dedup;
-    Alcotest.test_case "resume under symmetric dedup, no shared root"
-      `Quick test_resume_symmetric_unshared;
     Alcotest.test_case "closure referee refuses checkpointing" `Quick
       test_closure_refuses_checkpointing;
   ]

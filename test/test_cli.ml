@@ -178,6 +178,58 @@ let test_checkpoint_resume_round_trip () =
       check_code "garbage checkpoint refused" 1
         (run_cli (scenario @ [ "--resume"; "/dev/null" ])))
 
+(* Only a dedup-off search checkpoints.  Under --dedup exact this search
+   is exhaustive with 166 visited, but a resumed run re-explores what its
+   empty table forgot and the state cap cut it: "truncated (states)".
+   So --checkpoint and --resume under dedup exit 1 before any search,
+   and under --dedup off every cut resumes to the uninterrupted stdout. *)
+let test_resume_needs_dedup_off () =
+  let dir = Filename.temp_dir "randsync-cli-dedup" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let ckpt = Filename.concat dir "F" in
+  let spec dedup =
+    [ "mc"; "cas-1"; "--inputs"; "0,1,1,0,1"; "--depth"; "60"; "--dedup";
+      dedup; "--max-states"; "170" ]
+  in
+  let refused name args =
+    let r = run_cli args in
+    check_code name 1 r;
+    List.iter
+      (fun flag ->
+        if not (contains r.out flag) then
+          Alcotest.failf "%s: %s not named; output:\n%s" name flag r.out)
+      [ "--checkpoint"; "--resume"; "--dedup" ]
+  in
+  List.iter
+    (fun dedup ->
+      refused (dedup ^ " --checkpoint") (spec dedup @ [ "--checkpoint"; ckpt ]);
+      Alcotest.(check bool) (dedup ^ ": no checkpoint written") false
+        (Sys.file_exists ckpt))
+    [ "exact"; "symmetric" ];
+  let plain = run_cli (spec "off") in
+  check_code "uninterrupted dedup-off run" 0 plain;
+  Alcotest.(check int) "uninterrupted visited" 175 (visited_of plain);
+  Alcotest.(check string) "uninterrupted verdict" "verdict: truncated (states)"
+    (verdict_of plain);
+  List.iter
+    (fun k ->
+      let cut = [ "--max-nodes"; string_of_int k; "--checkpoint"; ckpt ] in
+      check_code (Printf.sprintf "cut at %d nodes" k) 3
+        (run_cli (spec "off" @ cut));
+      let resumed = run_cli (spec "off" @ [ "--resume"; ckpt ]) in
+      check_code (Printf.sprintf "resumed from %d nodes" k) 0 resumed;
+      Alcotest.(check string)
+        (Printf.sprintf "resumed from %d nodes = uninterrupted output" k)
+        plain.out resumed.out)
+    [ 20; 60; 80 ];
+  (* a dedup-off checkpoint is refused under dedup by the rule, before
+     its stamp is read *)
+  refused "exact --resume" (spec "exact" @ [ "--resume"; ckpt ])
+
 (* --max-nodes K counts from the search's start: a resumed run stops
    where the uninterrupted --max-nodes K run stops, not K nodes past the
    checkpoint *)
@@ -490,7 +542,17 @@ let test_numeric_validation () =
     "--runs must be >= 1";
   refused "submit --attempts=0"
     [ "submit"; "--socket"; "/nonexistent.sock"; "--attempts=0"; "--ping" ]
-    "--attempts must be >= 1"
+    "--attempts must be >= 1";
+  let ckpt = Filename.concat (Filename.get_temp_dir_name ()) "randsync-never" in
+  List.iter
+    (fun every ->
+      refused ("mc " ^ every)
+        [ "mc"; "cas-1"; "--inputs"; "0,1"; "--depth"; "10"; "--checkpoint";
+          ckpt; every ]
+        "--checkpoint-every must be >= 1";
+      Alcotest.(check bool) (every ^ ": no checkpoint written") false
+        (Sys.file_exists ckpt))
+    [ "--checkpoint-every=0"; "--checkpoint-every=-5" ]
 
 (* the synth subcommand's exit-code and output contract *)
 let test_synth_subcommand () =
@@ -588,5 +650,7 @@ let suite =
       test_checkpoint_resume_round_trip;
     Alcotest.test_case "resume keeps the node budget" `Quick
       test_resume_with_node_budget;
+    Alcotest.test_case "checkpoint/resume need --dedup off" `Quick
+      test_resume_needs_dedup_off;
     Alcotest.test_case "sweep one or all" `Quick test_sweep;
   ]

@@ -61,78 +61,6 @@ let test_relayout_under_stack () =
         [ `Exact; `Symmetric ])
     [ ("counter-3", [ 0; 1; 0 ], 12); ("rw-3n", [ 0; 1; 0 ], 14) ]
 
-(* A resumed run re-enters the cursor path without probing the table
-   and starts from an empty one, so the key register is first used after
-   the path has been replayed, and every widening of its table falls
-   after the cursor, under the entries in progress below it.  With the
-   cursor at the root's first child (a one-node budget), nothing before
-   the cursor but the root was probed, and the root's key never recurs
-   (every step extends a process's history), so the resumed run is the
-   referee's node for node, less the root's miss.  From a cursor deep in
-   the search the table differs from the uninterrupted run's, so only
-   the verdict, its completeness and the depth reached are the
-   referee's. *)
-let test_resume_widens_after_cursor () =
-  List.iter
-    (fun (name, inputs, max_depth) ->
-      let p =
-        match Registry.find name with Some p -> p | None -> invalid_arg name
-      in
-      List.iter
-        (fun dedup ->
-          let config () = Protocol.initial_config p ~inputs in
-          let label =
-            Printf.sprintf "%s depth %d %s" name max_depth
-              (match dedup with `Exact -> "exact" | _ -> "symmetric")
-          in
-          let referee =
-            Mc.Explore.search ~state:`Closure ~dedup ~max_depth ~inputs
-              (config ())
-          in
-          let checkpoint nodes =
-            let last = ref None in
-            ignore
-              (Mc.Explore.search ~dedup ~max_depth ~inputs
-                 ~budget:(Robust.Budget.make ~nodes ())
-                 ~on_checkpoint:(fun s -> last := Some s)
-                 (config ()));
-            Option.get !last
-          in
-          let resume nodes =
-            let obs = Obs.create () in
-            let r =
-              Mc.Explore.search ~obs ~dedup ~max_depth ~inputs
-                ~resume:(checkpoint nodes) (config ())
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s, resumed at node %d: key widths widened"
-                 label nodes)
-              true
-              (Obs.Metrics.counter (Obs.metrics obs) "mc/table-widenings" > 0);
-            r
-          in
-          let shallow = checkpoint 1 in
-          Alcotest.(check int) (label ^ ": cursor at depth 1") 1
-            (List.length shallow.Mc.Checkpoint.path);
-          let r = resume 1 in
-          Alcotest.(check bool)
-            (label ^ ": resumed at the first child = referee") true
-            (project_tables { r with table_misses = r.table_misses + 1 }
-            = project_tables referee);
-          let deep = referee.visited / 2 in
-          Alcotest.(check bool) (label ^ ": deep cursor") true
-            (List.length (checkpoint deep).Mc.Checkpoint.path > 3);
-          let r = resume deep in
-          let verdict (r : _ Mc.Explore.result) =
-            match project_tables r with
-            | v, _, _, t, c, d, _, _ -> (v, t, c, d)
-          in
-          Alcotest.(check bool)
-            (label ^ ": resumed deep = referee's verdict") true
-            (verdict r = verdict referee))
-        [ `Exact; `Symmetric ])
-    [ ("counter-3", [ 0; 1; 0 ], 12); ("rw-3n", [ 0; 1; 0 ], 14) ]
-
 (* Synthesis's stage-2 shape: thousands of searches of a few nodes
    each, every one starting from the smallest intern and transposition
    tables, so each small-table growth step runs many times over.  Every
@@ -172,8 +100,6 @@ let suite =
   [
     Alcotest.test_case "relayout under in-progress entries = referee" `Quick
       test_relayout_under_stack;
-    Alcotest.test_case "resume widening after the cursor = referee" `Quick
-      test_resume_widens_after_cursor;
     Alcotest.test_case "2,774 tiny searches from small tables = referee"
       `Quick test_many_tiny_searches;
   ]

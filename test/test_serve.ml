@@ -64,7 +64,7 @@ let await ?(timeout = 30.) ?(interval = 0.02) what pred =
 (* ---- job specs ---- *)
 
 let mc_job ?(inputs = [ 0; 1 ]) ?(depth = 10) ?(max_states = 2_000_000)
-    protocol =
+    ?(dedup = `Off) ?max_nodes protocol =
   {
     Serve.Job.spec =
       Serve.Job.Mc
@@ -73,6 +73,8 @@ let mc_job ?(inputs = [ 0; 1 ]) ?(depth = 10) ?(max_states = 2_000_000)
           Serve.Job.mc_inputs = inputs;
           mc_depth = depth;
           mc_max_states = max_states;
+          mc_dedup = dedup;
+          mc_max_nodes = max_nodes;
         };
     deadline = None;
   }
@@ -431,6 +433,33 @@ let test_spool_write_failures () =
     (fun f ->
       if Filename.check_suffix f ".tmp" then
         Alcotest.failf "temp file %s left in the spool" f)
+    (Sys.readdir spool)
+
+(* only a dedup-off search checkpoints: a spooled daemon answers a dedup
+   job with the direct verdict and writes it no checkpoint, even when a
+   node budget trips (the trip is where a checkpoint is written) *)
+let test_dedup_job_not_checkpointed () =
+  let spool = mk_tmpdir () in
+  Fun.protect ~finally:(fun () -> rm_rf spool) @@ fun () ->
+  with_server ~workers:1 ~spool_dir:spool @@ fun addr ->
+  List.iter
+    (fun dedup ->
+      let job =
+        mc_job ~inputs:[ 0; 1; 0 ] ~depth:12 ~dedup ~max_nodes:100 "counter-3"
+      in
+      let direct = Serve.Job.execute job in
+      Alcotest.(check int) "the node budget trips" 3 direct.Serve.Job.status;
+      match Serve.Client.submit_and_wait addr job with
+      | Error e -> Alcotest.failf "dedup job lost: %s" e
+      | Ok (status, lines) ->
+          Alcotest.(check int) "served status" direct.Serve.Job.status status;
+          Alcotest.(check (list string)) "served lines" direct.Serve.Job.lines
+            lines)
+    [ `Exact; `Symmetric ];
+  Array.iter
+    (fun f ->
+      if Filename.check_suffix f ".ckpt" then
+        Alcotest.failf "dedup job checkpointed: %s" f)
     (Sys.readdir spool)
 
 (* a full admission queue sheds with an explicit reply; shedding is not
@@ -813,6 +842,8 @@ let suite =
       test_served_spec_refusal;
     Alcotest.test_case "spool refuses a non-directory" `Quick
       test_spool_refuses_non_directory;
+    Alcotest.test_case "served dedup job writes no checkpoint" `Quick
+      test_dedup_job_not_checkpointed;
     Alcotest.test_case "bounded queue sheds" `Quick test_shedding;
     Alcotest.test_case "spool write failures answered, not fatal" `Quick
       test_spool_write_failures;
