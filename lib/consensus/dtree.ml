@@ -217,10 +217,13 @@ and resume tree response = to_proc (next tree (class_of_value response))
    The CEGIS pool's inner loop: [Run.exec_script] over [protocol pair]
    without building [Proc] closures, a [Config] or a trace.  A process is
    its current subtree, a register holds its class, and a step is
-   [next].  Only the scheduling layer is [exec_script]'s, restated rule
-   for rule: stop once nobody is enabled or [max_steps] steps were
-   taken, skip entries whose pid is out of range or disabled, and fall
-   back to coin 0 unless [Some c] with [0 <= c < 2] is given. *)
+   [step], [next] on the register classes.  One run feeds two
+   read-outs: the decisions ([replay]) and the consensus verdict
+   ([replay_violates]).  Only the scheduling layer is [exec_script]'s,
+   restated rule for rule: stop once nobody is enabled or [max_steps]
+   steps were taken, skip entries whose pid is out of range or
+   disabled, and fall back to coin 0 unless [Some c] with [0 <= c < 2]
+   is given. *)
 
 (* toplevel, taking the state as arguments: local closures over it would
    be allocated on every replay *)
@@ -231,12 +234,14 @@ let rec all_decided cur halted pid =
   pid >= Array.length cur
   || ((not (enabled cur halted pid)) && all_decided cur halted (pid + 1))
 
-let step_tree cur regs pid coin =
-  let tree = cur.(pid) in
+(* one step of a process at [tree] against the register classes [regs]:
+   a write or swap stores its bit's class, and [coin] is a [Flip]'s
+   outcome.  The subtree it continues with. *)
+let step regs tree coin =
   let outcome =
     match tree with
     | Decide _ -> 0 (* [next] refuses it *)
-    | Flip _ -> ( match coin with Some c when c >= 0 && c < 2 -> c | _ -> 0)
+    | Flip _ -> coin
     | Write { reg; bit; _ } ->
         regs.(reg) <- class_of_int bit;
         0
@@ -246,7 +251,12 @@ let step_tree cur regs pid coin =
         regs.(reg) <- class_of_int bit;
         old
   in
-  cur.(pid) <- next tree outcome
+  next tree outcome
+
+let step_tree cur regs pid coin =
+  cur.(pid) <-
+    step regs cur.(pid)
+      (match coin with Some c when c >= 0 && c < 2 -> c | _ -> 0)
 
 let rec run_script ~max_steps cur halted regs steps script =
   if (not (all_decided cur halted 0)) && steps < max_steps then
@@ -270,6 +280,14 @@ let rec place cur t1 pid = function
       if v <> 0 then cur.(pid) <- t1;
       place cur t1 (pid + 1) rest
 
+(* the final subtrees, one per process, after [script] *)
+let run ~max_steps ~registers (t0, t1) ~inputs script =
+  let cur = Array.make (List.length inputs) t0 in
+  place cur t1 0 inputs;
+  let halted = Array.make (Array.length cur) false in
+  run_script ~max_steps cur halted (Array.make registers reg_empty) 0 script;
+  cur
+
 let rec decisions cur pid acc =
   if pid < 0 then acc
   else
@@ -277,12 +295,33 @@ let rec decisions cur pid acc =
     | Decide v -> decisions cur (pid - 1) (v :: acc)
     | _ -> decisions cur (pid - 1) acc
 
-let replay ?(max_steps = 100_000) ~registers (t0, t1) ~inputs script =
-  let cur = Array.make (List.length inputs) t0 in
-  place cur t1 0 inputs;
-  let halted = Array.make (Array.length cur) false in
-  run_script ~max_steps cur halted (Array.make registers reg_empty) 0 script;
+let replay ?(max_steps = 100_000) ~registers pair ~inputs script =
+  let cur = run ~max_steps ~registers pair ~inputs script in
   decisions cur (Array.length cur - 1) []
+
+let rec is_input (v : int) = function
+  | [] -> false
+  | i :: rest -> i = v || is_input v rest
+
+(* some process at or after [pid] decided other than [v] *)
+let rec disagrees cur (v : int) pid =
+  pid < Array.length cur
+  &&
+  match cur.(pid) with
+  | Decide w when w <> v -> true
+  | _ -> disagrees cur v (pid + 1)
+
+(* the first decided value [v] settles it: any other decision, or [v]
+   not an input, violates *)
+let rec violated cur inputs pid =
+  pid < Array.length cur
+  &&
+  match cur.(pid) with
+  | Decide v -> (not (is_input v inputs)) || disagrees cur v (pid + 1)
+  | _ -> violated cur inputs (pid + 1)
+
+let replay_violates ?(max_steps = 100_000) ~registers pair ~inputs script =
+  violated (run ~max_steps ~registers pair ~inputs script) inputs 0
 
 let optypes ~style ~registers =
   List.init registers (fun _ ->

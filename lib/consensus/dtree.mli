@@ -48,6 +48,19 @@ val of_string : string -> (t, string) result
 
 val to_proc : t -> int Proc.t
 
+(** The class of a never-written register; a written one holds [0] for
+    bit [0] and [1] otherwise.  What a [Read] or [Swap] branches on. *)
+val reg_empty : int
+
+(** [step regs tree coin] is the subtree a process at [tree] continues
+    with after one step against the register classes [regs], which a
+    [Write] or [Swap] updates in place; [coin] ([0] tails, [1] heads)
+    is a [Flip]'s outcome and is ignored elsewhere.  It applies the
+    node function {!to_proc} is built from to register classes kept in
+    an array, as {!replay} does.  Raises [Invalid_argument] on
+    [Decide]. *)
+val step : int array -> t -> int -> t
+
 (** [replay ~registers (t0, t1) ~inputs script] is the decisions, in
     pid order, that {!Sim.Run.exec_script} leaves in the final
     configuration when it replays [script] against [protocol pair] from
@@ -68,6 +81,20 @@ val replay :
   inputs:int list ->
   [< `Step of int * int option | `Crash of int ] list ->
   int list
+
+(** [replay_violates ~registers pair ~inputs script] is
+    [not (Checker.ok (Checker.check ~inputs ~decisions))] for the
+    decisions {!replay} returns on the same arguments, read off the
+    final subtrees without building them: the first decided value [v]
+    violates if it is not an input or another process decided
+    otherwise. *)
+val replay_violates :
+  ?max_steps:int ->
+  registers:int ->
+  t * t ->
+  inputs:int list ->
+  [< `Step of int * int option | `Crash of int ] list ->
+  bool
 
 (** The object row for a protocol of this style: [registers] plain
     registers ([Rw]) or swap registers ([Swapping]). *)

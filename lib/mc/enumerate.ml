@@ -1,8 +1,8 @@
 (* The bounded decision-tree protocol space ({!Consensus.Dtree.t}) and
-   the model-checker hooks the CEGIS driver ([Synth.Cegis]) runs on it:
-   enumerate every tree of bounded depth, read off a tree's solo
-   decisions, build a candidate pair's initial configuration, and check
-   a pair exhaustively on one input vector.
+   the hooks the CEGIS driver ([Synth.Cegis]) runs on it: enumerate
+   every tree of bounded depth, read off a tree's solo decisions by a
+   walk of the tree itself, build a candidate pair's initial
+   configuration, and check a pair exhaustively on one input vector.
 
    E12's impossibility table is the CEGIS n = 2 round over the
    one-register [Rw] slice of this space; a brute-force census of the
@@ -68,21 +68,24 @@ let dtree_config ~style ~registers (t0, t1) inputs =
     ~optypes:(D.optypes ~style ~registers)
     ~procs:(List.map (fun i -> D.to_proc (tree_of i)) inputs)
 
-(* every decision reachable in a solo run from the initial objects (coin
-   outcomes enumerated); singleton for deterministic trees.  The
-   dedup+sort is part of the contract — the synth validity filter
-   compares these lists against [[ 0 ]]/[[ 1 ]] structurally,
-   so a duplicated or unsorted result would miscount validity candidates
-   — and is enforced here rather than inherited from whatever
-   [decidable_values] happens to return. *)
-let dtree_solo_decisions ~style ~registers tree =
-  let config =
-    Config.make ~optypes:(D.optypes ~style ~registers)
-      ~procs:[ D.to_proc tree ]
+(* every decision reachable in a solo run from the initial objects:
+   walk the tree on [Dtree.step] and one register array, taking both
+   outcomes of every [Flip] and undoing each write or swap on the way
+   back.  Sorted and duplicate free. *)
+let dtree_solo_decisions ~registers tree =
+  let regs = Array.make registers D.reg_empty in
+  let rec walk acc tree =
+    match tree with
+    | D.Decide v -> if List.exists (Int.equal v) acc then acc else v :: acc
+    | D.Flip _ -> walk (walk acc (D.step regs tree 0)) (D.step regs tree 1)
+    | D.Read _ -> walk acc (D.step regs tree 0)
+    | D.Write { reg; _ } | D.Swap { reg; _ } ->
+        let old = regs.(reg) in
+        let acc = walk acc (D.step regs tree 0) in
+        regs.(reg) <- old;
+        acc
   in
-  let values, truncated = Explore.decidable_values ~max_depth:50 config in
-  assert (not truncated);
-  List.sort_uniq compare values
+  List.sort Int.compare (walk [] tree)
 
 (* Depth bound for a full search: every execution of a bounded-tree
    candidate takes at most (depth + 1) steps per process; 50 clears any

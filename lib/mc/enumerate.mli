@@ -1,9 +1,10 @@
 (** The bounded decision-tree protocol space ({!Consensus.Dtree.t}) of
-    [registers] objects of either style, and the model-checker hooks the
-    CEGIS driver ([Synth.Cegis]) sweeps it with.  E12's impossibility
-    table is that driver's n = 2 round over one [Rw] register, where
-    every pair of depth [<= 2] trees is refuted.  Bounded trees always
-    terminate, so every refutation is a safety violation. *)
+    [registers] objects of either style, and the hooks the CEGIS driver
+    ([Synth.Cegis]) sweeps it with: a tree walk for solo decisions, the
+    model checker for pairs.  E12's impossibility table is that
+    driver's n = 2 round over one [Rw] register, where every pair of
+    depth [<= 2] trees is refuted.  Bounded trees always terminate, so
+    every refutation is a safety violation. *)
 
 (** All trees of depth at most [depth] over [registers] objects: [Rw]
     style offers writes and reads, [Swapping] style swaps and reads (a
@@ -28,15 +29,12 @@ val dtree_config :
   int list ->
   int Sim.Config.t
 
-(** Every decision reachable on a solo run (coins enumerated), duplicate
-    free and sorted — the synth validity filter compares these lists
-    structurally against [[0]]/[[1]], so the dedup+sort is part of
-    the contract, not an accident of the underlying search. *)
-val dtree_solo_decisions :
-  style:Consensus.Dtree.style ->
-  registers:int ->
-  Consensus.Dtree.t ->
-  int list
+(** Every decision reachable on a solo run from [registers] empty
+    objects, coins enumerated, sorted and duplicate free: a walk of the
+    tree through {!Consensus.Dtree.step} that takes both outcomes of
+    every [Flip].  A test pins it against the model checker's
+    [Explore.decidable_values] on the one-process configuration. *)
+val dtree_solo_decisions : registers:int -> Consensus.Dtree.t -> int list
 
 (** Exhaustive consensus check of candidate [(t0, t1)] on one input
     vector, with the violating trace exposed so callers can extract a

@@ -15,10 +15,10 @@ type verdict = {
 }
 
 let check ~inputs ~decisions =
-  let values = List.sort_uniq compare decisions in
+  let values = List.sort_uniq Int.compare decisions in
   {
     consistent = List.length values <= 1;
-    valid = List.for_all (fun v -> List.mem v inputs) values;
+    valid = List.for_all (fun v -> List.exists (Int.equal v) inputs) values;
     n_decided = List.length decisions;
     values;
   }
@@ -27,8 +27,9 @@ let ok v = v.consistent && v.valid
 
 (** The adversary's goal: an execution in which both 0 and 1 were decided. *)
 let inconsistent ~decisions =
-  let values = List.sort_uniq compare decisions in
-  List.length values > 1
+  match decisions with
+  | [] -> false
+  | v :: rest -> List.exists (fun w -> not (Int.equal v w)) rest
 
 let of_config ~inputs config =
   check ~inputs ~decisions:(Config.decisions config)

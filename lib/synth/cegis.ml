@@ -5,13 +5,15 @@
    Search order, per process count n = 2, 3, ...:
 
      1. solo validity   — a tree is usable for input v only if every solo
-                          run decides v (computed once; n-independent)
+                          run decides v (computed once, n-independent,
+                          by a walk of the tree itself)
      2. unanimity       — tree t survives side v only if (t, t) is
                           correct on the all-v vector of length n (a
                           per-tree full search, so the quadratic pair
                           stage sweeps survivors only)
      3. pair sweep      — each (t0, t1) in u0 x u1 runs the candidate
-                          pipeline: lemma replay, then seeded random
+                          pipeline: lemma replay on the trees
+                          ([Lemma.hits_pair]), then seeded random
                           probes, then the identical-process adversary,
                           then full verification on every mixed vector
 
@@ -302,12 +304,8 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
   let trees =
     Array.of_list (Mc.Enumerate.enumerate_dtrees ~style ~registers ~coins depth)
   in
-  (* stage 1: solo validity, n-independent (pure, fanned out) *)
-  let solo =
-    Par.map_array ?pool
-      (fun t -> Mc.Enumerate.dtree_solo_decisions ~style ~registers t)
-      trees
-  in
+  (* stage 1: solo validity, n-independent: a walk of each tree *)
+  let solo = Array.map (Mc.Enumerate.dtree_solo_decisions ~registers) trees in
   let valid side =
     Array.to_list trees |> List.filteri (fun i _ -> solo.(i) = [ side ])
   in

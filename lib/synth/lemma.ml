@@ -37,11 +37,8 @@ let hits lemma (p : Consensus.Protocol.t) =
 
 (* [hits] on [Dtree.protocol pair], replayed on the trees themselves *)
 let hits_pair ~registers lemma pair =
-  let decisions =
-    Consensus.Dtree.replay ~registers pair ~inputs:lemma.inputs
-      lemma.schedule
-  in
-  not (Checker.ok (Checker.check ~inputs:lemma.inputs ~decisions))
+  Consensus.Dtree.replay_violates ~registers pair ~inputs:lemma.inputs
+    lemma.schedule
 
 (* first pool entry (in pool order) that refutes [p] at [n], if any *)
 let first_hit ~n pool p =

@@ -36,10 +36,10 @@ val applies : n:int -> t -> bool
 val hits : t -> Consensus.Protocol.t -> bool
 
 (** [hits] against [Consensus.Dtree.protocol ~registers pair], computed
-    by {!Consensus.Dtree.replay} on the trees themselves — no protocol,
-    closures or configuration are built.  Same answer as {!hits} on the
-    compiled pair (pinned by a differential test); the CEGIS pool's
-    replay path. *)
+    by {!Consensus.Dtree.replay_violates} on the trees themselves — no
+    protocol, closures, configuration or decision list is built.  Same
+    answer as {!hits} on the compiled pair (pinned by a differential
+    test); the CEGIS pool's replay path. *)
 val hits_pair :
   registers:int -> t -> Consensus.Dtree.t * Consensus.Dtree.t -> bool
 

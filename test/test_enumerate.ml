@@ -10,7 +10,7 @@ module D = Consensus.Dtree
 
 (* one-register rw trees, written in the [Dtree] codec *)
 let tree s = Result.get_ok (D.of_string s)
-let solo_decisions = Enumerate.dtree_solo_decisions ~style:D.Rw ~registers:1
+let solo_decisions = Enumerate.dtree_solo_decisions ~registers:1
 
 let solo_value t =
   match solo_decisions t with
@@ -147,9 +147,8 @@ let test_census_check_catches () =
   | `Unknown _ -> Alcotest.fail "check truncated"
 
 (* solo_decisions is contractually duplicate-free and sorted: the synth
-   validity filter compares the list structurally
-   against [0]/[1], so a tree reaching the same decision along several
-   coin paths must not report it twice *)
+   validity filter asks for a one-element list, so a tree reaching the
+   same decision along several coin paths must not report it twice *)
 let test_solo_decisions_dedup () =
   Alcotest.(check (list int)) "flip to the same decision" [ 0 ]
     (solo_decisions (tree "f(d0,d0)"));
@@ -157,6 +156,44 @@ let test_solo_decisions_dedup () =
     (solo_decisions (tree "f(f(d1,d0),f(d0,d1))"));
   Alcotest.(check (list int)) "sorted regardless of branch order" [ 0; 1 ]
     (solo_decisions (tree "f(d1,d0)"))
+
+(* The tree walk against its referee, the model checker: every value
+   decided in some execution of the one-process configuration, coins
+   enumerated, on every tree of each slice. *)
+let test_solo_decisions_referee () =
+  let referee ~style ~registers t =
+    let config =
+      Config.make ~optypes:(D.optypes ~style ~registers) ~procs:[ D.to_proc t ]
+    in
+    let values, truncated = Explore.decidable_values ~max_depth:50 config in
+    if truncated then Alcotest.failf "referee truncated on %s" (D.to_string t);
+    List.sort_uniq compare values
+  in
+  List.iter
+    (fun (style, registers, coins, depth, count) ->
+      let trees = Enumerate.enumerate_dtrees ~style ~registers ~coins depth in
+      let what =
+        Printf.sprintf "%s r%d d%d coins %b" (D.style_to_string style)
+          registers depth coins
+      in
+      Alcotest.(check int) (what ^ ": trees") count (List.length trees);
+      let bad =
+        List.filter
+          (fun t ->
+            Enumerate.dtree_solo_decisions ~registers t
+            <> referee ~style ~registers t)
+          trees
+      in
+      Alcotest.(check (list string)) (what ^ ": mismatches") []
+        (List.map D.to_string bad))
+    [
+      (D.Rw, 1, false, 2, 2774);
+      (D.Rw, 1, true, 2, 6194);
+      (D.Rw, 2, true, 1, 30);
+      (D.Swapping, 2, true, 1, 54);
+      (D.Swapping, 1, true, 2, 81902);
+      (D.Rw, 2, false, 2, 35258);
+    ]
 
 (* Synthesis's stage-2 filter runs one tiny search per tree and side:
    its per-check set-up must stay off the major heap.  Every array over
@@ -189,6 +226,8 @@ let suite =
     Alcotest.test_case "solo_decisions dedup + sort" `Quick
       test_solo_decisions_dedup;
     Alcotest.test_case "tree semantics" `Quick test_tree_semantics;
+    Alcotest.test_case "solo_decisions = decidable_values" `Quick
+      test_solo_decisions_referee;
     Alcotest.test_case "depth-1 census: impossible" `Quick test_census_depth1_impossible;
     Alcotest.test_case "depth-0 census" `Quick test_census_depth0;
     Alcotest.test_case "randomized census depth 1" `Quick test_census_randomized_depth1;

@@ -216,10 +216,17 @@ let test_kernel_depth2 () =
   check_mismatches "rw depth 2"
     (pool_mismatches ~style:D.Rw ~registers:1 r.Cegis.lemmas pairs)
 
+(* The kernel's verdict read-out ([Dtree.replay_violates]) against its
+   referee: the [Checker] verdict on the decisions [Dtree.replay] reads
+   off the same run. *)
+let violates ~inputs decisions =
+  not (Sim.Checker.ok (Sim.Checker.check ~inputs ~decisions))
+
 (* Pools hold recorded traces, which never crash a process, name a bad
    pid or miss a coin; seeded scripts do, so every skip and fallback rule
    of [exec_script] — and [max_steps] — is compared on the decisions
-   themselves, for coin-flipping trees of both styles. *)
+   themselves, and the verdict on them, for coin-flipping trees of both
+   styles. *)
 let test_kernel_scripts () =
   let rng = Random.State.make [| 3 |] in
   let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
@@ -258,8 +265,12 @@ let test_kernel_scripts () =
             (Sim.Run.exec_script ~max_steps ~script config).Sim.Run.config
         in
         incr runs;
-        if D.replay ~max_steps ~registers pair ~inputs script <> generic then
-          incr bad
+        let decisions = D.replay ~max_steps ~registers pair ~inputs script in
+        if decisions <> generic then incr bad;
+        if
+          D.replay_violates ~max_steps ~registers pair ~inputs script
+          <> violates ~inputs decisions
+        then incr bad
       done)
     [ (D.Rw, 2, 1); (D.Swapping, 2, 1); (D.Rw, 1, 2) ];
   Alcotest.(check int) (Printf.sprintf "mismatches in %d scripts" !runs) 0 !bad
@@ -269,7 +280,8 @@ let test_kernel_scripts () =
    — so it is pinned exhaustively: every depth-1 pair of both styles,
    coins included, on every script of up to two entries over pids out
    of range, bad coins and crashes.  [hits_pair] must equal [hits], and
-   the decisions must agree under [max_steps] 0, 1 and the default. *)
+   the decisions, and the verdict read off them, must agree under
+   [max_steps] 0, 1 and the default. *)
 let kernel_alphabet =
   [ `Step (-1, None); `Step (2, None); `Crash (-1); `Crash 2; `Crash 0; `Crash 1 ]
   @ List.concat_map
@@ -316,8 +328,14 @@ let test_kernel_exhaustive () =
                           (Sim.Run.exec_script ~max_steps ~script config)
                             .Sim.Run.config
                       in
-                      if D.replay ~max_steps ~registers:1 pair ~inputs script
-                         <> generic
+                      let decisions =
+                        D.replay ~max_steps ~registers:1 pair ~inputs script
+                      in
+                      if decisions <> generic then incr bad;
+                      if
+                        D.replay_violates ~max_steps ~registers:1 pair ~inputs
+                          script
+                        <> violates ~inputs decisions
                       then incr bad)
                     [ 0; 1; 100_000 ])
                 scripts)
