@@ -187,6 +187,18 @@ let mc_rows ~keep =
 
 (* --- observability overhead: null-sink cost on the mc scenarios -------- *)
 
+(* The mc scenarios, all searches of 4 to 94 us whose timings sit under
+   the noise bound, plus one deep search (about 0.07 s) whose timing
+   does not. *)
+let obs_bench_scenarios () =
+  mc_bench_scenarios ()
+  @ [
+      ( "counter-3-n3-mixed-d20",
+        Consensus.Counter_consensus.protocol,
+        [ 0; 1; 0 ],
+        20 );
+    ]
+
 (* The claim under test: instrumenting a search with an [Obs.t] costs
    ≲2% wall clock on searches long enough for a percentage to mean
    anything.  Engines record counters once from the result, not per node,
@@ -210,7 +222,7 @@ let obs_rows ~keep =
          clock granularity (~20ms per round) *)
       let _, probe = wall (fun () -> search ()) in
       let iters =
-        max 50 (min 20_000 (int_of_float (0.02 /. Float.max probe 1e-7)))
+        max 1 (min 20_000 (int_of_float (0.02 /. Float.max probe 1e-7)))
       in
       let base, timing =
         match
@@ -262,7 +274,7 @@ let obs_rows ~keep =
             ("delta_ns", Bench_row.num ((timing.min -. base) *. 1e9));
           ];
       })
-    (List.filter (fun (name, _, _, _) -> keep name) (mc_bench_scenarios ()))
+    (List.filter (fun (name, _, _, _) -> keep name) (obs_bench_scenarios ()))
 
 (* --- fuzz throughput: runs/sec and shrink cost per scenario ----------- *)
 
@@ -485,13 +497,16 @@ let serve_rows ~keep =
    baseline diff that sees any of them move has caught a real change in
    the search, the pruning or the enumeration, not noise.  Scenarios
    stay within a second or so each so the smoke subset can run the full
-   list; rw-r1-d2 is the exhaustive 1.4M-pair sweep. *)
+   list; rw-r1-d2 is the exhaustive sweep of 709,836 pairs (one per
+   mirror orbit of 1.4M), and rw-r1-d2-coins, 2.66M pairs of 5.3M, runs
+   long enough to rise above run-to-run noise. *)
 let synth_bench_scenarios =
   [
     ("rw-r1-d1", Consensus.Dtree.Rw, 1, 1, false, 4);
     ("rw-r1-d1-coins", Consensus.Dtree.Rw, 1, 1, true, 3);
     ("swap-r1-d1", Consensus.Dtree.Swapping, 1, 1, false, 5);
     ("rw-r1-d2", Consensus.Dtree.Rw, 1, 2, false, 3);
+    ("rw-r1-d2-coins", Consensus.Dtree.Rw, 1, 2, true, 3);
   ]
 
 let synth_rows ~keep =

@@ -74,6 +74,28 @@ let rec max_reg = function
   | Swap { reg; empty; zero; one; _ } ->
       max reg (max (max_reg empty) (max (max_reg zero) (max_reg one)))
 
+(* The 0/1 swap: every decided, written or swapped bit [b] becomes
+   [1 - b], and a read or swap exchanges its [zero] and [one] branches,
+   so a run of [mirror t] is a run of [t] with every register class 0
+   and 1 exchanged.  An involution; on trees whose bits are 0 or 1 (all
+   {!Mc.Enumerate} produces) it maps a correct protocol for inputs
+   swapped to a correct one. *)
+let rec mirror = function
+  | Decide v -> Decide (1 - v)
+  | Flip (a, b) -> Flip (mirror a, mirror b)
+  | Write { reg; bit; k } -> Write { reg; bit = 1 - bit; k = mirror k }
+  | Read { reg; empty; zero; one } ->
+      Read { reg; empty = mirror empty; zero = mirror one; one = mirror zero }
+  | Swap { reg; bit; empty; zero; one } ->
+      Swap
+        {
+          reg;
+          bit = 1 - bit;
+          empty = mirror empty;
+          zero = mirror one;
+          one = mirror zero;
+        }
+
 (* ---- codec ----
 
    tree := d<int>

@@ -39,6 +39,17 @@ val uses_swap : t -> bool
 (** Largest register index mentioned; [-1] for pure decide/flip trees. *)
 val max_reg : t -> int
 
+(** The 0/1 swap on trees: [Decide v] becomes [Decide (1 - v)], a
+    written or swapped bit [b] becomes [1 - b], and [Read]/[Swap]
+    exchange their [zero] and [one] branches ([empty] and [Flip]'s
+    branches keep their places).  An involution.  For trees whose bits
+    are [0] or [1], every execution of [protocol (mirror t1, mirror t0)]
+    on an input vector is an execution of [protocol (t0, t1)] on the
+    complemented vector with every value exchanged, so the two are
+    correct on the same input multisets up to that complement — the
+    symmetry {!Synth.Cegis} quotients its search by. *)
+val mirror : t -> t
+
 (** Compact codec: [d0], [f(a,b)], [w<reg>.<bit>(k)], [r<reg>(e,z,o)],
     [s<reg>.<bit>(e,z,o)]; no whitespace.  [of_string] is its exact
     inverse and rejects trailing garbage. *)

@@ -17,44 +17,73 @@ module D = Consensus.Dtree
    response is ignored, so offering both would only duplicate the
    space); [coins] decides whether [Flip] is offered.  At
    [registers = 1], style [Rw] is E12's class: 14 trees at depth 1,
-   2774 at depth 2. *)
-let enumerate_dtrees ~style ~registers ~coins depth =
+   2774 at depth 2.
+
+   The trees at depth [d] come in blocks, each a product over the
+   depth-[d - 1] trees [sub] in lexicographic order: the two decides;
+   per register its writes ([k] major, bit minor) or swaps (bit major,
+   then empty, zero, one) followed by its reads (empty, zero, one); then
+   the flips (tails, heads).  Within a block, [Dtree.mirror] of the
+   element at offset [j] sits at an offset computed from [j] and the
+   depth-[d - 1] mirror permutation: the bit complemented, zero and one
+   exchanged, every subtree mirrored.  So each level's permutation is
+   built alongside its trees, with no tree compared or hashed. *)
+let enumerate_mirrored ~style ~registers ~coins depth =
   if registers < 1 then invalid_arg "enumerate_dtrees: registers must be >= 1";
-  let decides = [ D.Decide 0; D.Decide 1 ] in
-  let regs = List.init registers Fun.id in
   let rec go depth =
-    if depth = 0 then decides
+    if depth = 0 then ([| D.Decide 0; D.Decide 1 |], [| 1; 0 |])
     else
-      let sub = go (depth - 1) in
-      let branches3 mk =
-        List.concat_map
-          (fun empty ->
-            List.concat_map
-              (fun zero -> List.map (fun one -> mk empty zero one) sub)
-              sub)
-          sub
+      let sub, sm = go (depth - 1) in
+      let s = Array.length sub in
+      let s2 = s * s in
+      let s3 = s2 * s in
+      let writes = match style with D.Rw -> 2 * s | D.Swapping -> 2 * s3 in
+      let size = 2 + (registers * (writes + s3)) + if coins then s2 else 0 in
+      let trees = Array.make size (D.Decide 0) and mirror = Array.make size 0 in
+      let base = ref 0 in
+      (* [len] trees [mk j], the mirror of offset [j] at offset [mir j] *)
+      let block len mk mir =
+        let b = !base in
+        for j = 0 to len - 1 do
+          trees.(b + j) <- mk j;
+          mirror.(b + j) <- b + mir j
+        done;
+        base := b + len
       in
-      decides
-      @ List.concat_map
-          (fun reg ->
-            (match style with
-            | D.Rw ->
-                List.concat_map
-                  (fun k -> [ D.Write { reg; bit = 0; k }; D.Write { reg; bit = 1; k } ])
-                  sub
-            | D.Swapping ->
-                List.concat_map
-                  (fun bit ->
-                    branches3 (fun empty zero one ->
-                        D.Swap { reg; bit; empty; zero; one }))
-                  [ 0; 1 ])
-            @ branches3 (fun empty zero one -> D.Read { reg; empty; zero; one }))
-          regs
-      @ (if coins then
-           List.concat_map (fun a -> List.map (fun b -> D.Flip (a, b)) sub) sub
-         else [])
+      (* offset [j] in an (empty, zero, one) product, and its mirror's *)
+      let e j = sub.(j / s2)
+      and z j = sub.(j / s mod s)
+      and o j = sub.(j mod s) in
+      let mir3 j =
+        (sm.(j / s2) * s2) + (sm.(j mod s) * s) + sm.(j / s mod s)
+      in
+      block 2 (fun j -> D.Decide j) (fun j -> 1 - j);
+      for reg = 0 to registers - 1 do
+        (match style with
+        | D.Rw ->
+            block (2 * s)
+              (fun j -> D.Write { reg; bit = j land 1; k = sub.(j / 2) })
+              (fun j -> (2 * sm.(j / 2)) + 1 - (j land 1))
+        | D.Swapping ->
+            block (2 * s3)
+              (fun j ->
+                let k = j mod s3 in
+                D.Swap { reg; bit = j / s3; empty = e k; zero = z k; one = o k })
+              (fun j -> ((1 - (j / s3)) * s3) + mir3 (j mod s3)));
+        block s3
+          (fun j -> D.Read { reg; empty = e j; zero = z j; one = o j })
+          mir3
+      done;
+      if coins then
+        block s2
+          (fun j -> D.Flip (sub.(j / s), sub.(j mod s)))
+          (fun j -> (sm.(j / s) * s) + sm.(j mod s));
+      (trees, mirror)
   in
   go depth
+
+let enumerate_dtrees ~style ~registers ~coins depth =
+  Array.to_list (fst (enumerate_mirrored ~style ~registers ~coins depth))
 
 (* The lemma replay hook: the initial configuration a (t0, t1) candidate
    presents to [Run.exec_script] for the given inputs — fingerprints

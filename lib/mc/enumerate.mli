@@ -18,6 +18,18 @@ val enumerate_dtrees :
   int ->
   Consensus.Dtree.t list
 
+(** {!enumerate_dtrees} as an array, with the mirror permutation: the
+    tree at index [i] maps under {!Consensus.Dtree.mirror} to the tree
+    at index [mirror.(i)].  Computed level by level from index
+    arithmetic in O(trees), with no tree compared or hashed; an
+    involution, since the enumeration is closed under the swap. *)
+val enumerate_mirrored :
+  style:Consensus.Dtree.style ->
+  registers:int ->
+  coins:bool ->
+  int ->
+  Consensus.Dtree.t array * int array
+
 (** The initial configuration candidate [(t0, t1)] presents for the
     given inputs — the hook lemma replay ([Sim.Run.exec_script]) and
     full verification share, fingerprint-seeded by input so

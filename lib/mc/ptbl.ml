@@ -23,10 +23,10 @@
    the new one, meta bits carried over.  Stored keys are distinct, so
    neither compares keys.
 
-   Widths with headroom: a widening computes the narrowest layout for
-   the current counts ([nbo]/[nbs], what every id needs), takes its word
-   count [kw], then hands the spare bits of those [kw] words to [bs] and
-   [bo] in turn.  The word count, so the stride and the table's bytes,
+   Widths with headroom: {!create} and every widening compute the
+   narrowest layout for the current counts ([nbo]/[nbs], what every id
+   needs), take its word count [kw], then hand the spare bits of those
+   [kw] words to [bs] and [bo] in turn.  The word count, so the stride and the table's bytes,
    is the narrowest layout's at every moment (the greedy word count only
    grows with either width), and the next widening waits until an id
    outgrows the headroom.
@@ -117,45 +117,6 @@ let set_capacity t bits =
   t.slots <- Array.make ((1 lsl bits) * t.kw) 0;
   t.mask <- (1 lsl bits) - 1;
   t.shift <- 63 - bits
-
-let create ~n_objs ~n_procs ~n_values ~n_states ~max_depth =
-  (* below 2^36, stored [meta + 1] (in [1, max_meta + 1]) takes at most
-     38 bits, so word 0 keeps room for a field of the widest kind *)
-  if max_depth < 0 || max_depth >= 1 lsl 36 then
-    invalid_arg "Ptbl.create: max_depth out of range";
-  (* the flat DFS's metas: [((remaining_depth + 1) lsl 1) lor complete]
-     with a remaining depth of at most [max_depth] *)
-  let max_meta = (2 * max_depth) + 3 in
-  let mshift = 63 - bits_for (max_meta + 2) 1 in
-  let t =
-    {
-      n_objs;
-      width = n_objs + n_procs;
-      max_meta;
-      mshift;
-      fmask = (1 lsl mshift) - 1;
-      nbo = bits_for n_values 1;
-      nbs = bits_for n_states 1;
-      bo = 0;
-      bs = 0;
-      fword = [||];
-      fshift = [||];
-      kw = 0;
-      slots = [||];
-      mask = 0;
-      shift = 0;
-      size = 0;
-      gen = 0;
-      widenings = 0;
-      key = [||];
-      scratch = [||];
-    }
-  in
-  (* packed narrowest: most searches never widen, and a tiny search
-     should not pay for the headroom computation *)
-  set_layout t ~bo:t.nbo ~bs:t.nbs;
-  set_capacity t initial_bits;
-  t
 
 let pack t (key : int array) (into : int array) =
   for w = 0 to t.kw - 1 do
@@ -270,6 +231,46 @@ let with_headroom t =
   else
     let more_bo = largest (fun s -> fits (bo + s) bs) 0 (max_bits - bo) in
     set_layout t ~bo:(bo + more_bo) ~bs
+
+let create ~n_objs ~n_procs ~n_values ~n_states ~max_depth =
+  (* below 2^36, stored [meta + 1] (in [1, max_meta + 1]) takes at most
+     38 bits, so word 0 keeps room for a field of the widest kind *)
+  if max_depth < 0 || max_depth >= 1 lsl 36 then
+    invalid_arg "Ptbl.create: max_depth out of range";
+  (* the flat DFS's metas: [((remaining_depth + 1) lsl 1) lor complete]
+     with a remaining depth of at most [max_depth] *)
+  let max_meta = (2 * max_depth) + 3 in
+  let mshift = 63 - bits_for (max_meta + 2) 1 in
+  let t =
+    {
+      n_objs;
+      width = n_objs + n_procs;
+      max_meta;
+      mshift;
+      fmask = (1 lsl mshift) - 1;
+      nbo = bits_for n_values 1;
+      nbs = bits_for n_states 1;
+      bo = 0;
+      bs = 0;
+      fword = [||];
+      fshift = [||];
+      kw = 0;
+      slots = [||];
+      mask = 0;
+      shift = 0;
+      size = 0;
+      gen = 0;
+      widenings = 0;
+      key = [||];
+      scratch = [||];
+    }
+  in
+  (* with headroom from the start: a search's first new ids would
+     otherwise widen a narrowest layout at once, and a widening
+     re-packs every entry *)
+  with_headroom t;
+  set_capacity t initial_bits;
+  t
 
 (* width change: every entry is unpacked with the old layout and
    re-packed with the new one, at the same capacity; the meta field

@@ -44,10 +44,11 @@ val fit : t -> n_values:int -> n_states:int -> bool
     A widening takes the narrowest layout for the counts, so a key uses
     no more words than it must, then hands the spare bits of those words
     to the state and value widths in turn, up to the 2{^25} id cap.  A
-    fresh table is packed narrowest.  After its first widening, ids that
-    grow inside the headroom cost nothing; the next widening comes when
-    a key needs another word, or when one kind of id outgrows the bits
-    it was handed while the word count still holds. *)
+    fresh table is laid out the same way for the counts given to
+    {!create}.  Ids that grow inside the headroom cost nothing; a
+    widening comes when a key needs another word, or when one kind of
+    id outgrows the bits it was handed while the word count still
+    holds. *)
 
 val load : t -> int array -> unit
 (** [load t key] packs [key] (length [n_objs + n_procs], every id within

@@ -9,17 +9,41 @@
                           by a walk of the tree itself)
      2. unanimity       — tree t survives side v only if (t, t) is
                           correct on the all-v vector of length n (a
-                          per-tree full search, so the quadratic pair
-                          stage sweeps survivors only)
-     3. pair sweep      — each (t0, t1) in u0 x u1 runs the candidate
-                          pipeline: lemma replay on the trees
-                          ([Lemma.hits_pair]), then seeded random
-                          probes, then the identical-process adversary,
-                          then full verification on every mixed vector
+                          per-tree full search for side 0, read off the
+                          mirror for side 1, so the quadratic pair stage
+                          sweeps survivors only)
+     3. pair sweep      — each (t0, t1) in u0 x u1 that is the first of
+                          its mirror orbit runs the candidate pipeline:
+                          lemma replay on the trees ([Lemma.hits_pair]),
+                          then seeded random probes, then the
+                          identical-process adversary, then full
+                          verification on every mixed vector
 
    Identical processes make input vectors multisets: the mixed vectors
    at n are [k zeros ++ (n-k) ones] for 0 < k < n, and unanimity is
    stage 2 — no other vector exists up to symmetry.
+
+   The mirror argument.  Consensus over these objects does not care
+   which value is called 0: [Dtree.mirror] exchanges 0 and 1 in every
+   decision, written or swapped bit and read branch, so the execution
+   tree of (mirror t1, mirror t0) on a vector with k zeros is the
+   execution tree of (t0, t1) on the vector with n - k zeros, node for
+   node, with every value exchanged; agreement and validity hold in one
+   exactly when they hold in the other.  Hence:
+     - t is solo-valid for 1 iff mirror t is for 0, and survives
+       unanimity on all ones iff mirror t survives it on all zeros: side
+       1's verdicts are side 0's, looked up through the enumeration's
+       mirror permutation ([Enumerate.enumerate_mirrored]).  Side 1 is
+       still admitted through [batched], one metered node per tree, so a
+       node budget trips on the same index as a full check would.
+     - the mixed vectors at n are closed under k -> n - k, so (t0, t1)
+       is correct iff its partner (mirror t1, mirror t0) is.  The sweep
+       admits a pair only if its t0-major index is at most its
+       partner's.  The first correct pair in enumeration order is then
+       always admitted (its partner is correct too, so cannot come
+       earlier), and the witness is the unreduced sweep's.
+   Admission is a function of the survivor arrays alone, so the
+   determinism contract below is untouched.
 
    Correctness is monotone downward in n (an n-process execution is an
    (n+1)-process execution in which the extra process never moves), so
@@ -53,7 +77,7 @@ type row = {
   n : int;
   unanimous0 : int;  (** solo-valid trees also correct on the all-0 vector *)
   unanimous1 : int;
-  candidates : int;  (** pairs examined (admitted by the budget) *)
+  candidates : int;  (** pairs examined, one per mirror orbit *)
   pruned : int;  (** rejected by a replayed pool lemma, no search paid *)
   refuted : int;  (** rejected by a fresh counterexample (probe/adversary/search) *)
   witness : (D.t * D.t) option;  (** first verified pair in enumeration order *)
@@ -78,6 +102,10 @@ type result = {
   lemma_hits : int;  (** replays that violated, pool hits and fresh mints alike *)
   completeness : Robust.Budget.completeness;
 }
+
+(* a stage-2 verdict class, or a tree the filter never reached *)
+type verdict0 =
+  [ `Unchecked | `Correct | `Violating | `Unknown of Robust.Budget.reason ]
 
 (* mixed input vectors at n, identical processes: k zeros then n-k ones *)
 let mixed_vectors n =
@@ -301,13 +329,16 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
   if max_procs < 2 then invalid_arg "Cegis.search: max_procs must be >= 2";
   Obs.span obs "synth/search" @@ fun () ->
   let meter = Robust.Budget.Meter.create budget in
-  let trees =
-    Array.of_list (Mc.Enumerate.enumerate_dtrees ~style ~registers ~coins depth)
+  let trees, mirror =
+    Mc.Enumerate.enumerate_mirrored ~style ~registers ~coins depth
   in
-  (* stage 1: solo validity, n-independent: a walk of each tree *)
+  (* stage 1: solo validity, n-independent: a walk of each tree.  Trees
+     are handled by index from here on. *)
   let solo = Array.map (Mc.Enumerate.dtree_solo_decisions ~registers) trees in
   let valid side =
-    Array.to_list trees |> List.filteri (fun i _ -> solo.(i) = [ side ])
+    Array.of_list
+      (List.filter (fun i -> solo.(i) = [ side ])
+         (List.init (Array.length trees) Fun.id))
   in
   let v0 = valid 0 and v1 = valid 1 in
   let round_rngs = Rng.split_n (Rng.create seed) (max_procs + 1) in
@@ -334,21 +365,20 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
       sort_by_prunes !frozen
     end
   in
-  (* stage 2: unanimity filter for side v at n, one metered node per
-     tree.  `Unknown poisons the whole round: a truncated filter
-     under-approximates the survivor set, and a pair sweep over an
-     under-approximation could claim `Unsatisfiable it never earned. *)
-  let unanimous ~n side v =
-    let vector = List.init n (fun _ -> side) in
-    let v = Array.of_list v in
+  (* stage 2: unanimity filter over the tree indices [side], one metered
+     node per tree, each judged by [check].  `Unknown poisons the whole
+     round: a truncated filter under-approximates the survivor set, and
+     a pair sweep over an under-approximation could claim
+     `Unsatisfiable it never earned.  [seen] hears every verdict. *)
+  let unanimous ?pool ?(seen = fun _ _ -> ()) side check =
     let (kept, unknown), processed =
-      batched ?pool ~meter ~batch ~total:(Array.length v) (Array.get v)
-        (fun t ->
-          (t, Mc.Enumerate.dtree_check_verdict ~style ~registers (t, t) vector))
-        (fun (kept, unknown) (t, verdict) ->
+      batched ?pool ~meter ~batch ~total:(Array.length side) (Array.get side)
+        (fun i -> (i, check i))
+        (fun (kept, unknown) (i, verdict) ->
+          seen i verdict;
           match verdict with
-          | `Correct -> (t :: kept, unknown)
-          | `Violating _ -> (kept, unknown)
+          | `Correct -> (i :: kept, unknown)
+          | `Violating -> (kept, unknown)
           | `Unknown reason -> (kept, Some reason))
         ~stop:(fun (_, unknown) -> unknown <> None)
         ([], None)
@@ -357,27 +387,66 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
       match unknown with
       | Some _ as u -> u
       | None ->
-          if processed = Array.length v then None
+          if processed = Array.length side then None
           else
             Some
               (Option.value (Robust.Budget.Meter.tripped meter) ~default:`Nodes)
     in
-    (List.rev kept, unknown)
+    (Array.of_list (List.rev kept), unknown)
+  in
+  (* [partners u u'] is the index in [u'] of each tree of [u]'s mirror *)
+  let partners u u' =
+    let pos = Array.make (Array.length trees) (-1) in
+    Array.iteri (fun k i -> pos.(i) <- k) u';
+    Array.map
+      (fun i ->
+        if pos.(mirror.(i)) < 0 then
+          failwith "Cegis.search: survivors not closed under mirror";
+        pos.(mirror.(i)))
+      u
   in
   let rows = ref [] in
   let stop_rounds = ref false in
   let n = ref 2 in
   while (not !stop_rounds) && !n <= max_procs do
     let this_n = !n in
-    let u0, unk0 = unanimous ~n:this_n 0 v0 in
-    let u1, unk1 = unanimous ~n:this_n 1 v1 in
+    let zeros = List.init this_n (fun _ -> 0) in
+    (* side 0's verdicts by tree index, [`Unchecked] where it never got;
+       side 1 reads its verdicts off them *)
+    let verdict0 = Array.make (Array.length trees) `Unchecked in
+    let u0, unk0 =
+      unanimous ?pool v0
+        ~seen:(fun i verdict -> verdict0.(i) <- (verdict :> verdict0))
+        (fun i ->
+          match
+            Mc.Enumerate.dtree_check_verdict ~style ~registers
+              (trees.(i), trees.(i)) zeros
+          with
+          | `Correct -> `Correct
+          | `Violating _ -> `Violating
+          | `Unknown reason -> `Unknown reason)
+    in
+    (* (t, t) on all ones is (mirror t, mirror t) on all zeros with
+       every value exchanged, and [mirror] maps side 1's solo-valid
+       trees onto side 0's: a lookup, still one metered node per tree.
+       A tree side 0 never reached follows side 0's own cut. *)
+    let u1, unk1 =
+      unanimous v1 (fun i ->
+          match verdict0.(mirror.(i)) with
+          | (`Correct | `Violating | `Unknown _) as verdict -> verdict
+          | `Unchecked ->
+              `Unknown
+                (match unk0 with
+                | Some reason -> reason
+                | None -> failwith "Cegis.search: mirror is not solo-valid"))
+    in
     let row =
       match (unk0, unk1) with
       | Some reason, _ | _, Some reason ->
           {
             n = this_n;
-            unanimous0 = List.length u0;
-            unanimous1 = List.length u1;
+            unanimous0 = Array.length u0;
+            unanimous1 = Array.length u1;
             candidates = 0;
             pruned = 0;
             refuted = 0;
@@ -385,19 +454,46 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
             verdict = `Unknown reason;
           }
       | None, None ->
-          (* stage 3: pair sweep in t0-major enumeration order; pair i
-             and its rng stream are built only once the budget admits i *)
-          let u0 = Array.of_list u0 and u1 = Array.of_list u1 in
-          let total = Array.length u0 * Array.length u1 in
-          let pair i =
-            (u0.(i / Array.length u1), u1.(i mod Array.length u1))
+          (* stage 3: pair sweep in t0-major enumeration order over one
+             pair per mirror orbit.  (t0, t1) and its partner
+             (mirror t1, mirror t0) are correct together, so only the
+             one with the smaller t0-major index is admitted; the first
+             correct pair is always its orbit's minimum, so the witness
+             is the unreduced sweep's.  [u1] is [mirror u0], so every
+             partner exists and the sweep admits (|u0|^2 + |u0|)/2 pairs
+             (the |u0| pairs (t, mirror t) are their own partners). *)
+          let n0 = Array.length u0 and n1 = Array.length u1 in
+          (* partner (p0.(i1), p1.(i0)) of pair (i0, i1); mirror is
+             injective both ways, so n0 = n1 *)
+          let p0 = partners u1 u0 and p1 = partners u0 u1 in
+          let admitted i0 i1 =
+            i0 < p0.(i1) || (i0 = p0.(i1) && i1 <= p1.(i0))
+          in
+          let total = ((n0 * n1) + n0) / 2 in
+          (* [batched] asks for admitted pairs in ascending order: walk a
+             cursor over all pairs, skipping partners of earlier ones *)
+          let c0 = ref 0 and c1 = ref 0 in
+          let advance () =
+            incr c1;
+            if !c1 = n1 then begin
+              c1 := 0;
+              incr c0
+            end
+          in
+          let pair () =
+            while not (admitted !c0 !c1) do
+              advance ()
+            done;
+            let pair = (trees.(u0.(!c0)), trees.(u1.(!c1))) in
+            advance ();
+            pair
           in
           let vectors = mixed_vectors this_n in
           let round_rng = round_rngs.(this_n) in
           refresh ();
           let (pruned, refuted, witness, unknown), processed =
             batched ?pool ~meter ~batch ~total
-              (fun i -> (pair i, Rng.split round_rng))
+              (fun _ -> (pair (), Rng.split round_rng))
               ~after_batch:(fun () ->
                 (* workers are quiescent between batches; everything the
                    fold minted or credited is now safe to publish *)
@@ -479,8 +575,8 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
       max_procs;
       seed;
       trees = Array.length trees;
-      valid0 = List.length v0;
-      valid1 = List.length v1;
+      valid0 = Array.length v0;
+      valid1 = Array.length v1;
       rows;
       frontier;
       lemmas = List.rev_map (fun e -> e.lemma) !lemmas;

@@ -17,6 +17,13 @@
     lemma first, and a candidate's protocol is built only when no lemma
     hits.
 
+    The search is quotiented by the 0/1 swap ({!Consensus.Dtree.mirror}):
+    side 1's unanimity verdicts are read off side 0's mirrored trees,
+    and of each pair [(t0, t1)] and its partner
+    [(mirror t1, mirror t0)], which are correct together, only the
+    first in enumeration order is examined.  The witness is unchanged;
+    an exhaustive sweep examines [(|u0|^2 + |u0|) / 2] pairs.
+
     The [n = 2] round over one [Rw] register is E12's impossibility
     table: its counts are that table's columns.
 
@@ -41,7 +48,9 @@ type row = {
   n : int;
   unanimous0 : int;  (** solo-valid trees also correct on the all-0 vector *)
   unanimous1 : int;
-  candidates : int;  (** pairs examined (admitted by the budget) *)
+  candidates : int;
+      (** pairs examined, one per mirror orbit (as far as the budget
+          admits) *)
   pruned : int;  (** rejected by a replayed pool lemma, no search paid *)
   refuted : int;
       (** rejected by a fresh counterexample (probe, adversary or

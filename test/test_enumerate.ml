@@ -41,11 +41,12 @@ let test_tree_semantics () =
 (* E12's rows come from CEGIS's n = 2 round; the brute-force referee
    must print the same row wherever it can afford every pair *)
 let check_e12_row ~coins depth =
-  let c = Census_referee.filters ~coins depth in
-  let correct = Census_referee.correct c in
+  let cls = Census_referee.e12 ~coins depth in
+  let c = Census_referee.filters cls in
+  let correct = Census_referee.correct cls c in
   Alcotest.(check (list string))
     (Printf.sprintf "E12 row, depth %d coins %b" depth coins)
-    (Census_referee.row ~coins depth c @ [ string_of_int correct ])
+    (Census_referee.row cls c @ [ string_of_int correct ])
     (Experiments.E12_impossibility.row ~coins depth);
   (c, correct)
 
@@ -73,10 +74,11 @@ let test_census_randomized_depth1 () =
 let test_census_depth2_sample () =
   List.iter
     (fun coins ->
-      let c = Census_referee.filters ~coins 2 in
+      let cls = Census_referee.e12 ~coins 2 in
+      let c = Census_referee.filters cls in
       Alcotest.(check (list string))
         (Printf.sprintf "E12 row before its last column, coins %b" coins)
-        (Census_referee.row ~coins 2 c)
+        (Census_referee.row cls c)
         (if coins then [ "2"; "true"; "6194"; "7144929"; "5313025" ]
          else
            List.filteri (fun i _ -> i < 5)
@@ -88,7 +90,7 @@ let test_census_depth2_sample () =
           ( u0.(Random.State.int rng (Array.length u0)),
             u1.(Random.State.int rng (Array.length u1)) )
         in
-        if Census_referee.correct_on pair [ 0; 1 ] then
+        if Census_referee.correct_on cls pair [ 0; 1 ] then
           Alcotest.failf "correct depth-2 pair %s | %s" (D.to_string (fst pair))
             (D.to_string (snd pair))
       done)
@@ -110,7 +112,10 @@ let test_flip_semantics () =
       Alcotest.(check (list string))
         (Printf.sprintf "the referee agrees for %d" v)
         [ Printf.sprintf "d%d" v ]
-        (List.map D.to_string (List.filter (Census_referee.solo_valid v) trees)))
+        (List.map D.to_string
+           (List.filter
+              (Census_referee.solo_valid (Census_referee.e12 ~coins:true 1) v)
+              trees)))
     [ 0; 1 ]
 
 (* the regression: a protocol where both processes decide instantly with
@@ -195,6 +200,50 @@ let test_solo_decisions_referee () =
       (D.Rw, 2, false, 2, 35258);
     ]
 
+(* [Dtree.mirror] is an involution that maps each enumeration onto
+   itself, index for index as [enumerate_mirrored]'s permutation says,
+   with every solo decision flipped: the facts CEGIS's side-1 lookup and
+   orbit sweep stand on. *)
+let test_mirror () =
+  List.iter
+    (fun (style, registers, coins, depth) ->
+      let what =
+        Printf.sprintf "%s r%d d%d coins %b" (D.style_to_string style)
+          registers depth coins
+      in
+      let trees, mirror =
+        Enumerate.enumerate_mirrored ~style ~registers ~coins depth
+      in
+      Alcotest.(check bool)
+        (what ^ ": the trees of enumerate_dtrees")
+        true
+        (Array.to_list trees
+        = Enumerate.enumerate_dtrees ~style ~registers ~coins depth);
+      let flip = List.map (fun v -> 1 - v) in
+      Array.iteri
+        (fun i t ->
+          let m = D.mirror t in
+          if
+            D.mirror m <> t
+            || mirror.(mirror.(i)) <> i
+            || trees.(mirror.(i)) <> m
+            || Enumerate.dtree_solo_decisions ~registers m
+               <> List.rev (flip (Enumerate.dtree_solo_decisions ~registers t))
+          then Alcotest.failf "%s: mirror of %s" what (D.to_string t))
+        trees)
+    [
+      (D.Rw, 1, false, 1);
+      (D.Rw, 1, true, 1);
+      (D.Rw, 2, false, 1);
+      (D.Rw, 2, true, 1);
+      (D.Swapping, 1, false, 1);
+      (D.Swapping, 1, true, 1);
+      (D.Swapping, 2, false, 1);
+      (D.Swapping, 2, true, 1);
+      (D.Rw, 1, false, 2);
+      (D.Rw, 1, true, 2);
+    ]
+
 (* Synthesis's stage-2 filter runs one tiny search per tree and side:
    its per-check set-up must stay off the major heap.  Every array over
    256 words is allocated there directly, so the bound of 64 words per
@@ -239,4 +288,6 @@ let suite =
     Alcotest.test_case "check_inputs catches races" `Quick test_census_check_catches;
     Alcotest.test_case "stage-2 checks stay off the major heap" `Quick
       test_stage2_checks_stay_minor;
+    Alcotest.test_case "mirror: an involution onto every enumeration" `Quick
+      test_mirror;
   ]

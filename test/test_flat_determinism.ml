@@ -59,7 +59,7 @@ let test_relayout_under_stack () =
             (label ^ ": key widths widened") true
             (counter "mc/table-widenings" > 0))
         [ `Exact; `Symmetric ])
-    [ ("counter-3", [ 0; 1; 0 ], 12); ("rw-3n", [ 0; 1; 0 ], 14) ]
+    [ ("counter-3", [ 0; 1; 0; 1 ], 12); ("rw-3n", [ 0; 1; 0 ], 14) ]
 
 (* Synthesis's stage-2 shape: thousands of searches of a few nodes
    each, every one starting from the smallest intern and transposition

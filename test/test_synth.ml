@@ -14,7 +14,8 @@ let search ?prune ?(procs = 4) ~style ~depth () =
 let verdict_str (row : Cegis.row) = Cegis.verdict_to_string row.Cegis.verdict
 
 (* rw registers, depth 1: consensus is impossible already at n = 2, and
-   the loop proves it exhaustively over exactly E12's 49 pairs *)
+   the loop proves it exhaustively over one pair per mirror orbit of
+   E12's 49: (7 x 7 + 7) / 2 = 28 *)
 let test_rw_depth1_frontier () =
   let r = search ~style:D.Rw ~depth:1 () in
   Alcotest.(check int) "trees" 14 r.Cegis.trees;
@@ -27,8 +28,8 @@ let test_rw_depth1_frontier () =
   | [ row ] ->
       Alcotest.(check int) "one round stops at n=2" 2 row.Cegis.n;
       Alcotest.(check string) "unsatisfiable" "unsatisfiable" (verdict_str row);
-      Alcotest.(check int) "all 49 pairs examined" 49 row.Cegis.candidates;
-      Alcotest.(check int) "every pair rejected" 49
+      Alcotest.(check int) "all 28 orbits examined" 28 row.Cegis.candidates;
+      Alcotest.(check int) "every pair rejected" 28
         (row.Cegis.pruned + row.Cegis.refuted);
       Alcotest.(check bool) "no witness" true (row.Cegis.witness = None)
   | rows -> Alcotest.failf "expected exactly one row, got %d" (List.length rows)
@@ -205,7 +206,7 @@ let test_kernel_depth2 () =
       ~budget:(Robust.Budget.make ~nodes:25_000 ())
       ~style:D.Rw ~registers:1 ~depth:2 ~coins:false ~max_procs:3 ~seed:1 ()
   in
-  Alcotest.(check int) "depth-2 pool" 68 (List.length r.Cegis.lemmas);
+  Alcotest.(check int) "depth-2 pool" 71 (List.length r.Cegis.lemmas);
   let trees =
     Array.of_list
       (Mc.Enumerate.enumerate_dtrees ~style:D.Rw ~registers:1 ~coins:false 2)
@@ -367,6 +368,63 @@ let test_budget_trips_loudly () =
                (Cegis.verdict_to_string v))
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
+(* CEGIS's rounds against the brute-force census ([Census_referee]):
+   unanimity counts, verdicts and witnesses, n by n.  The census sweeps
+   every pair with the model checker alone; CEGIS sweeps one pair per
+   mirror orbit through its refuter pipeline, so this pins the mirror
+   reduction (the witness must still be the first correct pair over all
+   pairs) as well as the pipeline. *)
+let check_rounds ~style ~registers ~coins ~depth ~max_procs =
+  let cls = { Census_referee.style; registers; coins; depth } in
+  let what =
+    Printf.sprintf "%s r%d d%d coins %b" (D.style_to_string style) registers
+      depth coins
+  in
+  let r =
+    Cegis.search ~style ~registers ~depth ~coins ~max_procs ~seed:1 ()
+  in
+  let show (n, u0, u1, w) =
+    Printf.sprintf "n=%d %d/%d %s" n u0 u1
+      (match w with
+      | None -> "unsatisfiable"
+      | Some pair -> D.protocol_name ~style ~registers pair)
+  in
+  Alcotest.(check (list string))
+    (what ^ ": rounds")
+    (List.map show (Census_referee.rounds cls ~max_procs))
+    (List.map
+       (fun (row : Cegis.row) ->
+         show (row.n, row.unanimous0, row.unanimous1, row.witness))
+       r.Cegis.rows);
+  List.iter
+    (fun (row : Cegis.row) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s n=%d verdict" what row.n)
+        (if row.witness = None then "unsatisfiable" else "satisfiable")
+        (verdict_str row))
+    r.Cegis.rows
+
+(* every depth-1 class: both styles, one and two registers, with and
+   without coins *)
+let test_rounds_depth1 () =
+  List.iter
+    (fun (style, registers, coins) ->
+      check_rounds ~style ~registers ~coins ~depth:1 ~max_procs:4)
+    [
+      (D.Rw, 1, false);
+      (D.Rw, 1, true);
+      (D.Rw, 2, false);
+      (D.Rw, 2, true);
+      (D.Swapping, 1, false);
+      (D.Swapping, 1, true);
+      (D.Swapping, 2, false);
+      (D.Swapping, 2, true);
+    ]
+
+(* rw depth 2: the census checks all 1,418,481 pairs at n = 2 *)
+let test_rounds_rw_depth2 () =
+  check_rounds ~style:D.Rw ~registers:1 ~coins:false ~depth:2 ~max_procs:3
+
 let suite =
   [
     Alcotest.test_case "rw depth-1 frontier: impossible at n=2" `Quick
@@ -390,4 +448,8 @@ let suite =
       test_kernel_scripts;
     Alcotest.test_case "tree kernel = exec_script: every short script" `Quick
       test_kernel_exhaustive;
+    Alcotest.test_case "rounds = brute-force census: depth 1" `Quick
+      test_rounds_depth1;
+    Alcotest.test_case "rounds = brute-force census: rw depth 2" `Quick
+      test_rounds_rw_depth2;
   ]

@@ -100,9 +100,9 @@ let test_depth2_jobs_invariant () =
       Alcotest.(check int) "candidates" 22_208 candidates;
       Alcotest.(check int) "pruned + refuted" candidates (pruned + refuted)
   | _ -> Alcotest.fail "expected one unwitnessed n=2 row");
-  Alcotest.(check int) "lemmas" 68
+  Alcotest.(check int) "lemmas" 71
     (List.length (Lemma.of_text lemma_text));
-  Alcotest.(check int) "kernel replays" 36_682 replays;
+  Alcotest.(check int) "kernel replays" 33_491 replays;
   List.iter
     (fun jobs ->
       Par.with_pool ~jobs (fun pool ->
