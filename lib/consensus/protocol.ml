@@ -19,26 +19,26 @@ type t = {
 
 let space t ~n = List.length (t.optypes ~n)
 
-(** The initial configuration for the given inputs (one per process).
+let procs t ~n ~inputs =
+  let by_input = Hashtbl.create 2 in
+  List.mapi
+    (fun pid input ->
+      if not t.identical then t.code ~n ~pid ~input
+      else
+        match Hashtbl.find_opt by_input input with
+        | Some proc -> proc
+        | None ->
+            let proc = t.code ~n ~pid ~input in
+            Hashtbl.add by_input input proc;
+            proc)
+    inputs
 
-    Initial state fingerprints are seeded so that [Mc.Explore]'s
-    [`Symmetric] dedup is sound for any packaged protocol: for [identical]
-    protocols two processes share an initial term iff they share an input,
-    so the input seeds the fingerprint (and same-input processes become
-    interchangeable); for pid-dependent code every process gets a distinct
-    pid seed, making [`Symmetric] degrade safely to per-slot matching. *)
 let initial_config t ~inputs =
   let n = List.length inputs in
   if not (t.supports_n n) then
     invalid_arg
       (Printf.sprintf "protocol %s does not support n=%d" t.name n);
-  let procs =
-    List.mapi (fun pid input -> t.code ~n ~pid ~input) inputs
-  in
-  let fp_seeds =
-    List.mapi (fun pid input -> if t.identical then input else pid) inputs
-  in
-  Config.make_seeded ~fp_seeds ~optypes:(t.optypes ~n) ~procs
+  Config.make ~optypes:(t.optypes ~n) ~procs:(procs t ~n ~inputs)
 
 type run_report = {
   result : int Run.result;

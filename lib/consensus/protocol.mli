@@ -18,6 +18,12 @@ type t = {
 (** Number of object instances used for n processes. *)
 val space : t -> n:int -> int
 
+(** One process per input, at [n] processes: one value per distinct input
+    for [identical] protocols and one per pid otherwise.  Processes share
+    a root exactly when they hold the same value ([Config.make]), so
+    same-input processes are interchangeable under [`Symmetric] dedup. *)
+val procs : t -> n:int -> inputs:int list -> int Proc.t list
+
 (** The initial configuration for the given inputs (one per process).
     Raises [Invalid_argument] if the protocol does not support that n. *)
 val initial_config : t -> inputs:int list -> int Config.t

@@ -34,16 +34,17 @@ type outcome = {
 
 type error =
   | Not_identical
-  | No_solo_termination of int  (** pid whose solo search failed *)
+  | No_solo_termination of { pid : int; procs : int }
+      (** the pid whose solo search failed, and the process count *)
   | Solo_decides_wrong of { pid : int; expected : int; got : int }
   | Construction_failed of string
   | Budget_exhausted of Robust.Budget.reason
 
 let error_to_string = function
   | Not_identical -> "protocol does not have identical process code"
-  | No_solo_termination pid ->
-      Printf.sprintf
-        "no terminating solo execution found for P%d within budget" pid
+  | No_solo_termination { pid; procs } ->
+      Printf.sprintf "no terminating solo execution found for P%d (%s)" pid
+        (Combine.solo_bound ~procs)
   | Solo_decides_wrong { pid; expected; got } ->
       Printf.sprintf "P%d solo decided %d, expected its own input %d" pid got
         expected
@@ -83,7 +84,8 @@ let run ?budget ?(nominal_n = 64) ?rng (p : Consensus.Protocol.t) =
     let config = Config.make ~optypes ~procs:[ code 0; code 1 ] in
     let solo pid expected =
       match Combine.solo_search ?rng config ~pid with
-      | None -> Error (No_solo_termination pid)
+      | None ->
+          Error (No_solo_termination { pid; procs = Config.n_procs config })
       | Some { decision = Some d; _ } when d <> expected ->
           Error (Solo_decides_wrong { pid; expected; got = d })
       | Some ({ decision = Some _; _ } as f) -> Ok f
@@ -184,11 +186,10 @@ let best_witness results =
    precisely why Section 3.1 is stated for read-write registers. *)
 
 let certify (p : Consensus.Protocol.t) (o : outcome) =
-  let code input = p.Consensus.Protocol.code ~n:o.nominal_n ~pid:0 ~input in
   let config =
     Config.make
       ~optypes:(p.Consensus.Protocol.optypes ~n:o.nominal_n)
-      ~procs:(List.map code o.inputs)
+      ~procs:(Consensus.Protocol.procs p ~n:o.nominal_n ~inputs:o.inputs)
   in
   let shadows = Hashtbl.create 8 in
   List.iter

@@ -20,7 +20,7 @@ type outcome = {
 
 type error =
   | Not_identical
-  | No_solo_termination of int
+  | No_solo_termination of { pid : int; procs : int }
   | Solo_decides_wrong of { pid : int; expected : int; got : int }
   | Construction_failed of string
   | Budget_exhausted of Robust.Budget.reason

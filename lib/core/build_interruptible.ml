@@ -92,7 +92,9 @@ let construct b ~all_objects ~vset ~pset ~uset ~e =
             ~stop:(Solo.poised_outside vset)
         with
         | None ->
-            fail "solo search failed for P%d (budget or no termination)" pid
+            fail "no solo execution for P%d that decides or writes outside V (%s)"
+              pid
+              (Combine.solo_bound ~procs:(Config.n_procs (Builder.config b)))
         | Some { coins; decision; _ } ->
             let _ =
               Builder.run_coins b ~pid ~coins

@@ -71,9 +71,16 @@ let governed budget f =
       Error (`Failed (Printf.sprintf "replay diverged: P%d already decided" pid))
   | Robust.Budget.Exhausted reason -> Error (`Exhausted reason)
 
+let solo_max_steps = 5_000
+let solo_max_nodes = 500_000
+
 let solo_search ?stop ?rng config ~pid =
-  Run.solo_search ~max_steps:5_000 ~max_nodes:500_000
+  Run.solo_search ~max_steps:solo_max_steps ~max_nodes:solo_max_nodes
     ?meter:(Domain.DLS.get budget_meter) ?stop ?rng config ~pid
+
+let solo_bound ~procs =
+  Printf.sprintf "solo search bound: %d steps per path, %d nodes; %d processes"
+    solo_max_steps solo_max_nodes procs
 
 (* Execute a block write on a scratch copy of the configuration (pure
    steps; the builder is untouched) and return the resulting config. *)
@@ -163,8 +170,9 @@ and incomparable_case b (pside : Side.t) (qside : Side.t) =
     match solo_search scratch ~pid:perf with
     | Some ({ decision = Some _; _ } as f) -> f
     | Some { decision = None; _ } | None ->
-        fail "no terminating solo execution for P%d after block write to U"
+        fail "no terminating solo execution for P%d after block write to U (%s)"
           perf
+          (solo_bound ~procs:(Config.n_procs scratch))
   in
   let d = match gamma.Run.decision with Some d -> d | None -> assert false in
   if d = pside.Side.decides then begin

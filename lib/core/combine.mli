@@ -36,4 +36,8 @@ val solo_search :
   pid:int ->
   int Sim.Run.solo option
 
+(** What a failed {!solo_search} saw, for its error message: the bound
+    it searched to and the configuration's process count. *)
+val solo_bound : procs:int -> string
+
 val combine : Builder.t -> Side.t -> Side.t -> unit

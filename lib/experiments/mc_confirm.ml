@@ -3,9 +3,8 @@
    genuinely attackable.  The adversaries' witnesses live at many
    processes, where exhaustive search is hopeless, so this searches the
    2-process mixed-input instance ([Mc.Explore] with [`Symmetric] dedup,
-   sound for any packaged protocol because
-   [Consensus.Protocol.initial_config] seeds fingerprints accordingly) to
-   depth 16 and at most 300,000 states.  True iff a consistency or
+   sound for every configuration) to depth 16 and at most 300,000
+   states.  True iff a consistency or
    validity violation is reachable within those bounds. *)
 let confirms p =
   let inputs = [ 0; 1 ] in

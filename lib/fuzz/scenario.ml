@@ -124,14 +124,14 @@ let consensus ?(engine = `Flat) ?(inputs = [ 0; 1 ]) ?(max_steps = 4096)
      capacity (unbounded campaigns over history-divergent protocols). *)
   let dls =
     Domain.DLS.new_key (fun () ->
-        let template = Flat.of_config ~roots:Flat.Per_slot (initial ()) in
+        let template = Flat.of_config (initial ()) in
         ref (template, Flat.clone template))
   in
   let flat_work () =
     let cell = Domain.DLS.get dls in
     let template, work = !cell in
     if Intern.near_capacity (Flat.rt template) then begin
-      let template = Flat.of_config ~roots:Flat.Per_slot (initial ()) in
+      let template = Flat.of_config (initial ()) in
       let work = Flat.clone template in
       cell := (template, work);
       work

@@ -86,16 +86,16 @@ let enumerate_dtrees ~style ~registers ~coins depth =
   Array.to_list (fst (enumerate_mirrored ~style ~registers ~coins depth))
 
 (* The lemma replay hook: the initial configuration a (t0, t1) candidate
-   presents to [Run.exec_script] for the given inputs — fingerprints
-   seeded by input so [`Symmetric] dedup stays sound.  Each process's
-   tree is a function of its input alone, so fingerprint-equal slots are
-   state-equal across slots — same-input processes run the same tree and
-   are genuinely interchangeable. *)
+   presents to [Run.exec_script] for the given inputs.  Each process's
+   tree is a function of its input alone, so one process value per tree
+   side: same-input processes hold one value, share a root
+   ([Config.make]) and are genuinely interchangeable under
+   [`Symmetric] dedup. *)
 let dtree_config ~style ~registers (t0, t1) inputs =
-  let tree_of input = if input = 0 then t0 else t1 in
-  Config.make_seeded ~fp_seeds:inputs
+  let p0 = D.to_proc t0 and p1 = D.to_proc t1 in
+  Config.make
     ~optypes:(D.optypes ~style ~registers)
-    ~procs:(List.map (fun i -> D.to_proc (tree_of i)) inputs)
+    ~procs:(List.map (fun i -> if i = 0 then p0 else p1) inputs)
 
 (* every decision reachable in a solo run from the initial objects:
    walk the tree on [Dtree.step] and one register array, taking both

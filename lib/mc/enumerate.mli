@@ -32,8 +32,8 @@ val enumerate_mirrored :
 
 (** The initial configuration candidate [(t0, t1)] presents for the
     given inputs — the hook lemma replay ([Sim.Run.exec_script]) and
-    full verification share, fingerprint-seeded by input so
-    [`Symmetric] dedup stays sound. *)
+    full verification share: one process value per tree side, so
+    same-input processes share a root. *)
 val dtree_config :
   style:Consensus.Dtree.style ->
   registers:int ->
@@ -53,10 +53,9 @@ val dtree_solo_decisions : registers:int -> Consensus.Dtree.t -> int list
     pruning lemma ([Fuzz.Schedule.of_trace]).  [`Correct] only when the
     exploration was exhaustive; [`Unknown reason] when a budget cut it
     short with no violation found (an under-approximation, not a clean
-    bill).  [dedup] defaults to [`Symmetric], which is sound here
-    unconditionally: a process's tree is a function of its input alone
-    and the fingerprints are seeded by input, so fingerprint-equal slots
-    are state-equal (see [Explore]). *)
+    bill).  [dedup] defaults to [`Symmetric], which is sound for every
+    configuration; here same-input processes hold one value and so
+    collapse (see [Explore]). *)
 val dtree_check_verdict :
   ?obs:Obs.t ->
   ?budget:Robust.Budget.t ->

@@ -23,14 +23,12 @@
                     objects hold the same values.  Always sound.
    - [`Symmetric] — additionally sorts the per-process states, so
                     permutations of interchangeable processes collapse to
-                    one state.  Sound exactly when equal initial
-                    fingerprints (the flat engine's shared roots) imply
-                    equal terms *across* process slots: either
-                    all processes start from one protocol term (identical
-                    processes with one input — the Theorem 3.3 setting),
-                    or the initial fingerprints of differing terms were
-                    distinguished via [Config.make_seeded ~fp_seeds] (what
-                    [Consensus.Protocol.initial_config] does).
+                    one state.  Sound for every configuration: processes
+                    share a root exactly when their slots hold the very
+                    same process value, which runs one term.
+                    [Consensus.Protocol.initial_config] passes one value
+                    per input to identical processes (the Theorem 3.3
+                    setting).
 
    Memoized skips of *complete* (exhaustively clean) subtrees never affect
    the verdict or [truncated]; skips of depth-bounded entries conservatively
@@ -384,24 +382,22 @@ let search_from_flat ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume
     if !first_reason = None then first_reason := Some reason;
     incr trunc
   in
-  let symmetric = dedup = `Symmetric in
-  let flat =
-    Flat.of_config ~roots:(if symmetric then Flat.By_fp else Flat.Per_slot) config
-  in
+  let flat = Flat.of_config config in
   let rt = Flat.rt flat in
   let n_objs = Flat.n_objs flat and n_procs = Flat.n_procs flat in
   let width = n_objs + n_procs in
-  (* Sort only where two processes share a root ([Per_slot] shares
-     none).  Sids form a tree (a fresh child per (parent, input)), so
+  (* Sort only under [`Symmetric], and only where two processes share a
+     root.  Sids form a tree (a fresh child per (parent, input)), so
      processes with distinct roots never hold equal sids and sorting
      could merge nothing the exact key does not.  Allocation-free:
      CEGIS runs thousands of tiny searches. *)
   let sorted = ref false in
-  for p = 0 to n_procs - 1 do
-    for q = p + 1 to n_procs - 1 do
-      if Flat.sid flat p = Flat.sid flat q then sorted := true
-    done
-  done;
+  if dedup = `Symmetric then
+    for p = 0 to n_procs - 1 do
+      for q = p + 1 to n_procs - 1 do
+        if Flat.sid flat p = Flat.sid flat q then sorted := true
+      done
+    done;
   let sorted = !sorted in
   let table =
     match dedup with

@@ -13,19 +13,19 @@
 
     - the flat engine (production) keys on interned ids ([Sim.Intern]):
       value ids, and state ids that stand for (root, consumed history)
-      exactly, with no hash trusted.  The one place it reads 64-bit
-      fingerprints is [`Symmetric]'s root sharing ([Sim.Flat.By_fp]):
-      processes whose initial fingerprint seeds are equal share a root;
+      exactly, with no hash in the key.  Processes share a root exactly
+      when their slots hold the very same process value
+      ([Sim.Flat.of_config]);
     - the closure referee keys on object values and the per-process
-      consumed-history fingerprints ([Sim.Fingerprint]).
+      consumed-history fingerprints ([Sim.Fingerprint]), seeded by the
+      same root classes ([Sim.Config.make]).
 
-    So [`Symmetric] is sound when all processes run one protocol term
-    with one input (the identical-processes setting of Theorem 3.3), or
-    when differing initial terms were distinguished via
-    [Config.make_seeded ~fp_seeds] (as [Consensus.Protocol.initial_config]
-    does).  Dedup never changes the violation verdict or the reported
-    witness; it changes only the node counts ([visited], [leaves]) and
-    wall-clock. *)
+    So [`Symmetric] is sound for every configuration.  It collapses
+    processes that hold one value: [Consensus.Protocol.initial_config]
+    passes one value per input for identical protocols (the
+    identical-processes setting of Theorem 3.3).  Dedup never changes
+    the violation verdict or the reported witness; it changes only the
+    node counts ([visited], [leaves]) and wall-clock. *)
 
 open Sim
 

@@ -111,9 +111,7 @@ let key_of ~symmetric ~fps ~objs =
   Dtbl.Skey.make ~fps ~objs
 
 let flat_eng ~symmetric config =
-  let root =
-    Flat.of_config ~roots:(if symmetric then Flat.By_fp else Flat.Per_slot) config
-  in
+  let root = Flat.of_config config in
   let work = Flat.clone root in
   let rt = Flat.rt work in
   let n_procs = Flat.n_procs work in

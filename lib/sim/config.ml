@@ -20,36 +20,30 @@ type 'a t = {
   fps : Fingerprint.t array;  (** per-process consumed-history fingerprints *)
 }
 
-let make_with_seeds fp_seeds ~optypes ~procs =
+(* Each initial fingerprint is seeded with the slot's root class, the
+   first slot that holds the very same value ([seen] has one entry per
+   distinct value: linear in processes × distinct values). *)
+let make ~optypes ~procs =
   let optypes = Array.of_list optypes in
-  let n = List.length procs in
-  let fps =
-    match fp_seeds with
-    | None -> Array.make n Fingerprint.initial
-    | Some seeds ->
-        if List.length seeds <> n then
-          invalid_arg "Config.make: fp_seeds length <> number of processes";
-        Array.of_list
-          (List.map (fun s -> Fingerprint.mix Fingerprint.initial s) seeds)
+  let procs = Array.of_list procs in
+  let seen = ref [] in
+  let root_class p proc =
+    match List.assq_opt proc !seen with
+    | Some c -> c
+    | None ->
+        seen := (proc, p) :: !seen;
+        p
   in
   {
     optypes;
     objects = Array.map (fun (ot : Optype.t) -> ot.init) optypes;
-    procs = Array.of_list procs;
-    halted = Array.make n false;
-    fps;
+    procs;
+    halted = Array.make (Array.length procs) false;
+    fps =
+      Array.mapi
+        (fun p proc -> Fingerprint.mix Fingerprint.initial (root_class p proc))
+        procs;
   }
-
-let make ~optypes ~procs = make_with_seeds None ~optypes ~procs
-
-(** [make] with the initial fingerprints seeded, distinguishing processes
-    whose initial protocol terms differ (e.g. by input value): fingerprint
-    equality then implies state equality across processes, the
-    precondition of [Mc.Explore]'s [`Symmetric] canonicalization.  Under
-    plain [make] all processes start from [Fingerprint.initial] and only
-    same-slot fingerprint comparisons are meaningful. *)
-let make_seeded ~fp_seeds ~optypes ~procs =
-  make_with_seeds (Some fp_seeds) ~optypes ~procs
 
 let n_objects t = Array.length t.objects
 let n_procs t = Array.length t.procs

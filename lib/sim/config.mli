@@ -13,17 +13,11 @@ type 'a t = {
 }
 
 (** [make ~optypes ~procs] is the initial configuration: objects at their
-    initial values, no process halted, all fingerprints at
-    [Fingerprint.initial]. *)
+    initial values, no process halted.  Each initial fingerprint is
+    seeded with the slot's root class, the first slot that holds the very
+    same ([==]) value, so equal initial fingerprints mean one term.  To
+    make processes interchangeable, pass one value for all of them. *)
 val make : optypes:Optype.t list -> procs:'a Proc.t list -> 'a t
-
-(** [make] with seeded initial fingerprints ([fp_seeds], one int per
-    process): seeds distinguish processes whose initial protocol terms
-    differ — required for [Mc.Explore]'s [`Symmetric] dedup to be sound
-    on non-identical process vectors; see
-    [Consensus.Protocol.initial_config]. *)
-val make_seeded :
-  fp_seeds:int list -> optypes:Optype.t list -> procs:'a Proc.t list -> 'a t
 
 val n_objects : 'a t -> int
 val n_procs : 'a t -> int

@@ -36,10 +36,10 @@ let mix (h : t) (v : int) : t =
   let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
   z lxor (z lsr 31)
 
-(** Fingerprint of a process that has consumed nothing yet.  Two processes
-    with this fingerprint are interchangeable only if their initial
-    protocol terms are equal — seed with {!mix} (see [Config.make]
-    [~fp_seeds]) when they are not. *)
+(** Fingerprint base of a process that has consumed nothing yet.
+    [Config.make] mixes each slot's root class into it (the first slot
+    holding the same process value), so processes whose initial terms
+    differ start from different fingerprints. *)
 let initial : t = 0x243F6A8885A308D3 (* pi, as arbitrary as it looks *)
 
 (* Structural 63-bit hash of a [Value.t]; constructor-tagged so values of

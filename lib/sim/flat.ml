@@ -31,16 +31,12 @@ type 'a t = {
   mutable enabled : int;  (** processes neither decided nor halted *)
 }
 
-type roots = Per_slot | By_fp
-
-(** Flatten a closure configuration.  [~roots] decides root-state
-    sharing: [Per_slot] gives every process its own root id (always
-    sound, the [`Exact]/[`Off] engine default); [By_fp] shares roots
-    between processes whose current fingerprints are equal — the
-    assertion [Config.make_seeded] encodes and [`Symmetric] dedup
-    requires (equal fingerprint seeds ⇒ equal protocol terms). *)
-let of_config ?rt ~roots (config : 'a Config.t) =
-  let rt = match rt with Some rt -> rt | None -> Intern.of_config config in
+(* A slot reuses the root sid of an earlier slot that holds the very
+   same value with the same fingerprint (a sid carries one fingerprint;
+   the test can only split a class, so no hash decides a sharing).
+   Linear in processes × distinct roots. *)
+let of_config (config : 'a Config.t) =
+  let rt = Intern.of_config config in
   let n_objs = Config.n_objects config in
   let n_procs = Config.n_procs config in
   let slab = Array.make (n_objs + n_procs) 0 in
@@ -49,13 +45,19 @@ let of_config ?rt ~roots (config : 'a Config.t) =
   for i = 0 to n_objs - 1 do
     slab.(i) <- Intern.value_id rt config.Config.objects.(i)
   done;
+  let roots = ref [] in
   for p = 0 to n_procs - 1 do
     let fp = config.Config.fps.(p) in
     let proc = config.Config.procs.(p) in
     let sid =
-      match roots with
-      | Per_slot -> Intern.root rt ~key:(-1 - p) ~fp proc
-      | By_fp -> Intern.root rt ~key:fp ~fp proc
+      match
+        List.find_opt (fun (q, fq, _) -> q == proc && fq = fp) !roots
+      with
+      | Some (_, _, sid) -> sid
+      | None ->
+          let sid = Intern.root_fresh rt ~fp proc in
+          roots := (proc, fp, sid) :: !roots;
+          sid
     in
     slab.(n_objs + p) <- sid;
     if config.Config.halted.(p) then Bytes.set halted p '\001'

@@ -8,17 +8,11 @@
 
 type 'a t
 
-type roots =
-  | Per_slot  (** every process gets its own root id; always sound *)
-  | By_fp
-      (** processes with equal initial fingerprints share a root id —
-          requires the [`Symmetric] precondition (equal fingerprint
-          seeds ⇒ equal protocol terms) *)
-
-val of_config : ?rt:'a Intern.t -> roots:roots -> 'a Config.t -> 'a t
-(** Flatten a closure configuration, interning into [rt] (fresh table
-    when omitted).  Pass an existing [rt] to share forced states across
-    many runs of the same protocol. *)
+val of_config : 'a Config.t -> 'a t
+(** Flatten a closure configuration into a fresh intern table.  Slots
+    that hold the very same ([==]) process value with the same
+    fingerprint share one root state id; every other slot gets its
+    own. *)
 
 val rt : 'a t -> 'a Intern.t
 val n_objs : 'a t -> int

@@ -30,10 +30,8 @@
    roots, by construction; no hash is trusted anywhere (value interning
    compares with [Value.equal] on collision, and ids are dense indices).
 
-   Root sharing is the caller's assertion: [root] with equal [~key]s
-   returns one id, claiming the supplied protocol terms are equal —
-   exactly the precondition [Mc.Explore]'s [`Symmetric] dedup already
-   places on equal fingerprint seeds.  [root_fresh] never shares.
+   Every root is interned fresh ([root_fresh]); root sharing is
+   {!Flat.of_config}'s, by the identity of the process value.
 
    Per-state fingerprints are carried along ([fp]): the fingerprint of a
    state id equals the fingerprint [Run.step] would have maintained for
@@ -168,7 +166,6 @@ type 'a t = {
   mutable st_proc : 'a Proc.t option array;  (** forced closure, miss path only *)
   mutable st_dec : 'a option array;
   mutable n_states : int;
-  roots : (int, int) Hashtbl.t;  (** caller key -> root sid (cold; keys may be negative) *)
   succ : Itbl.t;  (** pack (sid, input id) -> sid' *)
   apply_memo : Itbl.t;  (** pack (sid, vid) -> pack (vid', sid') *)
   mutable last_vid : int;
@@ -190,7 +187,6 @@ let create ~optypes =
     st_proc = Array.make 16 None;
     st_dec = Array.make 16 None;
     n_states = 0;
-    roots = Hashtbl.create 16;
     succ = Itbl.create 16;
     apply_memo = Itbl.create 16;
     last_vid = 0;
@@ -251,14 +247,6 @@ let intern_state (t : 'a t) (proc : 'a Proc.t) ~fp =
   t.st_proc.(sid) <- Some proc;
   t.n_states <- sid + 1;
   sid
-
-let root t ~key ~fp proc =
-  match Hashtbl.find_opt t.roots key with
-  | Some sid -> sid
-  | None ->
-      let sid = intern_state t proc ~fp in
-      Hashtbl.add t.roots key sid;
-      sid
 
 let root_fresh t ~fp proc = intern_state t proc ~fp
 

@@ -34,11 +34,6 @@ val near_capacity : 'a t -> bool
 val value_id : 'a t -> Value.t -> int
 val value : 'a t -> int -> Value.t
 
-val root : 'a t -> key:int -> fp:Fingerprint.t -> 'a Proc.t -> int
-(** Intern a root protocol term under [key]; equal keys share one id —
-    the caller asserts the terms are equal (the [`Symmetric]
-    precondition). *)
-
 val root_fresh : 'a t -> fp:Fingerprint.t -> 'a Proc.t -> int
 (** Intern a root with a guaranteed-fresh id (never shared). *)
 

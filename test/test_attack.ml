@@ -63,6 +63,33 @@ let test_rejects_non_identical () =
   | Error e -> Alcotest.failf "wrong error: %s" (Attack.error_to_string e)
   | Ok _ -> Alcotest.fail "attacked a non-identical protocol"
 
+(* A process that reads one register forever never decides solo: the
+   attack's first solo search gives up, and its message names the bound
+   it searched to and the process count. *)
+let test_no_solo_termination_message () =
+  let rec spin () =
+    Proc.bind (Proc.apply 0 Objects.Register.read) (fun _ -> spin ())
+  in
+  let p =
+    {
+      Protocol.name = "spin";
+      kind = `Deterministic;
+      identical = true;
+      supports_n = (fun _ -> true);
+      optypes = (fun ~n:_ -> [ Objects.Register.optype () ]);
+      code = (fun ~n:_ ~pid:_ ~input:_ -> spin ());
+    }
+  in
+  match Attack.run p with
+  | Error (Attack.No_solo_termination { pid = 0; procs = 2 } as e) ->
+      Alcotest.(check string)
+        "message"
+        "no terminating solo execution found for P0 (solo search bound: 5000 \
+         steps per path, 500000 nodes; 2 processes)"
+        (Attack.error_to_string e)
+  | Error e -> Alcotest.failf "wrong error: %s" (Attack.error_to_string e)
+  | Ok _ -> Alcotest.fail "attacked a protocol that never decides"
+
 (* The trace is a *legal* execution: replaying its schedule through the
    ordinary runner from the attack's own start configuration reproduces
    exactly the same decisions. *)
@@ -131,6 +158,8 @@ let suite =
     Alcotest.test_case "mixed historyless broken (r=2,3)" `Quick test_mixed;
     Alcotest.test_case "process count within bound" `Quick test_process_bound;
     Alcotest.test_case "rejects non-identical" `Quick test_rejects_non_identical;
+    Alcotest.test_case "no solo termination names the bound" `Quick
+      test_no_solo_termination_message;
     Alcotest.test_case "witness replayable" `Quick test_witness_replayable;
     Alcotest.test_case "solo search" `Quick test_solo_search;
     Alcotest.test_case "solo stop predicate" `Quick test_solo_stop_predicate;

@@ -129,9 +129,10 @@ let test_fingerprint_matches_history () =
         pairs)
     pairs
 
-(* Same protocol, different inputs: the seeded initial fingerprints keep
-   differing initial terms apart even when the consumed histories
-   coincide (both empty) — the [`Symmetric] precondition. *)
+(* Same protocol, different inputs: [initial_config] builds one process
+   value per input, and [Config.make] seeds each fingerprint with the
+   slot's root class, so differing initial terms stay apart even when
+   the consumed histories coincide (both empty). *)
 let test_seeds_separate_inputs () =
   let p = Flawed.unanimous ~style:Flawed.Rw ~r:1 in
   let config = Protocol.initial_config p ~inputs:[ 0; 1 ] in
@@ -217,6 +218,45 @@ let test_symmetric_needs_identical () =
         true (sym < exact)
   | _ -> assert false
 
+(* A plain [Config.make] configuration with one freshly built process
+   value per slot: no two slots hold the same value, so no two share a
+   root, whatever the protocol.  [`Symmetric] must then stay sound on
+   every registry protocol (same verdict and witness as [`Exact]) and
+   the flat engine must agree with the closure referee node for node.
+   Before roots were shared by value identity, a plain configuration gave
+   every process P0's root: [`Symmetric] missed [first-writer-r1]'s
+   inconsistency, called [rw-3n] exhaustive and raised on [swap-2proc]. *)
+let test_plain_config_symmetric () =
+  let check (p : Protocol.t) n =
+    let inputs = List.init n (fun i -> i land 1) in
+    let search ?state dedup =
+      let config =
+        Sim.Config.make ~optypes:(p.optypes ~n)
+          ~procs:(List.mapi (fun pid input -> p.code ~n ~pid ~input) inputs)
+      in
+      Mc.Explore.search ?state ~dedup ~max_depth:14 ~max_states:40_000
+        ~inputs config
+    in
+    let counts (r : int Mc.Explore.result) =
+      (project_violation r, r.Mc.Explore.visited, r.Mc.Explore.leaves)
+    in
+    let flat = search `Symmetric in
+    let closure = search ~state:`Closure `Symmetric in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s n=%d: flat symmetric = closure (%d vs %d nodes)"
+         p.name n flat.Mc.Explore.visited closure.Mc.Explore.visited)
+      true
+      (counts flat = counts closure);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s n=%d: symmetric verdict = exact" p.name n)
+      true
+      (project_violation flat = project_violation (search `Exact))
+  in
+  List.iter
+    (fun (p : Protocol.t) ->
+      List.iter (check p) (List.filter p.supports_n [ 2; 3 ]))
+    Registry.all
+
 let suite =
   [
     Alcotest.test_case "dedup modes agree with off (witness included)" `Quick
@@ -233,4 +273,6 @@ let suite =
       test_clone_fingerprints;
     Alcotest.test_case "symmetric collapses only identical processes" `Quick
       test_symmetric_needs_identical;
+    Alcotest.test_case "plain Config.make: symmetric sound, flat = closure"
+      `Quick test_plain_config_symmetric;
   ]

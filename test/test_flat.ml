@@ -43,7 +43,8 @@ let dedups = [ ("off", `Off); ("exact", `Exact); ("symmetric", `Symmetric) ]
    same verdict, same visited/leaves/table counters.  [max_states]
    truncation is deterministic (first k preorder nodes), so bounded
    searches compare exactly too.  An [identical] protocol also runs at
-   inputs 0,1,0, where processes 0 and 2 share a root: [`Symmetric]
+   inputs 0,1,0, where processes 0 and 2 hold one process value and
+   so share a root: [`Symmetric]
    sorts state ids only there (at 0,1 it keys exactly like [`Exact]),
    so both keyings meet the referee. *)
 let test_search_registry_differential () =
@@ -68,14 +69,22 @@ let test_search_registry_differential () =
       check p (List.init (smallest_n p) (fun i -> i land 1));
       if p.identical && p.supports_n 3 then begin
         let inputs = [ 0; 1; 0 ] in
-        let flat =
-          Sim.Flat.of_config ~roots:Sim.Flat.By_fp
-            (Protocol.initial_config p ~inputs)
-        in
+        let flat = Sim.Flat.of_config (Protocol.initial_config p ~inputs) in
         Alcotest.(check bool)
           (p.name ^ " 0,1,0: processes 0 and 2 share a root")
           true
           (Sim.Flat.sid flat 0 = Sim.Flat.sid flat 2);
+        (* roots are shared by value identity: a separately built equal
+           term gets its own root *)
+        let separate =
+          Sim.Flat.of_config
+            (Sim.Config.make ~optypes:(p.optypes ~n:3)
+               ~procs:(List.mapi (fun pid input -> p.code ~n:3 ~pid ~input) inputs))
+        in
+        Alcotest.(check bool)
+          (p.name ^ " 0,1,0 built per pid: no shared root")
+          false
+          (Sim.Flat.sid separate 0 = Sim.Flat.sid separate 2);
         check p inputs
       end)
     Registry.all
@@ -118,7 +127,7 @@ let test_fingerprint_parity () =
       let config = Protocol.initial_config p ~inputs:[ 0; 1; 0 ] in
       let r = Sim.Run.exec ~max_steps:400 (Sim.Sched.random ~seed) config in
       let script = Fuzz.Schedule.of_trace r.Sim.Run.trace in
-      let flat = Sim.Flat.of_config ~roots:Sim.Flat.Per_slot config in
+      let flat = Sim.Flat.of_config config in
       let fr = Sim.Flat_run.exec_script ~script flat in
       let final = r.Sim.Run.config in
       Alcotest.(check (list int))
