@@ -501,22 +501,34 @@ let serve_rows ~keep =
    stay within a second or so each so the smoke subset can run the full
    list; rw-r1-d2 is the exhaustive sweep of 709,836 pairs (one per
    mirror orbit of 1.4M), and rw-r1-d2-coins, 2.66M pairs of 5.3M, runs
-   long enough to rise above run-to-run noise. *)
+   long enough to rise above run-to-run noise.  swap-r1-d2-budget stops
+   at a 200,000-node budget: it synthesizes n = 2 and then runs n = 3's
+   unanimity filter, so it times both rounds' exhaustive checks over
+   26,365 trees, and one full verification. *)
 let synth_bench_scenarios =
   [
-    ("rw-r1-d1", Consensus.Dtree.Rw, 1, 1, false, 4);
-    ("rw-r1-d1-coins", Consensus.Dtree.Rw, 1, 1, true, 3);
-    ("swap-r1-d1", Consensus.Dtree.Swapping, 1, 1, false, 5);
-    ("rw-r1-d2", Consensus.Dtree.Rw, 1, 2, false, 3);
-    ("rw-r1-d2-coins", Consensus.Dtree.Rw, 1, 2, true, 3);
+    ("rw-r1-d1", Consensus.Dtree.Rw, 1, 1, false, 4, None);
+    ("rw-r1-d1-coins", Consensus.Dtree.Rw, 1, 1, true, 3, None);
+    ("swap-r1-d1", Consensus.Dtree.Swapping, 1, 1, false, 5, None);
+    ("rw-r1-d2", Consensus.Dtree.Rw, 1, 2, false, 3, None);
+    ("rw-r1-d2-coins", Consensus.Dtree.Rw, 1, 2, true, 3, None);
+    ( "swap-r1-d2-budget",
+      Consensus.Dtree.Swapping,
+      1,
+      2,
+      false,
+      3,
+      Some 200_000 );
   ]
 
 let synth_rows ~keep =
   List.map
-    (fun (name, style, registers, depth, coins, procs) ->
+    (fun (name, style, registers, depth, coins, procs, max_nodes) ->
       let search () =
-        Synth.Cegis.search ~style ~registers ~depth ~coins ~max_procs:procs
-          ~seed:1 ()
+        Synth.Cegis.search
+          ?budget:
+            (Option.map (fun nodes -> Robust.Budget.make ~nodes ()) max_nodes)
+          ~style ~registers ~depth ~coins ~max_procs:procs ~seed:1 ()
       in
       let r = search () in
       let sum f = List.fold_left (fun a row -> a + f row) 0 r.Synth.Cegis.rows in
@@ -535,11 +547,16 @@ let synth_rows ~keep =
               String
                 (Robust.Budget.completeness_to_string r.Synth.Cegis.completeness)
             );
-          ];
+          ]
+          @ Option.fold ~none:[]
+              ~some:(fun nodes -> [ ("max_nodes", Serve.Json.Int nodes) ])
+              max_nodes;
         timing = timed search;
         advisory = [];
       })
-    (List.filter (fun (name, _, _, _, _, _) -> keep name) synth_bench_scenarios)
+    (List.filter
+       (fun (name, _, _, _, _, _, _) -> keep name)
+       synth_bench_scenarios)
 
 (* --- the five BENCH_*.json suites ---------------------------------------- *)
 

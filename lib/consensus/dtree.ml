@@ -197,14 +197,14 @@ let of_string s =
 
 (* ---- execution ----
 
-   One step semantics, two executions.  What a branch can observe of a
-   register is its class: [reg_empty] until written, then [0] for a
+   One step semantics, three executions.  What a branch can observe of
+   a register is its class: [reg_empty] until written, then [0] for a
    stored [Value.Int 0] and [1] for any other value.  [next] is the
    subtree a process continues with after stepping a node, given the
    step's outcome: the coin for [Flip], the class read or swapped out
    for [Read]/[Swap] (ignored for [Write]).  [to_proc] feeds it the
-   simulator's responses through [class_of_value]; [replay] feeds it the
-   classes it keeps itself. *)
+   simulator's responses through [class_of_value]; [replay] and [check]
+   feed it the classes they keep themselves. *)
 
 let reg_empty = 2
 let class_of_int v = if v = 0 then 0 else 1
@@ -258,22 +258,22 @@ let rec all_decided cur halted pid =
 
 (* one step of a process at [tree] against the register classes [regs]:
    a write or swap stores its bit's class, and [coin] is a [Flip]'s
-   outcome.  The subtree it continues with. *)
-let step regs tree coin =
-  let outcome =
-    match tree with
-    | Decide _ -> 0 (* [next] refuses it *)
-    | Flip _ -> coin
-    | Write { reg; bit; _ } ->
-        regs.(reg) <- class_of_int bit;
-        0
-    | Read { reg; _ } -> regs.(reg)
-    | Swap { reg; bit; _ } ->
-        let old = regs.(reg) in
-        regs.(reg) <- class_of_int bit;
-        old
-  in
-  next tree outcome
+   outcome.  The step's outcome, as [next] takes it. *)
+let outcome regs tree coin =
+  match tree with
+  | Decide _ -> 0 (* [next] refuses it *)
+  | Flip _ -> coin
+  | Write { reg; bit; _ } ->
+      regs.(reg) <- class_of_int bit;
+      0
+  | Read { reg; _ } -> regs.(reg)
+  | Swap { reg; bit; _ } ->
+      let old = regs.(reg) in
+      regs.(reg) <- class_of_int bit;
+      old
+
+(* the subtree a process at [tree] continues with after that step *)
+let step regs tree coin = next tree (outcome regs tree coin)
 
 let step_tree cur regs pid coin =
   cur.(pid) <-
@@ -344,6 +344,237 @@ let rec violated cur inputs pid =
 
 let replay_violates ?(max_steps = 100_000) ~registers pair ~inputs script =
   violated (run ~max_steps ~registers pair ~inputs script) inputs 0
+
+(* ---- exhaustive check ----
+
+   The model checker's search ([Mc.Explore.search] on [protocol pair]),
+   run on the trees themselves: a DFS over every interleaving and coin,
+   stepping one subtree per process against one register-class array in
+   place and undoing each step on the way back.  Children come in the
+   flat engine's order (pid ascending, then coin 0 before coin 1), and a
+   decision is judged as that engine judges it, so both stop at the
+   preorder-first violation.
+
+   The visited set holds every node with two or more processes running
+   expanded so far; a node found there is skipped.  Its subtree was then
+   searched to the end without a violation (the search stops at the
+   first one), and its future is a function of the key alone, so a skip
+   changes neither the verdict nor which violation comes first.  A node
+   with one process running is not looked up: its subtree is that
+   process's solo run, no bigger than its tree.
+
+   The key is a node's register classes and its processes' node ids,
+   sorted: processes at the same node of the same tree are
+   interchangeable, and a violation does not care which process decided
+   what.  A node id is [2 * path + side], where [side] is the process's
+   tree and [path] its node read as a bijective base-3 numeral: the
+   root is [0], and the child a step with outcome [o] leads to is
+   [3 * path + o + 1].  So ids need no table, and each fits in [width]
+   bits. *)
+
+type search = {
+  cur : t array;  (* each process's subtree *)
+  ids : int array;  (* each process's node id *)
+  regs : int array;
+  inputs : int list;
+  width : int;  (* bits per key field *)
+  per_word : int;  (* key fields per key word *)
+  key : int array;  (* the current node's key *)
+  sorted : int array;  (* scratch: [ids], sorted *)
+  mutable slots : int array;
+      (* the visited set: open addressing, one key per [Array.length
+         key] words, a negative first word for an empty slot *)
+  mutable mask : int;  (* slot count - 1, a power of two less one *)
+  mutable count : int;
+  mutable witness : [ `Step of int * int option ] list;
+}
+
+(* the deepest tree [check] takes: node ids stay below 3^(d+1) < 2^61,
+   so one id fits a key word *)
+let max_check_depth = 37
+
+let rec bits x = if x = 0 then 0 else 1 + bits (x lsr 1)
+let rec pow3 k = if k = 0 then 1 else 3 * pow3 (k - 1)
+
+let child id o = (2 * ((3 * (id lsr 1)) + o + 1)) lor (id land 1)
+
+(* packs the register classes, then the sorted node ids, [per_word]
+   fields to a word *)
+let pack s =
+  let n = Array.length s.ids and r = Array.length s.regs in
+  for p = 0 to n - 1 do
+    let v = s.ids.(p) in
+    let j = ref (p - 1) in
+    while !j >= 0 && s.sorted.(!j) > v do
+      s.sorted.(!j + 1) <- s.sorted.(!j);
+      decr j
+    done;
+    s.sorted.(!j + 1) <- v
+  done;
+  let word = ref 0 and acc = ref 0 and fields = ref 0 in
+  for f = 0 to r + n - 1 do
+    let v = if f < r then s.regs.(f) else s.sorted.(f - r) in
+    acc := (!acc lsl s.width) lor v;
+    incr fields;
+    if !fields = s.per_word || f = r + n - 1 then begin
+      s.key.(!word) <- !acc;
+      incr word;
+      acc := 0;
+      fields := 0
+    end
+  done
+
+let hash key =
+  let h = ref 0 in
+  for w = 0 to Array.length key - 1 do
+    h := (!h * 0x1000193) lxor key.(w)
+  done;
+  let h = !h * 0x5bd1e995 in
+  h lxor (h lsr 29)
+
+let rec same slots base key w =
+  w < 0 || (slots.(base + w) = key.(w) && same slots base key (w - 1))
+
+(* the slot holding [s.key], or the empty one it belongs in *)
+let rec slot s i =
+  let w = Array.length s.key in
+  let base = i * w in
+  if s.slots.(base) < 0 || same s.slots base s.key (w - 1) then base
+  else slot s ((i + 1) land s.mask)
+
+let insert s =
+  let base = slot s (hash s.key land s.mask) in
+  let fresh = s.slots.(base) < 0 in
+  if fresh then begin
+    for w = 0 to Array.length s.key - 1 do
+      s.slots.(base + w) <- s.key.(w)
+    done;
+    s.count <- s.count + 1
+  end;
+  fresh
+
+(* doubles the set, at most half full; uses [s.key] as scratch *)
+let grow s =
+  let w = Array.length s.key and old = s.slots in
+  s.slots <- Array.make (2 * Array.length old) (-1);
+  s.mask <- (2 * s.mask) + 1;
+  s.count <- 0;
+  for i = 0 to (Array.length old / w) - 1 do
+    if old.(i * w) >= 0 then begin
+      for j = 0 to w - 1 do
+        s.key.(j) <- old.((i * w) + j)
+      done;
+      ignore (insert s)
+    end
+  done
+
+(* adds the current node to the visited set; [false] if it was there *)
+let visit s =
+  if 2 * (s.count + 1) > s.mask + 1 then grow s;
+  pack s;
+  insert s
+
+(* how many processes from [pid] on are running, [k] counted before
+   them; counts stop at 2 *)
+let rec running cur pid k =
+  if pid = Array.length cur || k > 1 then k
+  else
+    running cur (pid + 1) (match cur.(pid) with Decide _ -> k | _ -> k + 1)
+
+(* Whether the subtree below the current node holds a violation, given
+   that [decided] says whether some process has decided, [v] what.  On
+   [true], [s.witness] is the path from here to the first one. *)
+let rec node s decided v =
+  match running s.cur 0 0 with
+  | 0 -> false
+  | 1 -> expand s 0 decided v
+  | _ -> visit s && expand s 0 decided v
+
+and expand s pid decided v =
+  pid < Array.length s.cur
+  && (moves s pid decided v || expand s (pid + 1) decided v)
+
+and moves s pid decided v =
+  match s.cur.(pid) with
+  | Decide _ -> false
+  | Flip _ -> move s pid 0 decided v || move s pid 1 decided v
+  | Write _ | Read _ | Swap _ -> move s pid (-1) decided v
+
+(* [coin] is [-1] for a step that flips none *)
+and move s pid coin decided v =
+  let tree = s.cur.(pid) and id = s.ids.(pid) in
+  let reg =
+    match tree with Write { reg; _ } | Swap { reg; _ } -> reg | _ -> -1
+  in
+  let old = if reg < 0 then reg_empty else s.regs.(reg) in
+  let o = outcome s.regs tree coin in
+  let tree' = next tree o in
+  s.cur.(pid) <- tree';
+  s.ids.(pid) <- child id o;
+  let violates =
+    match tree' with
+    | Decide w ->
+        if decided then w <> v || node s true v
+        else (not (is_input w s.inputs)) || node s true w
+    | _ -> node s decided v
+  in
+  s.cur.(pid) <- tree;
+  s.ids.(pid) <- id;
+  if reg >= 0 then s.regs.(reg) <- old;
+  if violates then
+    s.witness <- `Step (pid, if coin < 0 then None else Some coin) :: s.witness;
+  violates
+
+(* [ids] with each process at its tree's root *)
+let rec sides ids pid = function
+  | [] -> ids
+  | v :: rest ->
+      if v <> 0 then ids.(pid) <- 1;
+      sides ids (pid + 1) rest
+
+let rec first_decision cur pid =
+  if pid = Array.length cur then None
+  else
+    match cur.(pid) with
+    | Decide v -> Some v
+    | _ -> first_decision cur (pid + 1)
+
+let check ~registers (t0, t1) ~inputs =
+  let d = if t0 == t1 then depth t0 else max (depth t0) (depth t1) in
+  if d > max_check_depth then
+    invalid_arg
+      (Printf.sprintf "Dtree.check: a tree deeper than %d" max_check_depth);
+  let n = List.length inputs in
+  let cur = Array.make n t0 in
+  place cur t1 0 inputs;
+  (* processes may have decided before any step *)
+  if violated cur inputs 0 then `Violating []
+  else
+    let width = max 2 (bits (pow3 (d + 1) - 2)) in
+    let per_word = 62 / width in
+    let words = (registers + n + per_word - 1) / per_word in
+    let s =
+      {
+        cur;
+        ids = sides (Array.make n 0) 0 inputs;
+        regs = Array.make registers reg_empty;
+        inputs;
+        width;
+        per_word;
+        key = Array.make words 0;
+        sorted = Array.make n 0;
+        slots = Array.make (32 * words) (-1);
+        mask = 31;
+        count = 0;
+        witness = [];
+      }
+    in
+    let violates =
+      match first_decision cur 0 with
+      | Some v -> node s true v
+      | None -> node s false 0
+    in
+    if violates then `Violating s.witness else `Correct
 
 let optypes ~style ~registers =
   List.init registers (fun _ ->

@@ -68,8 +68,8 @@ val reg_empty : int
     [Write] or [Swap] updates in place; [coin] ([0] tails, [1] heads)
     is a [Flip]'s outcome and is ignored elsewhere.  It applies the
     node function {!to_proc} is built from to register classes kept in
-    an array, as {!replay} does.  Raises [Invalid_argument] on
-    [Decide]. *)
+    an array, as {!replay} and {!check} do: one step rule, three
+    executions.  Raises [Invalid_argument] on [Decide]. *)
 val step : int array -> t -> int -> t
 
 (** [replay ~registers (t0, t1) ~inputs script] is the decisions, in
@@ -106,6 +106,27 @@ val replay_violates :
   inputs:int list ->
   [< `Step of int * int option | `Crash of int ] list ->
   bool
+
+(** [check ~registers (t0, t1) ~inputs] is the model checker's verdict
+    on [protocol pair] from its initial configuration for [inputs]
+    (consistency and validity over every interleaving and coin),
+    computed by an exhaustive search of the trees themselves: no
+    [Proc] closures, configuration, interning or state cap.  Trees are
+    finite, so the search always completes.  [`Violating schedule] is
+    the path to the first violation in the flat engine's preorder (pid
+    ascending, then coin 0 before coin 1) as {!Sim.Run.exec_script}
+    entries — [`Step (pid, None)] for an operation, [`Step (pid, Some
+    c)] for a flip — the schedule [Fuzz.Schedule.of_trace] makes of
+    that engine's witness; [[]] when processes decided before any step
+    already violate.  Processes at the same node of the same tree are
+    interchangeable, and a visited set merges such configurations.  The
+    trees must be ones {!protocol} accepts for [registers] objects, of
+    depth at most 37; a deeper tree raises [Invalid_argument]. *)
+val check :
+  registers:int ->
+  t * t ->
+  inputs:int list ->
+  [ `Correct | `Violating of [ `Step of int * int option ] list ]
 
 (** The object row for a protocol of this style: [registers] plain
     registers ([Rw]) or swap registers ([Swapping]). *)

@@ -1,8 +1,10 @@
 (* The bounded decision-tree protocol space ({!Consensus.Dtree.t}) and
    the hooks the CEGIS driver ([Synth.Cegis]) runs on it: enumerate
    every tree of bounded depth, read off a tree's solo decisions by a
-   walk of the tree itself, build a candidate pair's initial
-   configuration, and check a pair exhaustively on one input vector.
+   walk of the tree itself, and build a candidate pair's initial
+   configuration.  [dtree_check_verdict], the model checker on that
+   configuration, is the referee of CEGIS's own check
+   ([Dtree.check]).
 
    E12's impossibility table is the CEGIS n = 2 round over the
    one-register [Rw] slice of this space; a brute-force census of the
@@ -85,8 +87,8 @@ let enumerate_mirrored ~style ~registers ~coins depth =
 let enumerate_dtrees ~style ~registers ~coins depth =
   Array.to_list (fst (enumerate_mirrored ~style ~registers ~coins depth))
 
-(* The lemma replay hook: the initial configuration a (t0, t1) candidate
-   presents to [Run.exec_script] for the given inputs.  Each process's
+(* The initial configuration a (t0, t1) candidate presents for the
+   given inputs: CEGIS's probes run from it.  Each process's
    tree is a function of its input alone, so one process value per tree
    side: same-input processes hold one value, share a root
    ([Config.make]) and are genuinely interchangeable under

@@ -1,10 +1,12 @@
 (** The bounded decision-tree protocol space ({!Consensus.Dtree.t}) of
     [registers] objects of either style, and the hooks the CEGIS driver
-    ([Synth.Cegis]) sweeps it with: a tree walk for solo decisions, the
-    model checker for pairs.  E12's impossibility table is that
-    driver's n = 2 round over one [Rw] register, where every pair of
-    depth [<= 2] trees is refuted.  Bounded trees always terminate, so
-    every refutation is a safety violation. *)
+    ([Synth.Cegis]) sweeps it with: a tree walk for solo decisions and
+    the probe configuration of a pair.  Pairs are checked by
+    {!Consensus.Dtree.check}; {!dtree_check_verdict}, the model checker
+    on the compiled pair, is its referee.  E12's impossibility table is
+    that driver's n = 2 round over one [Rw] register, where every pair
+    of depth [<= 2] trees is refuted.  Bounded trees always terminate,
+    so every refutation is a safety violation. *)
 
 (** All trees of depth at most [depth] over [registers] objects: [Rw]
     style offers writes and reads, [Swapping] style swaps and reads (a
@@ -31,9 +33,9 @@ val enumerate_mirrored :
   Consensus.Dtree.t array * int array
 
 (** The initial configuration candidate [(t0, t1)] presents for the
-    given inputs — the hook lemma replay ([Sim.Run.exec_script]) and
-    full verification share: one process value per tree side, so
-    same-input processes share a root. *)
+    given inputs — what CEGIS's random probes ([Sim.Run.exec]) and
+    {!dtree_check_verdict} start from: one process value per tree side,
+    so same-input processes share a root. *)
 val dtree_config :
   style:Consensus.Dtree.style ->
   registers:int ->
@@ -49,11 +51,16 @@ val dtree_config :
 val dtree_solo_decisions : registers:int -> Consensus.Dtree.t -> int list
 
 (** Exhaustive consensus check of candidate [(t0, t1)] on one input
-    vector, with the violating trace exposed so callers can extract a
-    pruning lemma ([Fuzz.Schedule.of_trace]).  [`Correct] only when the
-    exploration was exhaustive; [`Unknown reason] when a budget cut it
-    short with no violation found (an under-approximation, not a clean
-    bill).  [dedup] defaults to [`Symmetric], which is sound for every
+    vector by the model checker ([Explore.search] on {!dtree_config}),
+    with the violating trace exposed.  The referee of
+    {!Consensus.Dtree.check}, which CEGIS runs instead: wherever this
+    search is exhaustive the two give the same verdict, and the
+    kernel's schedule is [Fuzz.Schedule.of_trace] of this trace (pinned
+    by [test_enumerate]); the census referee and E12's brute-force test
+    call this one.  [`Correct] only when the exploration was
+    exhaustive; [`Unknown reason] when a budget cut it short with no
+    violation found (an under-approximation, not a clean bill).
+    [dedup] defaults to [`Symmetric], which is sound for every
     configuration; here same-input processes hold one value and so
     collapse (see [Explore]). *)
 val dtree_check_verdict :

@@ -9,15 +9,22 @@
                           by a walk of the tree itself)
      2. unanimity       — tree t survives side v only if (t, t) is
                           correct on the all-v vector of length n (a
-                          per-tree full search for side 0, read off the
-                          mirror for side 1, so the quadratic pair stage
-                          sweeps survivors only)
+                          per-tree [Dtree.check] for side 0, read off
+                          the mirror for side 1, so the quadratic pair
+                          stage sweeps survivors only)
      3. pair sweep      — each (t0, t1) in u0 x u1 that is the first of
                           its mirror orbit runs the candidate pipeline:
                           lemma replay on the trees ([Lemma.hits_pair]),
                           then seeded random probes, then the
-                          identical-process adversary, then full
-                          verification on every mixed vector
+                          identical-process adversary, then (3.4) full
+                          verification by [Dtree.check] on every mixed
+                          vector, whose violating schedule becomes the
+                          lemma as it stands
+
+   Stages 2 and 3.4 search the trees themselves, exhaustively: trees
+   are finite, so a check never stops short and never answers unknown.
+   A row is unknown only when the node budget trips.  The model checker
+   on the compiled pair is their referee in the tests, not a stage.
 
    Identical processes make input vectors multisets: the mixed vectors
    at n are [k zeros ++ (n-k) ones] for 0 < k < n, and unanimity is
@@ -103,10 +110,6 @@ type result = {
   completeness : Robust.Budget.completeness;
 }
 
-(* a stage-2 verdict class, or a tree the filter never reached *)
-type verdict0 =
-  [ `Unchecked | `Correct | `Violating | `Unknown of Robust.Budget.reason ]
-
 (* mixed input vectors at n, identical processes: k zeros then n-k ones *)
 let mixed_vectors n =
   List.init (n - 1) (fun i ->
@@ -183,7 +186,6 @@ type outcome =
   | Pruned of pooled  (** the pool lemma that hit *)
   | Refuted of Lemma.t
   | Verified
-  | Unknown of Robust.Budget.reason
 
 type eval = {
   outcome : outcome;
@@ -228,30 +230,29 @@ let eval_candidate ~style ~registers ~frozen_pool ~n
   | Some e, replays ->
       { outcome = Pruned e; side_lemmas = []; hits = 1; replays }
   | None, replays -> (
-      let p = D.protocol ~style ~registers (t0, t1) in
       let hits = ref 0 in
-      let lemma_of ~inputs trace =
+      let lemma_of ~inputs schedule =
         {
-          Lemma.source = p.Consensus.Protocol.name;
+          Lemma.source = D.protocol_name ~style ~registers (t0, t1);
           inputs;
-          schedule = Fuzz.Schedule.of_trace trace;
+          schedule;
         }
       in
       (* 2. seeded random probes: cheap fresh counterexamples whose
-         schedules transfer to the pool *)
+         schedules transfer to the pool.  [Run.exec] runs a private
+         copy, so one configuration serves every attempt. *)
       let probe_refutation =
         let rec per_vector = function
           | [] -> None
           | inputs :: rest -> (
+              let config =
+                Mc.Enumerate.dtree_config ~style ~registers (t0, t1) inputs
+              in
               let rec attempt k =
                 if k = 0 then None
                 else
                   let seed =
                     Int64.to_int (Rng.next_int64 rng) land 0x3FFFFFFF
-                  in
-                  let config =
-                    Mc.Enumerate.dtree_config ~style ~registers (t0, t1)
-                      inputs
                   in
                   let r =
                     Run.exec ~max_steps:probe_max_steps (Sched.random ~seed)
@@ -261,7 +262,8 @@ let eval_candidate ~style ~registers ~frozen_pool ~n
                     attempt (k - 1)
                   else begin
                     incr hits;
-                    Some (lemma_of ~inputs r.Run.trace)
+                    Some
+                      (lemma_of ~inputs (Fuzz.Schedule.of_trace r.Run.trace))
                   end
               in
               match attempt probes with
@@ -282,6 +284,7 @@ let eval_candidate ~style ~registers ~frozen_pool ~n
           let attack_lemma =
             if style <> D.Rw then None
             else
+              let p = D.protocol ~style ~registers (t0, t1) in
               match Lowerbound.Attack.run ~nominal_n:n p with
               | Error _ -> None
               | Ok o ->
@@ -291,7 +294,8 @@ let eval_candidate ~style ~registers ~frozen_pool ~n
                     | Error _ -> None
                     | Ok (trace, _) ->
                         let l =
-                          lemma_of ~inputs:o.Lowerbound.Attack.inputs trace
+                          lemma_of ~inputs:o.Lowerbound.Attack.inputs
+                            (Fuzz.Schedule.of_trace trace)
                         in
                         (* trust, but replay: pool only what demonstrably
                            violates its own source *)
@@ -304,23 +308,21 @@ let eval_candidate ~style ~registers ~frozen_pool ~n
           match attack_lemma with
           | Some l when Lemma.applies ~n l ->
               { outcome = Refuted l; side_lemmas = []; hits = !hits; replays }
-          | side -> (
+          | side ->
               let side_lemmas = Option.to_list side in
-              (* 4. full verification, vector by vector *)
+              (* 4. full verification, vector by vector, on the tree
+                 kernel: exhaustive, since trees are finite *)
               let rec verify = function
                 | [] -> Verified
                 | inputs :: rest -> (
-                    match
-                      Mc.Enumerate.dtree_check_verdict ~style ~registers
-                        (t0, t1) inputs
-                    with
+                    match D.check ~registers (t0, t1) ~inputs with
                     | `Correct -> verify rest
-                    | `Violating trace ->
+                    | `Violating schedule ->
                         incr hits;
-                        Refuted (lemma_of ~inputs trace)
-                    | `Unknown reason -> Unknown reason)
+                        Refuted
+                          (lemma_of ~inputs (schedule :> Fuzz.Schedule.t)))
               in
-              { outcome = verify vectors; side_lemmas; hits = !hits; replays })))
+              { outcome = verify vectors; side_lemmas; hits = !hits; replays }))
 
 let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
     ~style ~registers ~depth ~coins ~max_procs ~seed () =
@@ -366,33 +368,25 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
     end
   in
   (* stage 2: unanimity filter over the tree indices [side], one metered
-     node per tree, each judged by [check].  `Unknown poisons the whole
-     round: a truncated filter under-approximates the survivor set, and
-     a pair sweep over an under-approximation could claim
-     `Unsatisfiable it never earned.  [seen] hears every verdict. *)
-  let unanimous ?pool ?(seen = fun _ _ -> ()) side check =
-    let (kept, unknown), processed =
+     node per tree, each judged by [correct].  A budget cut makes the
+     round unknown: the survivor set it leaves under-approximates the
+     true one, and a pair sweep over it could claim `Unsatisfiable it
+     never earned.  [seen] hears every verdict. *)
+  let unanimous ?pool ?(seen = fun _ _ -> ()) side correct =
+    let kept, processed =
       batched ?pool ~meter ~batch ~total:(Array.length side) (Array.get side)
-        (fun i -> (i, check i))
-        (fun (kept, unknown) (i, verdict) ->
-          seen i verdict;
-          match verdict with
-          | `Correct -> (i :: kept, unknown)
-          | `Violating -> (kept, unknown)
-          | `Unknown reason -> (kept, Some reason))
-        ~stop:(fun (_, unknown) -> unknown <> None)
-        ([], None)
+        (fun i -> (i, correct i))
+        (fun kept (i, ok) ->
+          seen i ok;
+          if ok then i :: kept else kept)
+        ~stop:(fun _ -> false)
+        []
     in
-    let unknown =
-      match unknown with
-      | Some _ as u -> u
-      | None ->
-          if processed = Array.length side then None
-          else
-            Some
-              (Option.value (Robust.Budget.Meter.tripped meter) ~default:`Nodes)
-    in
-    (Array.of_list (List.rev kept), unknown)
+    ( Array.of_list (List.rev kept),
+      if processed = Array.length side then None
+      else
+        Some (Option.value (Robust.Budget.Meter.tripped meter) ~default:`Nodes)
+    )
   in
   (* [partners u u'] is the index in [u'] of each tree of [u]'s mirror *)
   let partners u u' =
@@ -411,34 +405,27 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
   while (not !stop_rounds) && !n <= max_procs do
     let this_n = !n in
     let zeros = List.init this_n (fun _ -> 0) in
-    (* side 0's verdicts by tree index, [`Unchecked] where it never got;
+    (* side 0's verdicts by tree index, [None] where it never got;
        side 1 reads its verdicts off them *)
-    let verdict0 = Array.make (Array.length trees) `Unchecked in
+    let correct0 = Array.make (Array.length trees) None in
     let u0, unk0 =
       unanimous ?pool v0
-        ~seen:(fun i verdict -> verdict0.(i) <- (verdict :> verdict0))
+        ~seen:(fun i ok -> correct0.(i) <- Some ok)
         (fun i ->
-          match
-            Mc.Enumerate.dtree_check_verdict ~style ~registers
-              (trees.(i), trees.(i)) zeros
-          with
-          | `Correct -> `Correct
-          | `Violating _ -> `Violating
-          | `Unknown reason -> `Unknown reason)
+          match D.check ~registers (trees.(i), trees.(i)) ~inputs:zeros with
+          | `Correct -> true
+          | `Violating _ -> false)
     in
     (* (t, t) on all ones is (mirror t, mirror t) on all zeros with
        every value exchanged, and [mirror] maps side 1's solo-valid
        trees onto side 0's: a lookup, still one metered node per tree.
-       A tree side 0 never reached follows side 0's own cut. *)
+       Side 1 is admitted only while the meter holds, so only after side
+       0 ran to the end. *)
     let u1, unk1 =
       unanimous v1 (fun i ->
-          match verdict0.(mirror.(i)) with
-          | (`Correct | `Violating | `Unknown _) as verdict -> verdict
-          | `Unchecked ->
-              `Unknown
-                (match unk0 with
-                | Some reason -> reason
-                | None -> failwith "Cegis.search: mirror is not solo-valid"))
+          match correct0.(mirror.(i)) with
+          | Some ok -> ok
+          | None -> failwith "Cegis.search: mirror is not solo-valid")
     in
     let row =
       match (unk0, unk1) with
@@ -491,7 +478,7 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
           let vectors = mixed_vectors this_n in
           let round_rng = round_rngs.(this_n) in
           refresh ();
-          let (pruned, refuted, witness, unknown), processed =
+          let (pruned, refuted, witness), processed =
             batched ?pool ~meter ~batch ~total
               (fun _ -> (pair (), Rng.split round_rng))
               ~after_batch:(fun () ->
@@ -502,34 +489,28 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
                 ( eval_candidate ~style ~registers ~frozen_pool:!frozen
                     ~n:this_n ~vectors ~rng pair,
                   pair ))
-              (fun (pruned, refuted, witness, unknown) (ev, pair) ->
+              (fun (pruned, refuted, witness) (ev, pair) ->
                 lemma_hits := !lemma_hits + ev.hits;
                 replays := !replays + ev.replays;
                 List.iter add_lemma ev.side_lemmas;
                 match ev.outcome with
                 | Pruned e ->
                     e.prunes <- e.prunes + 1;
-                    (pruned + 1, refuted, witness, unknown)
+                    (pruned + 1, refuted, witness)
                 | Refuted l ->
                     add_lemma l;
-                    (pruned, refuted + 1, witness, unknown)
-                | Verified -> (pruned, refuted, Some pair, unknown)
-                | Unknown reason -> (pruned, refuted, witness, Some reason))
-              ~stop:(fun (_, _, witness, unknown) ->
-                witness <> None || unknown <> None)
-              (0, 0, None, None)
+                    (pruned, refuted + 1, witness)
+                | Verified -> (pruned, refuted, Some pair))
+              ~stop:(fun (_, _, witness) -> witness <> None)
+              (0, 0, None)
           in
           let verdict =
-            match (witness, unknown) with
-            | Some _, _ -> `Satisfiable
-            | None, Some reason -> `Unknown reason
-            | None, None ->
-                if processed = total then `Unsatisfiable
-                else
-                  `Unknown
-                    (Option.value
-                       (Robust.Budget.Meter.tripped meter)
-                       ~default:`Nodes)
+            if witness <> None then `Satisfiable
+            else if processed = total then `Unsatisfiable
+            else
+              `Unknown
+                (Option.value (Robust.Budget.Meter.tripped meter)
+                   ~default:`Nodes)
           in
           {
             n = this_n;

@@ -14,8 +14,11 @@
     because a hit replays a concrete violating execution of the pruned
     candidate itself (see {!Lemma.hits} and DESIGN.md §4k).  The pool is
     replayed on the trees themselves ({!Lemma.hits_pair}), most-hit
-    lemma first, and a candidate's protocol is built only when no lemma
-    hits.
+    lemma first, and a candidate's protocol is built only when the
+    adversary runs.  The unanimity filter and the exhaustive search
+    both run on the trees too ({!Consensus.Dtree.check}); trees are
+    finite, so neither ever stops short, and only a budget trip makes a
+    round unknown.
 
     The search is quotiented by the 0/1 swap ({!Consensus.Dtree.mirror}):
     side 1's unanimity verdicts are read off side 0's mirrored trees,

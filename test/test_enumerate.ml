@@ -244,30 +244,189 @@ let test_mirror () =
       (D.Rw, 1, true, 2);
     ]
 
-(* Synthesis's stage-2 filter runs one tiny search per tree and side:
-   its per-check set-up must stay off the major heap.  Every array over
-   256 words is allocated there directly, so the bound of 64 words per
-   check is broken by any one table sized for a big search. *)
+(* Synthesis's stage-2 filter runs one tiny search per tree
+   ([Dtree.check]), and its referee one model-checker search: the
+   per-check set-up of both must stay off the major heap.  Every array
+   over 256 words is allocated there directly, so the bound of 64 words
+   per check is broken by any one table sized for a big search. *)
 let test_stage2_checks_stay_minor () =
   let style = D.Rw and registers = 1 in
   let trees = Enumerate.enumerate_dtrees ~style ~registers ~coins:false 2 in
   let vectors = [ [ 0; 0 ]; [ 1; 1 ]; [ 0; 0; 0 ]; [ 1; 1; 1 ] ] in
-  Gc.minor ();
-  let before = (Gc.quick_stat ()).Gc.major_words in
   List.iter
-    (fun t ->
+    (fun (what, check) ->
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.major_words in
       List.iter
-        (fun inputs ->
-          ignore
-            (Enumerate.dtree_check_verdict ~style ~registers (t, t) inputs))
-        vectors)
-    trees;
-  let major = (Gc.quick_stat ()).Gc.major_words -. before in
-  let checks = List.length trees * List.length vectors in
-  let per_check = major /. float_of_int checks in
-  if per_check >= 64. then
-    Alcotest.failf "%.0f major-heap words per stage-2 check (limit 64)"
-      per_check
+        (fun t -> List.iter (fun inputs -> check (t, t) inputs) vectors)
+        trees;
+      let major = (Gc.quick_stat ()).Gc.major_words -. before in
+      let checks = List.length trees * List.length vectors in
+      let per_check = major /. float_of_int checks in
+      if per_check >= 64. then
+        Alcotest.failf "%.0f major-heap words per %s check (limit 64)"
+          per_check what)
+    [
+      ( "Dtree.check",
+        fun pair inputs -> ignore (D.check ~registers pair ~inputs) );
+      ( "dtree_check_verdict",
+        fun pair inputs ->
+          ignore (Enumerate.dtree_check_verdict ~style ~registers pair inputs)
+      );
+    ]
+
+(* [Dtree.check], the tree kernel CEGIS judges candidates with, against
+   its referee, the flat model checker ([dtree_check_verdict]): the same
+   verdict and, for a violation, the same schedule ([Schedule.of_trace]
+   of the flat witness).  Exhaustive on the depth-1 slices, every
+   binary vector at n = 2, 3, 4; on every rw r1 d2 tree, with and
+   without coins, run unanimously at n = 2, 3, 4 (stage 2's checks);
+   and on every pair of rw r1 d2 trees that write first, on every
+   binary vector at n = 2, 3 (two processes writing different bits in
+   either order reach the same node ids with different register
+   contents: the case the key's register classes exist for).  Seeded on
+   the depth-2 slices, where half the trees are drawn solo-valid so
+   that searches run deep and end correct as well as violating. *)
+let kernel_agrees ~style ~registers pair inputs =
+  let flat =
+    match Enumerate.dtree_check_verdict ~style ~registers pair inputs with
+    | `Correct -> `Correct
+    | `Violating trace -> `Violating (Fuzz.Schedule.of_trace trace)
+    | `Unknown _ -> `Unknown
+  in
+  let kernel =
+    match D.check ~registers pair ~inputs with
+    | `Correct -> `Correct
+    | `Violating s -> `Violating (s :> Fuzz.Schedule.t)
+  in
+  (flat = kernel, kernel = `Correct)
+
+(* (checks, correct, mismatches) over [cases] *)
+let kernel_tally ~style ~registers cases =
+  List.fold_left
+    (fun (checks, correct, bad) (pair, inputs) ->
+      let ok, is_correct = kernel_agrees ~style ~registers pair inputs in
+      ( checks + 1,
+        (if is_correct then correct + 1 else correct),
+        if ok then bad else bad + 1 ))
+    (0, 0, 0) cases
+
+let check_kernel_tally what (checks, correct, bad) =
+  Alcotest.(check int)
+    (Printf.sprintf "%s: mismatches in %d" what checks)
+    0 bad;
+  (* both verdicts exercised *)
+  Alcotest.(check bool) (what ^ ": some correct") true (correct > 0);
+  Alcotest.(check bool) (what ^ ": some violating") true (correct < checks)
+
+let binary_vectors n =
+  List.init (1 lsl n) (fun b -> List.init n (fun j -> (b lsr j) land 1))
+
+let slice_name (style, registers, coins, depth) =
+  Printf.sprintf "%s r%d d%d coins %b" (D.style_to_string style) registers
+    depth coins
+
+let test_kernel_check_depth1 () =
+  List.iter
+    (fun ((style, registers, coins, depth) as slice) ->
+      let trees = Enumerate.enumerate_dtrees ~style ~registers ~coins depth in
+      let pairs =
+        List.concat_map (fun t0 -> List.map (fun t1 -> (t0, t1)) trees) trees
+      in
+      List.iter
+        (fun n ->
+          let cases =
+            List.concat_map
+              (fun inputs -> List.map (fun pair -> (pair, inputs)) pairs)
+              (binary_vectors n)
+          in
+          check_kernel_tally
+            (Printf.sprintf "%s n=%d" (slice_name slice) n)
+            (kernel_tally ~style ~registers cases))
+        [ 2; 3; 4 ])
+    [
+      (D.Rw, 1, false, 1);
+      (D.Rw, 1, true, 1);
+      (D.Swapping, 1, false, 1);
+    ]
+
+let test_kernel_check_exhaustive_d2 () =
+  List.iter
+    (fun ((style, registers, coins, depth) as slice) ->
+      let trees = Enumerate.enumerate_dtrees ~style ~registers ~coins depth in
+      List.iter
+        (fun n ->
+          let cases =
+            List.concat_map
+              (fun v ->
+                List.map (fun t -> ((t, t), List.init n (fun _ -> v))) trees)
+              [ 0; 1 ]
+          in
+          check_kernel_tally
+            (Printf.sprintf "%s n=%d unanimous" (slice_name slice) n)
+            (kernel_tally ~style ~registers cases))
+        [ 2; 3; 4 ])
+    [ (D.Rw, 1, false, 2); (D.Rw, 1, true, 2) ];
+  let writers =
+    List.filter
+      (function D.Write _ -> true | _ -> false)
+      (Enumerate.enumerate_dtrees ~style:D.Rw ~registers:1 ~coins:false 2)
+  in
+  let pairs =
+    List.concat_map (fun t0 -> List.map (fun t1 -> (t0, t1)) writers) writers
+  in
+  List.iter
+    (fun n ->
+      check_kernel_tally
+        (Printf.sprintf "rw r1 d2 writers n=%d" n)
+        (kernel_tally ~style:D.Rw ~registers:1
+           (List.concat_map
+              (fun inputs -> List.map (fun pair -> (pair, inputs)) pairs)
+              (binary_vectors n))))
+    [ 2; 3 ]
+
+let test_kernel_check_depth2 () =
+  let rng = Random.State.make [| 35 |] in
+  List.iter
+    (fun ((style, registers, coins, depth) as slice) ->
+      let trees = Enumerate.enumerate_dtrees ~style ~registers ~coins depth in
+      let pick_from a = a.(Random.State.int rng (Array.length a)) in
+      let all = Array.of_list trees in
+      let valid v =
+        Array.of_list
+          (List.filter
+             (fun t -> Enumerate.dtree_solo_decisions ~registers t = [ v ])
+             trees)
+      in
+      let v0 = valid 0 and v1 = valid 1 in
+      let pick valid =
+        if Random.State.bool rng then pick_from valid else pick_from all
+      in
+      List.iter
+        (fun n ->
+          let unanimous =
+            List.init 500 (fun _ ->
+                let v = Random.State.int rng 2 in
+                let t = pick (if v = 0 then v0 else v1) in
+                ((t, t), List.init n (fun _ -> v)))
+          in
+          let mixed =
+            List.init 500 (fun _ ->
+                let zeros = 1 + Random.State.int rng (n - 1) in
+                ( (pick v0, pick v1),
+                  List.init n (fun j -> if j < zeros then 0 else 1) ))
+          in
+          check_kernel_tally
+            (Printf.sprintf "%s n=%d" (slice_name slice) n)
+            (kernel_tally ~style ~registers (unanimous @ mixed)))
+        [ 2; 3; 4 ])
+    [
+      (D.Rw, 1, false, 2);
+      (D.Rw, 1, true, 2);
+      (D.Swapping, 1, false, 2);
+      (D.Swapping, 1, true, 2);
+      (D.Rw, 2, true, 2);
+    ]
 
 let suite =
   [
@@ -290,4 +449,10 @@ let suite =
       test_stage2_checks_stay_minor;
     Alcotest.test_case "mirror: an involution onto every enumeration" `Quick
       test_mirror;
+    Alcotest.test_case "Dtree.check = dtree_check_verdict: depth 1" `Quick
+      test_kernel_check_depth1;
+    Alcotest.test_case "Dtree.check = dtree_check_verdict: d2 slices"
+      `Quick test_kernel_check_exhaustive_d2;
+    Alcotest.test_case "Dtree.check = dtree_check_verdict: depth 2" `Quick
+      test_kernel_check_depth2;
   ]
