@@ -197,14 +197,15 @@ let of_string s =
 
 (* ---- execution ----
 
-   One step semantics, three executions.  What a branch can observe of
+   One step semantics, four executions.  What a branch can observe of
    a register is its class: [reg_empty] until written, then [0] for a
    stored [Value.Int 0] and [1] for any other value.  [next] is the
    subtree a process continues with after stepping a node, given the
    step's outcome: the coin for [Flip], the class read or swapped out
    for [Read]/[Swap] (ignored for [Write]).  [to_proc] feeds it the
    simulator's responses through [class_of_value]; [replay] and [check]
-   feed it the classes they keep themselves. *)
+   feed it the classes they keep in an array, and [Mc.Enumerate]'s solo
+   mask the classes it packs into an int. *)
 
 let reg_empty = 2
 let class_of_int v = if v = 0 then 0 else 1
@@ -241,20 +242,16 @@ and resume tree response = to_proc (next tree (class_of_value response))
    its current subtree, a register holds its class, and a step is
    [step], [next] on the register classes.  One run feeds two
    read-outs: the decisions ([replay]) and the consensus verdict
-   ([replay_violates]).  Only the scheduling layer is [exec_script]'s,
-   restated rule for rule: stop once nobody is enabled or [max_steps]
-   steps were taken, skip entries whose pid is out of range or
-   disabled, and fall back to coin 0 unless [Some c] with [0 <= c < 2]
-   is given. *)
+   ([replay_violates]).
 
-(* toplevel, taking the state as arguments: local closures over it would
-   be allocated on every replay *)
-let enabled cur halted pid =
-  (not halted.(pid)) && match cur.(pid) with Decide _ -> false | _ -> true
-
-let rec all_decided cur halted pid =
-  pid >= Array.length cur
-  || ((not (enabled cur halted pid)) && all_decided cur halted (pid + 1))
+   A script is compiled once ([compile]) into one int per entry,
+   [(pid lsl 2) lor code]: [code] is the coin, already normalized as
+   [exec_script] normalizes it ([Some c] with [0 <= c < 2], else [0]),
+   or [crash] for a crash.  A negative pid, or one too large to shift,
+   is compiled to [-1], so it stays out of range.  Only the scheduling
+   layer is [exec_script]'s, restated rule for rule: stop once nobody
+   is enabled or [max_steps] steps were taken (a crash is not a step),
+   and skip entries whose pid is out of range or disabled. *)
 
 (* one step of a process at [tree] against the register classes [regs]:
    a write or swap stores its bit's class, and [coin] is a [Flip]'s
@@ -275,26 +272,26 @@ let outcome regs tree coin =
 (* the subtree a process at [tree] continues with after that step *)
 let step regs tree coin = next tree (outcome regs tree coin)
 
-let step_tree cur regs pid coin =
-  cur.(pid) <-
-    step regs cur.(pid)
-      (match coin with Some c when c >= 0 && c < 2 -> c | _ -> 0)
+type schedule = int array
 
-let rec run_script ~max_steps cur halted regs steps script =
-  if (not (all_decided cur halted 0)) && steps < max_steps then
-    let n = Array.length cur in
-    match script with
-    | [] -> ()
-    | `Crash pid :: rest ->
-        if pid >= 0 && pid < n && enabled cur halted pid then
-          halted.(pid) <- true;
-        run_script ~max_steps cur halted regs steps rest
-    | `Step (pid, coin) :: rest ->
-        if pid >= 0 && pid < n && enabled cur halted pid then begin
-          step_tree cur regs pid coin;
-          run_script ~max_steps cur halted regs (steps + 1) rest
-        end
-        else run_script ~max_steps cur halted regs steps rest
+let crash = 2
+
+let compile script =
+  let entry pid code =
+    let pid = if pid < 0 || pid > max_int asr 2 then -1 else pid in
+    (pid lsl 2) lor code
+  in
+  Array.of_list
+    (List.map
+       (function
+         | `Step (pid, Some c) when c >= 0 && c < 2 -> entry pid c
+         | `Step (pid, _) -> entry pid 0
+         | `Crash pid -> entry pid crash)
+       script)
+
+(* a crashed process's subtree: not a [Decide], so it decides nothing,
+   and never stepped, since no tree shares it *)
+let crashed = Flip (Decide 0, Decide 0)
 
 let rec place cur t1 pid = function
   | [] -> ()
@@ -302,12 +299,39 @@ let rec place cur t1 pid = function
       if v <> 0 then cur.(pid) <- t1;
       place cur t1 (pid + 1) rest
 
-(* the final subtrees, one per process, after [script] *)
-let run ~max_steps ~registers (t0, t1) ~inputs script =
-  let cur = Array.make (List.length inputs) t0 in
+(* the final subtrees, one per process, after [sched]; [running] counts
+   the processes neither decided nor crashed *)
+let run ~max_steps ~registers (t0, t1) ~inputs sched =
+  let n = List.length inputs in
+  let cur = Array.make n t0 in
   place cur t1 0 inputs;
-  let halted = Array.make (Array.length cur) false in
-  run_script ~max_steps cur halted (Array.make registers reg_empty) 0 script;
+  let regs = Array.make registers reg_empty in
+  let running = ref 0 in
+  for pid = 0 to n - 1 do
+    match cur.(pid) with Decide _ -> () | _ -> incr running
+  done;
+  let steps = ref 0 and i = ref 0 in
+  while !running > 0 && !steps < max_steps && !i < Array.length sched do
+    let e = sched.(!i) in
+    let pid = e asr 2 in
+    (if pid >= 0 && pid < n then
+       match cur.(pid) with
+       | Decide _ -> ()
+       | tree when tree == crashed -> ()
+       | tree ->
+           let code = e land 3 in
+           if code = crash then begin
+             cur.(pid) <- crashed;
+             decr running
+           end
+           else begin
+             let tree' = step regs tree code in
+             cur.(pid) <- tree';
+             incr steps;
+             match tree' with Decide _ -> decr running | _ -> ()
+           end);
+    incr i
+  done;
   cur
 
 let rec decisions cur pid acc =
@@ -317,8 +341,8 @@ let rec decisions cur pid acc =
     | Decide v -> decisions cur (pid - 1) (v :: acc)
     | _ -> decisions cur (pid - 1) acc
 
-let replay ?(max_steps = 100_000) ~registers pair ~inputs script =
-  let cur = run ~max_steps ~registers pair ~inputs script in
+let replay ?(max_steps = 100_000) ~registers pair ~inputs sched =
+  let cur = run ~max_steps ~registers pair ~inputs sched in
   decisions cur (Array.length cur - 1) []
 
 let rec is_input (v : int) = function
@@ -342,8 +366,8 @@ let rec violated cur inputs pid =
   | Decide v -> (not (is_input v inputs)) || disagrees cur v (pid + 1)
   | _ -> violated cur inputs (pid + 1)
 
-let replay_violates ?(max_steps = 100_000) ~registers pair ~inputs script =
-  violated (run ~max_steps ~registers pair ~inputs script) inputs 0
+let replay_violates ?(max_steps = 100_000) ~registers pair ~inputs sched =
+  violated (run ~max_steps ~registers pair ~inputs sched) inputs 0
 
 (* ---- exhaustive check ----
 

@@ -63,37 +63,51 @@ val to_proc : t -> int Proc.t
     bit [0] and [1] otherwise.  What a [Read] or [Swap] branches on. *)
 val reg_empty : int
 
-(** [step regs tree coin] is the subtree a process at [tree] continues
-    with after one step against the register classes [regs], which a
-    [Write] or [Swap] updates in place; [coin] ([0] tails, [1] heads)
-    is a [Flip]'s outcome and is ignored elsewhere.  It applies the
-    node function {!to_proc} is built from to register classes kept in
-    an array, as {!replay} and {!check} do: one step rule, three
-    executions.  Raises [Invalid_argument] on [Decide]. *)
-val step : int array -> t -> int -> t
+(** [next tree outcome] is the subtree a process at [tree] continues
+    with after a step whose outcome is [outcome]: the coin ([0] tails,
+    [1] heads) for a [Flip], the register class read or swapped out for
+    a [Read] or [Swap] ({!reg_empty}, [0] or [1]), ignored for a
+    [Write].  The one step rule: {!to_proc}, {!replay}, {!check} and
+    [Mc.Enumerate]'s solo mask all go through it.  Raises
+    [Invalid_argument] on [Decide]. *)
+val next : t -> int -> t
 
-(** [replay ~registers (t0, t1) ~inputs script] is the decisions, in
-    pid order, that {!Sim.Run.exec_script} leaves in the final
-    configuration when it replays [script] against [protocol pair] from
-    its initial configuration for [inputs] — computed directly on the
-    trees, with no [Proc] closures, configuration or trace.  Entries and
-    [max_steps] (default [100_000]) have [exec_script]'s meaning:
-    disabled or out-of-range pids are skipped, a coin is [Some c] with
-    [0 <= c < 2] or else [0], and the replay stops once every process
-    has decided or crashed.  The trees must be ones {!protocol} accepts
-    for [registers] objects (a register index [>= registers] raises
-    [Invalid_argument]).  Each step goes through the per-node function
-    {!to_proc} is built from, so only the scheduling rules above are
-    restated; an exhaustive test pins them against [exec_script]. *)
+(** The class a written [bit] leaves in a register: [0] for [0], [1]
+    otherwise. *)
+val class_of_int : int -> int
+
+(** A script of {!Sim.Run.exec_script} entries compiled for {!replay}:
+    one int per entry, [(pid lsl 2) lor code], where [code] is the coin
+    as [exec_script] normalizes it ([c] for [Some c] with [0 <= c < 2],
+    else [0]) or [2] for a crash.  A pid below [0] or too large to
+    shift is compiled to [-1], which no process has. *)
+type schedule
+
+val compile :
+  [< `Step of int * int option | `Crash of int ] list -> schedule
+
+(** [replay ~registers (t0, t1) ~inputs (compile script)] is the
+    decisions, in pid order, that {!Sim.Run.exec_script} leaves in the
+    final configuration when it replays [script] against [protocol
+    pair] from its initial configuration for [inputs] — computed
+    directly on the trees, with no [Proc] closures, configuration or
+    trace.  Entries and [max_steps] (default [100_000]) have
+    [exec_script]'s meaning: disabled or out-of-range pids are skipped,
+    crashes do not count as steps, and the replay stops once every
+    process has decided or crashed.  The trees must be ones {!protocol}
+    accepts for [registers] objects (a register index [>= registers]
+    raises [Invalid_argument]).  Each step goes through {!next}, so only
+    the scheduling rules above are restated; an exhaustive test pins
+    them against [exec_script]. *)
 val replay :
   ?max_steps:int ->
   registers:int ->
   t * t ->
   inputs:int list ->
-  [< `Step of int * int option | `Crash of int ] list ->
+  schedule ->
   int list
 
-(** [replay_violates ~registers pair ~inputs script] is
+(** [replay_violates ~registers pair ~inputs sched] is
     [not (Checker.ok (Checker.check ~inputs ~decisions))] for the
     decisions {!replay} returns on the same arguments, read off the
     final subtrees without building them: the first decided value [v]
@@ -104,7 +118,7 @@ val replay_violates :
   registers:int ->
   t * t ->
   inputs:int list ->
-  [< `Step of int * int option | `Crash of int ] list ->
+  schedule ->
   bool
 
 (** [check ~registers (t0, t1) ~inputs] is the model checker's verdict

@@ -1,9 +1,9 @@
 (* The bounded decision-tree protocol space ({!Consensus.Dtree.t}) and
    the hooks the CEGIS driver ([Synth.Cegis]) runs on it: enumerate
-   every tree of bounded depth, read off a tree's solo decisions by a
-   walk of the tree itself, and build a candidate pair's initial
-   configuration.  [dtree_check_verdict], the model checker on that
-   configuration, is the referee of CEGIS's own check
+   every tree of bounded depth, read off a tree's solo decisions (as a
+   mask) by a walk of the tree itself, and build a candidate pair's
+   initial configuration.  [dtree_check_verdict], the model checker on
+   that configuration, is the referee of CEGIS's own check
    ([Dtree.check]).
 
    E12's impossibility table is the CEGIS n = 2 round over the
@@ -99,24 +99,34 @@ let dtree_config ~style ~registers (t0, t1) inputs =
     ~optypes:(D.optypes ~style ~registers)
     ~procs:(List.map (fun i -> if i = 0 then p0 else p1) inputs)
 
-(* every decision reachable in a solo run from the initial objects:
-   walk the tree on [Dtree.step] and one register array, taking both
-   outcomes of every [Flip] and undoing each write or swap on the way
-   back.  Sorted and duplicate free. *)
-let dtree_solo_decisions ~registers tree =
-  let regs = Array.make registers D.reg_empty in
-  let rec walk acc tree =
-    match tree with
-    | D.Decide v -> if List.exists (Int.equal v) acc then acc else v :: acc
-    | D.Flip _ -> walk (walk acc (D.step regs tree 0)) (D.step regs tree 1)
-    | D.Read _ -> walk acc (D.step regs tree 0)
-    | D.Write { reg; _ } | D.Swap { reg; _ } ->
-        let old = regs.(reg) in
-        let acc = walk acc (D.step regs tree 0) in
-        regs.(reg) <- old;
-        acc
+(* Every decision reachable in a solo run from the initial objects, as
+   a mask: bit 0 for a decided 0, bit 1 for a decided 1, bit 2 for any
+   other value.  A pure walk of the tree on [Dtree.next] that takes both
+   outcomes of every [Flip]; the register classes ride along packed two
+   bits per register, each stored as [class lxor reg_empty] so that an
+   int of zeros is every register empty. *)
+let max_solo_registers = Sys.int_size / 2
+
+let dtree_solo_mask ~registers tree =
+  if registers > max_solo_registers then
+    invalid_arg
+      (Printf.sprintf "dtree_solo_mask: more than %d registers"
+         max_solo_registers);
+  let load regs reg = ((regs lsr (2 * reg)) land 3) lxor D.reg_empty in
+  let store regs reg bit =
+    (regs land lnot (3 lsl (2 * reg)))
+    lor ((D.class_of_int bit lxor D.reg_empty) lsl (2 * reg))
   in
-  List.sort Int.compare (walk [] tree)
+  let rec walk regs tree =
+    match tree with
+    | D.Decide v -> if v = 0 then 1 else if v = 1 then 2 else 4
+    | D.Flip _ -> walk regs (D.next tree 0) lor walk regs (D.next tree 1)
+    | D.Write { reg; bit; _ } -> walk (store regs reg bit) (D.next tree 0)
+    | D.Read { reg; _ } -> walk regs (D.next tree (load regs reg))
+    | D.Swap { reg; bit; _ } ->
+        walk (store regs reg bit) (D.next tree (load regs reg))
+  in
+  walk 0 tree
 
 (* Depth bound for a full search: every execution of a bounded-tree
    candidate takes at most (depth + 1) steps per process; 50 clears any

@@ -1,7 +1,7 @@
 (** The bounded decision-tree protocol space ({!Consensus.Dtree.t}) of
     [registers] objects of either style, and the hooks the CEGIS driver
-    ([Synth.Cegis]) sweeps it with: a tree walk for solo decisions and
-    the probe configuration of a pair.  Pairs are checked by
+    ([Synth.Cegis]) sweeps it with: a tree walk for solo decisions (a
+    mask) and the probe configuration of a pair.  Pairs are checked by
     {!Consensus.Dtree.check}; {!dtree_check_verdict}, the model checker
     on the compiled pair, is its referee.  E12's impossibility table is
     that driver's n = 2 round over one [Rw] register, where every pair
@@ -44,11 +44,16 @@ val dtree_config :
   int Sim.Config.t
 
 (** Every decision reachable on a solo run from [registers] empty
-    objects, coins enumerated, sorted and duplicate free: a walk of the
-    tree through {!Consensus.Dtree.step} that takes both outcomes of
-    every [Flip].  A test pins it against the model checker's
-    [Explore.decidable_values] on the one-process configuration. *)
-val dtree_solo_decisions : registers:int -> Consensus.Dtree.t -> int list
+    objects, coins enumerated, as a mask: bit [0] set when some run
+    decides [0], bit [1] when some run decides [1], bit [2] when some
+    run decides any other value.  So the tree is solo-valid for input
+    [v] in [{0, 1}] exactly when the mask is [1 lsl v].  A pure walk of
+    the tree through {!Consensus.Dtree.next} that takes both outcomes of
+    every [Flip], with the register classes packed two bits per register
+    in an int.  A test pins it against the model checker's
+    [Explore.decidable_values] on the one-process configuration.  Raises
+    [Invalid_argument] above [Sys.int_size / 2] registers. *)
+val dtree_solo_mask : registers:int -> Consensus.Dtree.t -> int
 
 (** Exhaustive consensus check of candidate [(t0, t1)] on one input
     vector by the model checker ([Explore.search] on {!dtree_config}),

@@ -9,12 +9,16 @@ let copy t = { state = t.state }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+(* the output function: draw k of a generator created with state s is
+   [mix (s + k * golden)], so the stream is counter-based *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_int64 t =
+  t.state <- Int64.add t.state golden;
+  mix t.state
 
 (** Uniform integer in [0, bound). *)
 let int t bound =
@@ -32,6 +36,15 @@ let float t =
 (** Derive an independent generator; used to give each process / repetition
     its own stream. *)
 let split t = create (Int64.to_int (next_int64 t))
+
+(** [nth_split t k] is the generator the [(k+1)]-th consecutive [split]
+    of [t] would return, computed from [t]'s state without advancing it:
+    that split draws [mix (state + (k+1) * golden)]. *)
+let nth_split t k =
+  if k < 0 then invalid_arg "Rng.nth_split: negative index";
+  create
+    (Int64.to_int
+       (mix (Int64.add t.state (Int64.mul (Int64.of_int (k + 1)) golden))))
 
 (** [split_n t n] derives [n] independent generators by splitting [t]
     sequentially.  The derivation consumes exactly [n] draws of [t], so the

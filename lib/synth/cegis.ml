@@ -6,7 +6,7 @@
 
      1. solo validity   — a tree is usable for input v only if every solo
                           run decides v (computed once, n-independent,
-                          by a walk of the tree itself)
+                          as a decision mask by a walk of the tree)
      2. unanimity       — tree t survives side v only if (t, t) is
                           correct on the all-v vector of length n (a
                           per-tree [Dtree.check] for side 0, read off
@@ -14,7 +14,8 @@
                           stage sweeps survivors only)
      3. pair sweep      — each (t0, t1) in u0 x u1 that is the first of
                           its mirror orbit runs the candidate pipeline:
-                          lemma replay on the trees ([Lemma.hits_pair]),
+                          lemma replay on the trees ([Lemma.hits_pair],
+                          schedules compiled when they join the pool),
                           then seeded random probes, then the
                           identical-process adversary, then (3.4) full
                           verification by [Dtree.check] on every mixed
@@ -60,15 +61,16 @@
 
    Determinism contract (the repo-wide one): identical parameters give
    bit-identical results — rows, witness, lemma pool — at any [?pool]
-   size.  Batches are admitted through [Budget.Meter] on the caller,
-   which splits each admitted candidate's RNG stream off the round's
-   generator in candidate order (the streams [Rng.split_n] would give),
-   [Par.map_array] preserves order, the fold that merges outcomes (and
-   grows the lemma pool and its hit counts) runs sequentially in
-   candidate order, and workers only ever see a pool snapshot frozen —
-   and re-sorted by hits — between batches, so the snapshot is a
-   function of the batch index alone: exactly the [Fuzz.Campaign]
-   discipline. *)
+   size.  Batches are admitted through [Budget.Meter] on the caller; a
+   candidate that reaches the probe stage derives its RNG stream from
+   the round's generator by its admission index ([Rng.nth_split], the
+   stream the index-th [Rng.split] in candidate order would give, so a
+   function of the round and the index alone); [Par.map_array]
+   preserves order, the fold that merges outcomes (and grows the lemma
+   pool and its hit counts) runs sequentially in candidate order, and
+   workers only ever see a pool snapshot frozen — and re-sorted by hits
+   — between batches, so the snapshot is a function of the batch index
+   alone: exactly the [Fuzz.Campaign] discipline. *)
 
 open Sim
 module D = Consensus.Dtree
@@ -121,8 +123,7 @@ let mixed_vectors n =
    over the pool, fold results sequentially in index order on the
    caller.  [item i] builds item [i] on the caller, once per admitted
    index in ascending order: nothing is materialized for items the
-   budget never admits, and RNG streams split inside [item] come out in
-   admission order.  [f] must be effect-free towards shared state; all
+   budget never admits.  [f] must be effect-free towards shared state; all
    merging lives in [fold].  [stop] short-circuits remaining items
    (their cost is never charged); [after_batch] runs on the caller
    between batches — the lemma-pool snapshot refresh hook.  Returns the
@@ -156,10 +157,10 @@ let batched ?pool ?(after_batch = fun () -> ()) ~meter ~batch ~total item f
   done;
   (!acc, !processed)
 
-(* a pool lemma with its age index and the prunes credited to it;
-   [prunes] is written only by the caller's fold, never while workers
-   hold the snapshot *)
-type pooled = { id : int; lemma : Lemma.t; mutable prunes : int }
+(* a pool lemma, compiled, with its age index and the prunes credited
+   to it; [prunes] is written only by the caller's fold, never while
+   workers hold the snapshot *)
+type pooled = { id : int; lemma : Lemma.compiled; mutable prunes : int }
 
 (* [a] goes after [b]: fewer prunes, ties younger.  A total order, so
    the sorted snapshot depends only on the counts. *)
@@ -216,15 +217,17 @@ let replay_pool ~registers ~n pool pair =
     if k = len then (None, replays)
     else
       let e = pool.(k) in
-      if not (Lemma.applies ~n e.lemma) then scan (k + 1) replays
+      if e.lemma.Lemma.width > n then scan (k + 1) replays
       else if Lemma.hits_pair ~registers e.lemma pair then
         (Some e, replays + 1)
       else scan (k + 1) (replays + 1)
   in
   scan 0 0
 
-let eval_candidate ~style ~registers ~frozen_pool ~n
-    ~vectors ~rng (t0, t1) =
+(* [round_rng] and [stream] name the candidate's probe stream, derived
+   only if the candidate gets that far *)
+let eval_candidate ~style ~registers ~frozen_pool ~n ~vectors ~round_rng
+    ~stream (t0, t1) =
   (* 1. pool replay: cheapest possible rejection *)
   match replay_pool ~registers ~n frozen_pool (t0, t1) with
   | Some e, replays ->
@@ -242,6 +245,7 @@ let eval_candidate ~style ~registers ~frozen_pool ~n
          schedules transfer to the pool.  [Run.exec] runs a private
          copy, so one configuration serves every attempt. *)
       let probe_refutation =
+        let rng = Rng.nth_split round_rng stream in
         let rec per_vector = function
           | [] -> None
           | inputs :: rest -> (
@@ -332,17 +336,23 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
   Obs.span obs "synth/search" @@ fun () ->
   let meter = Robust.Budget.Meter.create budget in
   let trees, mirror =
+    Obs.span obs "enumerate" @@ fun () ->
     Mc.Enumerate.enumerate_mirrored ~style ~registers ~coins depth
   in
-  (* stage 1: solo validity, n-independent: a walk of each tree.  Trees
-     are handled by index from here on. *)
-  let solo = Array.map (Mc.Enumerate.dtree_solo_decisions ~registers) trees in
-  let valid side =
-    Array.of_list
-      (List.filter (fun i -> solo.(i) = [ side ])
-         (List.init (Array.length trees) Fun.id))
+  (* stage 1: solo validity, n-independent: a walk of each tree, valid
+     for [side] when its solo mask is [1 lsl side].  Trees are handled
+     by index from here on. *)
+  let v0, v1 =
+    Obs.span obs "solo" @@ fun () ->
+    let v0 = ref [] and v1 = ref [] in
+    for i = Array.length trees - 1 downto 0 do
+      match Mc.Enumerate.dtree_solo_mask ~registers trees.(i) with
+      | 1 -> v0 := i :: !v0
+      | 2 -> v1 := i :: !v1
+      | _ -> ()
+    done;
+    (Array.of_list !v0, Array.of_list !v1)
   in
-  let v0 = valid 0 and v1 = valid 1 in
   let round_rngs = Rng.split_n (Rng.create seed) (max_procs + 1) in
   let lemmas = ref [] (* newest first *) in
   let lemma_count = ref 0 in
@@ -350,7 +360,9 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
   let replays = ref 0 in
   let add_lemma lemma =
     if !lemma_count < max_lemmas then begin
-      lemmas := { id = !lemma_count; lemma; prunes = 0 } :: !lemmas;
+      lemmas :=
+        { id = !lemma_count; lemma = Lemma.compile lemma; prunes = 0 }
+        :: !lemmas;
       incr lemma_count
     end
   in
@@ -408,24 +420,26 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
     (* side 0's verdicts by tree index, [None] where it never got;
        side 1 reads its verdicts off them *)
     let correct0 = Array.make (Array.length trees) None in
-    let u0, unk0 =
-      unanimous ?pool v0
-        ~seen:(fun i ok -> correct0.(i) <- Some ok)
-        (fun i ->
-          match D.check ~registers (trees.(i), trees.(i)) ~inputs:zeros with
-          | `Correct -> true
-          | `Violating _ -> false)
-    in
-    (* (t, t) on all ones is (mirror t, mirror t) on all zeros with
-       every value exchanged, and [mirror] maps side 1's solo-valid
-       trees onto side 0's: a lookup, still one metered node per tree.
-       Side 1 is admitted only while the meter holds, so only after side
-       0 ran to the end. *)
-    let u1, unk1 =
-      unanimous v1 (fun i ->
-          match correct0.(mirror.(i)) with
-          | Some ok -> ok
-          | None -> failwith "Cegis.search: mirror is not solo-valid")
+    let (u0, unk0), (u1, unk1) =
+      Obs.span obs "unanimity" @@ fun () ->
+      let side0 =
+        unanimous ?pool v0
+          ~seen:(fun i ok -> correct0.(i) <- Some ok)
+          (fun i ->
+            match D.check ~registers (trees.(i), trees.(i)) ~inputs:zeros with
+            | `Correct -> true
+            | `Violating _ -> false)
+      in
+      (* (t, t) on all ones is (mirror t, mirror t) on all zeros with
+         every value exchanged, and [mirror] maps side 1's solo-valid
+         trees onto side 0's: a lookup, still one metered node per tree.
+         Side 1 is admitted only while the meter holds, so only after
+         side 0 ran to the end. *)
+      ( side0,
+        unanimous v1 (fun i ->
+            match correct0.(mirror.(i)) with
+            | Some ok -> ok
+            | None -> failwith "Cegis.search: mirror is not solo-valid") )
     in
     let row =
       match (unk0, unk1) with
@@ -479,15 +493,16 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
           let round_rng = round_rngs.(this_n) in
           refresh ();
           let (pruned, refuted, witness), processed =
+            Obs.span obs "sweep" @@ fun () ->
             batched ?pool ~meter ~batch ~total
-              (fun _ -> (pair (), Rng.split round_rng))
+              (fun k -> (pair (), k))
               ~after_batch:(fun () ->
                 (* workers are quiescent between batches; everything the
                    fold minted or credited is now safe to publish *)
                 refresh ())
-              (fun (pair, rng) ->
+              (fun (pair, stream) ->
                 ( eval_candidate ~style ~registers ~frozen_pool:!frozen
-                    ~n:this_n ~vectors ~rng pair,
+                    ~n:this_n ~vectors ~round_rng ~stream pair,
                   pair ))
               (fun (pruned, refuted, witness) (ev, pair) ->
                 lemma_hits := !lemma_hits + ev.hits;
@@ -560,7 +575,7 @@ let search ?obs ?pool ?(budget = Robust.Budget.unlimited) ?(prune = true)
       valid1 = Array.length v1;
       rows;
       frontier;
-      lemmas = List.rev_map (fun e -> e.lemma) !lemmas;
+      lemmas = List.rev_map (fun e -> e.lemma.Lemma.lemma) !lemmas;
       lemma_hits = !lemma_hits;
       completeness;
     }

@@ -13,7 +13,8 @@
     counterexample found at any stage becomes a lemma; pruning is sound
     because a hit replays a concrete violating execution of the pruned
     candidate itself (see {!Lemma.hits} and DESIGN.md §4k).  The pool is
-    replayed on the trees themselves ({!Lemma.hits_pair}), most-hit
+    replayed on the trees themselves ({!Lemma.hits_pair}), each lemma's
+    schedule compiled once when it joins ({!Lemma.compile}), most-hit
     lemma first, and a candidate's protocol is built only when the
     adversary runs.  The unanimity filter and the exhaustive search
     both run on the trees too ({!Consensus.Dtree.check}); trees are
@@ -38,10 +39,20 @@
     Determinism: identical parameters produce bit-identical results —
     rows, witness, lemma pool — at any [?pool] size, by the
     {!Fuzz.Campaign} discipline (batched budget admission, per-candidate
-    {!Sim.Rng} streams split in admission order, order-preserving
-    {!Par.map_array}, sequential merge over per-batch-frozen lemma
-    snapshots).  The [synth/replays] {!Obs} counter, kernel replays
-    paid, is jobs-invariant too. *)
+    {!Sim.Rng} streams derived from the round's generator by admission
+    index with {!Sim.Rng.nth_split}, only for candidates that reach the
+    probes, order-preserving {!Par.map_array}, sequential merge over
+    per-batch-frozen lemma snapshots).  The [synth/replays] {!Obs}
+    counter, kernel replays paid, is jobs-invariant too.
+
+    Metrics ([?obs]): the [synth/search] span around the whole search,
+    with one span per stage nested in it — [enumerate] and [solo] once
+    per search, [unanimity] and [sweep] once per round (histograms
+    [span/synth/search/<stage>]) — and, from the merged result, the
+    counters [synth/candidates], [synth/pruned], [synth/refuted],
+    [synth/verified], [synth/lemma-hits], [synth/replays],
+    [synth/lemmas] and [budget/polls].  No clock is read per candidate,
+    and every counter is jobs-invariant. *)
 
 type verdict = [ `Satisfiable | `Unsatisfiable | `Unknown of Robust.Budget.reason ]
 

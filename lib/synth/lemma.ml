@@ -35,10 +35,21 @@ let hits lemma (p : Consensus.Protocol.t) =
     let r = Run.exec_script ~script:lemma.schedule config in
     not (Checker.ok (Checker.of_config ~inputs:lemma.inputs r.Run.config))
 
+(* a lemma as the tree kernel replays it: its schedule compiled once,
+   its width kept so [applies] is a comparison *)
+type compiled = { lemma : t; width : int; sched : Consensus.Dtree.schedule }
+
+let compile lemma =
+  {
+    lemma;
+    width = List.length lemma.inputs;
+    sched = Consensus.Dtree.compile lemma.schedule;
+  }
+
 (* [hits] on [Dtree.protocol pair], replayed on the trees themselves *)
-let hits_pair ~registers lemma pair =
-  Consensus.Dtree.replay_violates ~registers pair ~inputs:lemma.inputs
-    lemma.schedule
+let hits_pair ~registers c pair =
+  Consensus.Dtree.replay_violates ~registers pair ~inputs:c.lemma.inputs
+    c.sched
 
 (* first pool entry (in pool order) that refutes [p] at [n], if any *)
 let first_hit ~n pool p =

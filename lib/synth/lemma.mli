@@ -35,13 +35,26 @@ val applies : n:int -> t -> bool
     [exec_script]. *)
 val hits : t -> Consensus.Protocol.t -> bool
 
+(** A lemma ready for the tree kernel: its schedule compiled once
+    ({!Consensus.Dtree.compile}), next to its width [List.length
+    lemma.inputs], so that {!applies} is [width <= n].  The CEGIS pool
+    compiles each lemma when it joins; the lemma itself, and so the
+    text codec, is unchanged. *)
+type compiled = private {
+  lemma : t;
+  width : int;
+  sched : Consensus.Dtree.schedule;
+}
+
+val compile : t -> compiled
+
 (** [hits] against [Consensus.Dtree.protocol ~registers pair], computed
     by {!Consensus.Dtree.replay_violates} on the trees themselves — no
     protocol, closures, configuration or decision list is built.  Same
     answer as {!hits} on the compiled pair (pinned by a differential
     test); the CEGIS pool's replay path. *)
 val hits_pair :
-  registers:int -> t -> Consensus.Dtree.t * Consensus.Dtree.t -> bool
+  registers:int -> compiled -> Consensus.Dtree.t * Consensus.Dtree.t -> bool
 
 (** First entry, in the pool's own order, that {!applies} at [n] and
     {!hits} the candidate.  Age order is a poor replay order: pool

@@ -26,7 +26,7 @@ let sample_valid_pairs ~depth ~count ~seed =
     Mc.Enumerate.enumerate_dtrees ~style:D.Rw ~registers:1 ~coins:false depth
   in
   let solo_valid v t =
-    Mc.Enumerate.dtree_solo_decisions ~registers:1 t = [ v ]
+    Mc.Enumerate.dtree_solo_mask ~registers:1 t = 1 lsl v
   in
   let v0 = Array.of_list (List.filter (solo_valid 0) trees) in
   let v1 = Array.of_list (List.filter (solo_valid 1) trees) in

@@ -10,7 +10,14 @@ module D = Consensus.Dtree
 
 (* one-register rw trees, written in the [Dtree] codec *)
 let tree s = Result.get_ok (D.of_string s)
-let solo_decisions = Enumerate.dtree_solo_decisions ~registers:1
+let solo_mask = Enumerate.dtree_solo_mask ~registers:1
+
+(* the mask's bits as values, ascending; [2] stands for any value other
+   than 0 and 1 *)
+let values_of_mask mask =
+  List.filter (fun v -> mask land (1 lsl v) <> 0) [ 0; 1; 2 ]
+
+let solo_decisions t = values_of_mask (solo_mask t)
 
 let solo_value t =
   match solo_decisions t with
@@ -102,7 +109,7 @@ let test_flip_semantics () =
   Alcotest.(check (list int)) "both reachable" [ 0; 1 ] (solo_decisions flip);
   (* and is therefore rejected by both validity filters *)
   let trees = [ tree "d0"; flip; tree "d1" ] in
-  let solo_valid v t = solo_decisions t = [ v ] in
+  let solo_valid v t = solo_mask t = 1 lsl v in
   List.iter
     (fun v ->
       Alcotest.(check (list string))
@@ -151,20 +158,42 @@ let test_census_check_catches () =
   | `Correct -> Alcotest.fail "mixed inputs not refuted"
   | `Unknown _ -> Alcotest.fail "check truncated"
 
-(* solo_decisions is contractually duplicate-free and sorted: the synth
-   validity filter asks for a one-element list, so a tree reaching the
-   same decision along several coin paths must not report it twice *)
-let test_solo_decisions_dedup () =
-  Alcotest.(check (list int)) "flip to the same decision" [ 0 ]
-    (solo_decisions (tree "f(d0,d0)"));
-  Alcotest.(check (list int)) "nested flips, two paths each" [ 0; 1 ]
-    (solo_decisions (tree "f(f(d1,d0),f(d0,d1))"));
-  Alcotest.(check (list int)) "sorted regardless of branch order" [ 0; 1 ]
-    (solo_decisions (tree "f(d1,d0)"))
+(* The solo mask has one bit per decided value: the synth validity
+   filter asks for exactly [1 lsl v], so a tree reaching the same
+   decision along several coin paths sets one bit, and registers are
+   read back from the packed classes: each register apart, a swap
+   branching on the class it swapped out. *)
+let test_solo_mask () =
+  Alcotest.(check int) "flip to the same decision" 1
+    (solo_mask (tree "f(d0,d0)"));
+  Alcotest.(check int) "nested flips, two paths each" 3
+    (solo_mask (tree "f(f(d1,d0),f(d0,d1))"));
+  Alcotest.(check int) "regardless of branch order" 3
+    (solo_mask (tree "f(d1,d0)"));
+  Alcotest.(check int) "any other value is bit 2" 4 (solo_mask (tree "d7"));
+  let mask2 s = Enumerate.dtree_solo_mask ~registers:2 (tree s) in
+  Alcotest.(check int) "a write leaves the other register empty" 1
+    (mask2 "w1.1(r0(d0,d1,d1))");
+  Alcotest.(check int) "each register reads back its own bit" 2
+    (mask2 "w0.0(w1.1(r1(d0,d0,d1)))");
+  Alcotest.(check int) "a rewrite replaces the class" 1
+    (mask2 "w0.1(w0.0(r0(d1,d0,d1)))");
+  Alcotest.(check int) "a swap branches on the old class" 2
+    (mask2 "w1.0(s1.1(d0,d1,d0))");
+  Alcotest.(check int) "and leaves its own bit" 1
+    (mask2 "s0.0(r0(d1,d0,d1),d1,d1)");
+  Alcotest.check_raises "registers beyond the packing"
+    (Invalid_argument
+       (Printf.sprintf "dtree_solo_mask: more than %d registers"
+          (Sys.int_size / 2)))
+    (fun () ->
+      ignore (Enumerate.dtree_solo_mask ~registers:(Sys.int_size / 2 + 1)
+                (tree "d0")))
 
-(* The tree walk against its referee, the model checker: every value
+(* The solo mask against its referee, the model checker: every value
    decided in some execution of the one-process configuration, coins
-   enumerated, on every tree of each slice. *)
+   enumerated, on every tree of each slice: both styles, one and two
+   registers, coins on and off, depth <= 2. *)
 let test_solo_decisions_referee () =
   let referee ~style ~registers t =
     let config =
@@ -172,7 +201,9 @@ let test_solo_decisions_referee () =
     in
     let values, truncated = Explore.decidable_values ~max_depth:50 config in
     if truncated then Alcotest.failf "referee truncated on %s" (D.to_string t);
-    List.sort_uniq compare values
+    List.fold_left
+      (fun mask v -> mask lor (1 lsl if v = 0 || v = 1 then v else 2))
+      0 values
   in
   List.iter
     (fun (style, registers, coins, depth, count) ->
@@ -185,7 +216,7 @@ let test_solo_decisions_referee () =
       let bad =
         List.filter
           (fun t ->
-            Enumerate.dtree_solo_decisions ~registers t
+            Enumerate.dtree_solo_mask ~registers t
             <> referee ~style ~registers t)
           trees
       in
@@ -196,7 +227,9 @@ let test_solo_decisions_referee () =
       (D.Rw, 1, true, 2, 6194);
       (D.Rw, 2, true, 1, 30);
       (D.Swapping, 2, true, 1, 54);
+      (D.Swapping, 2, false, 1, 50);
       (D.Swapping, 1, true, 2, 81902);
+      (D.Swapping, 1, false, 2, 52730);
       (D.Rw, 2, false, 2, 35258);
     ]
 
@@ -219,7 +252,8 @@ let test_mirror () =
         true
         (Array.to_list trees
         = Enumerate.enumerate_dtrees ~style ~registers ~coins depth);
-      let flip = List.map (fun v -> 1 - v) in
+      (* the mask with bits 0 and 1 exchanged *)
+      let flip m = (m land 4) lor ((m land 1) lsl 1) lor ((m lsr 1) land 1) in
       Array.iteri
         (fun i t ->
           let m = D.mirror t in
@@ -227,8 +261,8 @@ let test_mirror () =
             D.mirror m <> t
             || mirror.(mirror.(i)) <> i
             || trees.(mirror.(i)) <> m
-            || Enumerate.dtree_solo_decisions ~registers m
-               <> List.rev (flip (Enumerate.dtree_solo_decisions ~registers t))
+            || Enumerate.dtree_solo_mask ~registers m
+               <> flip (Enumerate.dtree_solo_mask ~registers t)
           then Alcotest.failf "%s: mirror of %s" what (D.to_string t))
         trees)
     [
@@ -395,7 +429,7 @@ let test_kernel_check_depth2 () =
       let valid v =
         Array.of_list
           (List.filter
-             (fun t -> Enumerate.dtree_solo_decisions ~registers t = [ v ])
+             (fun t -> Enumerate.dtree_solo_mask ~registers t = 1 lsl v)
              trees)
       in
       let v0 = valid 0 and v1 = valid 1 in
@@ -431,8 +465,8 @@ let test_kernel_check_depth2 () =
 let suite =
   [
     Alcotest.test_case "tree counts" `Quick test_tree_counts;
-    Alcotest.test_case "solo_decisions dedup + sort" `Quick
-      test_solo_decisions_dedup;
+    Alcotest.test_case "solo mask: one bit per decided value" `Quick
+      test_solo_mask;
     Alcotest.test_case "tree semantics" `Quick test_tree_semantics;
     Alcotest.test_case "solo_decisions = decidable_values" `Quick
       test_solo_decisions_referee;

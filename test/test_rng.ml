@@ -134,6 +134,38 @@ let test_split_n_edge_cases () =
     "pairwise distinct child streams" 8
     (List.length (List.sort_uniq compare streams))
 
+(* [nth_split t k] is the (k+1)-th sequential split, from any parent
+   state (after draws too, and at a large index, where the multiplied
+   counter wraps as the repeated additions do), and leaves the parent
+   where it was *)
+let test_nth_split_matches_sequential_splits () =
+  List.iter
+    (fun (seed, drawn) ->
+      let parent = Rng.create seed in
+      ignore (draws parent drawn);
+      let untouched = Rng.copy parent in
+      let sequential = Rng.copy parent in
+      for k = 0 to 40 do
+        let expected = Rng.split sequential in
+        Alcotest.(check (list int))
+          (Printf.sprintf "seed %d after %d draws: stream %d" seed drawn k)
+          (draws expected 5)
+          (draws (Rng.nth_split parent k) 5)
+      done;
+      let far = Rng.copy parent in
+      for _ = 1 to 100_000 do
+        ignore (Rng.split far)
+      done;
+      Alcotest.(check (list int)) "stream 100000"
+        (draws (Rng.split far) 5)
+        (draws (Rng.nth_split parent 100_000) 5);
+      Alcotest.(check (list int)) "parent state unchanged" (draws untouched 5)
+        (draws parent 5))
+    [ (1, 0); (42, 3); (-7, 17) ];
+  match Rng.nth_split (Rng.create 1) (-1) with
+  | _ -> Alcotest.fail "negative index must be rejected"
+  | exception Invalid_argument _ -> ()
+
 let test_copy_is_independent () =
   let a = Rng.create 31 in
   ignore (draws a 3);
@@ -158,5 +190,7 @@ let suite =
     Alcotest.test_case "split_n = sequential splits" `Quick
       test_split_n_matches_sequential_splits;
     Alcotest.test_case "split_n edge cases" `Quick test_split_n_edge_cases;
+    Alcotest.test_case "nth_split = sequential splits" `Quick
+      test_nth_split_matches_sequential_splits;
     Alcotest.test_case "copy independent" `Quick test_copy_is_independent;
   ]

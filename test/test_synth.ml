@@ -158,18 +158,21 @@ let test_lemma_codec_round_trip () =
     (Lemma.to_text back)
 
 (* The pool prunes through [Lemma.hits_pair], whose tree kernel
-   ([Dtree.replay]) shares its step semantics with [Dtree.to_proc] but
-   restates [Run.exec_script]'s scheduling rules; these differential
-   tests compare it with [Lemma.hits] on the compiled protocol over
-   every (pair, lemma) the search replays and beyond. *)
+   ([Dtree.replay] over a compiled schedule) shares its step semantics
+   with [Dtree.to_proc] but restates [Run.exec_script]'s scheduling
+   rules; these differential tests compare it with [Lemma.hits] on the
+   compiled protocol over every (pair, lemma) the search replays and
+   beyond. *)
 let pool_mismatches ~style ~registers pool pairs =
+  let pool = List.map Lemma.compile pool in
   List.fold_left
     (fun (replays, bad) pair ->
       let p = D.protocol ~style ~registers pair in
       List.fold_left
-        (fun (replays, bad) l ->
+        (fun (replays, bad) (c : Lemma.compiled) ->
           ( replays + 1,
-            if Lemma.hits_pair ~registers l pair = Lemma.hits l p then bad
+            if Lemma.hits_pair ~registers c pair = Lemma.hits c.Lemma.lemma p
+            then bad
             else bad + 1 ))
         (replays, bad) pool)
     (0, 0) pairs
@@ -266,10 +269,11 @@ let test_kernel_scripts () =
             (Sim.Run.exec_script ~max_steps ~script config).Sim.Run.config
         in
         incr runs;
-        let decisions = D.replay ~max_steps ~registers pair ~inputs script in
+        let sched = D.compile script in
+        let decisions = D.replay ~max_steps ~registers pair ~inputs sched in
         if decisions <> generic then incr bad;
         if
-          D.replay_violates ~max_steps ~registers pair ~inputs script
+          D.replay_violates ~max_steps ~registers pair ~inputs sched
           <> violates ~inputs decisions
         then incr bad
       done)
@@ -319,8 +323,9 @@ let test_kernel_exhaustive () =
               List.iter
                 (fun script ->
                   let lemma = { Lemma.source = ""; inputs; schedule = script } in
+                  let c = Lemma.compile lemma in
                   incr runs;
-                  if Lemma.hits_pair ~registers:1 lemma pair <> Lemma.hits lemma p
+                  if Lemma.hits_pair ~registers:1 c pair <> Lemma.hits lemma p
                   then incr bad;
                   List.iter
                     (fun max_steps ->
@@ -330,12 +335,13 @@ let test_kernel_exhaustive () =
                             .Sim.Run.config
                       in
                       let decisions =
-                        D.replay ~max_steps ~registers:1 pair ~inputs script
+                        D.replay ~max_steps ~registers:1 pair ~inputs
+                          c.Lemma.sched
                       in
                       if decisions <> generic then incr bad;
                       if
                         D.replay_violates ~max_steps ~registers:1 pair ~inputs
-                          script
+                          c.Lemma.sched
                         <> violates ~inputs decisions
                       then incr bad)
                     [ 0; 1; 100_000 ])
@@ -344,6 +350,89 @@ let test_kernel_exhaustive () =
         trees)
     [ D.Rw; D.Swapping ];
   Alcotest.(check int) (Printf.sprintf "mismatches in %d scripts" !runs) 0 !bad
+
+(* The committed rw depth-2 pools, each lemma as recorded and perturbed
+   the ways a recorded trace never is: steps of out-of-range and
+   negative pids (two too large to shift into a compiled entry, one of
+   which would shift to pid 0), bad coins, crashes of processes that
+   may already have decided or crashed, and [max_steps] cuts.  Against
+   seeded pairs of the pool's own class, [hits_pair] must equal [hits]
+   on every variant, and the kernel's decisions and verdict must equal
+   [exec_script]'s under the cut. *)
+let test_kernel_pools () =
+  let rng = Random.State.make [| 36 |] in
+  let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let runs = ref 0 and hits = ref 0 and bad = ref 0 in
+  let variants (l : Lemma.t) =
+    let n = List.length l.Lemma.inputs in
+    let insert e sched =
+      let k = int 0 (List.length sched) in
+      List.filteri (fun i _ -> i < k) sched
+      @ (e :: List.filteri (fun i _ -> i >= k) sched)
+    in
+    let bad_coin = function
+      | `Step (pid, _) -> `Step (pid, Some (if int 0 1 = 0 then 2 else -1))
+      | e -> e
+    in
+    let sched = l.Lemma.schedule in
+    [
+      sched;
+      insert (`Step (n, Some 1)) (insert (`Step (-1, None)) sched);
+      insert (`Step (max_int, None)) (insert (`Crash (-3)) sched);
+      insert (`Step (1 lsl 61, Some 1)) (insert (`Crash (1 lsl 61)) sched);
+      List.map bad_coin sched;
+      sched @ List.init n (fun pid -> `Crash pid);
+      insert (`Crash (int 0 (n - 1))) (insert (`Crash (int 0 (n - 1))) sched);
+    ]
+  in
+  List.iter
+    (fun (file, coins) ->
+      let pool =
+        Lemma.load ~path:(Test_util.beside_test ("golden/" ^ file))
+      in
+      let trees =
+        Array.of_list
+          (Mc.Enumerate.enumerate_dtrees ~style:D.Rw ~registers:1 ~coins 2)
+      in
+      let pick () = trees.(Random.State.int rng (Array.length trees)) in
+      for _ = 1 to 100 do
+        let pair = (pick (), pick ()) in
+        let p = D.protocol ~style:D.Rw ~registers:1 pair in
+        List.iter
+          (fun (l : Lemma.t) ->
+            let inputs = l.Lemma.inputs in
+            let config = Consensus.Protocol.initial_config p ~inputs in
+            List.iter
+              (fun script ->
+                let lemma = { l with Lemma.schedule = script } in
+                let c = Lemma.compile lemma in
+                incr runs;
+                let hit = Lemma.hits lemma p in
+                if hit then incr hits;
+                if Lemma.hits_pair ~registers:1 c pair <> hit then incr bad;
+                let max_steps =
+                  if int 0 1 = 0 then int 0 (List.length script) else 100_000
+                in
+                let decisions =
+                  D.replay ~max_steps ~registers:1 pair ~inputs c.Lemma.sched
+                in
+                if
+                  decisions
+                  <> Sim.Config.decisions
+                       (Sim.Run.exec_script ~max_steps ~script config)
+                         .Sim.Run.config
+                then incr bad;
+                if
+                  D.replay_violates ~max_steps ~registers:1 pair ~inputs
+                    c.Lemma.sched
+                  <> violates ~inputs decisions
+                then incr bad)
+              (variants l))
+          pool
+      done)
+    [ ("synth-rw-d2.lemmas", false); ("synth-rw-d2-coins.lemmas", true) ];
+  Alcotest.(check bool) "some replays hit" true (!hits > 0);
+  Alcotest.(check int) (Printf.sprintf "mismatches in %d replays" !runs) 0 !bad
 
 (* a node budget yields an unknown row and a truncated completeness —
    never a silently under-approximated unsatisfiable *)
@@ -448,6 +537,8 @@ let suite =
       test_kernel_scripts;
     Alcotest.test_case "tree kernel = exec_script: every short script" `Quick
       test_kernel_exhaustive;
+    Alcotest.test_case "tree kernel = exec_script: committed d2 pools" `Quick
+      test_kernel_pools;
     Alcotest.test_case "rounds = brute-force census: depth 1" `Quick
       test_rounds_depth1;
     Alcotest.test_case "rounds = brute-force census: rw depth 2" `Quick
